@@ -45,10 +45,10 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e6
 
 
-def _guard_reference(f0: float, f_star: float) -> float:
+def _guard_reference(gap0: float, f_star: float) -> float:
     """Divergence threshold base: the initial gap, floored at rounding
     noise of the objective scale so exact-optimum starts never trip it."""
-    return max(f0 - f_star, 1e-12 * (1.0 + abs(f_star)))
+    return max(gap0, 1e-12 * (1.0 + abs(f_star)))
 
 
 class DivergenceError(RuntimeError):
@@ -73,10 +73,21 @@ def a_coeff(k: int) -> float:
 
 
 @dataclass(frozen=True)
+class IterateEval:
+    """Oracle values at one iterate: gradF(X_k), Llift X_k, F(X_k), G_k."""
+
+    grad: np.ndarray
+    lx: np.ndarray
+    value: float
+    G: np.ndarray
+
+
+@dataclass(frozen=True)
 class AgmState:
     """Discrete iterate. ``X_plus`` is the plus-iterate produced by the step
     that created this state (i.e. X_{k-1}^+ when at index k); ``s`` is the
-    step-size that the next step will apply."""
+    step-size that the next step will apply. ``ev`` holds the oracle values
+    at ``X``; hand-built states leave it None and are evaluated on demand."""
 
     k: int
     X: np.ndarray
@@ -85,10 +96,23 @@ class AgmState:
     s: float
     h: float
     beta: float
+    ev: IterateEval | None = None
 
     @property
     def theta(self) -> float:
         return theta(self.k)
+
+
+def _evaluated(state: AgmState, obj: SeparableObjective,
+               graph: AgentGraph) -> IterateEval:
+    """The state's oracle values, evaluated here if it does not carry them."""
+    if state.ev is not None:
+        return state.ev
+    scale = (2.0 * theta(state.k) * state.h) ** (-state.beta)
+    grad = obj.grad(state.X)
+    lx = apply_lifted_laplacian(graph, obj.d, state.X)
+    return IterateEval(grad=grad, lx=lx, value=obj.value(state.X),
+                       G=scale * grad + lx)
 
 
 @dataclass(frozen=True)
@@ -147,7 +171,7 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
-    g = combined_field(state.k, state.X, state.h, state.beta, obj, graph)
+    g = _evaluated(state, obj, graph).G
     if not np.all(np.isfinite(g)):
         raise DivergenceError("non-finite update field", iteration=state.k)
     th_k, th_next = theta(state.k), theta(state.k + 1)
@@ -155,8 +179,9 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     z_new = state.Z - state.s * th_k * g
     ratio = th_k ** 2 / th_next ** 2
     x_new = ratio * x_plus + (1.0 - ratio) * z_new
-    return AgmState(k=state.k + 1, X=x_new, X_plus=x_plus, Z=z_new,
-                    s=s_next, h=state.h, beta=state.beta)
+    nxt = AgmState(k=state.k + 1, X=x_new, X_plus=x_plus, Z=z_new,
+                   s=s_next, h=state.h, beta=state.beta)
+    return replace(nxt, ev=_evaluated(nxt, obj, graph))
 
 
 def single_line_update(k: int, X: np.ndarray, Z: np.ndarray, s: float,
@@ -195,17 +220,15 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     h, beta = prev.h, prev.beta
     scale_k = (2.0 * theta(k) * h) ** (-beta)
     scale_next = (2.0 * theta(k + 1) * h) ** (-beta)
+    ev_k, ev_next = _evaluated(prev, obj, graph), _evaluated(nxt, obj, graph)
     xbar_k = prev.X - opt.x_star_stacked
     xbar_next = nxt.X - opt.x_star_stacked
-    lx_k = apply_lifted_laplacian(graph, obj.d, prev.X)
-    lx_next = apply_lifted_laplacian(graph, obj.d, nxt.X)
-    g_k = scale_k * obj.grad(prev.X) + lx_k
-    g_next = scale_next * obj.grad(nxt.X) + lx_next
-    gap_k = obj.value(prev.X) - opt.f_star
-    gap_next = obj.value(nxt.X) - opt.f_star
+    g_k, g_next = ev_k.G, ev_next.G
+    gap_k = ev_k.value - opt.f_star
+    gap_next = ev_next.value - opt.f_star
     # Laplacian quadratic in the error; Llift X* vanishes at consensus.
-    quad_k = 0.5 * float(xbar_k @ lx_k)
-    quad_next = 0.5 * float(xbar_next @ lx_next)
+    quad_k = 0.5 * float(xbar_k @ ev_k.lx)
+    quad_next = 0.5 * float(xbar_next @ ev_next.lx)
 
     a = (scale_k * gap_k + quad_k - scale_next * gap_next - quad_next
          - float(g_next @ (prev.X - nxt.X)))
@@ -233,8 +256,7 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     """
     h, beta = state1.h, state1.beta
     scale = (2.0 * theta(1) * h) ** (-beta)
-    g1 = scale * obj.grad(state1.X) + apply_lifted_laplacian(
-        graph, obj.d, state1.X)
+    g1 = _evaluated(state1, obj, graph).G
     gs = scale * _grad_star(opt, oracle_mode, g1.size)
     r1 = -float(gs @ gs) + 2.0 * float(gs @ (gs - g1))
     cap = smoothness_cap(1, h, beta, lam_max, obj.smoothness)
@@ -294,14 +316,13 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     if k < 1:
         raise ValueError("V_k is defined for k >= 1; use lyapunov_v0_prime")
     scale = (2.0 * theta(k) * prev.h) ** (-prev.beta)
+    ev = _evaluated(prev, obj, graph)
     xbar = prev.X - opt.x_star_stacked
-    lx = apply_lifted_laplacian(graph, obj.d, prev.X)
-    g = scale * obj.grad(prev.X) + lx
     weight = 2.0 * c_coeff(k) * theta(k) ** 2
-    fn_term = weight * scale * (obj.value(prev.X) - opt.f_star)
-    cons_term = weight * 0.5 * float(xbar @ lx)
+    fn_term = weight * scale * (ev.value - opt.f_star)
+    cons_term = weight * 0.5 * float(xbar @ ev.lx)
     if prev.s > 0.0:
-        pen_term = -weight * 0.25 * prev.s * float(g @ g)
+        pen_term = -weight * 0.25 * prev.s * float(ev.G @ ev.G)
         dist = float(np.dot(nxt.Z - opt.x_star_stacked,
                             nxt.Z - opt.x_star_stacked)) / prev.s
         v = fn_term + cons_term + pen_term + dist
@@ -328,17 +349,22 @@ _TRACE_COLUMNS = ["k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
                   "fallback_flag"]
 
 
-def _record(trace, state_k, x, x_plus, s_k, obj, graph, opt, v=np.nan,
-            case="", w=np.nan, r=np.nan, mono=True, fallback=False):
-    lx = apply_lifted_laplacian(graph, obj.d, x)
-    trace.append(
-        k=state_k,
-        F_gap_plus=obj.value(x_plus) - opt.f_star,
-        F_gap=obj.value(x) - opt.f_star,
-        grad_norm=float(np.linalg.norm(obj.grad(x))),
-        laplacian_norm=float(np.linalg.norm(lx)),
-        s_k=s_k, V_k=v, case=case, w=w, r=r,
-        monotonicity_ok=mono, fallback_flag=fallback)
+def _record(trace, k, gap, grad, lx, s_k, gap_plus=None, v=np.nan, case="",
+            w=np.nan, r=np.nan, mono=True, fallback=False):
+    """Append one trace row from oracle values the caller already holds."""
+    trace.append(k=k, F_gap_plus=gap if gap_plus is None else gap_plus,
+                 F_gap=gap, grad_norm=float(np.linalg.norm(grad)),
+                 laplacian_norm=float(np.linalg.norm(lx)), s_k=s_k, V_k=v,
+                 case=case, w=w, r=r, monotonicity_ok=mono,
+                 fallback_flag=fallback)
+
+
+def _guard(trace, gap0, k):
+    """Raise once the last recorded gap exceeds the divergence threshold."""
+    if trace.last("F_gap") > _DIVERGENCE_FACTOR * gap0:
+        raise DivergenceError(
+            f"gap grew {_DIVERGENCE_FACTOR:.0e}-fold by iteration {k}",
+            iteration=k, trace=trace)
 
 
 def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
@@ -346,12 +372,14 @@ def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
                    opt: ConsensusOptimum, s_override=None) -> RunTrace:
     """Fixed step s = h^2 (or an override) for every iteration k >= 1."""
     s = h * h if s_override is None else float(s_override)
-    state = replace(init(X0, h, beta), s=s)
+    state = init(X0, h, beta)
+    state = replace(state, s=s, ev=_evaluated(state, obj, graph))
     trace = RunTrace(_TRACE_COLUMNS, metadata={
         "algorithm": "dist_agm_fixed", "h": h, "beta": beta, "s": s,
         "iters": iters})
-    _record(trace, 0, state.X, state.X_plus, 0.0, obj, graph, opt)
-    gap0 = _guard_reference(obj.value(state.X), opt.f_star)
+    _record(trace, 0, state.ev.value - opt.f_star, state.ev.grad, state.ev.lx,
+            0.0, gap_plus=obj.value(state.X_plus) - opt.f_star)
+    gap0 = _guard_reference(trace.last("F_gap"), opt.f_star)
     for _ in range(iters):
         prev = state
         try:
@@ -359,11 +387,9 @@ def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
         except DivergenceError as err:
             err.trace = trace
             raise
-        _record(trace, prev.k, prev.X, state.X_plus, s, obj, graph, opt)
-        if trace.last("F_gap") > _DIVERGENCE_FACTOR * gap0:
-            raise DivergenceError(
-                f"gap grew {_DIVERGENCE_FACTOR:.0e}-fold by iteration {prev.k}",
-                iteration=prev.k, trace=trace)
+        _record(trace, prev.k, prev.ev.value - opt.f_star, prev.ev.grad,
+                prev.ev.lx, s, gap_plus=obj.value(state.X_plus) - opt.f_star)
+        _guard(trace, gap0, prev.k)
     return trace
 
 
@@ -383,6 +409,7 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
     """
     lam_max = spectral_extremes(graph).lambda_max
     state = init(X0, h, beta)
+    state = replace(state, ev=_evaluated(state, obj, graph))
     boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max,
                                  oracle_mode)
     s1 = s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
@@ -394,9 +421,10 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
         "algorithm": "dist_agm_adaptive", "h": h, "beta": beta,
         "iters": iters, "oracle_mode": oracle_mode, "s_ref": s_ref,
         "V0_prime": v0_prime})
-    _record(trace, 0, state.X, state.X_plus, 0.0, obj, graph, opt,
-            v=v0_prime, case="bootstrap", r=boot.r)
-    gap0 = _guard_reference(obj.value(state.X), opt.f_star)
+    _record(trace, 0, state.ev.value - opt.f_star, state.ev.grad, state.ev.lx,
+            0.0, gap_plus=obj.value(state.X_plus) - opt.f_star, v=v0_prime,
+            case="bootstrap", r=boot.r)
+    gap0 = _guard_reference(trace.last("F_gap"), opt.f_star)
     for _ in range(iters):
         prev = state
         try:
@@ -412,11 +440,10 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
         s_next = min(prev.s, diag.cap_smooth) if fallback else diag.chosen
         state = replace(state, s=s_next)
         rec = lyapunov(prev, state, obj, graph, opt)
-        _record(trace, prev.k, prev.X, state.X_plus, prev.s, obj, graph, opt,
-                v=rec.V, case=diag.case, w=diag.w, r=diag.r,
+        _record(trace, prev.k, prev.ev.value - opt.f_star, prev.ev.grad,
+                prev.ev.lx, prev.s,
+                gap_plus=obj.value(state.X_plus) - opt.f_star, v=rec.V,
+                case=diag.case, w=diag.w, r=diag.r,
                 mono=diag.monotonicity_ok, fallback=fallback)
-        if trace.last("F_gap") > _DIVERGENCE_FACTOR * gap0:
-            raise DivergenceError(
-                f"gap grew {_DIVERGENCE_FACTOR:.0e}-fold by iteration {prev.k}",
-                iteration=prev.k, trace=trace)
+        _guard(trace, gap0, prev.k)
     return trace

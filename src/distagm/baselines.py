@@ -10,33 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agm import DivergenceError, _DIVERGENCE_FACTOR, _guard_reference
+from .agm import _TRACE_COLUMNS, _guard, _guard_reference, _record
 from .graphs import AgentGraph, apply_lifted_laplacian, metropolis_weights
 from .objectives import ConsensusOptimum, SeparableObjective
 from .trace import RunTrace
 
 __all__ = ["dgd_run", "diging_run", "pi_consensus_run"]
 
-_COLUMNS = ["k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
-            "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
-            "fallback_flag"]
 
-
-def _record(trace, k, X, obj, graph, opt, s=np.nan):
-    lx = apply_lifted_laplacian(graph, obj.d, X)
-    gap = obj.value(X) - opt.f_star
-    trace.append(k=k, F_gap_plus=gap, F_gap=gap,
-                 grad_norm=float(np.linalg.norm(obj.grad(X))),
-                 laplacian_norm=float(np.linalg.norm(lx)),
-                 s_k=s, V_k=np.nan, case="", w=np.nan, r=np.nan,
-                 monotonicity_ok=True, fallback_flag=False)
-
-
-def _guard(trace, gap0, k):
-    if trace.last("F_gap") > _DIVERGENCE_FACTOR * gap0:
-        raise DivergenceError(
-            f"gap grew {_DIVERGENCE_FACTOR:.0e}-fold by iteration {k}",
-            iteration=k, trace=trace)
+def _record_blocks(trace, k, xb, grads, obj, graph, opt, s):
+    """Trace row for agent blocks whose gradients the update already holds."""
+    X = xb.reshape(-1)
+    _record(trace, k, obj.value(X) - opt.f_star, grads,
+            apply_lifted_laplacian(graph, obj.d, X), s)
 
 
 def _grad_blocks(obj, xb):
@@ -50,13 +36,15 @@ def dgd_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
         raise ValueError("alpha must be positive")
     w = metropolis_weights(graph)
     xb = np.asarray(X0, dtype=float).reshape(graph.m, obj.d).copy()
-    trace = RunTrace(_COLUMNS, metadata={
+    grads = _grad_blocks(obj, xb)
+    trace = RunTrace(_TRACE_COLUMNS, metadata={
         "algorithm": "dgd", "alpha": alpha, "iters": iters})
-    _record(trace, 0, xb.reshape(-1), obj, graph, opt, s=alpha)
+    _record_blocks(trace, 0, xb, grads, obj, graph, opt, alpha)
     gap0 = _guard_reference(trace.last("F_gap"), 0.0)
     for k in range(1, iters + 1):
-        xb = w @ xb - alpha * _grad_blocks(obj, xb)
-        _record(trace, k, xb.reshape(-1), obj, graph, opt, s=alpha)
+        xb = w @ xb - alpha * grads
+        grads = _grad_blocks(obj, xb)
+        _record_blocks(trace, k, xb, grads, obj, graph, opt, alpha)
         _guard(trace, gap0, k)
     return trace
 
@@ -73,9 +61,9 @@ def diging_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
     xb = np.asarray(X0, dtype=float).reshape(graph.m, obj.d).copy()
     grads = _grad_blocks(obj, xb)
     yb = grads.copy()
-    trace = RunTrace(_COLUMNS, metadata={
+    trace = RunTrace(_TRACE_COLUMNS, metadata={
         "algorithm": "diging", "alpha": alpha, "iters": iters})
-    _record(trace, 0, xb.reshape(-1), obj, graph, opt, s=alpha)
+    _record_blocks(trace, 0, xb, grads, obj, graph, opt, alpha)
     gap0 = _guard_reference(trace.last("F_gap"), 0.0)
     residual = 0.0
     for k in range(1, iters + 1):
@@ -85,7 +73,7 @@ def diging_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
         grads = new_grads
         residual = max(residual, float(np.linalg.norm(
             yb.sum(axis=0) - grads.sum(axis=0))))
-        _record(trace, k, xb.reshape(-1), obj, graph, opt, s=alpha)
+        _record_blocks(trace, k, xb, grads, obj, graph, opt, alpha)
         _guard(trace, gap0, k)
     trace.metadata["max_tracking_residual"] = residual
     return trace
@@ -106,20 +94,21 @@ def pi_consensus_run(obj: SeparableObjective, graph: AgentGraph,
         raise ValueError("alpha, beta_gain, and h_step must be positive")
     x = np.asarray(X0, dtype=float).copy()
     v = np.zeros_like(x)
-    trace = RunTrace(_COLUMNS, metadata={
+    g, lx = obj.grad(x), apply_lifted_laplacian(graph, obj.d, x)
+    trace = RunTrace(_TRACE_COLUMNS, metadata={
         "algorithm": "pi_consensus", "alpha": alpha, "beta_gain": beta_gain,
         "h_step": h_step, "iters": iters})
-    _record(trace, 0, x, obj, graph, opt, s=h_step)
+    _record(trace, 0, obj.value(x) - opt.f_star, g, lx, h_step)
     gap0 = _guard_reference(trace.last("F_gap"), 0.0)
     v_sum = 0.0
     for k in range(1, iters + 1):
-        lx = apply_lifted_laplacian(graph, obj.d, x)
-        x_new = x + h_step * (-alpha * obj.grad(x) - lx - beta_gain * v)
+        x_new = x + h_step * (-alpha * g - lx - beta_gain * v)
         v = v + h_step * lx
         x = x_new
         v_sum = max(v_sum, float(np.linalg.norm(
             v.reshape(graph.m, obj.d).sum(axis=0))))
-        _record(trace, k, x, obj, graph, opt, s=h_step)
+        g, lx = obj.grad(x), apply_lifted_laplacian(graph, obj.d, x)
+        _record(trace, k, obj.value(x) - opt.f_star, g, lx, h_step)
         _guard(trace, gap0, k)
     trace.metadata["max_integral_sum"] = v_sum
     return trace

@@ -144,17 +144,17 @@ def energy_at(state: FlowState, accumulators, obj: SeparableObjective,
 
 
 def _integrands(t, X, obj, graph, opt, params):
-    """Pointwise values of the three energy integrands at time t."""
+    """The three energy integrands at time t, and gradF(X) for reuse."""
     xbar = X - opt.x_star_stacked
     lx = apply_lifted_laplacian(graph, obj.d, xbar)
-    gap = obj.value(X) - opt.f_star
+    value = obj.value(X)
     grad = obj.grad(X)
-    bregman = opt.f_star - obj.value(X) - float(grad @ (opt.x_star_stacked - X))
-    return (
+    bregman = opt.f_star - value - float(grad @ (opt.x_star_stacked - X))
+    return np.array([
         params.k_gain * t * float(xbar @ lx),
         2.0 * t ** (1.0 - params.beta) * bregman,
-        params.beta * t ** (1.0 - params.beta) * gap,
-    )
+        params.beta * t ** (1.0 - params.beta) * (value - opt.f_star),
+    ]), grad
 
 
 def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
@@ -173,7 +173,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         raise ValueError("X0/V0 must be stacked md-vectors")
     t = params.t0
     acc = np.zeros(3)
-    prev_integrands = np.array(_integrands(t, X, obj, graph, opt, params))
+    prev_integrands, grad_x = _integrands(t, X, obj, graph, opt, params)
 
     columns = ["t", "F_gap", "grad_norm", "laplacian_norm", "E_total",
                "E_kinetic", "E_laplacian", "E_potential",
@@ -182,14 +182,14 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         "beta": params.beta, "k_gain": params.k_gain, "t0": params.t0,
         "dt": params.dt, "horizon": params.horizon})
 
-    def record(t, X, V):
+    def record(t, X, V, grad_x):
         ledger = energy_at(FlowState(t, X, V), tuple(acc), obj, graph, opt,
                            params)
         lx = apply_lifted_laplacian(graph, obj.d, X)
         trace.append(
             t=t,
             F_gap=obj.value(X) - opt.f_star,
-            grad_norm=float(np.linalg.norm(obj.grad(X))),
+            grad_norm=float(np.linalg.norm(grad_x)),
             laplacian_norm=float(np.linalg.norm(lx)),
             E_total=ledger.total,
             E_kinetic=ledger.kinetic,
@@ -200,20 +200,20 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
             E_int_beta=ledger.integral_beta,
         )
 
-    record(t, X, V)
+    record(t, X, V, grad_x)
     lap = graph.laplacian
     k_gain, beta = params.k_gain, params.beta
     m, d = graph.m, obj.d
-    grad = obj.grad
 
-    def rhs(t, X, V):
+    def rhs(t, X, V, grad_x=None):
         lx = (lap @ X.reshape(m, d)).reshape(-1)
-        return V, -(3.0 / t) * V - t ** (-beta) * grad(X) - k_gain * lx
+        grad_x = obj.grad(X) if grad_x is None else grad_x
+        return V, -(3.0 / t) * V - t ** (-beta) * grad_x - k_gain * lx
 
     steps_since_record = 0
     while t < params.horizon - 1e-15:
         dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
-        k1x, k1v = rhs(t, X, V)
+        k1x, k1v = rhs(t, X, V, grad_x)
         k2x, k2v = rhs(t + 0.5 * dt, X + 0.5 * dt * k1x, V + 0.5 * dt * k1v)
         k3x, k3v = rhs(t + 0.5 * dt, X + 0.5 * dt * k2x, V + 0.5 * dt * k2v)
         k4x, k4v = rhs(t + dt, X + dt * k3x, V + dt * k3v)
@@ -223,12 +223,12 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
             raise BlowUpError(f"trajectory diverged before t={t:.6g}",
                               last_t=t - dt)
-        cur = np.array(_integrands(t, X, obj, graph, opt, params))
+        cur, grad_x = _integrands(t, X, obj, graph, opt, params)
         acc += 0.5 * dt * (prev_integrands + cur)
         prev_integrands = cur
         steps_since_record += 1
         if steps_since_record >= record_every or t >= params.horizon - 1e-15:
-            record(t, X, V)
+            record(t, X, V, grad_x)
             steps_since_record = 0
     return trace
 

@@ -18,8 +18,8 @@ import yaml
 
 from . import agm, baselines, data_io, flow
 from .graphs import build_topology
-from .objectives import (QuadraticObjective, make_logistic, make_quadratic,
-                         solve_consensus_optimum)
+from .objectives import (LogisticObjective, QuadraticObjective,
+                         make_quadratic, solve_consensus_optimum)
 from .trace import RunTrace
 
 __all__ = [
@@ -135,14 +135,10 @@ def build_problem(cfg: dict, graph):
             ds = synthetic_gaussian_dataset(
                 n=int(spec.get("n", 500)), p=int(spec.get("p", 10)),
                 seed=int(spec.get("seed", 0)))
-        sharded = data_io.shard(ds, graph.m)
-        obj = make_logistic(
-            np.vstack([s.features for s in sharded.shards]),
-            np.concatenate([s.labels for s in sharded.shards]),
-            [np.arange(sum(s.n for s in sharded.shards[:i]),
-                       sum(s.n for s in sharded.shards[:i + 1]))
-             for i in range(graph.m)],
-            l2=float(spec.get("l2", 1e-4)))
+        shards = data_io.shard(ds, graph.m).shards
+        obj = LogisticObjective([s.features for s in shards],
+                                [s.labels for s in shards],
+                                l2=float(spec.get("l2", 1e-4)))
         opt = solve_consensus_optimum(
             obj, tol=float(spec.get("solver_tol", 1e-9)),
             max_iter=int(spec.get("solver_max_iter", 500_000)))
@@ -283,12 +279,11 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
         fh.write(f"# gap_threshold={threshold!r}\n")
         header = ["k"] + [f"{n}:{m}" for n, _ in algos for m in metrics]
         fh.write(",".join(header) + "\n")
-        length = min(len(t) for t in traces.values())
-        for i in range(length):
-            row = [str(int(traces[algos[0][0]].column("k")[i]))]
-            for name, _ in algos:
-                for metric in metrics:
-                    row.append(format(traces[name].column(metric)[i], ".17g"))
+        ks = traces[algos[0][0]].column("k")
+        cols = [traces[name].column(metric)
+                for name, _ in algos for metric in metrics]
+        for i in range(min(len(t) for t in traces.values())):
+            row = [str(int(ks[i]))] + [format(c[i], ".17g") for c in cols]
             fh.write(",".join(row) + "\n")
     report = {}
     for name, _ in algos:

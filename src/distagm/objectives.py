@@ -19,8 +19,6 @@ __all__ = [
     "LogisticObjective",
     "ConsensusOptimum",
     "SolverError",
-    "eval_cumulative",
-    "grad_cumulative",
     "make_quadratic",
     "make_logistic",
     "solve_consensus_optimum",
@@ -89,14 +87,6 @@ class SeparableObjective:
     def stack(self, x: np.ndarray) -> np.ndarray:
         """Stacked copy of a single d-vector, one block per agent."""
         return np.tile(np.asarray(x, dtype=float), self.m)
-
-
-def eval_cumulative(obj: SeparableObjective, X: np.ndarray) -> float:
-    return obj.value(X)
-
-
-def grad_cumulative(obj: SeparableObjective, X: np.ndarray) -> np.ndarray:
-    return obj.grad(X)
 
 
 class QuadraticObjective(SeparableObjective):
@@ -179,7 +169,8 @@ class LogisticObjective(SeparableObjective):
 
     def local_grad(self, i, x):
         margins = self.Zs[i] @ x
-        sig = 1.0 / (1.0 + np.exp(-margins))
+        # exp overflows past 709.78; the clipped sigmoid is ~1e-308 there
+        sig = 1.0 / (1.0 + np.exp(np.minimum(-margins, 709.0)))
         return self.Zs[i].T @ (sig - self.ys[i]) + self.l2 / self.m * x
 
 
@@ -207,21 +198,19 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, shards,
                   l2: float = 1e-4, add_bias: bool = False) -> LogisticObjective:
     """Logistic objective sharded across agents.
 
-    ``shards`` is either an agent count (contiguous near-equal split) or an
-    explicit list of row-index arrays. ``add_bias`` appends a constant-one
-    feature column.
+    ``shards`` is the agent count of a contiguous near-equal split.
+    ``add_bias`` appends a constant-one feature column.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if add_bias:
         features = np.hstack([features, np.ones((features.shape[0], 1))])
-    if isinstance(shards, int):
-        if features.shape[0] < shards:
-            raise ValueError("fewer samples than agents")
-        shards = np.array_split(np.arange(features.shape[0]), shards)
+    if features.shape[0] < shards:
+        raise ValueError("fewer samples than agents")
+    pieces = np.array_split(np.arange(features.shape[0]), shards)
     return LogisticObjective(
-        [features[idx] for idx in shards],
-        [labels[idx] for idx in shards],
+        [features[idx] for idx in pieces],
+        [labels[idx] for idx in pieces],
         l2=l2,
     )
 

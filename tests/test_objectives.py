@@ -1,12 +1,13 @@
 """Objective oracles: values, gradients, smoothness, and reference solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
-                                SolverError, eval_cumulative, grad_cumulative,
-                                make_logistic, make_quadratic,
+                                SolverError, make_logistic, make_quadratic,
                                 solve_consensus_optimum)
 
 
@@ -25,7 +26,7 @@ def central_fd(obj, X, eps=None):
 def test_value_at_per_agent_minima():
     obj = QuadraticObjective(np.array([np.eye(1), np.eye(1)]),
                              np.array([[0.0], [1.0]]))
-    assert eval_cumulative(obj, np.array([0.0, 1.0])) == 0.0
+    assert obj.value(np.array([0.0, 1.0])) == 0.0
 
 
 def test_quadratic_value_matches_dense_loop(ring5):
@@ -36,7 +37,7 @@ def test_quadratic_value_matches_dense_loop(ring5):
     want = sum(0.5 * (blocks[i] - obj.bs[i]) @ obj.Qs[i]
                @ (blocks[i] - obj.bs[i]) for i in range(5))
     assert obj.value(X) == pytest.approx(want, rel=1e-12)
-    got = grad_cumulative(obj, X)
+    got = obj.grad(X)
     want_g = np.concatenate([obj.Qs[i] @ (blocks[i] - obj.bs[i])
                              for i in range(5)])
     np.testing.assert_allclose(got, want_g, rtol=1e-12)
@@ -97,6 +98,16 @@ def test_logistic_symmetric_zero_gradient():
     labels = np.array([1.0, 1.0])
     obj = make_logistic(feats, labels, shards=1, l2=0.0)
     np.testing.assert_allclose(obj.grad(np.zeros(2)), 0.0, atol=1e-14)
+
+
+def test_logistic_gradient_saturates_without_overflow_warning():
+    # margin -1000: exp(1000) would overflow; the sigmoid saturates
+    obj = make_logistic(np.array([[1.0, 0.0]]), np.array([1.0]), shards=1,
+                        l2=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = obj.local_grad(0, np.array([-1000.0, 0.0]))
+    np.testing.assert_array_equal(g, [-1.0, 0.0])
 
 
 def test_logistic_label_validation():
