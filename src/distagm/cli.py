@@ -6,13 +6,15 @@ import argparse
 import sys
 
 from . import harness
+from .objectives import SolverError
 
 
 def _add_config_args(sub):
     sub.add_argument("config", help="YAML config file")
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
+                     help="reseed the run: sets seed, init.seed, "
+                          "problem.seed and graph.seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,6 +56,8 @@ def main(argv=None) -> int:
         cfg = harness.load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+            for section in ("init", "problem", "graph"):
+                cfg.setdefault(section, {})["seed"] = args.seed
         if args.command == "run":
             return harness.cmd_run(cfg, args.out)
         if args.command == "compare":
@@ -62,6 +66,9 @@ def main(argv=None) -> int:
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return harness.EXIT_CONFIG
+    except SolverError as err:
+        print(f"solver error: {err}", file=sys.stderr)
+        return harness.EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ __all__ = [
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
+EXIT_SOLVER = 4
 
 DATASET_ROOT_ENV = "DISTAGM_DATA"
 

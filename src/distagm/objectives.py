@@ -84,6 +84,10 @@ class SeparableObjective:
     def central_grad(self, x: np.ndarray) -> np.ndarray:
         return np.sum([self.local_grad(i, x) for i in range(self.m)], axis=0)
 
+    def central_hess(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of the centralized objective at a single point."""
+        raise NotImplementedError
+
     def stack(self, x: np.ndarray) -> np.ndarray:
         """Stacked copy of a single d-vector, one block per agent."""
         return np.tile(np.asarray(x, dtype=float), self.m)
@@ -122,6 +126,9 @@ class QuadraticObjective(SeparableObjective):
         X = self._check(X)
         r = X.reshape(self.m, self.d) - self.bs
         return np.einsum("mij,mj->mi", self.Qs, r).reshape(-1)
+
+    def central_hess(self, x):
+        return self.Qs.sum(axis=0)
 
     def closed_form_optimum(self) -> ConsensusOptimum:
         """x* = (sum Q_i)^{-1} sum Q_i b_i, exact for the quadratic family."""
@@ -168,10 +175,20 @@ class LogisticObjective(SeparableObjective):
         return float(loss.sum() + 0.5 * self.l2 / self.m * (x @ x))
 
     def local_grad(self, i, x):
-        margins = self.Zs[i] @ x
-        # exp overflows past 709.78; the clipped sigmoid is ~1e-308 there
-        sig = 1.0 / (1.0 + np.exp(np.minimum(-margins, 709.0)))
+        sig = _sigmoid(self.Zs[i] @ x)
         return self.Zs[i].T @ (sig - self.ys[i]) + self.l2 / self.m * x
+
+    def central_hess(self, x):
+        hess = self.l2 * np.eye(self.d)
+        for z in self.Zs:
+            sig = _sigmoid(z @ x)
+            hess += (z.T * (sig * (1.0 - sig))) @ z
+        return hess
+
+
+def _sigmoid(margins):
+    # exp overflows past 709.78; the clipped sigmoid is ~1e-308 there
+    return 1.0 / (1.0 + np.exp(np.minimum(-margins, 709.0)))
 
 
 def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
@@ -215,43 +232,57 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, shards,
     )
 
 
+# Armijo sufficient-decrease fraction and backtracking factor.
+_ARMIJO = 0.25
+_BACKTRACK = 0.5
+# Newton decrements below this share of |F| are lost in the rounding of F,
+# so the line search could not see them; such steps are taken in full.
+_F_RESOLUTION = 1e-12
+
+
 def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-10,
                             max_iter: int = 200_000,
                             x0=None) -> ConsensusOptimum:
-    """Centralized accelerated gradient descent on sum_i f_i with restarts.
+    """Damped Newton on the centralized cost sum_i f_i, with Armijo
+    backtracking on its value (Boyd & Vandenberghe, Convex Optimization,
+    Alg. 9.5).
 
     Runs until the centralized gradient norm falls below ``tol``. Raises
-    SolverError carrying the best iterate if the cap is reached first.
+    SolverError carrying the best iterate if ``max_iter`` Newton steps do
+    not get there.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lip = float(np.sum(obj.local_smoothness))
-    step = 1.0 / lip
     x = np.zeros(obj.d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = x.copy()
-    theta = 1.0
+    f = obj.central_value(x)
     best_x, best_norm = x.copy(), np.inf
-    f_prev = obj.central_value(x)
-    for _ in range(max_iter):
-        g = obj.central_grad(y)
-        gx = obj.central_grad(x)
-        gnorm = float(np.linalg.norm(gx))
+    for it in range(max_iter + 1):
+        g = obj.central_grad(x)
+        gnorm = float(np.linalg.norm(g))
         if gnorm < best_norm:
             best_norm, best_x = gnorm, x.copy()
         if gnorm <= tol:
             break
-        x_new = y - step * g
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
-        y = x_new + (theta - 1.0) / theta_new * (x_new - x)
+        if it == max_iter:
+            raise SolverError(
+                f"no convergence in {max_iter} Newton steps "
+                f"(grad norm {best_norm:.3e})",
+                best_x=best_x, grad_norm=best_norm)
+        hess = obj.central_hess(x)
+        try:
+            dx = -np.linalg.solve(hess, g)
+        except np.linalg.LinAlgError:  # singular, e.g. l2=0 with a zero feature
+            dx = -np.linalg.lstsq(hess, g, rcond=None)[0]
+        decrement = -float(g @ dx)  # squared Newton decrement
+        t = 1.0
+        x_new = x + dx
         f_new = obj.central_value(x_new)
-        if f_new > f_prev:  # function-value restart
-            y = x_new.copy()
-            theta_new = 1.0
-        x, theta, f_prev = x_new, theta_new, f_new
-    else:
-        raise SolverError(
-            f"no convergence in {max_iter} iterations (grad norm {best_norm:.3e})",
-            best_x=best_x, grad_norm=best_norm)
+        while (f_new > f - _ARMIJO * t * decrement
+               and decrement > _F_RESOLUTION * (1.0 + abs(f))):
+            t *= _BACKTRACK
+            x_new = x + t * dx
+            f_new = obj.central_value(x_new)
+        x, f = x_new, f_new
     x_stacked = obj.stack(best_x)
     return ConsensusOptimum(
         x_star=best_x,

@@ -22,6 +22,20 @@ def _fmt(v) -> str:
     return format(x, ".17g")
 
 
+def _parse_meta(text: str):
+    """A metadata value as written: an int or float when ``text`` is exactly
+    how that number prints, otherwise the string itself (so ``007`` and
+    ``9e9`` stay strings)."""
+    for kind in (int, float):
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        if str(value) == text:
+            return value
+    return text
+
+
 class RunTrace:
     """Column-oriented record of one run plus self-describing metadata.
 
@@ -71,7 +85,7 @@ class RunTrace:
                 line = line.rstrip("\n")
                 if line.startswith("# "):
                     key, _, val = line[2:].partition("=")
-                    metadata[key] = val
+                    metadata[key] = _parse_meta(val)
                 elif header is None:
                     header = line.split(",")
                 elif line:

@@ -188,3 +188,27 @@ def test_seed_override(tmp_path):
     t1 = RunTrace.read_csv(o1 / "dgd_trace.csv")
     t2 = RunTrace.read_csv(o2 / "dgd_trace.csv")
     assert t1.column("F_gap")[0] != t2.column("F_gap")[0]
+
+
+def test_seed_override_reseeds_pinned_sections(tmp_path):
+    cfg = {"seed": 1, "problem": QUAD_PROBLEM, "init": {"seed": 1},
+           "iters": 10, "algorithms": [{"name": "dgd", "alpha": 0.01}]}
+    path = write_config(tmp_path, cfg)
+    o1, o2 = tmp_path / "s1", tmp_path / "s2"
+    assert main(["run", path, "--out", str(o1)]) == 0
+    assert main(["run", path, "--out", str(o2), "--seed", "9"]) == 0
+    t1 = RunTrace.read_csv(o1 / "dgd_trace.csv")
+    t2 = RunTrace.read_csv(o2 / "dgd_trace.csv")
+    assert t1.column("F_gap")[0] != t2.column("F_gap")[0]
+    assert t2.metadata["seed"] == 9
+
+
+def test_solver_error_exit_code(tmp_path, capsys):
+    cfg = {"problem": {"type": "logistic-synthetic", "n": 60, "p": 3,
+                       "solver_max_iter": 1},
+           "iters": 5, "algorithms": ["dgd"]}
+    code = main(["run", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "s")])
+    assert code == harness.EXIT_SOLVER == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from distagm import data_io, harness
 from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
                                 SolverError, make_logistic, make_quadratic,
@@ -140,6 +141,30 @@ def test_midpoint_convexity():
             assert mid <= 0.5 * (obj.value(X) + obj.value(Y)) + 1e-9
 
 
+def central_hess_fd(obj, x, eps=1e-6):
+    """Central finite differences of the centralized gradient."""
+    cols = []
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = eps
+        cols.append((obj.central_grad(x + e) - obj.central_grad(x - e))
+                    / (2.0 * eps))
+    return np.array(cols).T
+
+
+def test_central_hess_finite_difference():
+    rng = np.random.default_rng(16)
+    feats = rng.standard_normal((40, 3))
+    labels = (rng.random(40) < 0.5).astype(float)
+    for obj in (make_quadratic(4, 3, cond=50.0, seed=7),
+                make_logistic(feats, labels, shards=4, l2=1e-3)):
+        for _ in range(10):
+            x = rng.standard_normal(3)
+            np.testing.assert_allclose(obj.central_hess(x),
+                                       central_hess_fd(obj, x),
+                                       rtol=1e-6, atol=1e-7)
+
+
 def test_smoothness_bound():
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((30, 3))
@@ -182,8 +207,51 @@ def test_solver_on_ridge_logistic():
     assert obj.central_value(opt.x_star) == pytest.approx(opt.f_star)
 
 
+def test_solver_quadratic_in_one_newton_step():
+    obj = make_quadratic(5, 10, cond=1e4, seed=9)
+    opt = solve_consensus_optimum(obj, tol=1e-10, max_iter=1)
+    assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-10
+
+
+def test_solver_on_synthetic_data_seed_3():
+    # the shipped logistic problem family at data seed 3
+    ds = harness.synthetic_gaussian_dataset(n=500, p=10, seed=3)
+    shards = data_io.shard(ds, 5).shards
+    obj = LogisticObjective([s.features for s in shards],
+                            [s.labels for s in shards], l2=1e-4)
+    opt = solve_consensus_optimum(obj, tol=1e-10, max_iter=50)
+    assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-10
+
+
+def test_solver_steps_below_line_search_resolution():
+    # steep features: the last Newton steps lower F by less than its
+    # rounding error, where an Armijo test alone stalls at ~1e-7
+    rng = np.random.default_rng(27)
+    feats = 3.0 * rng.standard_normal((1000, 20))
+    w = rng.standard_normal(20)
+    labels = (rng.random(1000) < 1.0 / (1.0 + np.exp(-feats @ w))).astype(float)
+    obj = make_logistic(feats, labels, shards=5, l2=1e-2)
+    opt = solve_consensus_optimum(obj, tol=1e-8, max_iter=50)
+    assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-8
+
+
+def test_solver_singular_hessian():
+    # no ridge and a feature that is zero on every sample
+    rng = np.random.default_rng(17)
+    feats = np.hstack([rng.standard_normal((80, 3)), np.zeros((80, 1))])
+    labels = (rng.random(80) < 0.5).astype(float)
+    obj = make_logistic(feats, labels, shards=4, l2=0.0)
+    opt = solve_consensus_optimum(obj, tol=1e-10, max_iter=50)
+    assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-10
+    assert opt.x_star[3] == 0.0
+
+
 def test_solver_nonconvergence_carries_best():
-    obj = make_quadratic(2, 3, cond=1e4, seed=13)
+    # nearly separable data: three Newton steps leave a large gradient
+    rng = np.random.default_rng(13)
+    feats = rng.standard_normal((60, 4))
+    labels = (feats[:, 0] > 0).astype(float)
+    obj = make_logistic(feats, labels, shards=2, l2=1e-2)
     with pytest.raises(SolverError) as err:
         solve_consensus_optimum(obj, tol=1e-14, max_iter=3)
     assert err.value.best_x is not None

@@ -35,11 +35,26 @@ def test_csv_roundtrip(tmp_path):
     tr.write_csv(path)
     back = RunTrace.read_csv(path)
     assert back.columns == tr.columns
-    assert back.metadata == {"seed": "3", "h": "0.25"}
+    assert back.metadata == {"seed": 3, "h": 0.25}
     np.testing.assert_allclose(back.column("gap")[:2], tr.column("gap")[:2],
                                rtol=0)
     assert np.isnan(back.column("gap")[2])
     assert list(back.column("label")) == ["start", "mid", "end"]
+
+
+def test_metadata_types_roundtrip(tmp_path):
+    meta = {"seed": 9, "diverged_at": -12, "h": 0.1, "tiny": 5e-324,
+            "threshold": 1.2345678901234567e-7, "hash": "5af5945f5a9f240f",
+            "problem": "synthetic-gaussian(seed=0)", "padded": "007",
+            "short_float": "9e9"}
+    tr = RunTrace(["k"], metadata=meta)
+    tr.append(k=0)
+    path = tmp_path / "meta.csv"
+    tr.write_csv(path)
+    back = RunTrace.read_csv(path)
+    assert back.metadata == meta
+    assert {k: type(v) for k, v in back.metadata.items()} == \
+        {k: type(v) for k, v in meta.items()}
 
 
 def test_write_deterministic_bytes(tmp_path):
