@@ -14,6 +14,7 @@ trapezoidal rule on the integration grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .trace import RunTrace
 
 __all__ = [
     "FlowParams",
-    "FlowState",
     "EnergyLedger",
     "BlowUpError",
     "flow_rhs",
@@ -58,13 +58,6 @@ class FlowParams:
 
 
 @dataclass(frozen=True)
-class FlowState:
-    t: float
-    X: np.ndarray
-    V: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnergyLedger:
     """Six conserved-energy components; ``total`` is their sum."""
 
@@ -83,78 +76,81 @@ class EnergyLedger:
             + self.integral_laplacian + self.integral_bregman
             + self.integral_beta)
 
-    def components(self):
-        return (self.kinetic, self.laplacian_term, self.potential_term,
-                self.integral_laplacian, self.integral_bregman,
-                self.integral_beta)
+
+def flow_rhs(t, X, V, params: FlowParams, obj: SeparableObjective,
+             graph: AgentGraph, grad=None):
+    """Stacked right-hand side (dX, dV). ``grad`` is gradF(X) when the
+    caller already holds it."""
+    if t <= 0:
+        raise ValueError(f"flow is singular at t={t}")
+    lx = apply_lifted_laplacian(graph, obj.d, X)
+    if grad is None:
+        grad = obj.grad(X)
+    return V, -(3.0 / t) * V - t ** (-params.beta) * grad - params.k_gain * lx
 
 
-def flow_rhs(state: FlowState, params: FlowParams, obj: SeparableObjective,
-             graph: AgentGraph):
-    """Stacked right-hand side: (dX, dV)."""
-    if state.t <= 0:
-        raise ValueError(f"flow is singular at t={state.t}")
-    lx = apply_lifted_laplacian(graph, obj.d, state.X)
-    dv = (-(3.0 / state.t) * state.V
-          - state.t ** (-params.beta) * obj.grad(state.X)
-          - params.k_gain * lx)
-    return state.V, dv
-
-
-def flow_rhs_per_agent(state: FlowState, params: FlowParams,
-                       obj: SeparableObjective, graph: AgentGraph):
+def flow_rhs_per_agent(t, X, V, params: FlowParams, obj: SeparableObjective,
+                       graph: AgentGraph):
     """Per-agent assembly of the same dynamics: agent i reads only its own
     gradient and neighbor state differences. Cross-checks the stacked form."""
-    if state.t <= 0:
-        raise ValueError(f"flow is singular at t={state.t}")
-    xb = state.X.reshape(graph.m, obj.d)
-    vb = state.V.reshape(graph.m, obj.d)
+    if t <= 0:
+        raise ValueError(f"flow is singular at t={t}")
+    xb = X.reshape(graph.m, obj.d)
+    vb = V.reshape(graph.m, obj.d)
     dv = np.empty_like(xb)
     for i in range(graph.m):
         consensus = sum((xb[i] - xb[j] for j in graph.neighbors[i]),
                         np.zeros(obj.d))
-        dv[i] = (-(3.0 / state.t) * vb[i]
-                 - state.t ** (-params.beta) * obj.local_grad(i, xb[i])
+        dv[i] = (-(3.0 / t) * vb[i]
+                 - t ** (-params.beta) * obj.local_grad(i, xb[i])
                  - params.k_gain * consensus)
-    return state.V.copy(), dv.reshape(-1)
+    return V.copy(), dv.reshape(-1)
 
 
-def energy_at(state: FlowState, accumulators, obj: SeparableObjective,
-              graph: AgentGraph, opt: ConsensusOptimum,
-              params: FlowParams) -> EnergyLedger:
-    """Energy ledger at one sample given the three running integrals.
+class _Point(NamedTuple):
+    """One evaluation of the flow at an accepted point (t, X)."""
 
-    ``accumulators`` is the (laplacian, bregman, beta) integral triple
-    accumulated since t0. For a start at small t0 with zero velocity the
-    total approaches twice the squared initial distance to the optimum.
-    """
-    xbar = state.X - opt.x_star_stacked
-    lx = apply_lifted_laplacian(graph, obj.d, xbar)
-    gap = obj.value(state.X) - opt.f_star
-    int_lap, int_breg, int_beta = accumulators
-    return EnergyLedger(
-        kinetic=0.5 * float(np.dot(state.t * state.V + 2.0 * xbar,
-                                   state.t * state.V + 2.0 * xbar)),
-        laplacian_term=0.5 * params.k_gain * state.t ** 2 * float(xbar @ lx),
-        potential_term=state.t ** (2.0 - params.beta) * gap,
-        integral_laplacian=int_lap,
-        integral_bregman=int_breg,
-        integral_beta=int_beta,
-    )
+    grad: np.ndarray  # gradF(X)
+    gap: float  # F(X) - F*
+    xbar: np.ndarray  # X - x*
+    x_lx: float  # xbar . Llift xbar
+    integrands: np.ndarray  # Laplacian, Bregman and beta energy integrands
 
 
-def _integrands(t, X, obj, graph, opt, params):
-    """The three energy integrands at time t, and gradF(X) for reuse."""
+def _evaluate(t, X, obj, graph, opt, params) -> _Point:
     xbar = X - opt.x_star_stacked
-    lx = apply_lifted_laplacian(graph, obj.d, xbar)
+    x_lx = float(xbar @ apply_lifted_laplacian(graph, obj.d, xbar))
     value = obj.value(X)
     grad = obj.grad(X)
     bregman = opt.f_star - value - float(grad @ (opt.x_star_stacked - X))
-    return np.array([
-        params.k_gain * t * float(xbar @ lx),
+    gap = value - opt.f_star
+    return _Point(grad, gap, xbar, x_lx, np.array([
+        params.k_gain * t * x_lx,
         2.0 * t ** (1.0 - params.beta) * bregman,
-        params.beta * t ** (1.0 - params.beta) * (value - opt.f_star),
-    ]), grad
+        params.beta * t ** (1.0 - params.beta) * gap,
+    ]))
+
+
+def _ledger(t, V, point: _Point, params, integrals) -> EnergyLedger:
+    """The ledger from its three point terms and the running integrals."""
+    momentum = t * V + 2.0 * point.xbar
+    return EnergyLedger(
+        0.5 * float(np.dot(momentum, momentum)),
+        0.5 * params.k_gain * t ** 2 * point.x_lx,
+        t ** (2.0 - params.beta) * point.gap,
+        *integrals)
+
+
+def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
+              opt: ConsensusOptimum, params: FlowParams) -> EnergyLedger:
+    """Energy ledger at one sample given the three running integrals.
+
+    ``integrals`` is the (laplacian, bregman, beta) triple accumulated since
+    t0. For a start at small t0 with zero velocity the total approaches
+    twice the squared initial distance to the optimum.
+    """
+    return _ledger(t, V, _evaluate(t, X, obj, graph, opt, params), params,
+                   integrals)
 
 
 def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
@@ -165,7 +161,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     The step is ``params.dt`` except near a tiny t0, where the 3/t damping
     would destabilize an explicit step: there the step is capped at
     ``startup_dt_fraction * t`` and ramps geometrically up to dt. Records
-    every ``record_every`` accepted steps.
+    every ``record_every`` accepted steps. Each accepted point is evaluated
+    once; that evaluation feeds the trapezoid integrals, the trace row and
+    the next step's first stage.
     """
     X = np.asarray(X0, dtype=float).copy()
     V = np.asarray(V0, dtype=float).copy()
@@ -173,7 +171,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         raise ValueError("X0/V0 must be stacked md-vectors")
     t = params.t0
     acc = np.zeros(3)
-    prev_integrands, grad_x = _integrands(t, X, obj, graph, opt, params)
+    point = _evaluate(t, X, obj, graph, opt, params)
 
     columns = ["t", "F_gap", "grad_norm", "laplacian_norm", "E_total",
                "E_kinetic", "E_laplacian", "E_potential",
@@ -182,14 +180,13 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         "beta": params.beta, "k_gain": params.k_gain, "t0": params.t0,
         "dt": params.dt, "horizon": params.horizon})
 
-    def record(t, X, V, grad_x):
-        ledger = energy_at(FlowState(t, X, V), tuple(acc), obj, graph, opt,
-                           params)
+    def record(t, X, V, point):
+        ledger = _ledger(t, V, point, params, tuple(acc))
         lx = apply_lifted_laplacian(graph, obj.d, X)
         trace.append(
             t=t,
-            F_gap=obj.value(X) - opt.f_star,
-            grad_norm=float(np.linalg.norm(grad_x)),
+            F_gap=point.gap,
+            grad_norm=float(np.linalg.norm(point.grad)),
             laplacian_norm=float(np.linalg.norm(lx)),
             E_total=ledger.total,
             E_kinetic=ledger.kinetic,
@@ -200,35 +197,29 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
             E_int_beta=ledger.integral_beta,
         )
 
-    record(t, X, V, grad_x)
-    lap = graph.laplacian
-    k_gain, beta = params.k_gain, params.beta
-    m, d = graph.m, obj.d
-
-    def rhs(t, X, V, grad_x=None):
-        lx = (lap @ X.reshape(m, d)).reshape(-1)
-        grad_x = obj.grad(X) if grad_x is None else grad_x
-        return V, -(3.0 / t) * V - t ** (-beta) * grad_x - k_gain * lx
-
+    record(t, X, V, point)
     steps_since_record = 0
     while t < params.horizon - 1e-15:
         dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
-        k1x, k1v = rhs(t, X, V, grad_x)
-        k2x, k2v = rhs(t + 0.5 * dt, X + 0.5 * dt * k1x, V + 0.5 * dt * k1v)
-        k3x, k3v = rhs(t + 0.5 * dt, X + 0.5 * dt * k2x, V + 0.5 * dt * k2v)
-        k4x, k4v = rhs(t + dt, X + dt * k3x, V + dt * k3v)
+        k1x, k1v = flow_rhs(t, X, V, params, obj, graph, point.grad)
+        k2x, k2v = flow_rhs(t + 0.5 * dt, X + 0.5 * dt * k1x,
+                            V + 0.5 * dt * k1v, params, obj, graph)
+        k3x, k3v = flow_rhs(t + 0.5 * dt, X + 0.5 * dt * k2x,
+                            V + 0.5 * dt * k2v, params, obj, graph)
+        k4x, k4v = flow_rhs(t + dt, X + dt * k3x, V + dt * k3v, params, obj,
+                            graph)
         X = X + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         V = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         t = t + dt
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
             raise BlowUpError(f"trajectory diverged before t={t:.6g}",
                               last_t=t - dt)
-        cur, grad_x = _integrands(t, X, obj, graph, opt, params)
-        acc += 0.5 * dt * (prev_integrands + cur)
-        prev_integrands = cur
+        prev_integrands = point.integrands
+        point = _evaluate(t, X, obj, graph, opt, params)
+        acc += 0.5 * dt * (prev_integrands + point.integrands)
         steps_since_record += 1
         if steps_since_record >= record_every or t >= params.horizon - 1e-15:
-            record(t, X, V, grad_x)
+            record(t, X, V, point)
             steps_since_record = 0
     return trace
 

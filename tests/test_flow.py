@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from distagm.flow import (BlowUpError, FlowParams, FlowState, energy_at,
-                          flow_rhs, flow_rhs_per_agent, integrate, rate_slope)
+from distagm.flow import (BlowUpError, FlowParams, energy_at, flow_rhs,
+                          flow_rhs_per_agent, integrate, rate_slope)
 from distagm.graphs import build_topology
 from distagm.objectives import QuadraticObjective
 
@@ -22,9 +22,8 @@ def test_rhs_singularity():
     g = build_topology("complete", 2)
     obj = QuadraticObjective(np.array([np.eye(1), np.eye(1)]),
                              np.zeros((2, 1)))
-    state = FlowState(t=0.0, X=np.zeros(2), V=np.zeros(2))
     with pytest.raises(ValueError):
-        flow_rhs(state, FlowParams(beta=0.1), obj, g)
+        flow_rhs(0.0, np.zeros(2), np.zeros(2), FlowParams(beta=0.1), obj, g)
 
 
 def test_rhs_pure_laplacian_term():
@@ -32,16 +31,16 @@ def test_rhs_pure_laplacian_term():
     g = build_topology("complete", 2)
     obj = QuadraticObjective(np.array([np.eye(1), np.eye(1)]),
                              np.array([[1.0], [0.0]]))
-    state = FlowState(t=1.0, X=np.array([1.0, 0.0]), V=np.zeros(2))
-    dx, dv = flow_rhs(state, FlowParams(beta=0.1, k_gain=1.0), obj, g)
+    dx, dv = flow_rhs(1.0, np.array([1.0, 0.0]), np.zeros(2),
+                      FlowParams(beta=0.1, k_gain=1.0), obj, g)
     np.testing.assert_allclose(dx, 0.0)
     np.testing.assert_allclose(dv, [-1.0, 1.0])
 
 
 def test_rhs_equilibrium(ring5, flow_quadratic):
     obj, opt = flow_quadratic
-    state = FlowState(t=2.0, X=opt.x_star_stacked.copy(), V=np.zeros(10))
-    _, dv = flow_rhs(state, FlowParams(beta=0.1), obj, ring5)
+    _, dv = flow_rhs(2.0, opt.x_star_stacked.copy(), np.zeros(10),
+                     FlowParams(beta=0.1), obj, ring5)
     np.testing.assert_allclose(dv, 0.0, atol=1e-12)
 
 
@@ -50,11 +49,10 @@ def test_rhs_per_agent_matches_stacked(ring5, flow_quadratic):
     rng = np.random.default_rng(0)
     params = FlowParams(beta=0.3, k_gain=1.7)
     for _ in range(10):
-        state = FlowState(t=float(rng.uniform(0.1, 5.0)),
-                          X=rng.standard_normal(10),
-                          V=rng.standard_normal(10))
-        dx1, dv1 = flow_rhs(state, params, obj, ring5)
-        dx2, dv2 = flow_rhs_per_agent(state, params, obj, ring5)
+        state = (float(rng.uniform(0.1, 5.0)), rng.standard_normal(10),
+                 rng.standard_normal(10))
+        dx1, dv1 = flow_rhs(*state, params, obj, ring5)
+        dx2, dv2 = flow_rhs_per_agent(*state, params, obj, ring5)
         np.testing.assert_allclose(dx2, dx1, atol=1e-12)
         np.testing.assert_allclose(dv2, dv1, atol=1e-12)
 
@@ -62,8 +60,8 @@ def test_rhs_per_agent_matches_stacked(ring5, flow_quadratic):
 def test_energy_reference_small_t0(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
     params = FlowParams(beta=0.1, t0=1e-3, dt=1e-3, horizon=1.0)
-    state = FlowState(t=params.t0, X=x0_ring5, V=np.zeros(10))
-    ledger = energy_at(state, (0.0, 0.0, 0.0), obj, ring5, opt, params)
+    ledger = energy_at(params.t0, x0_ring5, np.zeros(10), (0.0, 0.0, 0.0),
+                       obj, ring5, opt, params)
     ref = 2.0 * float(np.sum((x0_ring5 - opt.x_star_stacked) ** 2))
     assert ledger.total == pytest.approx(ref, rel=1e-2)
 
@@ -71,8 +69,8 @@ def test_energy_reference_small_t0(ring5, flow_quadratic, x0_ring5):
 def test_energy_zero_at_equilibrium(ring5, flow_quadratic):
     obj, opt = flow_quadratic
     params = FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=2.0)
-    state = FlowState(t=1.0, X=opt.x_star_stacked.copy(), V=np.zeros(10))
-    ledger = energy_at(state, (0.0, 0.0, 0.0), obj, ring5, opt, params)
+    ledger = energy_at(1.0, opt.x_star_stacked.copy(), np.zeros(10),
+                       (0.0, 0.0, 0.0), obj, ring5, opt, params)
     assert ledger.total == pytest.approx(0.0, abs=1e-12)
 
 

@@ -1,16 +1,19 @@
-"""Oracle calls per iteration of the discrete method and the baselines.
+"""Oracle calls per iteration of the discrete method, the baselines and the
+flow integrator.
 
 Each adaptive or fixed-step iteration evaluates the new iterate once
 (stacked gradient, lifted Laplacian, cumulative cost) plus the cost at the
 plus-iterate. DGD and DIGing take their gradients from the per-agent sweep
-of their update and never call the stacked gradient.
+of their update and never call the stacked gradient. Each RK4 step of the
+flow evaluates its accepted point once, and that gradient is the next
+step's first stage.
 """
 
 from collections import Counter
 
 import pytest
 
-from distagm import agm, baselines
+from distagm import agm, baselines, flow
 from distagm.graphs import apply_lifted_laplacian
 
 ITERS = 20
@@ -31,7 +34,7 @@ def counts(monkeypatch, controller_quadratic):
     cls = type(obj)
     for name in ("grad", "value", "local_grad"):
         monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
-    for module in (agm, baselines):
+    for module in (agm, baselines, flow):
         monkeypatch.setattr(module, "apply_lifted_laplacian",
                             counted("laplacian", apply_lifted_laplacian))
     return calls
@@ -90,3 +93,21 @@ def test_pi_consensus_reuses_update_oracles(counts, ring5,
     assert got["grad"] == 1
     assert got["value"] == 1
     assert got["laplacian"] == 1
+
+
+@pytest.mark.parametrize("record_every", [1, 20])
+def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
+                                             flow_quadratic, x0_ring5):
+    obj, opt = flow_quadratic
+
+    def run(steps):
+        # dt = 1/8 keeps t on a binary grid: exactly ``steps`` RK4 steps
+        params = flow.FlowParams(beta=0.1, t0=1.0, dt=0.125,
+                                 horizon=1.0 + 0.125 * steps)
+        flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt,
+                       record_every=record_every, startup_dt_fraction=1.0)
+    got = per_iteration(counts, run)
+    assert got["grad"] == 4
+    assert got["value"] == 1
+    # one apply per RK stage, one for the ledger, one per recorded row
+    assert got["laplacian"] == pytest.approx(5 + 1 / record_every)
