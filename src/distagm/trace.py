@@ -1,7 +1,11 @@
-"""Per-iteration run traces and deterministic CSV emission."""
+"""Per-iteration run traces and deterministic CSV emission.
+
+Fields that contain a comma (the controller case labels) are quoted.
+"""
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -70,28 +74,33 @@ class RunTrace:
         return self._rows[-1][self.columns.index(name)]
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             for key in sorted(self.metadata):
                 fh.write(f"# {key}={self.metadata[key]}\n")
-            fh.write(",".join(self.columns) + "\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(self.columns)
             for row in self._rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+                writer.writerow([_fmt(v) for v in row])
 
     @staticmethod
     def read_csv(path) -> "RunTrace":
-        metadata, header, rows = {}, None, []
-        with open(path) as fh:
+        """Inverse of ``write_csv``. Raises ValueError on a row whose field
+        count differs from the header's."""
+        metadata, lines = {}, []
+        with open(path, newline="") as fh:
             for line in fh:
-                line = line.rstrip("\n")
                 if line.startswith("# "):
-                    key, _, val = line[2:].partition("=")
+                    key, _, val = line[2:].rstrip("\n").partition("=")
                     metadata[key] = _parse_meta(val)
-                elif header is None:
-                    header = line.split(",")
-                elif line:
-                    rows.append(line.split(","))
-        trace = RunTrace(header or [], metadata)
-        for row in rows:
+                else:
+                    lines.append(line)
+        rows = [row for row in csv.reader(lines) if row]
+        header = rows.pop(0) if rows else []
+        trace = RunTrace(header, metadata)
+        for n, row in enumerate(rows, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: data row {n} has {len(row)} "
+                                 f"fields, the header {len(header)}")
             parsed = []
             for v in row:
                 try:

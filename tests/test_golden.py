@@ -3,7 +3,8 @@
 Refactors of the discrete method, the flow or the baselines must leave every
 trace byte unchanged. ``summary.csv`` carries wall time and is not pinned.
 The hashes were produced with numpy 2.4; a different numpy or BLAS may round
-differently and move them.
+differently and move them. The dist_agm traces quote the controller case
+labels, which contain a comma.
 """
 
 import hashlib
@@ -18,23 +19,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     ("run", "discrete_rate.yaml"): {
         "dist_agm_trace.csv":
-            "5af5945f5a9f240f380e7a42c84491c9ad2f01062bcc8fea9b9092cac71bd4f2",
+            "b7d0d0637461f5d970e0f432a12e8d0b92ce9cb1134f3cc444b60c9309e74b4f",
     },
     ("run", "beta_sweep/beta_0.01.yaml"): {
         "dist_agm_trace.csv":
-            "24aa47850bb7c66354fee0797c0fc1673e8d7272469f3db9edd3df266e98410e",
+            "37c11e2d59d17f5edb80b54023fae4f6a58a2a5b4dcfcfd6187deeff8ce85122",
     },
     ("run", "beta_sweep/beta_0.1.yaml"): {
         "dist_agm_trace.csv":
-            "966a50bec036c5e4b2d53b96991b42033701bbb81bdd2976c09cabcc5be24eba",
+            "ca0f48da61ef64c34a3472e84385ae82fa1e1891a3174f576498b56879ac1ef9",
     },
     ("run", "beta_sweep/beta_0.5.yaml"): {
         "dist_agm_trace.csv":
-            "b3ecddc02ad159e0754c665edfafb04f05cab487adb12313b402a7c713242f96",
+            "028f4f503d88fa388d4d5d7e7fbf0ba93aba16938ca15e8293d804ecc3a29265",
     },
     ("run", "beta_sweep/beta_1.0.yaml"): {
         "dist_agm_trace.csv":
-            "f1a13b8a8a5a2127c54ed8d94be91eadc184be96640e4388d5f0e7abe670c335",
+            "994d336587191285109dc9fae67130da67e74ea7e498d01ddb360620d75bf70b",
     },
     # dist_agm's columns read the reference x*, not only F*, so its trace
     # and comparison.csv move whenever the reference solver's last bits do.
@@ -46,7 +47,7 @@ GOLDEN = {
         "diging_trace.csv":
             "e731bf512ccebcbbd4174754936eea658930ca3ebd0127146834052ab7f4ca19",
         "dist_agm_trace.csv":
-            "b7f5b6cbfa06797eed55f8abbf954cf27651ad855188203238569f59f3b06fc9",
+            "713a54e89a9b66650d8bce872d62a053882208dd1c37948cd034234f520b8812",
         "threshold.csv":
             "f193d0e26d3b0f304aaca089b1b1946a284c832c30319c2910d94cf7bf98aea9",
     },

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from distagm import agm
 from distagm.trace import RunTrace
 
 
@@ -70,3 +71,27 @@ def test_full_precision_floats(tmp_path):
     path = tmp_path / "p.csv"
     tr.write_csv(path)
     assert RunTrace.read_csv(path).column("x")[0] == 1.0 / 3.0
+
+
+def test_controller_trace_roundtrip(tmp_path, ring5, controller_quadratic,
+                                    x0_ring5):
+    # the controller's case labels (``w>0,r>=0``) contain the delimiter
+    obj, opt = controller_quadratic
+    tr = agm.adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=30,
+                          opt=opt, oracle_mode="practical")
+    assert any("," in case for case in tr.column("case"))
+    path = tmp_path / "dist_agm_trace.csv"
+    tr.write_csv(path)
+    back = RunTrace.read_csv(path)
+    assert back.columns == tr.columns
+    assert list(back.column("case")) == list(tr.column("case"))
+    np.testing.assert_array_equal(back.column("fallback_flag"),
+                                  tr.column("fallback_flag"))
+    np.testing.assert_array_equal(back.column("V_k"), tr.column("V_k"))
+
+
+def test_ragged_row_rejected(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("# seed=1\nk,gap\n0,1.0\n1,0.5,extra\n")
+    with pytest.raises(ValueError, match="3 fields"):
+        RunTrace.read_csv(path)
