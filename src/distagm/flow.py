@@ -13,7 +13,7 @@ trapezoidal rule on the integration grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,14 +67,12 @@ class EnergyLedger:
     integral_laplacian: float
     integral_bregman: float
     integral_beta: float
-    total: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "total",
-            self.kinetic + self.laplacian_term + self.potential_term
-            + self.integral_laplacian + self.integral_bregman
-            + self.integral_beta)
+    @property
+    def total(self) -> float:
+        return (self.kinetic + self.laplacian_term + self.potential_term
+                + self.integral_laplacian + self.integral_bregman
+                + self.integral_beta)
 
 
 def flow_rhs(t, X, V, params: FlowParams, obj: SeparableObjective,

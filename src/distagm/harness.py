@@ -161,57 +161,61 @@ def initial_state(cfg: dict, graph, obj):
 
 def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
                   iters: int) -> RunTrace:
+    """One configured algorithm on the problem. A parameter that does not
+    parse or is out of range raises ConfigError naming the algorithm."""
+    if name not in ("dist_agm", "dgd", "diging", "pi_consensus"):
+        raise ConfigError(f"unknown algorithm {name!r}")
     params = dict(params or {})
-    if name == "dist_agm":
-        h = float(params.get("h", 10.0))
-        beta = float(params.get("beta", 0.1))
-        if params.get("mode", "adaptive") == "fixed":
-            return agm.fixed_step_run(obj, graph, X0, h, beta, iters, opt,
-                                      s_override=params.get("s"))
-        return agm.adaptive_run(
-            obj, graph, X0, h, beta, iters, opt,
-            oracle_mode=params.get("oracle_mode", "exact"),
-            s1_fraction=float(params.get("s1_fraction", 1e-3)))
-    if name == "dgd":
-        return baselines.dgd_run(obj, graph, X0,
-                                 float(params.get("alpha", 0.001)), iters, opt)
-    if name == "diging":
-        return baselines.diging_run(obj, graph, X0,
-                                    float(params.get("alpha", 0.001)), iters,
-                                    opt)
-    if name == "pi_consensus":
+    try:
+        if name == "dist_agm":
+            h = float(params.get("h", 10.0))
+            beta = float(params.get("beta", 0.1))
+            if params.get("mode", "adaptive") == "fixed":
+                return agm.fixed_step_run(obj, graph, X0, h, beta, iters, opt,
+                                          s_override=params.get("s"))
+            return agm.adaptive_run(
+                obj, graph, X0, h, beta, iters, opt,
+                oracle_mode=params.get("oracle_mode", "exact"),
+                s1_fraction=float(params.get("s1_fraction", 1e-3)))
+        if name in ("dgd", "diging"):
+            run = baselines.dgd_run if name == "dgd" else baselines.diging_run
+            return run(obj, graph, X0, float(params.get("alpha", 0.001)),
+                       iters, opt)
         return baselines.pi_consensus_run(
             obj, graph, X0, float(params.get("alpha", 0.01)),
             float(params.get("beta_gain", 0.1)), iters, opt,
             h_step=float(params.get("h_step", 0.05)))
-    raise ConfigError(f"unknown algorithm {name!r}")
+    except ValueError as err:
+        # the runs raise ValueError only for a value they were given (h,
+        # beta, alpha, oracle_mode, ...), which here comes from the config
+        raise ConfigError(f"algorithm {name}: {err}") from err
 
 
 def _algorithms(cfg):
     algos = cfg.get("algorithms")
     if not algos:
         raise ConfigError("config must list at least one algorithm")
-    out = []
-    for entry in algos:
-        if isinstance(entry, str):
-            out.append((entry, {}))
-        else:
-            entry = dict(entry)
-            out.append((entry.pop("name"), entry))
-    return out
+    return [(entry, {}) if isinstance(entry, str) else
+            (entry["name"], {k: v for k, v in entry.items() if k != "name"})
+            for entry in algos]
 
 
-def cmd_run(cfg: dict, out_dir: str) -> int:
-    """Execute every configured algorithm; write traces and a summary row
-    per run. Returns the process exit code."""
+def _set_up(cfg: dict, out_dir: str):
+    """What every config command starts from: makes the output directory
+    and returns (config hash, graph, objective, optimum, problem label, x0)."""
     os.makedirs(out_dir, exist_ok=True)
-    chash = config_hash(cfg)
     graph = build_graph(cfg)
     obj, opt, problem = build_problem(cfg, graph)
-    x0 = initial_state(cfg, graph, obj)
-    iters = int(cfg.get("iters", 1000))
-    rows, code = [], EXIT_OK
-    for name, params in _algorithms(cfg):
+    return (config_hash(cfg), graph, obj, opt, problem,
+            initial_state(cfg, graph, obj))
+
+
+def _run_all(algos, obj, graph, x0, opt, iters: int):
+    """Run each algorithm from the same start. A diverged run keeps its
+    partial trace, stamped with ``diverged_at``, and sets the exit code.
+    Returns ([(name, trace, wall seconds)], exit code)."""
+    runs, code = [], EXIT_OK
+    for name, params in algos:
         start = time.perf_counter()
         try:
             trace = run_algorithm(name, params, obj, graph, x0, opt, iters)
@@ -219,7 +223,18 @@ def cmd_run(cfg: dict, out_dir: str) -> int:
             code = EXIT_DIVERGENCE
             trace = err.trace or RunTrace(["k"], {})
             trace.metadata["diverged_at"] = err.iteration
-        elapsed = time.perf_counter() - start
+        runs.append((name, trace, time.perf_counter() - start))
+    return runs, code
+
+
+def cmd_run(cfg: dict, out_dir: str) -> int:
+    """Execute every configured algorithm; write traces and a summary row
+    per run. Returns the process exit code."""
+    chash, graph, obj, opt, problem, x0 = _set_up(cfg, out_dir)
+    iters = int(cfg.get("iters", 1000))
+    runs, code = _run_all(_algorithms(cfg), obj, graph, x0, opt, iters)
+    rows = []
+    for name, trace, elapsed in runs:
         trace.metadata["config_hash"] = chash
         trace.metadata["seed"] = cfg.get("seed", 0)
         trace.metadata["problem"] = problem
@@ -256,26 +271,14 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
     algos = _algorithms(cfg)
     if len(algos) < 2:
         raise ConfigError("compare needs at least 2 algorithms")
-    os.makedirs(out_dir, exist_ok=True)
-    chash = config_hash(cfg)
-    graph = build_graph(cfg)
-    obj, opt, problem = build_problem(cfg, graph)
-    x0 = initial_state(cfg, graph, obj)
-    iters = int(cfg.get("iters", 1000))
-    rel_threshold = float(cfg.get("gap_threshold", 1e-3))
-    traces, code = {}, EXIT_OK
-    for name, params in algos:
-        try:
-            traces[name] = run_algorithm(name, params, obj, graph, x0, opt,
-                                         iters)
-        except agm.DivergenceError as err:
-            code = EXIT_DIVERGENCE
-            traces[name] = err.trace
-    gap0 = obj.value(x0) - opt.f_star
-    threshold = rel_threshold * gap0
-    table_path = os.path.join(out_dir, "comparison.csv")
+    chash, graph, obj, opt, problem, x0 = _set_up(cfg, out_dir)
+    runs, code = _run_all(algos, obj, graph, x0, opt,
+                          int(cfg.get("iters", 1000)))
+    traces = {name: trace for name, trace, _ in runs}
+    threshold = (float(cfg.get("gap_threshold", 1e-3))
+                 * (obj.value(x0) - opt.f_star))
     metrics = ["laplacian_norm", "grad_norm", "F_gap"]
-    with open(table_path, "w") as fh:
+    with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
         fh.write(f"# config_hash={chash}\n# problem={problem}\n")
         fh.write(f"# gap_threshold={threshold!r}\n")
         header = ["k"] + [f"{n}:{m}" for n, _ in algos for m in metrics]
@@ -286,14 +289,12 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
         for i in range(min(len(t) for t in traces.values())):
             row = [str(int(ks[i]))] + [format(c[i], ".17g") for c in cols]
             fh.write(",".join(row) + "\n")
-    report = {}
-    for name, _ in algos:
-        report[name] = iterations_to_threshold(traces[name], threshold)
-        traces[name].metadata["config_hash"] = chash
-        traces[name].write_csv(os.path.join(out_dir, f"{name}_trace.csv"))
     lines = ["algorithm,iterations_to_threshold"]
-    for name, hit in report.items():
+    for name, trace in traces.items():
+        hit = iterations_to_threshold(trace, threshold)
         lines.append(f"{name},{'' if hit is None else hit}")
+        trace.metadata["config_hash"] = chash
+        trace.write_csv(os.path.join(out_dir, f"{name}_trace.csv"))
     with open(os.path.join(out_dir, "threshold.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines:
@@ -322,25 +323,25 @@ def cmd_rate_check(trace_path: str, beta: float, window=None,
 
 def cmd_energy_check(cfg: dict, out_dir: str) -> int:
     """Integrate the continuous flow and report conservation quality."""
-    os.makedirs(out_dir, exist_ok=True)
-    graph = build_graph(cfg)
-    obj, opt, _problem = build_problem(cfg, graph)
-    x0 = initial_state(cfg, graph, obj)
     fspec = cfg.get("flow", {})
-    params = flow.FlowParams(
-        beta=float(fspec.get("beta", 0.1)),
-        k_gain=float(fspec.get("k_gain", 1.0)),
-        t0=float(fspec.get("t0", 1.0)),
-        dt=float(fspec.get("dt", 1e-3)),
-        horizon=float(fspec.get("horizon", 50.0)))
-    v0 = np.zeros_like(x0)
     try:
-        trace = flow.integrate(params, obj, graph, x0, v0, opt,
-                               record_every=int(fspec.get("record_every", 10)))
+        params = flow.FlowParams(
+            beta=float(fspec.get("beta", 0.1)),
+            k_gain=float(fspec.get("k_gain", 1.0)),
+            t0=float(fspec.get("t0", 1.0)),
+            dt=float(fspec.get("dt", 1e-3)),
+            horizon=float(fspec.get("horizon", 50.0)))
+        record_every = int(fspec.get("record_every", 10))
+    except ValueError as err:
+        raise ConfigError(f"flow: {err}") from err
+    chash, graph, obj, opt, _problem, x0 = _set_up(cfg, out_dir)
+    try:
+        trace = flow.integrate(params, obj, graph, x0, np.zeros_like(x0), opt,
+                               record_every=record_every)
     except flow.BlowUpError as err:
         print(f"FAIL blow-up at t={err.last_t}")
         return EXIT_DIVERGENCE
-    trace.metadata["config_hash"] = config_hash(cfg)
+    trace.metadata["config_hash"] = chash
     trace.write_csv(os.path.join(out_dir, "flow_trace.csv"))
     totals = trace.column("E_total")
     ref = max(abs(totals[0]), 1e-12)

@@ -1,7 +1,4 @@
-"""Per-iteration run traces and deterministic CSV emission.
-
-Fields that contain a comma (the controller case labels) are quoted.
-"""
+"""Per-iteration run traces and deterministic CSV emission."""
 
 from __future__ import annotations
 
@@ -46,6 +43,7 @@ class RunTrace:
     Rows are appended one iteration at a time; missing columns are not
     allowed so every trace is rectangular. Metadata is written as leading
     ``# key=value`` comment lines, keeping the CSV a single plot-ready file.
+    A field that contains a comma (a controller case label) is quoted.
     """
 
     def __init__(self, columns, metadata=None):
@@ -79,8 +77,7 @@ class RunTrace:
                 fh.write(f"# {key}={self.metadata[key]}\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(self.columns)
-            for row in self._rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows([_fmt(v) for v in row] for row in self._rows)
 
     @staticmethod
     def read_csv(path) -> "RunTrace":

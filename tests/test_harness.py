@@ -212,3 +212,22 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert code == harness.EXIT_SOLVER == 4
     err = capsys.readouterr().err
     assert err.startswith("solver error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,cfg,section", [
+    ("energy-check", {"problem": QUAD_PROBLEM, "flow": {"beta": 2.5}},
+     "flow"),
+    ("run", {"problem": QUAD_PROBLEM, "iters": 5,
+             "algorithms": [{"name": "dgd", "alpha": -1}]}, "dgd"),
+    ("compare", {"problem": QUAD_PROBLEM, "iters": 5,
+                 "algorithms": [{"name": "dist_agm", "beta": 3.0}, "dgd"]},
+     "dist_agm"),
+])
+def test_invalid_config_value_exit_code(command, cfg, section, tmp_path,
+                                        capsys):
+    code = main([command, write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == harness.EXIT_CONFIG == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert section in err
