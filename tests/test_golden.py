@@ -5,6 +5,11 @@ trace byte unchanged. ``summary.csv`` carries wall time and is not pinned.
 The hashes were produced with numpy 2.4; a different numpy or BLAS may round
 differently and move them. The dist_agm traces quote the controller case
 labels, which contain a comma.
+
+The shipped energy-check config starts at t0 = 1, where every step is the
+configured dt. The ramp pin runs ``continuous_rate.yaml`` cut to a short
+horizon with every point recorded, so the ``startup_dt_fraction * t`` steps
+near t0 = 1e-3 are pinned too.
 """
 
 import hashlib
@@ -71,3 +76,16 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
     assert got == GOLDEN[command, config]
     written = {p.name for p in tmp_path.iterdir()} - {"summary.csv"}
     assert written == set(GOLDEN[command, config])
+
+
+RAMP_FLOW_TRACE = (
+    "7f670ea2b49456b07b8ada4f8d98ba82e48b44461aeb71821396cbf4a68408ed")
+
+
+def test_ramp_flow_trace_bytes(tmp_path, capsys):
+    cfg = harness.load_config(CONFIGS / "continuous_rate.yaml")
+    assert cfg["flow"]["t0"] == 1e-3
+    cfg["flow"].update(horizon=5.0, record_every=1)
+    assert harness.cmd_energy_check(cfg, str(tmp_path)) == harness.EXIT_OK
+    data = (tmp_path / "flow_trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == RAMP_FLOW_TRACE
