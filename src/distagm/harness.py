@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -286,9 +287,14 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
         ks = traces[algos[0][0]].column("k")
         cols = [traces[name].column(metric)
                 for name, _ in algos for metric in metrics]
-        for i in range(min(len(t) for t in traces.values())):
+        aligned = min(len(t) for t in traces.values())
+        for i in range(aligned):
             row = [str(int(ks[i]))] + [format(c[i], ".17g") for c in cols]
             fh.write(",".join(row) + "\n")
+    if aligned < max(len(t) for t in traces.values()):
+        short = [name for name, t in traces.items() if len(t) == aligned]
+        print(f"compare: {', '.join(short)} diverged; comparison.csv stops "
+              f"at k={int(ks[aligned - 1])}", file=sys.stderr)
     lines = ["algorithm,iterations_to_threshold"]
     for name, trace in traces.items():
         hit = iterations_to_threshold(trace, threshold)

@@ -134,6 +134,28 @@ def test_cmd_compare(tmp_path, capsys):
     assert "iterations_to_threshold" in captured
 
 
+def test_cmd_compare_reports_truncated_table(tmp_path, capsys):
+    cfg = {"seed": 2, "problem": QUAD_PROBLEM, "iters": 60,
+           "init": {"scale": 1.0},
+           "algorithms": [{"name": "dist_agm", "mode": "fixed", "h": 0.4},
+                          {"name": "dgd", "alpha": 5.0}]}
+    out = tmp_path / "cmp"
+    assert main(["compare", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == harness.EXIT_DIVERGENCE
+    captured = capsys.readouterr()
+    # stdout stays the threshold table alone
+    assert captured.out.splitlines()[0] == "algorithm,iterations_to_threshold"
+    assert len(captured.out.splitlines()) == 3
+    rows = [line for line in (out / "comparison.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    last_k = int(rows[-1].split(",")[0])
+    assert last_k < 60
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert "dgd" in err[0] and "dist_agm" not in err[0]
+    assert f"k={last_k}" in err[0]
+
+
 def test_cmd_compare_needs_two(tmp_path):
     cfg = {"problem": QUAD_PROBLEM, "iters": 5, "algorithms": ["dgd"]}
     assert main(["compare", write_config(tmp_path, cfg),
@@ -176,6 +198,19 @@ def test_cmd_energy_check(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert "PASS" in capsys.readouterr().out
     assert (out / "flow_trace.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_energy_check_blowup_exit_code(tmp_path, capsys):
+    cfg = {"seed": 2, "problem": QUAD_PROBLEM,
+           "init": {"seed": 2, "scale": 1.5},
+           "flow": {"beta": 0.1, "t0": 1.0, "dt": 5.0, "horizon": 5000.0}}
+    code = main(["energy-check", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "blow")])
+    assert code == harness.EXIT_DIVERGENCE == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL blow-up at t=")
+    assert 1.0 < float(lines[0].rpartition("=")[2]) < 5000.0
 
 
 def test_seed_override(tmp_path):
