@@ -11,6 +11,8 @@ __all__ = ["RunTrace"]
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # most cells; the same text as the general path
+        return "nan" if math.isnan(v) else format(v, ".17g")
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
