@@ -5,6 +5,10 @@ with the four-case step-size controller, the per-iteration controller
 quantities (a, b, a~, b~, w, r), and the Lyapunov certificates V_k / V0'
 whose monotone decrease certifies the O(1/k^{2-beta}) rate.
 
+Each iterate is evaluated once: its oracle values and the scalars read from
+them (cost gap, Laplacian quadratic, |G_k|^2) travel with the state, and the
+controller, the certificate and the next iteration read them from there.
+
 The controller's r-quantity reads the stacked gradient at the consensus
 optimum. That is centralized information; the "practical" oracle mode
 replaces it with zero (exact on instances whose local minimizers coincide)
@@ -13,7 +17,8 @@ and flags the approximation in the trace metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,22 +77,27 @@ def a_coeff(k: int) -> float:
     return c_coeff(k) * theta(k) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IterateEval:
-    """Oracle values at one iterate: gradF(X_k), Llift X_k, F(X_k), G_k."""
+    """Oracle values at one iterate X_k and the scalars every consumer reads
+    from them: gradF(X_k), Llift X_k, G_k, the cost gap F(X_k) - F*, the
+    Laplacian quadratic 1/2 (X_k - x*) . Llift X_k, and |G_k|^2."""
 
     grad: np.ndarray
     lx: np.ndarray
-    value: float
     G: np.ndarray
+    gap: float
+    quad: float
+    g_sq: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AgmState:
     """Discrete iterate. ``X_plus`` is the plus-iterate produced by the step
     that created this state (i.e. X_{k-1}^+ when at index k); ``s`` is the
-    step-size that the next step will apply. ``ev`` holds the oracle values
-    at ``X``; hand-built states leave it None and are evaluated on demand."""
+    step-size that the next step will apply, installed by the controller once
+    it is chosen. ``ev`` holds the oracle values at ``X``; hand-built states
+    leave it None and are evaluated on demand."""
 
     k: int
     X: np.ndarray
@@ -103,19 +113,24 @@ class AgmState:
         return theta(self.k)
 
 
-def _evaluated(state: AgmState, obj: SeparableObjective,
-               graph: AgentGraph) -> IterateEval:
+def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
+               opt: ConsensusOptimum) -> IterateEval:
     """The state's oracle values, evaluated here if it does not carry them."""
     if state.ev is not None:
         return state.ev
+    X = state.X
     scale = (2.0 * theta(state.k) * state.h) ** (-state.beta)
-    grad = obj.grad(state.X)
-    lx = apply_lifted_laplacian(graph, obj.d, state.X)
-    return IterateEval(grad=grad, lx=lx, value=obj.value(state.X),
-                       G=scale * grad + lx)
+    grad = obj.grad(X)
+    lx = apply_lifted_laplacian(graph, obj.d, X)
+    G = scale * grad + lx
+    # Laplacian quadratic in the error; Llift X* vanishes at consensus.
+    return IterateEval(grad=grad, lx=lx, G=G,
+                       gap=obj.value(X) - opt.f_star,
+                       quad=0.5 * float((X - opt.x_star_stacked) @ lx),
+                       g_sq=float(G @ G))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepDiagnostics:
     a: float
     b: float
@@ -129,7 +144,7 @@ class StepDiagnostics:
     monotonicity_ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LyapunovRecord:
     k: int
     V: float
@@ -164,15 +179,17 @@ def combined_field(state_k: int, X: np.ndarray, h: float, beta: float,
 
 
 def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
-         s_next: float = np.nan) -> AgmState:
+         opt: ConsensusOptimum, s_next: float = np.nan) -> AgmState:
     """One iteration k -> k+1 using the stored step-size s_k.
 
-    Installs ``s_next`` as the step-size the new state will apply.
+    Installs ``s_next`` as the step-size the new state will apply. The new
+    state carries its oracle values, which the controller, the certificate
+    and the next step read.
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
-    g = _evaluated(state, obj, graph).G
-    if not np.all(np.isfinite(g)):
+    g = _evaluated(state, obj, graph, opt).G
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite update field", iteration=state.k)
     th_k, th_next = theta(state.k), theta(state.k + 1)
     x_plus = state.X - 0.5 * state.s * g
@@ -181,7 +198,8 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     x_new = ratio * x_plus + (1.0 - ratio) * z_new
     nxt = AgmState(k=state.k + 1, X=x_new, X_plus=x_plus, Z=z_new,
                    s=s_next, h=state.h, beta=state.beta)
-    return replace(nxt, ev=_evaluated(nxt, obj, graph))
+    nxt.ev = _evaluated(nxt, obj, graph, opt)
+    return nxt
 
 
 def single_line_update(k: int, X: np.ndarray, Z: np.ndarray, s: float,
@@ -220,23 +238,18 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     h, beta = prev.h, prev.beta
     scale_k = (2.0 * theta(k) * h) ** (-beta)
     scale_next = (2.0 * theta(k + 1) * h) ** (-beta)
-    ev_k, ev_next = _evaluated(prev, obj, graph), _evaluated(nxt, obj, graph)
-    xbar_k = prev.X - opt.x_star_stacked
-    xbar_next = nxt.X - opt.x_star_stacked
+    ev_k = _evaluated(prev, obj, graph, opt)
+    ev_next = _evaluated(nxt, obj, graph, opt)
     g_k, g_next = ev_k.G, ev_next.G
-    gap_k = ev_k.value - opt.f_star
-    gap_next = ev_next.value - opt.f_star
-    # Laplacian quadratic in the error; Llift X* vanishes at consensus.
-    quad_k = 0.5 * float(xbar_k @ ev_k.lx)
-    quad_next = 0.5 * float(xbar_next @ ev_next.lx)
 
-    a = (scale_k * gap_k + quad_k - scale_next * gap_next - quad_next
-         - float(g_next @ (prev.X - nxt.X)))
-    b = float(np.dot(g_k - g_next, g_k - g_next))
+    a = (scale_k * ev_k.gap + ev_k.quad - scale_next * ev_next.gap
+         - ev_next.quad - float(g_next @ (prev.X - nxt.X)))
+    diff = g_k - g_next
+    b = float(diff @ diff)
     w = float(g_k @ g_next)
     a_tilde = a + 0.5 * prev.s * w
-    b_tilde = float(g_k @ g_k) + float(g_next @ g_next)
-    gs = scale_next * _grad_star(opt, oracle_mode, xbar_k.size)
+    b_tilde = ev_k.g_sq + ev_next.g_sq
+    gs = scale_next * _grad_star(opt, oracle_mode, g_k.size)
     r = -float(gs @ gs) + 2.0 * float(gs @ (gs - g_next))
     cap = smoothness_cap(k + 1, h, beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=a, b=b, a_tilde=a_tilde, b_tilde=b_tilde,
@@ -256,12 +269,12 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     """
     h, beta = state1.h, state1.beta
     scale = (2.0 * theta(1) * h) ** (-beta)
-    g1 = _evaluated(state1, obj, graph).G
-    gs = scale * _grad_star(opt, oracle_mode, g1.size)
-    r1 = -float(gs @ gs) + 2.0 * float(gs @ (gs - g1))
+    ev = _evaluated(state1, obj, graph, opt)
+    gs = scale * _grad_star(opt, oracle_mode, ev.G.size)
+    r1 = -float(gs @ gs) + 2.0 * float(gs @ (gs - ev.G))
     cap = smoothness_cap(1, h, beta, lam_max, obj.smoothness)
-    return StepDiagnostics(a=0.0, b=2.0 * float(g1 @ g1), a_tilde=0.0,
-                           b_tilde=2.0 * float(g1 @ g1), w=float(g1 @ g1),
+    return StepDiagnostics(a=0.0, b=2.0 * ev.g_sq, a_tilde=0.0,
+                           b_tilde=2.0 * ev.g_sq, w=ev.g_sq,
                            r=r1, case="bootstrap", cap_smooth=cap,
                            chosen=np.nan, monotonicity_ok=True)
 
@@ -276,7 +289,7 @@ def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
                     theta_next: float, k: int) -> StepDiagnostics:
     """Four-case step-size rule plus smoothness cap and monotonicity check.
 
-    Returns the diagnostics with case, chosen, and monotonicity_ok filled.
+    Fills case, chosen and monotonicity_ok of ``diag`` and returns it.
     The chosen value is the largest admitted by the active case bound and
     the cap; if that falls below s_k (monotonicity infeasible for k+1 >= 3)
     the bound value is still returned, flagged via monotonicity_ok=False.
@@ -297,12 +310,13 @@ def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
         bound = np.inf if num >= 0.0 else np.nan
     else:
         bound = num / den
-    if np.isnan(bound) or bound < 0.0:
-        return replace(diag, case=case, chosen=np.nan, monotonicity_ok=False)
-    chosen = min(bound, diag.cap_smooth)
-    mono_ok = not (k + 1 >= 3 and chosen < s_k)
-    return replace(diag, case=case, chosen=float(chosen),
-                   monotonicity_ok=mono_ok)
+    diag.case = case
+    if math.isnan(bound) or bound < 0.0:
+        diag.chosen, diag.monotonicity_ok = np.nan, False
+        return diag
+    diag.chosen = float(min(bound, diag.cap_smooth))
+    diag.monotonicity_ok = not (k + 1 >= 3 and diag.chosen < s_k)
+    return diag
 
 
 def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
@@ -316,15 +330,14 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     if k < 1:
         raise ValueError("V_k is defined for k >= 1; use lyapunov_v0_prime")
     scale = (2.0 * theta(k) * prev.h) ** (-prev.beta)
-    ev = _evaluated(prev, obj, graph)
-    xbar = prev.X - opt.x_star_stacked
+    ev = _evaluated(prev, obj, graph, opt)
     weight = 2.0 * c_coeff(k) * theta(k) ** 2
-    fn_term = weight * scale * (ev.value - opt.f_star)
-    cons_term = weight * 0.5 * float(xbar @ ev.lx)
+    fn_term = weight * scale * ev.gap
+    cons_term = weight * ev.quad
     if prev.s > 0.0:
-        pen_term = -weight * 0.25 * prev.s * float(ev.G @ ev.G)
-        dist = float(np.dot(nxt.Z - opt.x_star_stacked,
-                            nxt.Z - opt.x_star_stacked)) / prev.s
+        pen_term = -weight * 0.25 * prev.s * ev.g_sq
+        z_err = nxt.Z - opt.x_star_stacked
+        dist = float(z_err @ z_err) / prev.s
         v = fn_term + cons_term + pen_term + dist
     else:
         pen_term, dist, v = np.nan, np.nan, np.nan
@@ -373,22 +386,23 @@ def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
     """Fixed step s = h^2 (or an override) for every iteration k >= 1."""
     s = h * h if s_override is None else float(s_override)
     state = init(X0, h, beta)
-    state = replace(state, s=s, ev=_evaluated(state, obj, graph))
+    state.s = s
+    ev = state.ev = _evaluated(state, obj, graph, opt)
     trace = RunTrace(_TRACE_COLUMNS, metadata={
         "algorithm": "dist_agm_fixed", "h": h, "beta": beta, "s": s,
         "iters": iters})
-    _record(trace, 0, state.ev.value - opt.f_star, state.ev.grad, state.ev.lx,
-            0.0, gap_plus=obj.value(state.X_plus) - opt.f_star)
+    _record(trace, 0, ev.gap, ev.grad, ev.lx, 0.0,
+            gap_plus=obj.value(state.X_plus) - opt.f_star)
     gap0 = _guard_reference(trace.last("F_gap"), opt.f_star)
     for _ in range(iters):
         prev = state
         try:
-            state = step(prev, obj, graph, s_next=s)
+            state = step(prev, obj, graph, opt, s_next=s)
         except DivergenceError as err:
             err.trace = trace
             raise
-        _record(trace, prev.k, prev.ev.value - opt.f_star, prev.ev.grad,
-                prev.ev.lx, s, gap_plus=obj.value(state.X_plus) - opt.f_star)
+        _record(trace, prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, s,
+                gap_plus=obj.value(state.X_plus) - opt.f_star)
         _guard(trace, gap0, prev.k)
     return trace
 
@@ -409,26 +423,26 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
     """
     lam_max = spectral_extremes(graph).lambda_max
     state = init(X0, h, beta)
-    state = replace(state, ev=_evaluated(state, obj, graph))
+    ev = state.ev = _evaluated(state, obj, graph, opt)
     boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max,
                                  oracle_mode)
     s1 = s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
     if s_ref is None:
         s_ref = s1 if s1 > 0.0 else boot.cap_smooth
-    state = replace(state, s=s1)
+    state.s = s1
     v0_prime = lyapunov_v0_prime(X0, opt, s_ref)
     trace = RunTrace(_TRACE_COLUMNS, metadata={
         "algorithm": "dist_agm_adaptive", "h": h, "beta": beta,
         "iters": iters, "oracle_mode": oracle_mode, "s_ref": s_ref,
         "V0_prime": v0_prime})
-    _record(trace, 0, state.ev.value - opt.f_star, state.ev.grad, state.ev.lx,
-            0.0, gap_plus=obj.value(state.X_plus) - opt.f_star, v=v0_prime,
+    _record(trace, 0, ev.gap, ev.grad, ev.lx, 0.0,
+            gap_plus=obj.value(state.X_plus) - opt.f_star, v=v0_prime,
             case="bootstrap", r=boot.r)
     gap0 = _guard_reference(trace.last("F_gap"), opt.f_star)
     for _ in range(iters):
         prev = state
         try:
-            state = step(prev, obj, graph)
+            state = step(prev, obj, graph, opt)
         except DivergenceError as err:
             err.trace = trace
             raise
@@ -436,12 +450,10 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
                                         lam_max, oracle_mode)
         diag = select_stepsize(diag, prev.s, a_coeff(prev.k),
                                theta(prev.k + 1), prev.k)
-        fallback = not np.isfinite(diag.chosen)
-        s_next = min(prev.s, diag.cap_smooth) if fallback else diag.chosen
-        state = replace(state, s=s_next)
+        fallback = not math.isfinite(diag.chosen)
+        state.s = min(prev.s, diag.cap_smooth) if fallback else diag.chosen
         rec = lyapunov(prev, state, obj, graph, opt)
-        _record(trace, prev.k, prev.ev.value - opt.f_star, prev.ev.grad,
-                prev.ev.lx, prev.s,
+        _record(trace, prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, prev.s,
                 gap_plus=obj.value(state.X_plus) - opt.f_star, v=rec.V,
                 case=diag.case, w=diag.w, r=diag.r,
                 mono=diag.monotonicity_ok, fallback=fallback)

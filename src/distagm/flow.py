@@ -4,11 +4,12 @@ Integrates the second-order agent dynamics
 
     Xdd + (3/t) Xd + t^{-beta} gradF(X) + k_gain * Llift X = 0
 
-with classical fixed-step RK4, and maintains the six-term energy ledger that
-is conserved along exact trajectories: a kinetic term in the conjugate
-momentum, a Laplacian quadratic, a time-weighted optimality gap, and three
-running integrals (Laplacian, Bregman, and gap) accumulated by the
-trapezoidal rule on the integration grid.
+as a first-order system in the phase-space state Y = [X; V] with classical
+fixed-step RK4, and maintains the six-term energy ledger that is conserved
+along exact trajectories: a kinetic term in the conjugate momentum, a
+Laplacian quadratic, a time-weighted optimality gap, and three running
+integrals (Laplacian, Bregman, and gap) accumulated by the trapezoidal rule
+on the integration grid.
 """
 
 from __future__ import annotations
@@ -75,26 +76,30 @@ class EnergyLedger:
                 + self.integral_beta)
 
 
-def flow_rhs(t, X, V, params: FlowParams, obj: SeparableObjective,
+def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
              graph: AgentGraph, grad=None):
-    """Stacked right-hand side (dX, dV). ``grad`` is gradF(X) when the
-    caller already holds it."""
+    """Phase-space right-hand side dY = (V, dV) of the state Y = [X; V].
+    ``grad`` is gradF(X) when the caller already holds it."""
     if t <= 0:
         raise ValueError(f"flow is singular at t={t}")
+    n = Y.size // 2
+    X, V = Y[:n], Y[n:]
     lx = apply_lifted_laplacian(graph, obj.d, X)
     if grad is None:
         grad = obj.grad(X)
-    return V, -(3.0 / t) * V - t ** (-params.beta) * grad - params.k_gain * lx
+    return np.concatenate((V, -(3.0 / t) * V - t ** (-params.beta) * grad
+                           - params.k_gain * lx))
 
 
-def flow_rhs_per_agent(t, X, V, params: FlowParams, obj: SeparableObjective,
+def flow_rhs_per_agent(t, Y, params: FlowParams, obj: SeparableObjective,
                        graph: AgentGraph):
     """Per-agent assembly of the same dynamics: agent i reads only its own
     gradient and neighbor state differences. Cross-checks the stacked form."""
     if t <= 0:
         raise ValueError(f"flow is singular at t={t}")
-    xb = X.reshape(graph.m, obj.d)
-    vb = V.reshape(graph.m, obj.d)
+    n = Y.size // 2
+    xb = Y[:n].reshape(graph.m, obj.d)
+    vb = Y[n:].reshape(graph.m, obj.d)
     dv = np.empty_like(xb)
     for i in range(graph.m):
         consensus = sum((xb[i] - xb[j] for j in graph.neighbors[i]),
@@ -102,7 +107,7 @@ def flow_rhs_per_agent(t, X, V, params: FlowParams, obj: SeparableObjective,
         dv[i] = (-(3.0 / t) * vb[i]
                  - t ** (-params.beta) * obj.local_grad(i, xb[i])
                  - params.k_gain * consensus)
-    return V.copy(), dv.reshape(-1)
+    return np.concatenate((Y[n:], dv.reshape(-1)))
 
 
 class _Point(NamedTuple):
@@ -112,7 +117,7 @@ class _Point(NamedTuple):
     gap: float  # F(X) - F*
     xbar: np.ndarray  # X - x*
     x_lx: float  # xbar . Llift xbar
-    integrands: np.ndarray  # Laplacian, Bregman and beta energy integrands
+    integrands: tuple  # Laplacian, Bregman and beta energy integrands
 
 
 def _evaluate(t, X, obj, graph, opt, params) -> _Point:
@@ -120,13 +125,14 @@ def _evaluate(t, X, obj, graph, opt, params) -> _Point:
     x_lx = float(xbar @ apply_lifted_laplacian(graph, obj.d, xbar))
     value = obj.value(X)
     grad = obj.grad(X)
-    bregman = opt.f_star - value - float(grad @ (opt.x_star_stacked - X))
+    # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
+    # every rounding of the subtraction and the dot product
+    bregman = opt.f_star - value + float(grad @ xbar)
     gap = value - opt.f_star
-    return _Point(grad, gap, xbar, x_lx, np.array([
-        params.k_gain * t * x_lx,
-        2.0 * t ** (1.0 - params.beta) * bregman,
-        params.beta * t ** (1.0 - params.beta) * gap,
-    ]))
+    weight = t ** (1.0 - params.beta)
+    return _Point(grad, gap, xbar, x_lx, (params.k_gain * t * x_lx,
+                                          2.0 * weight * bregman,
+                                          params.beta * weight * gap))
 
 
 def _ledger(t, V, point: _Point, params, integrals) -> EnergyLedger:
@@ -161,15 +167,18 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     ``startup_dt_fraction * t`` and ramps geometrically up to dt. Records
     every ``record_every`` accepted steps. Each accepted point is evaluated
     once; that evaluation feeds the trapezoid integrals, the trace row and
-    the next step's first stage.
+    the next step's first stage. A step that leaves the finite range raises
+    BlowUpError carrying the time of the last accepted point.
     """
-    X = np.asarray(X0, dtype=float).copy()
-    V = np.asarray(V0, dtype=float).copy()
-    if X.shape != (graph.m * obj.d,) or V.shape != X.shape:
+    X0 = np.asarray(X0, dtype=float)
+    V0 = np.asarray(V0, dtype=float)
+    n = graph.m * obj.d
+    if X0.shape != (n,) or V0.shape != X0.shape:
         raise ValueError("X0/V0 must be stacked md-vectors")
+    Y = np.concatenate((X0, V0))  # phase-space state [X; V]
     t = params.t0
-    acc = np.zeros(3)
-    point = _evaluate(t, X, obj, graph, opt, params)
+    acc = [0.0, 0.0, 0.0]  # running Laplacian, Bregman and beta integrals
+    point = _evaluate(t, Y[:n], obj, graph, opt, params)
 
     columns = ["t", "F_gap", "grad_norm", "laplacian_norm", "E_total",
                "E_kinetic", "E_laplacian", "E_potential",
@@ -178,9 +187,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         "beta": params.beta, "k_gain": params.k_gain, "t0": params.t0,
         "dt": params.dt, "horizon": params.horizon})
 
-    def record(t, X, V, point):
-        ledger = _ledger(t, V, point, params, tuple(acc))
-        lx = apply_lifted_laplacian(graph, obj.d, X)
+    def record(t, Y, point):
+        ledger = _ledger(t, Y[n:], point, params, acc)
+        lx = apply_lifted_laplacian(graph, obj.d, Y[:n])
         trace.append(
             t=t,
             F_gap=point.gap,
@@ -195,29 +204,27 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
             E_int_beta=ledger.integral_beta,
         )
 
-    record(t, X, V, point)
+    record(t, Y, point)
     steps_since_record = 0
     while t < params.horizon - 1e-15:
         dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
-        k1x, k1v = flow_rhs(t, X, V, params, obj, graph, point.grad)
-        k2x, k2v = flow_rhs(t + 0.5 * dt, X + 0.5 * dt * k1x,
-                            V + 0.5 * dt * k1v, params, obj, graph)
-        k3x, k3v = flow_rhs(t + 0.5 * dt, X + 0.5 * dt * k2x,
-                            V + 0.5 * dt * k2v, params, obj, graph)
-        k4x, k4v = flow_rhs(t + dt, X + dt * k3x, V + dt * k3v, params, obj,
-                            graph)
-        X = X + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        V = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        half = 0.5 * dt
+        k1 = flow_rhs(t, Y, params, obj, graph, point.grad)
+        k2 = flow_rhs(t + half, Y + half * k1, params, obj, graph)
+        k3 = flow_rhs(t + half, Y + half * k2, params, obj, graph)
+        k4 = flow_rhs(t + dt, Y + dt * k3, params, obj, graph)
+        Y = Y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(Y).all():
+            raise BlowUpError(f"trajectory diverged before t={t + dt:.6g}",
+                              last_t=t)
         t = t + dt
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(V))):
-            raise BlowUpError(f"trajectory diverged before t={t:.6g}",
-                              last_t=t - dt)
-        prev_integrands = point.integrands
-        point = _evaluate(t, X, obj, graph, opt, params)
-        acc += 0.5 * dt * (prev_integrands + point.integrands)
+        prev = point
+        point = _evaluate(t, Y[:n], obj, graph, opt, params)
+        acc = [a + half * (p + q) for a, p, q in
+               zip(acc, prev.integrands, point.integrands)]
         steps_since_record += 1
         if steps_since_record >= record_every or t >= params.horizon - 1e-15:
-            record(t, X, V, point)
+            record(t, Y, point)
             steps_since_record = 0
     return trace
 

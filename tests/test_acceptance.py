@@ -118,6 +118,7 @@ def test_criterion_5_lyapunov_decrement(adaptive_trace):
 
 def test_criterion_6_update_algebra(ring5):
     obj = objectives.make_quadratic(5, 2, seed=31)
+    opt = obj.closed_form_optimum()
     rng = np.random.default_rng(32)
     worst = 0.0
     for _ in range(1000):
@@ -126,7 +127,7 @@ def test_criterion_6_update_algebra(ring5):
         x, z = rng.standard_normal((2, 10))
         state = agm.AgmState(k=k, X=x, X_plus=x.copy(), Z=z, s=s, h=1.0,
                              beta=BETA)
-        nxt = agm.step(state, obj, ring5)
+        nxt = agm.step(state, obj, ring5, opt)
         g = agm.combined_field(k, x, 1.0, BETA, obj, ring5)
         oracle = agm.single_line_update(k, x, z, s, g)
         # relative to the term magnitudes of the collapsed sum, so large-k

@@ -41,12 +41,12 @@ def test_init_bootstrap_state():
 
 
 def test_zero_step_is_convex_combination(ring5, flow_quadratic, x0_ring5):
-    obj, _ = flow_quadratic
+    obj, opt = flow_quadratic
     for k in (1, 3, 10):
         rng = np.random.default_rng(k)
         state = AgmState(k=k, X=x0_ring5.copy(), X_plus=x0_ring5.copy(),
                          Z=rng.standard_normal(10), s=0.0, h=1.0, beta=0.1)
-        nxt = step(state, obj, ring5)
+        nxt = step(state, obj, ring5, opt)
         ratio = k ** 2 / (k + 1) ** 2
         np.testing.assert_allclose(nxt.X_plus, state.X, atol=0)
         np.testing.assert_allclose(nxt.Z, state.Z, atol=0)
@@ -56,6 +56,7 @@ def test_zero_step_is_convex_combination(ring5, flow_quadratic, x0_ring5):
 
 def test_three_line_matches_single_line(ring5):
     obj = make_quadratic(5, 2, seed=21)
+    opt = obj.closed_form_optimum()
     rng = np.random.default_rng(22)
     worst = 0.0
     for i in range(1000):
@@ -65,7 +66,7 @@ def test_three_line_matches_single_line(ring5):
         z = rng.standard_normal(10)
         state = AgmState(k=k, X=x, X_plus=x.copy(), Z=z, s=s, h=1.0,
                          beta=0.1)
-        nxt = step(state, obj, ring5)
+        nxt = step(state, obj, ring5, opt)
         g = combined_field(k, x, 1.0, 0.1, obj, ring5)
         oracle = single_line_update(k, x, z, s, g)
         scale = max(1.0, float(np.max(np.abs(oracle))))
@@ -81,7 +82,7 @@ def test_hand_rolled_first_iteration():
     z = np.array([0.5, 0.5])
     s, h, beta = 0.1, 1.0, 0.5
     state = AgmState(k=1, X=x, X_plus=x.copy(), Z=z, s=s, h=h, beta=beta)
-    nxt = step(state, obj, g, s_next=0.2)
+    nxt = step(state, obj, g, obj.closed_form_optimum(), s_next=0.2)
     # G_1 = (2*0.5*1)^{-0.5} * (2*1, 1*(-2)) + (x0-x1, x1-x0)
     gfield = np.array([2.0, -2.0]) + np.array([2.0, -2.0])
     x_plus = x - 0.05 * gfield
@@ -233,6 +234,44 @@ def test_adaptive_run_bootstrap_row(ring5, controller_quadratic, x0_ring5):
     cap1 = smoothness_cap(1, 1.0, 0.1, lam, obj.smoothness)
     assert trace.column("s_k")[1] == pytest.approx(1e-3 * cap1)
     assert float(trace.metadata["s_ref"]) == pytest.approx(1e-3 * cap1)
+
+
+def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
+                                               x0_ring5, monkeypatch):
+    """The controller and the certificate read each iterate's cost gap,
+    Laplacian quadratic and |G|^2 from the evaluation the step stored.
+    States rebuilt without it are evaluated afresh and must reproduce the
+    trace's w, r, V_k and the chosen step bit for bit."""
+    obj, opt = controller_quadratic
+    pairs = []
+    real_step = agm.step
+
+    def spy(state, *args, **kwargs):
+        nxt = real_step(state, *args, **kwargs)
+        pairs.append((state, nxt))
+        return nxt
+
+    monkeypatch.setattr(agm, "step", spy)
+    trace = adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=12,
+                         opt=opt, oracle_mode="practical")
+    assert len(pairs) == 12
+    lam = spectral_extremes(ring5).lambda_max
+
+    def bare(st):
+        return AgmState(k=st.k, X=st.X.copy(), X_plus=st.X_plus.copy(),
+                        Z=st.Z.copy(), s=st.s, h=st.h, beta=st.beta)
+
+    w, r, v = (trace.column(c) for c in ("w", "r", "V_k"))
+    for prev, nxt in pairs:
+        k = prev.k
+        fresh_prev, fresh_nxt = bare(prev), bare(nxt)
+        diag = compute_step_diagnostics(fresh_prev, fresh_nxt, obj, ring5,
+                                        opt, lam, oracle_mode="practical")
+        assert (diag.w, diag.r) == (w[k], r[k])
+        assert lyapunov(fresh_prev, fresh_nxt, obj, ring5, opt).V == v[k]
+        chosen = select_stepsize(diag, prev.s, a_coeff(k), theta(k + 1),
+                                 k).chosen
+        assert chosen == nxt.s
 
 
 def test_fixed_run_trace_shape(ring5, flow_quadratic, x0_ring5):

@@ -7,6 +7,7 @@ from distagm.flow import (BlowUpError, FlowParams, energy_at, flow_rhs,
                           flow_rhs_per_agent, integrate, rate_slope)
 from distagm.graphs import build_topology
 from distagm.objectives import QuadraticObjective
+from distagm.trace import RunTrace
 
 
 def test_params_validation():
@@ -23,7 +24,7 @@ def test_rhs_singularity():
     obj = QuadraticObjective(np.array([np.eye(1), np.eye(1)]),
                              np.zeros((2, 1)))
     with pytest.raises(ValueError):
-        flow_rhs(0.0, np.zeros(2), np.zeros(2), FlowParams(beta=0.1), obj, g)
+        flow_rhs(0.0, np.zeros(4), FlowParams(beta=0.1), obj, g)
 
 
 def test_rhs_pure_laplacian_term():
@@ -31,16 +32,17 @@ def test_rhs_pure_laplacian_term():
     g = build_topology("complete", 2)
     obj = QuadraticObjective(np.array([np.eye(1), np.eye(1)]),
                              np.array([[1.0], [0.0]]))
-    dx, dv = flow_rhs(1.0, np.array([1.0, 0.0]), np.zeros(2),
-                      FlowParams(beta=0.1, k_gain=1.0), obj, g)
+    dx, dv = np.split(flow_rhs(1.0, np.array([1.0, 0.0, 0.0, 0.0]),
+                               FlowParams(beta=0.1, k_gain=1.0), obj, g), 2)
     np.testing.assert_allclose(dx, 0.0)
     np.testing.assert_allclose(dv, [-1.0, 1.0])
 
 
 def test_rhs_equilibrium(ring5, flow_quadratic):
     obj, opt = flow_quadratic
-    _, dv = flow_rhs(2.0, opt.x_star_stacked.copy(), np.zeros(10),
-                     FlowParams(beta=0.1), obj, ring5)
+    _, dv = np.split(flow_rhs(2.0, np.concatenate((opt.x_star_stacked,
+                                                   np.zeros(10))),
+                              FlowParams(beta=0.1), obj, ring5), 2)
     np.testing.assert_allclose(dv, 0.0, atol=1e-12)
 
 
@@ -49,12 +51,10 @@ def test_rhs_per_agent_matches_stacked(ring5, flow_quadratic):
     rng = np.random.default_rng(0)
     params = FlowParams(beta=0.3, k_gain=1.7)
     for _ in range(10):
-        state = (float(rng.uniform(0.1, 5.0)), rng.standard_normal(10),
-                 rng.standard_normal(10))
-        dx1, dv1 = flow_rhs(*state, params, obj, ring5)
-        dx2, dv2 = flow_rhs_per_agent(*state, params, obj, ring5)
-        np.testing.assert_allclose(dx2, dx1, atol=1e-12)
-        np.testing.assert_allclose(dv2, dv1, atol=1e-12)
+        state = (float(rng.uniform(0.1, 5.0)), rng.standard_normal(20))
+        dy1 = flow_rhs(*state, params, obj, ring5)
+        dy2 = flow_rhs_per_agent(*state, params, obj, ring5)
+        np.testing.assert_allclose(dy2, dy1, atol=1e-12)
 
 
 def test_energy_reference_small_t0(ring5, flow_quadratic, x0_ring5):
@@ -123,14 +123,24 @@ def test_rate_bound_from_small_t0(ring5, flow_quadratic, x0_ring5):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_blowup_detected(ring5, flow_quadratic, x0_ring5):
+def test_blowup_detected(ring5, flow_quadratic, x0_ring5, monkeypatch):
     obj, _ = flow_quadratic
     opt = obj.closed_form_optimum()
     params = FlowParams(beta=0.1, t0=1.0, dt=5.0, horizon=5000.0)
+    recorded = []
+    append = RunTrace.append
+
+    def spy(self, **row):
+        recorded.append(row["t"])
+        append(self, **row)
+
+    monkeypatch.setattr(RunTrace, "append", spy)
     with pytest.raises(BlowUpError) as err:
         integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
-                  startup_dt_fraction=100.0)
-    assert err.value.last_t is not None
+                  record_every=1, startup_dt_fraction=100.0)
+    # every accepted point is recorded, so the last row is the last finite one
+    assert len(recorded) > 1
+    assert err.value.last_t == recorded[-1]
 
 
 def test_rate_slope_exact_power_laws():
