@@ -126,8 +126,8 @@ def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     # Laplacian quadratic in the error; Llift X* vanishes at consensus.
     return IterateEval(grad=grad, lx=lx, G=G,
                        gap=obj.value(X) - opt.f_star,
-                       quad=0.5 * float((X - opt.x_star_stacked) @ lx),
-                       g_sq=float(G @ G))
+                       quad=0.5 * float((X - opt.x_star_stacked).dot(lx)),
+                       g_sq=float(G.dot(G)))
 
 
 @dataclass(slots=True)
@@ -243,14 +243,14 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     g_k, g_next = ev_k.G, ev_next.G
 
     a = (scale_k * ev_k.gap + ev_k.quad - scale_next * ev_next.gap
-         - ev_next.quad - float(g_next @ (prev.X - nxt.X)))
+         - ev_next.quad - float(g_next.dot(prev.X - nxt.X)))
     diff = g_k - g_next
-    b = float(diff @ diff)
-    w = float(g_k @ g_next)
+    b = float(diff.dot(diff))
+    w = float(g_k.dot(g_next))
     a_tilde = a + 0.5 * prev.s * w
     b_tilde = ev_k.g_sq + ev_next.g_sq
     gs = scale_next * _grad_star(opt, oracle_mode, g_k.size)
-    r = -float(gs @ gs) + 2.0 * float(gs @ (gs - g_next))
+    r = -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - g_next))
     cap = smoothness_cap(k + 1, h, beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=a, b=b, a_tilde=a_tilde, b_tilde=b_tilde,
                            w=w, r=r, case="", cap_smooth=cap,
@@ -271,7 +271,7 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     scale = (2.0 * theta(1) * h) ** (-beta)
     ev = _evaluated(state1, obj, graph, opt)
     gs = scale * _grad_star(opt, oracle_mode, ev.G.size)
-    r1 = -float(gs @ gs) + 2.0 * float(gs @ (gs - ev.G))
+    r1 = -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - ev.G))
     cap = smoothness_cap(1, h, beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=0.0, b=2.0 * ev.g_sq, a_tilde=0.0,
                            b_tilde=2.0 * ev.g_sq, w=ev.g_sq,
@@ -337,7 +337,7 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     if prev.s > 0.0:
         pen_term = -weight * 0.25 * prev.s * ev.g_sq
         z_err = nxt.Z - opt.x_star_stacked
-        dist = float(z_err @ z_err) / prev.s
+        dist = float(z_err.dot(z_err)) / prev.s
         v = fn_term + cons_term + pen_term + dist
     else:
         pen_term, dist, v = np.nan, np.nan, np.nan

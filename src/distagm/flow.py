@@ -122,12 +122,12 @@ class _Point(NamedTuple):
 
 def _evaluate(t, X, obj, graph, opt, params) -> _Point:
     xbar = X - opt.x_star_stacked
-    x_lx = float(xbar @ apply_lifted_laplacian(graph, obj.d, xbar))
+    x_lx = float(xbar.dot(apply_lifted_laplacian(graph, obj.d, xbar)))
     value = obj.value(X)
     grad = obj.grad(X)
     # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
     # every rounding of the subtraction and the dot product
-    bregman = opt.f_star - value + float(grad @ xbar)
+    bregman = opt.f_star - value + float(grad.dot(xbar))
     gap = value - opt.f_star
     weight = t ** (1.0 - params.beta)
     return _Point(grad, gap, xbar, x_lx, (params.k_gain * t * x_lx,
