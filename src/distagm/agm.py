@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .trace import RunTrace
 __all__ = [
     "AgmState",
     "StepDiagnostics",
+    "StepChoice",
     "LyapunovRecord",
     "DivergenceError",
     "theta",
@@ -130,7 +132,7 @@ def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
                        g_sq=float(G.dot(G)))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class StepDiagnostics:
     a: float
     b: float
@@ -138,13 +140,18 @@ class StepDiagnostics:
     b_tilde: float
     w: float
     r: float
-    case: str
     cap_smooth: float
+
+
+class StepChoice(NamedTuple):
+    """The controller's verdict for one transition (see select_stepsize)."""
+
+    case: str
     chosen: float
     monotonicity_ok: bool
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class LyapunovRecord:
     k: int
     V: float
@@ -253,8 +260,7 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     r = -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - g_next))
     cap = smoothness_cap(k + 1, h, beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=a, b=b, a_tilde=a_tilde, b_tilde=b_tilde,
-                           w=w, r=r, case="", cap_smooth=cap,
-                           chosen=np.nan, monotonicity_ok=True)
+                           w=w, r=r, cap_smooth=cap)
 
 
 def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
@@ -275,8 +281,7 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     cap = smoothness_cap(1, h, beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=0.0, b=2.0 * ev.g_sq, a_tilde=0.0,
                            b_tilde=2.0 * ev.g_sq, w=ev.g_sq,
-                           r=r1, case="bootstrap", cap_smooth=cap,
-                           chosen=np.nan, monotonicity_ok=True)
+                           r=r1, cap_smooth=cap)
 
 
 def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
@@ -286,10 +291,10 @@ def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
 
 
 def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
-                    theta_next: float, k: int) -> StepDiagnostics:
+                    theta_next: float, k: int) -> StepChoice:
     """Four-case step-size rule plus smoothness cap and monotonicity check.
 
-    Fills case, chosen and monotonicity_ok of ``diag`` and returns it.
+    Returns the active case, the chosen step and the monotonicity flag.
     The chosen value is the largest admitted by the active case bound and
     the cap; if that falls below s_k (monotonicity infeasible for k+1 >= 3)
     the bound value is still returned, flagged via monotonicity_ok=False.
@@ -310,13 +315,10 @@ def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
         bound = np.inf if num >= 0.0 else np.nan
     else:
         bound = num / den
-    diag.case = case
     if math.isnan(bound) or bound < 0.0:
-        diag.chosen, diag.monotonicity_ok = np.nan, False
-        return diag
-    diag.chosen = float(min(bound, diag.cap_smooth))
-    diag.monotonicity_ok = not (k + 1 >= 3 and diag.chosen < s_k)
-    return diag
+        return StepChoice(case, np.nan, False)
+    chosen = float(min(bound, diag.cap_smooth))
+    return StepChoice(case, chosen, not (k + 1 >= 3 and chosen < s_k))
 
 
 def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
@@ -448,14 +450,14 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
             raise
         diag = compute_step_diagnostics(prev, state, obj, graph, opt,
                                         lam_max, oracle_mode)
-        diag = select_stepsize(diag, prev.s, a_coeff(prev.k),
-                               theta(prev.k + 1), prev.k)
-        fallback = not math.isfinite(diag.chosen)
-        state.s = min(prev.s, diag.cap_smooth) if fallback else diag.chosen
+        choice = select_stepsize(diag, prev.s, a_coeff(prev.k),
+                                 theta(prev.k + 1), prev.k)
+        fallback = not math.isfinite(choice.chosen)
+        state.s = min(prev.s, diag.cap_smooth) if fallback else choice.chosen
         rec = lyapunov(prev, state, obj, graph, opt)
         _record(trace, prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, prev.s,
                 gap_plus=obj.value(state.X_plus) - opt.f_star, v=rec.V,
-                case=diag.case, w=diag.w, r=diag.r,
-                mono=diag.monotonicity_ok, fallback=fallback)
+                case=choice.case, w=diag.w, r=diag.r,
+                mono=choice.monotonicity_ok, fallback=fallback)
         _guard(trace, gap0, prev.k)
     return trace

@@ -291,8 +291,9 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
         for i in range(aligned):
             row = [str(int(ks[i]))] + [format(c[i], ".17g") for c in cols]
             fh.write(",".join(row) + "\n")
-    if aligned < max(len(t) for t in traces.values()):
-        short = [name for name, t in traces.items() if len(t) == aligned]
+    short = [name for name, t in traces.items()
+             if "diverged_at" in t.metadata]
+    if short and aligned < max(len(t) for t in traces.values()):
         print(f"compare: {', '.join(short)} diverged; comparison.csv stops "
               f"at k={int(ks[aligned - 1])}", file=sys.stderr)
     lines = ["algorithm,iterations_to_threshold"]

@@ -11,18 +11,15 @@ __all__ = ["RunTrace"]
 
 
 def _fmt(v) -> str:
-    if type(v) is float:  # most cells; the same text as the general path
-        return "nan" if math.isnan(v) else format(v, ".17g")
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, str):
-        return v
-    x = float(v)
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    if type(v) is not float:  # most cells are floats and skip the chain
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, str):
+            return v
+        v = float(v)
+    return "nan" if math.isnan(v) else format(v, ".17g")
 
 
 def _parse_meta(text: str):

@@ -140,8 +140,7 @@ def test_b_tilde_dominates_w(ring5, flow_quadratic):
 def make_diag(**kw):
     from distagm.agm import StepDiagnostics
     base = dict(a=0.0, b=0.0, a_tilde=0.0, b_tilde=0.0, w=0.0, r=0.0,
-                case="", cap_smooth=10.0, chosen=np.nan,
-                monotonicity_ok=True)
+                cap_smooth=10.0)
     base.update(kw)
     return StepDiagnostics(**base)
 
@@ -176,6 +175,12 @@ def test_select_cap_and_monotonicity():
     diag = select_stepsize(make_diag(a=-1.0, b=2.0, w=-1.0, r=1.0),
                            s_k=0.1, A_k=1.0, theta_next=1.0, k=5)
     assert np.isnan(diag.chosen)  # negative bound signals infeasibility
+
+
+def test_select_leaves_diagnostics_untouched():
+    diag = make_diag(a=1.0, b=2.0, w=-1.0, r=1.0)
+    select_stepsize(diag, s_k=0.1, A_k=1.0, theta_next=1.0, k=5)
+    assert diag == make_diag(a=1.0, b=2.0, w=-1.0, r=1.0)
 
 
 def test_smoothness_cap_formula():

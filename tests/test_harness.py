@@ -156,6 +156,25 @@ def test_cmd_compare_reports_truncated_table(tmp_path, capsys):
     assert f"k={last_k}" in err[0]
 
 
+def test_cmd_compare_short_trace_is_not_divergence(tmp_path, capsys,
+                                                   monkeypatch):
+    """Only runs stamped ``diverged_at`` are reported: a trace that is
+    shorter for another reason cuts the table without a divergence line."""
+    real = harness.run_algorithm
+
+    def halved(name, params, obj, graph, X0, opt, iters):
+        return real(name, params, obj, graph, X0, opt,
+                    iters // 2 if name == "dgd" else iters)
+
+    monkeypatch.setattr(harness, "run_algorithm", halved)
+    cfg = {"seed": 2, "problem": QUAD_PROBLEM, "iters": 60,
+           "algorithms": [{"name": "dist_agm", "mode": "fixed", "h": 0.4},
+                          {"name": "dgd", "alpha": 0.05}]}
+    assert main(["compare", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cmd_compare_needs_two(tmp_path):
     cfg = {"problem": QUAD_PROBLEM, "iters": 5, "algorithms": ["dgd"]}
     assert main(["compare", write_config(tmp_path, cfg),
