@@ -18,6 +18,7 @@ and flags the approximation in the trace metadata.
 from __future__ import annotations
 
 import math
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +34,7 @@ __all__ = [
     "StepChoice",
     "LyapunovRecord",
     "DivergenceError",
+    "TraceRecorder",
     "theta",
     "c_coeff",
     "a_coeff",
@@ -48,21 +50,49 @@ __all__ = [
     "adaptive_run",
 ]
 
-# Gap growth factor over the initial gap that counts as divergence.
-_DIVERGENCE_FACTOR = 1e6
-
-
-def _guard_reference(gap0: float, f_star: float) -> float:
-    """Divergence threshold base: the initial gap, floored at rounding
-    noise of the objective scale so exact-optimum starts never trip it."""
-    return max(gap0, 1e-12 * (1.0 + abs(f_star)))
-
 
 class DivergenceError(RuntimeError):
     def __init__(self, msg, iteration=None, trace=None):
         super().__init__(msg)
         self.iteration = iteration
         self.trace = trace
+
+
+class TraceRecorder(AbstractContextManager):
+    """Trace schema, row builder and divergence guard of every discrete run.
+
+    Each call appends one row from oracle values the caller holds. A gap not
+    within ``DIVERGENCE_FACTOR`` times the first row's gap (floored at the
+    objective's rounding noise; NaN included) raises DivergenceError. As a
+    context manager it hands its partial trace to any DivergenceError that
+    leaves the block, such as ``step``'s non-finite check."""
+
+    COLUMNS = ["k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
+               "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
+               "fallback_flag"]
+    DIVERGENCE_FACTOR = 1e6
+
+    def __init__(self, metadata: dict, f_star: float):
+        self.trace = RunTrace(self.COLUMNS, metadata)
+        self._floor = 1e-12 * (1.0 + abs(f_star))
+        self._limit = None
+
+    def __call__(self, k, gap, grad, lx, s_k, gap_plus=None, v=np.nan,
+                 case="", w=np.nan, r=np.nan, mono=True, fallback=False):
+        self.trace.append(
+            k=k, F_gap_plus=gap if gap_plus is None else gap_plus, F_gap=gap,
+            grad_norm=float(np.linalg.norm(grad)),
+            laplacian_norm=float(np.linalg.norm(lx)), s_k=s_k, V_k=v,
+            case=case, w=w, r=r, monotonicity_ok=mono, fallback_flag=fallback)
+        if self._limit is None:
+            self._limit = self.DIVERGENCE_FACTOR * max(gap, self._floor)
+        if not gap <= self._limit:
+            raise DivergenceError(f"gap {gap:.3g} out of bounds at iteration "
+                                  f"{k}", iteration=k, trace=self.trace)
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, DivergenceError):
+            err.trace = self.trace
 
 
 def theta(k: int) -> float:
@@ -170,8 +200,8 @@ def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
     """
     if not (0.0 < beta < 2.0):
         raise ValueError(f"beta must lie in (0, 2), got {beta}")
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be finite and positive, got {h}")
     X0 = np.asarray(X0, dtype=float).copy()
     return AgmState(k=1, X=X0, X_plus=X0.copy(), Z=X0.copy(), s=0.0,
                     h=h, beta=beta)
@@ -179,8 +209,10 @@ def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
 
 def combined_field(state_k: int, X: np.ndarray, h: float, beta: float,
                    obj: SeparableObjective, graph: AgentGraph) -> np.ndarray:
-    """G_k = (2 theta_k h)^{-beta} gradF(X_k) + Llift X_k, shared by the
-    plus- and Z-updates (one gradient evaluation per agent per iteration)."""
+    """G_k = (2 theta_k h)^{-beta} gradF(X_k) + Llift X_k, evaluated afresh.
+
+    ``step`` reads G_k from the iterate's stored evaluation instead; this
+    is the independent oracle the update-algebra checks compare it with."""
     scale = (2.0 * theta(state_k) * h) ** (-beta)
     return scale * obj.grad(X) + apply_lifted_laplacian(graph, obj.d, X)
 
@@ -359,59 +391,31 @@ def lyapunov_v0_prime(X0: np.ndarray, opt: ConsensusOptimum,
     return float(z1_err @ z1_err) / s_ref
 
 
-_TRACE_COLUMNS = ["k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
-                  "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
-                  "fallback_flag"]
-
-
-def _record(trace, k, gap, grad, lx, s_k, gap_plus=None, v=np.nan, case="",
-            w=np.nan, r=np.nan, mono=True, fallback=False):
-    """Append one trace row from oracle values the caller already holds."""
-    trace.append(k=k, F_gap_plus=gap if gap_plus is None else gap_plus,
-                 F_gap=gap, grad_norm=float(np.linalg.norm(grad)),
-                 laplacian_norm=float(np.linalg.norm(lx)), s_k=s_k, V_k=v,
-                 case=case, w=w, r=r, monotonicity_ok=mono,
-                 fallback_flag=fallback)
-
-
-def _guard(trace, gap0, k):
-    """Raise once the last recorded gap exceeds the divergence threshold."""
-    if trace.last("F_gap") > _DIVERGENCE_FACTOR * gap0:
-        raise DivergenceError(
-            f"gap grew {_DIVERGENCE_FACTOR:.0e}-fold by iteration {k}",
-            iteration=k, trace=trace)
-
-
 def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
                    X0: np.ndarray, h: float, beta: float, iters: int,
                    opt: ConsensusOptimum, s_override=None) -> RunTrace:
     """Fixed step s = h^2 (or an override) for every iteration k >= 1."""
     s = h * h if s_override is None else float(s_override)
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"s must be finite and positive, got {s}")
     state = init(X0, h, beta)
     state.s = s
     ev = state.ev = _evaluated(state, obj, graph, opt)
-    trace = RunTrace(_TRACE_COLUMNS, metadata={
-        "algorithm": "dist_agm_fixed", "h": h, "beta": beta, "s": s,
-        "iters": iters})
-    _record(trace, 0, ev.gap, ev.grad, ev.lx, 0.0,
-            gap_plus=obj.value(state.X_plus) - opt.f_star)
-    gap0 = _guard_reference(trace.last("F_gap"), opt.f_star)
-    for _ in range(iters):
-        prev = state
-        try:
+    rec = TraceRecorder({"algorithm": "dist_agm_fixed", "h": h, "beta": beta,
+                         "s": s, "iters": iters}, opt.f_star)
+    with rec:
+        rec(0, ev.gap, ev.grad, ev.lx, 0.0)  # X_plus is X_0 at k = 0
+        for _ in range(iters):
+            prev = state
             state = step(prev, obj, graph, opt, s_next=s)
-        except DivergenceError as err:
-            err.trace = trace
-            raise
-        _record(trace, prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, s,
+            rec(prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, s,
                 gap_plus=obj.value(state.X_plus) - opt.f_star)
-        _guard(trace, gap0, prev.k)
-    return trace
+    return rec.trace
 
 
 def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
                  h: float, beta: float, iters: int, opt: ConsensusOptimum,
-                 oracle_mode: str = "exact", s_ref=None,
+                 oracle_mode: str = "exact",
                  s1_fraction: float = 1e-3) -> RunTrace:
     """Adaptive-step run with the four-case controller.
 
@@ -419,45 +423,41 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
     quantities, select the next step, and record the Lyapunov certificate.
     The theory admits any s_1 > 0 when r_1 >= 0 but the later decrement
     argument needs s_1 <= s_2, so s_1 starts at a small fraction of the
-    smoothness cap and the controller grows it. ``s_ref`` defaults to the
-    first accepted positive step (or the k=1 cap when s_1 = 0) and is used
-    only in the k=0 certificate and the rate bound, never in the dynamics.
+    smoothness cap and the controller grows it. ``s_ref`` is the first
+    accepted positive step (or the k=1 cap when s_1 = 0) and is used only
+    in the k=0 certificate and the rate bound, never in the dynamics.
     """
+    if not 0.0 <= s1_fraction < math.inf:
+        raise ValueError(f"need finite s1_fraction >= 0, got {s1_fraction}")
     lam_max = spectral_extremes(graph).lambda_max
     state = init(X0, h, beta)
     ev = state.ev = _evaluated(state, obj, graph, opt)
     boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max,
                                  oracle_mode)
     s1 = s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
-    if s_ref is None:
-        s_ref = s1 if s1 > 0.0 else boot.cap_smooth
+    s_ref = s1 if s1 > 0.0 else boot.cap_smooth
     state.s = s1
     v0_prime = lyapunov_v0_prime(X0, opt, s_ref)
-    trace = RunTrace(_TRACE_COLUMNS, metadata={
-        "algorithm": "dist_agm_adaptive", "h": h, "beta": beta,
-        "iters": iters, "oracle_mode": oracle_mode, "s_ref": s_ref,
-        "V0_prime": v0_prime})
-    _record(trace, 0, ev.gap, ev.grad, ev.lx, 0.0,
-            gap_plus=obj.value(state.X_plus) - opt.f_star, v=v0_prime,
-            case="bootstrap", r=boot.r)
-    gap0 = _guard_reference(trace.last("F_gap"), opt.f_star)
-    for _ in range(iters):
-        prev = state
-        try:
+    rec = TraceRecorder({"algorithm": "dist_agm_adaptive", "h": h,
+                         "beta": beta, "iters": iters,
+                         "oracle_mode": oracle_mode, "s_ref": s_ref,
+                         "V0_prime": v0_prime}, opt.f_star)
+    with rec:
+        rec(0, ev.gap, ev.grad, ev.lx, 0.0, v=v0_prime, case="bootstrap",
+            r=boot.r)  # X_plus is X_0 at k = 0
+        for _ in range(iters):
+            prev = state
             state = step(prev, obj, graph, opt)
-        except DivergenceError as err:
-            err.trace = trace
-            raise
-        diag = compute_step_diagnostics(prev, state, obj, graph, opt,
-                                        lam_max, oracle_mode)
-        choice = select_stepsize(diag, prev.s, a_coeff(prev.k),
-                                 theta(prev.k + 1), prev.k)
-        fallback = not math.isfinite(choice.chosen)
-        state.s = min(prev.s, diag.cap_smooth) if fallback else choice.chosen
-        rec = lyapunov(prev, state, obj, graph, opt)
-        _record(trace, prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, prev.s,
-                gap_plus=obj.value(state.X_plus) - opt.f_star, v=rec.V,
+            diag = compute_step_diagnostics(prev, state, obj, graph, opt,
+                                            lam_max, oracle_mode)
+            choice = select_stepsize(diag, prev.s, a_coeff(prev.k),
+                                     theta(prev.k + 1), prev.k)
+            fallback = not math.isfinite(choice.chosen)
+            state.s = (min(prev.s, diag.cap_smooth) if fallback
+                       else choice.chosen)
+            v = lyapunov(prev, state, obj, graph, opt).V
+            rec(prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, prev.s,
+                gap_plus=obj.value(state.X_plus) - opt.f_star, v=v,
                 case=choice.case, w=diag.w, r=diag.r,
                 mono=choice.monotonicity_ok, fallback=fallback)
-        _guard(trace, gap0, prev.k)
-    return trace
+    return rec.trace

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,7 +144,7 @@ def write_summary(path, rows):
     wall time. ``rows`` is a list of dicts with those keys."""
     keys = ["algorithm", "problem", "final_gap", "slope", "iterations",
             "wall_time_s"]
-    with open(path, "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[k]) for k in keys) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([str(row[k]) for k in keys] for row in rows)

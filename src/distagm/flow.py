@@ -52,10 +52,10 @@ class FlowParams:
     def __post_init__(self):
         if not (0.0 < self.beta < 2.0):
             raise ValueError(f"beta must lie in (0, 2), got {self.beta}")
-        if self.k_gain <= 0 or self.dt <= 0:
-            raise ValueError("k_gain and dt must be positive")
-        if not (0.0 < self.t0 < self.horizon):
-            raise ValueError("need 0 < t0 < horizon")
+        if not (0.0 < self.k_gain < np.inf and 0.0 < self.dt < np.inf):
+            raise ValueError("k_gain and dt must be finite and positive")
+        if not (0.0 < self.t0 < self.horizon < np.inf):
+            raise ValueError("need 0 < t0 < horizon < inf")
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def build_graph(cfg: dict):
         raise ConfigError(f"graph: {err}") from err
 
 
-def _mnist_dataset(spec, m):
+def _mnist_dataset(spec):
     root = spec.get("dataset_root") or os.environ.get(DATASET_ROOT_ENV, ".")
     img_path = os.path.join(root, spec.get("images", "train-images-idx3-ubyte"))
     lab_path = os.path.join(root, spec.get("labels", "train-labels-idx1-ubyte"))
@@ -86,14 +86,13 @@ def _mnist_dataset(spec, m):
         images = data_io.parse_idx(fh.read())
     with open(lab_path, "rb") as fh:
         labels = data_io.parse_idx(fh.read())
-    ds = data_io.build_binary_dataset(
+    return data_io.build_binary_dataset(
         images, labels,
         positive_digit=int(spec.get("positive_digit", 5)),
         negative_digit=int(spec.get("negative_digit", 1)),
         cap=int(spec.get("cap", 500)),
         seed=int(spec.get("seed", 0)),
         source=img_path)
-    return ds
 
 
 def synthetic_gaussian_dataset(n=500, p=10, seed=0, separation=1.5):
@@ -132,7 +131,7 @@ def build_problem(cfg: dict, graph):
     if kind in ("logistic-synthetic", "logistic-mnist"):
         ds = None
         if kind == "logistic-mnist":
-            ds = _mnist_dataset(spec, graph.m)
+            ds = _mnist_dataset(spec)
         if ds is None:
             ds = synthetic_gaussian_dataset(
                 n=int(spec.get("n", 500)), p=int(spec.get("p", 10)),
@@ -160,13 +159,24 @@ def initial_state(cfg: dict, graph, obj):
     return scale * rng.standard_normal(graph.m * obj.d)
 
 
+# The keys an algorithm entry may set besides its name.
+_ALGORITHM_KEYS = {
+    "dist_agm": {"mode", "h", "beta", "s", "oracle_mode", "s1_fraction"},
+    "dgd": {"alpha"}, "diging": {"alpha"},
+    "pi_consensus": {"alpha", "beta_gain", "h_step"}}
+
+
 def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
                   iters: int) -> RunTrace:
-    """One configured algorithm on the problem. A parameter that does not
-    parse or is out of range raises ConfigError naming the algorithm."""
-    if name not in ("dist_agm", "dgd", "diging", "pi_consensus"):
+    """One configured algorithm on the problem. An unknown key, or a
+    parameter that does not parse or is out of range, raises ConfigError
+    naming the algorithm."""
+    if name not in _ALGORITHM_KEYS:
         raise ConfigError(f"unknown algorithm {name!r}")
     params = dict(params or {})
+    unknown = ", ".join(sorted(set(params) - _ALGORITHM_KEYS[name]))
+    if unknown:
+        raise ConfigError(f"algorithm {name}: unknown key {unknown}")
     try:
         if name == "dist_agm":
             h = float(params.get("h", 10.0))
@@ -221,8 +231,7 @@ def _run_all(algos, obj, graph, x0, opt, iters: int):
         try:
             trace = run_algorithm(name, params, obj, graph, x0, opt, iters)
         except agm.DivergenceError as err:
-            code = EXIT_DIVERGENCE
-            trace = err.trace or RunTrace(["k"], {})
+            code, trace = EXIT_DIVERGENCE, err.trace
             trace.metadata["diverged_at"] = err.iteration
         runs.append((name, trace, time.perf_counter() - start))
     return runs, code
@@ -240,7 +249,7 @@ def cmd_run(cfg: dict, out_dir: str) -> int:
         trace.metadata["seed"] = cfg.get("seed", 0)
         trace.metadata["problem"] = problem
         trace.write_csv(os.path.join(out_dir, f"{name}_trace.csv"))
-        gaps = trace.column("F_gap") if "F_gap" in trace.columns else []
+        gaps = trace.column("F_gap")
         slope = ""
         if len(gaps) >= 40 and np.all(gaps[len(gaps) // 2:] > 0):
             ks = trace.column("k")
@@ -251,7 +260,7 @@ def cmd_run(cfg: dict, out_dir: str) -> int:
                 slope = ""
         rows.append({
             "algorithm": name, "problem": problem,
-            "final_gap": gaps[-1] if len(gaps) else "",
+            "final_gap": gaps[-1],
             "slope": slope, "iterations": iters,
             "wall_time_s": round(elapsed, 3)})
     data_io.write_summary(os.path.join(out_dir, "summary.csv"), rows)

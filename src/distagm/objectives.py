@@ -212,16 +212,13 @@ def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
 
 
 def make_logistic(features: np.ndarray, labels: np.ndarray, shards,
-                  l2: float = 1e-4, add_bias: bool = False) -> LogisticObjective:
+                  l2: float = 1e-4) -> LogisticObjective:
     """Logistic objective sharded across agents.
 
     ``shards`` is the agent count of a contiguous near-equal split.
-    ``add_bias`` appends a constant-one feature column.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if add_bias:
-        features = np.hstack([features, np.ones((features.shape[0], 1))])
     if features.shape[0] < shards:
         raise ValueError("fewer samples than agents")
     pieces = np.array_split(np.arange(features.shape[0]), shards)

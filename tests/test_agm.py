@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distagm import agm
-from distagm.agm import (AgmState, DivergenceError, a_coeff, adaptive_run,
+from distagm.agm import (AgmState, DivergenceError, TraceRecorder, a_coeff,
+                         adaptive_run,
                          bootstrap_diagnostics, c_coeff, combined_field,
                          compute_step_diagnostics, fixed_step_run, init,
                          lyapunov, lyapunov_v0_prime, select_stepsize,
@@ -297,6 +298,33 @@ def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):
                        opt=opt, s_override=50.0)
     assert err.value.trace is not None
     assert err.value.iteration >= 1
+
+
+def test_trace_recorder_guard():
+    """The first gap, floored at 1e-12 (1 + |F*|), is the reference; a gap
+    above 1e6 times it, or a NaN gap, stops the run with the rows so far."""
+    grad = lx = np.zeros(2)
+    rec = TraceRecorder({"algorithm": "probe"}, f_star=-999.0)
+    rec(0, 0.0, grad, lx, 0.1)  # exact-optimum start: the floor is 1e-9
+    rec(1, 5e-4, grad, lx, 0.1)
+    with pytest.raises(DivergenceError) as err:
+        rec(2, 2e-3, grad, lx, 0.1)
+    assert err.value.iteration == 2 and len(err.value.trace) == 3
+    rec = TraceRecorder({}, f_star=0.0)
+    rec(0, 1.0, grad, lx, 0.1)
+    with pytest.raises(DivergenceError) as err:
+        rec(1, np.nan, grad, lx, 0.1)
+    assert err.value.trace is rec.trace
+
+
+def test_trace_recorder_hands_over_trace():
+    """A DivergenceError raised inside the block, as by step's non-finite
+    check, leaves carrying the recorder's partial trace."""
+    rec = TraceRecorder({}, f_star=0.0)
+    with pytest.raises(DivergenceError) as err, rec:
+        rec(0, 1.0, np.zeros(2), np.zeros(2), 0.1)
+        raise DivergenceError("non-finite update field", iteration=1)
+    assert err.value.trace is rec.trace and len(rec.trace) == 1
 
 
 def test_unknown_oracle_mode(ring5, flow_quadratic, x0_ring5):

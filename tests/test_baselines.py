@@ -103,3 +103,22 @@ def test_trace_schema(ring5, hetero_quadratic):
                              "laplacian_norm", "s_k", "V_k", "case", "w",
                              "r", "monotonicity_ok", "fallback_flag"]
     assert len(trace) == 4
+
+
+@pytest.mark.parametrize("run,extra", [
+    (dgd_run, {}),
+    (diging_run, {}),
+    (pi_consensus_run, {"beta_gain": 0.1}),
+], ids=["dgd", "diging", "pi_consensus"])
+def test_huge_step_diverges_at_first_iteration(ring5, hetero_quadratic, run,
+                                               extra):
+    """A gap that overflows or turns NaN counts as divergence: the run stops
+    at k = 1 and hands over the rows it recorded."""
+    obj, opt = hetero_quadratic
+    x0 = np.random.default_rng(1).standard_normal(10)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        run(obj, ring5, x0, alpha=1e308, iters=50, opt=opt, **extra)
+    assert err.value.iteration == 1
+    trace = err.value.trace
+    np.testing.assert_array_equal(trace.column("k"), [0, 1])
+    assert np.isfinite(trace.column("F_gap")[0])

@@ -1,5 +1,7 @@
 """IDX parsing, binary dataset construction, and agent sharding."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -132,3 +134,18 @@ def test_write_summary(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("algorithm,problem,final_gap")
     assert lines[1].startswith("dgd,quadratic,0.5,")
+
+
+def test_write_summary_quotes_commas(tmp_path):
+    """An MNIST run's problem label is an image path, which may hold a
+    comma; the row still reads back as six fields."""
+    path = tmp_path / "summary.csv"
+    label = "/data/mnist,v2/train-images-idx3-ubyte"
+    write_summary(path, [{"algorithm": "dgd", "problem": label,
+                          "final_gap": np.float64(0.25), "slope": "",
+                          "iterations": 10, "wall_time_s": 0.01}])
+    data = path.read_bytes()
+    assert b"\r" not in data
+    rows = list(csv.reader(data.decode().splitlines()))
+    assert [len(row) for row in rows] == [6, 6]
+    assert rows[1] == ["dgd", label, "0.25", "", "10", "0.01"]

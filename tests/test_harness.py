@@ -1,5 +1,7 @@
 """Config handling, CLI subcommands, exit codes, and output determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -8,6 +10,9 @@ from distagm import harness
 from distagm.cli import main
 from distagm.trace import RunTrace
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+NAN, INF = float("nan"), float("inf")
 QUAD_PROBLEM = {"type": "quadratic", "d": 2, "seed": 7,
                 "common_offset": [0.3, -0.2]}
 
@@ -268,6 +273,18 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert err.startswith("solver error: ") and err.count("\n") == 1
 
 
+def key_values(params):
+    return "-".join(f"{k}={v}" for k, v in params.items())
+
+
+def bad_algorithm(name, **params):
+    """A ``run`` of one algorithm entry that must be refused with exit 2."""
+    return pytest.param(
+        "run", {"problem": QUAD_PROBLEM, "iters": 5,
+                "algorithms": [dict(name=name, **params)]},
+        name, id=f"run-{name}-{key_values(params)}")
+
+
 @pytest.mark.parametrize("command,cfg,section", [
     ("energy-check", {"problem": QUAD_PROBLEM, "flow": {"beta": 2.5}},
      "flow"),
@@ -276,6 +293,22 @@ def test_solver_error_exit_code(tmp_path, capsys):
     ("compare", {"problem": QUAD_PROBLEM, "iters": 5,
                  "algorithms": [{"name": "dist_agm", "beta": 3.0}, "dgd"]},
      "dist_agm"),
+    # a NaN or infinite step size or gain is as invalid as a negative one
+    *(bad_algorithm(name, **params) for name, params in [
+        ("dist_agm", {"h": NAN}),
+        ("dist_agm", {"mode": "fixed", "s": NAN}),
+        ("dist_agm", {"mode": "fixed", "s": -1.0}),
+        ("dist_agm", {"s1_fraction": NAN}),
+        ("dist_agm", {"s1_fraction": -1.0}),
+        ("dgd", {"alpha": NAN}),
+        ("diging", {"alpha": INF}),
+        ("pi_consensus", {"alpha": NAN}),
+        ("pi_consensus", {"beta_gain": NAN}),
+        ("pi_consensus", {"h_step": INF}),
+    ]),
+    *(pytest.param("energy-check", {"problem": QUAD_PROBLEM, "flow": flow},
+                   "flow", id=f"energy-check-{key_values(flow)}")
+      for flow in ({"dt": NAN}, {"k_gain": INF}, {"horizon": INF})),
 ])
 def test_invalid_config_value_exit_code(command, cfg, section, tmp_path,
                                         capsys):
@@ -285,3 +318,27 @@ def test_invalid_config_value_exit_code(command, cfg, section, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert section in err
+
+
+def test_unknown_algorithm_key_exit_code(tmp_path, capsys):
+    """A misspelt key is an error, not a silent fall-back to the default."""
+    cfg = {"problem": QUAD_PROBLEM, "iters": 5,
+           "algorithms": [{"name": "dgd", "alhpa": 0.02}]}
+    code = main(["run", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == harness.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "dgd" in err and "alhpa" in err
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.rglob("*.yaml")),
+                         ids=lambda p: str(p.relative_to(CONFIGS)))
+def test_shipped_algorithm_keys_accepted(path, ring5, flow_quadratic,
+                                         x0_ring5):
+    obj, opt = flow_quadratic
+    for entry in harness.load_config(path).get("algorithms", []):
+        params = dict(entry)
+        trace = harness.run_algorithm(params.pop("name"), params, obj, ring5,
+                                      x0_ring5, opt, iters=0)
+        assert len(trace) == 1
