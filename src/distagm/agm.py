@@ -67,9 +67,9 @@ class TraceRecorder(AbstractContextManager):
     context manager it hands its partial trace to any DivergenceError that
     leaves the block, such as ``step``'s non-finite check."""
 
-    COLUMNS = ["k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
+    COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
                "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
-               "fallback_flag"]
+               "fallback_flag")
     DIVERGENCE_FACTOR = 1e6
 
     def __init__(self, metadata: dict, f_star: float):

@@ -332,12 +332,12 @@ def test_unknown_algorithm_key_exit_code(tmp_path, capsys):
     assert "dgd" in err and "alhpa" in err
 
 
-@pytest.mark.parametrize("path", sorted(CONFIGS.rglob("*.yaml")),
-                         ids=lambda p: str(p.relative_to(CONFIGS)))
-def test_shipped_algorithm_keys_accepted(path, ring5, flow_quadratic,
-                                         x0_ring5):
+def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
-    for entry in harness.load_config(path).get("algorithms", []):
+    entries = [entry for path in sorted(CONFIGS.rglob("*.yaml"))
+               for entry in harness.load_config(path).get("algorithms", [])]
+    assert entries
+    for entry in entries:
         params = dict(entry)
         trace = harness.run_algorithm(params.pop("name"), params, obj, ring5,
                                       x0_ring5, opt, iters=0)
