@@ -32,7 +32,6 @@ __all__ = [
     "AgmState",
     "StepDiagnostics",
     "StepChoice",
-    "LyapunovRecord",
     "DivergenceError",
     "TraceRecorder",
     "theta",
@@ -140,10 +139,6 @@ class AgmState:
     beta: float
     ev: IterateEval | None = None
 
-    @property
-    def theta(self) -> float:
-        return theta(self.k)
-
 
 def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
                opt: ConsensusOptimum) -> IterateEval:
@@ -179,16 +174,6 @@ class StepChoice(NamedTuple):
     case: str
     chosen: float
     monotonicity_ok: bool
-
-
-@dataclass(slots=True, frozen=True)
-class LyapunovRecord:
-    k: int
-    V: float
-    function_term: float
-    consensus_term: float
-    step_penalty_term: float
-    distance_term: float
 
 
 def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
@@ -354,7 +339,7 @@ def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
 
 
 def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
-             graph: AgentGraph, opt: ConsensusOptimum) -> LyapunovRecord:
+             graph: AgentGraph, opt: ConsensusOptimum) -> float:
     """Lyapunov certificate V_k for k = prev.k >= 1.
 
     Uses X_k, s_k from ``prev`` and Z_{k+1} from ``nxt``. Undefined when
@@ -363,21 +348,16 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     k = prev.k
     if k < 1:
         raise ValueError("V_k is defined for k >= 1; use lyapunov_v0_prime")
+    if not prev.s > 0.0:
+        return np.nan
     scale = (2.0 * theta(k) * prev.h) ** (-prev.beta)
     ev = _evaluated(prev, obj, graph, opt)
     weight = 2.0 * c_coeff(k) * theta(k) ** 2
     fn_term = weight * scale * ev.gap
     cons_term = weight * ev.quad
-    if prev.s > 0.0:
-        pen_term = -weight * 0.25 * prev.s * ev.g_sq
-        z_err = nxt.Z - opt.x_star_stacked
-        dist = float(z_err.dot(z_err)) / prev.s
-        v = fn_term + cons_term + pen_term + dist
-    else:
-        pen_term, dist, v = np.nan, np.nan, np.nan
-    return LyapunovRecord(k=k, V=v, function_term=fn_term,
-                          consensus_term=cons_term,
-                          step_penalty_term=pen_term, distance_term=dist)
+    pen_term = -weight * 0.25 * prev.s * ev.g_sq
+    z_err = nxt.Z - opt.x_star_stacked
+    return fn_term + cons_term + pen_term + float(z_err.dot(z_err)) / prev.s
 
 
 def lyapunov_v0_prime(X0: np.ndarray, opt: ConsensusOptimum,
@@ -455,7 +435,7 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
             fallback = not math.isfinite(choice.chosen)
             state.s = (min(prev.s, diag.cap_smooth) if fallback
                        else choice.chosen)
-            v = lyapunov(prev, state, obj, graph, opt).V
+            v = lyapunov(prev, state, obj, graph, opt)
             rec(prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, prev.s,
                 gap_plus=obj.value(state.X_plus) - opt.f_star, v=v,
                 case=choice.case, w=diag.w, r=diag.r,

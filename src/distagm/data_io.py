@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "IdxParseError",
     "LabeledDataset",
-    "ShardedDataset",
     "parse_idx",
     "serialize_idx",
     "build_binary_dataset",
@@ -48,11 +47,6 @@ class LabeledDataset:
     @property
     def n(self):
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class ShardedDataset:
-    shards: tuple  # tuple of LabeledDataset, sizes balanced within one row
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -128,15 +122,15 @@ def build_binary_dataset(images: np.ndarray, labels: np.ndarray,
     return LabeledDataset(features=feats, labels=ys, source=source)
 
 
-def shard(ds: LabeledDataset, m: int) -> ShardedDataset:
-    """Contiguous near-equal partition into m shards (sizes differ by <= 1)."""
+def shard(ds: LabeledDataset, m: int) -> tuple:
+    """Contiguous near-equal partition into a tuple of m LabeledDatasets
+    (sizes differ by <= 1)."""
     if ds.n < m:
         raise ValueError(f"cannot shard {ds.n} samples across {m} agents")
     pieces = np.array_split(np.arange(ds.n), m)
-    return ShardedDataset(tuple(
-        LabeledDataset(features=ds.features[idx], labels=ds.labels[idx],
-                       source=ds.source)
-        for idx in pieces))
+    return tuple(LabeledDataset(features=ds.features[idx],
+                                labels=ds.labels[idx], source=ds.source)
+                 for idx in pieces)
 
 
 def write_summary(path, rows):

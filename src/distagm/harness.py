@@ -136,7 +136,7 @@ def build_problem(cfg: dict, graph):
             ds = synthetic_gaussian_dataset(
                 n=int(spec.get("n", 500)), p=int(spec.get("p", 10)),
                 seed=int(spec.get("seed", 0)))
-        shards = data_io.shard(ds, graph.m).shards
+        shards = data_io.shard(ds, graph.m)
         obj = LogisticObjective([s.features for s in shards],
                                 [s.labels for s in shards],
                                 l2=float(spec.get("l2", 1e-4)))

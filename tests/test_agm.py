@@ -197,16 +197,15 @@ def test_lyapunov_zero_at_optimum(ring5, flow_quadratic):
                     h=1.0, beta=0.1)
     nxt = AgmState(k=3, X=x.copy(), X_plus=x.copy(), Z=x.copy(), s=0.2,
                    h=1.0, beta=0.1)
-    rec = lyapunov(prev, nxt, obj, ring5, opt)
-    assert rec.V == pytest.approx(0.0, abs=1e-20)
+    v = lyapunov(prev, nxt, obj, ring5, opt)
+    assert v == pytest.approx(0.0, abs=1e-20)
 
 
 def test_lyapunov_undefined_at_zero_step(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
     prev = AgmState(k=1, X=x0_ring5.copy(), X_plus=x0_ring5.copy(),
                     Z=x0_ring5.copy(), s=0.0, h=1.0, beta=0.1)
-    rec = lyapunov(prev, prev, obj, ring5, opt)
-    assert np.isnan(rec.V)
+    assert np.isnan(lyapunov(prev, prev, obj, ring5, opt))
 
 
 def test_lyapunov_v0_prime(flow_quadratic, x0_ring5):
@@ -274,7 +273,7 @@ def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
         diag = compute_step_diagnostics(fresh_prev, fresh_nxt, obj, ring5,
                                         opt, lam, oracle_mode="practical")
         assert (diag.w, diag.r) == (w[k], r[k])
-        assert lyapunov(fresh_prev, fresh_nxt, obj, ring5, opt).V == v[k]
+        assert lyapunov(fresh_prev, fresh_nxt, obj, ring5, opt) == v[k]
         chosen = select_stepsize(diag, prev.s, a_coeff(k), theta(k + 1),
                                  k).chosen
         assert chosen == nxt.s

@@ -99,18 +99,16 @@ def make_dataset(n):
 
 
 def test_shard_balanced():
-    sharded = shard(make_dataset(10), 5)
-    assert [s.n for s in sharded.shards] == [2] * 5
-    sharded = shard(make_dataset(11), 5)
-    assert [s.n for s in sharded.shards] == [3, 2, 2, 2, 2]
+    assert [s.n for s in shard(make_dataset(10), 5)] == [2] * 5
+    assert [s.n for s in shard(make_dataset(11), 5)] == [3, 2, 2, 2, 2]
 
 
 def test_shard_partition():
     ds = make_dataset(23)
-    sharded = shard(ds, 4)
-    rebuilt = np.vstack([s.features for s in sharded.shards])
+    shards = shard(ds, 4)
+    rebuilt = np.vstack([s.features for s in shards])
     np.testing.assert_array_equal(rebuilt, ds.features)
-    assert sum(s.n for s in sharded.shards) == 23
+    assert sum(s.n for s in shards) == 23
 
 
 def test_shard_too_few_samples():

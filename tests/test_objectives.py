@@ -216,7 +216,7 @@ def test_solver_quadratic_in_one_newton_step():
 def test_solver_on_synthetic_data_seed_3():
     # the shipped logistic problem family at data seed 3
     ds = harness.synthetic_gaussian_dataset(n=500, p=10, seed=3)
-    shards = data_io.shard(ds, 5).shards
+    shards = data_io.shard(ds, 5)
     obj = LogisticObjective([s.features for s in shards],
                             [s.labels for s in shards], l2=1e-4)
     opt = solve_consensus_optimum(obj, tol=1e-10, max_iter=50)
