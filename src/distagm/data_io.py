@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .trace import RunTrace
 
 __all__ = [
     "IdxParseError",
@@ -133,12 +134,12 @@ def shard(ds: LabeledDataset, m: int) -> tuple:
                  for idx in pieces)
 
 
-def write_summary(path, rows):
+def write_summary(path, rows, metadata=None):
     """One row per run: algorithm, problem, final gap, slope, iterations,
-    wall time. ``rows`` is a list of dicts with those keys."""
-    keys = ["algorithm", "problem", "final_gap", "slope", "iterations",
-            "wall_time_s"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerows([str(row[k]) for k in keys] for row in rows)
+    wall time. ``rows`` is a list of dicts with exactly those keys. The
+    cells and the ``# key=value`` metadata lines are written as a trace's."""
+    summary = RunTrace(["algorithm", "problem", "final_gap", "slope",
+                        "iterations", "wall_time_s"], metadata)
+    for row in rows:
+        summary.append(**row)
+    summary.write_csv(path)

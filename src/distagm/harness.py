@@ -13,13 +13,15 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from . import agm, baselines, data_io, flow
-from .graphs import build_topology
-from .objectives import (LogisticObjective, QuadraticObjective,
+from .graphs import AgentGraph, build_topology
+from .objectives import (ConsensusOptimum, LogisticObjective,
+                         QuadraticObjective, SeparableObjective,
                          make_quadratic, solve_consensus_optimum)
 from .trace import RunTrace
 
@@ -211,60 +213,84 @@ def _algorithms(cfg):
             for entry in algos]
 
 
-def _set_up(cfg: dict, out_dir: str):
-    """What every config command starts from: makes the output directory
-    and returns (config hash, graph, objective, optimum, problem label, x0)."""
+class _SetUp(NamedTuple):
+    """What every config command starts from (see ``_set_up``)."""
+
+    stamp: dict  # config_hash, seed and problem, written into every output
+    out_dir: str
+    graph: AgentGraph
+    obj: SeparableObjective
+    opt: ConsensusOptimum
+    x0: np.ndarray
+    iters: int
+    gap_threshold: float
+    drift_tolerance: float
+
+    def write(self, trace: RunTrace, name: str):
+        """Stamp ``trace`` and write it to ``name`` in the output directory."""
+        trace.metadata.update(self.stamp)
+        trace.write_csv(os.path.join(self.out_dir, name))
+
+
+def _set_up(cfg: dict, out_dir: str) -> _SetUp:
+    """Reads the top-level numbers, makes the output directory and builds
+    the graph, the problem and the start."""
+    iters = int(cfg.get("iters", 1000))
+    gap_threshold = float(cfg.get("gap_threshold", 1e-3))
+    drift_tolerance = float(cfg.get("drift_tolerance", 1e-3))
     os.makedirs(out_dir, exist_ok=True)
     graph = build_graph(cfg)
     obj, opt, problem = build_problem(cfg, graph)
-    return (config_hash(cfg), graph, obj, opt, problem,
-            initial_state(cfg, graph, obj))
+    x0 = initial_state(cfg, graph, obj)
+    stamp = {"config_hash": config_hash(cfg), "seed": cfg.get("seed", 0),
+             "problem": problem}
+    return _SetUp(stamp, out_dir, graph, obj, opt, x0, iters, gap_threshold,
+                  drift_tolerance)
 
 
-def _run_all(algos, obj, graph, x0, opt, iters: int):
-    """Run each algorithm from the same start. A diverged run keeps its
-    partial trace, stamped with ``diverged_at``, and sets the exit code.
-    Returns ([(name, trace, wall seconds)], exit code)."""
-    runs, code = [], EXIT_OK
+def _summary_row(name: str, trace: RunTrace, problem: str, wall_s: float):
+    """One summary.csv row read from a run's trace. The slope is left blank
+    when the fit flags a non-positive gap in its window or raises because
+    the window is too short."""
+    ks, gaps = trace.column("k"), trace.column("F_gap")
+    try:
+        slope, _, flagged = flow.rate_slope(ks[ks > 0], gaps[ks > 0])
+    except ValueError:
+        slope, flagged = "", True
+    return {"algorithm": name, "problem": problem, "final_gap": gaps[-1],
+            "slope": "" if flagged else slope, "iterations": int(ks[-1]),
+            "wall_time_s": wall_s}
+
+
+def _run_all(cfg: dict, out_dir: str, algos):
+    """The output path of ``run`` and ``compare``: runs each algorithm from
+    the same start, writes its stamped trace and a stamped summary.csv with
+    one row per run. A diverged run keeps its partial trace, stamped with
+    ``diverged_at``, and sets the exit code. Returns (set-up, {name: trace},
+    exit code)."""
+    setup = _set_up(cfg, out_dir)
+    traces, rows, code = {}, [], EXIT_OK
     for name, params in algos:
         start = time.perf_counter()
         try:
-            trace = run_algorithm(name, params, obj, graph, x0, opt, iters)
+            trace = run_algorithm(name, params, setup.obj, setup.graph,
+                                  setup.x0, setup.opt, setup.iters)
         except agm.DivergenceError as err:
             code, trace = EXIT_DIVERGENCE, err.trace
             trace.metadata["diverged_at"] = err.iteration
-        runs.append((name, trace, time.perf_counter() - start))
-    return runs, code
+        wall_s = time.perf_counter() - start
+        rows.append(_summary_row(name, trace, setup.stamp["problem"], wall_s))
+        setup.write(trace, f"{name}_trace.csv")
+        traces[name] = trace
+    data_io.write_summary(os.path.join(out_dir, "summary.csv"), rows,
+                          setup.stamp)
+    return setup, traces, code
 
 
 def cmd_run(cfg: dict, out_dir: str) -> int:
-    """Execute every configured algorithm; write traces and a summary row
-    per run. Returns the process exit code."""
-    chash, graph, obj, opt, problem, x0 = _set_up(cfg, out_dir)
-    iters = int(cfg.get("iters", 1000))
-    runs, code = _run_all(_algorithms(cfg), obj, graph, x0, opt, iters)
-    rows = []
-    for name, trace, elapsed in runs:
-        trace.metadata["config_hash"] = chash
-        trace.metadata["seed"] = cfg.get("seed", 0)
-        trace.metadata["problem"] = problem
-        trace.write_csv(os.path.join(out_dir, f"{name}_trace.csv"))
-        gaps = trace.column("F_gap")
-        slope = ""
-        if len(gaps) >= 40 and np.all(gaps[len(gaps) // 2:] > 0):
-            ks = trace.column("k")
-            mask = ks > 0
-            try:
-                slope = flow.rate_slope(ks[mask], gaps[mask])[0]
-            except ValueError:
-                slope = ""
-        rows.append({
-            "algorithm": name, "problem": problem,
-            "final_gap": gaps[-1],
-            "slope": slope, "iterations": iters,
-            "wall_time_s": round(elapsed, 3)})
-    data_io.write_summary(os.path.join(out_dir, "summary.csv"), rows)
-    return code
+    """Execute every configured algorithm; write a trace per run and
+    summary.csv. Returns the process exit code."""
+    return _run_all(cfg, out_dir, _algorithms(cfg))[2]
 
 
 def iterations_to_threshold(trace: RunTrace, threshold: float):
@@ -276,45 +302,36 @@ def iterations_to_threshold(trace: RunTrace, threshold: float):
 
 
 def cmd_compare(cfg: dict, out_dir: str) -> int:
-    """Aligned comparison of the three plotted metrics across algorithms,
-    plus an iterations-to-threshold column."""
+    """``run``'s output plus comparison.csv, the three plotted metrics of
+    every run aligned on k, and threshold.csv, each run's iterations to the
+    gap threshold, which also goes to stdout."""
     algos = _algorithms(cfg)
     if len(algos) < 2:
         raise ConfigError("compare needs at least 2 algorithms")
-    chash, graph, obj, opt, problem, x0 = _set_up(cfg, out_dir)
-    runs, code = _run_all(algos, obj, graph, x0, opt,
-                          int(cfg.get("iters", 1000)))
-    traces = {name: trace for name, trace, _ in runs}
-    threshold = (float(cfg.get("gap_threshold", 1e-3))
-                 * (obj.value(x0) - opt.f_star))
-    metrics = ["laplacian_norm", "grad_norm", "F_gap"]
-    with open(os.path.join(out_dir, "comparison.csv"), "w") as fh:
-        fh.write(f"# config_hash={chash}\n# problem={problem}\n")
-        fh.write(f"# gap_threshold={threshold!r}\n")
-        header = ["k"] + [f"{n}:{m}" for n, _ in algos for m in metrics]
-        fh.write(",".join(header) + "\n")
-        ks = traces[algos[0][0]].column("k")
-        cols = [traces[name].column(metric)
-                for name, _ in algos for metric in metrics]
-        aligned = min(len(t) for t in traces.values())
-        for i in range(aligned):
-            row = [str(int(ks[i]))] + [format(c[i], ".17g") for c in cols]
-            fh.write(",".join(row) + "\n")
+    setup, traces, code = _run_all(cfg, out_dir, algos)
+    threshold = setup.gap_threshold * (setup.obj.value(setup.x0)
+                                       - setup.opt.f_star)
+    aligned = min(len(t) for t in traces.values())
+    ks = next(iter(traces.values())).column("k")[:aligned].astype(int)
+    table = {"k": ks}
+    for name, trace in traces.items():
+        for metric in ("laplacian_norm", "grad_norm", "F_gap"):
+            table[f"{name}:{metric}"] = trace.column(metric)[:aligned]
+    setup.write(RunTrace.from_columns(table, {"gap_threshold": threshold}),
+                "comparison.csv")
     short = [name for name, t in traces.items()
              if "diverged_at" in t.metadata]
     if short and aligned < max(len(t) for t in traces.values()):
         print(f"compare: {', '.join(short)} diverged; comparison.csv stops "
-              f"at k={int(ks[aligned - 1])}", file=sys.stderr)
-    lines = ["algorithm,iterations_to_threshold"]
-    for name, trace in traces.items():
-        hit = iterations_to_threshold(trace, threshold)
-        lines.append(f"{name},{'' if hit is None else hit}")
-        trace.metadata["config_hash"] = chash
-        trace.write_csv(os.path.join(out_dir, f"{name}_trace.csv"))
-    with open(os.path.join(out_dir, "threshold.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+              f"at k={ks[-1]}", file=sys.stderr)
+    hits = [iterations_to_threshold(t, threshold) for t in traces.values()]
+    path = os.path.join(out_dir, "threshold.csv")
+    RunTrace.from_columns({
+        "algorithm": list(traces),
+        "iterations_to_threshold": ["" if k is None else k for k in hits],
+    }).write_csv(path)
+    with open(path) as fh:
+        sys.stdout.write(fh.read())
     return code
 
 
@@ -350,15 +367,15 @@ def cmd_energy_check(cfg: dict, out_dir: str) -> int:
         record_every = int(fspec.get("record_every", 10))
     except ValueError as err:
         raise ConfigError(f"flow: {err}") from err
-    chash, graph, obj, opt, _problem, x0 = _set_up(cfg, out_dir)
+    setup = _set_up(cfg, out_dir)
     try:
-        trace = flow.integrate(params, obj, graph, x0, np.zeros_like(x0), opt,
+        trace = flow.integrate(params, setup.obj, setup.graph, setup.x0,
+                               np.zeros_like(setup.x0), setup.opt,
                                record_every=record_every)
     except flow.BlowUpError as err:
         print(f"FAIL blow-up at t={err.last_t}")
         return EXIT_DIVERGENCE
-    trace.metadata["config_hash"] = chash
-    trace.write_csv(os.path.join(out_dir, "flow_trace.csv"))
+    setup.write(trace, "flow_trace.csv")
     totals = trace.column("E_total")
     ref = max(abs(totals[0]), 1e-12)
     drift = float(np.max(np.abs(totals - totals[0])) / ref)
@@ -368,7 +385,7 @@ def cmd_energy_check(cfg: dict, out_dir: str) -> int:
     violations = sum(
         int(np.sum(trace.column(c) < -1e-9 * (1.0 + np.abs(totals))))
         for c in comp_cols)
-    ok = drift <= float(cfg.get("drift_tolerance", 1e-3)) and violations == 0
+    ok = drift <= setup.drift_tolerance and violations == 0
     print(f"max_relative_drift={drift:.3e} min_component={worst:.3e} "
           f"nonnegativity_violations={violations} {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else 1

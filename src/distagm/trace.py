@@ -50,6 +50,15 @@ class RunTrace:
         self.metadata = dict(metadata or {})
         self._rows = []
 
+    @classmethod
+    def from_columns(cls, columns: dict, metadata=None) -> "RunTrace":
+        """A trace whose rows zip the sequences in ``columns``, one per
+        column name. Raises ValueError when their lengths differ."""
+        trace = cls(columns, metadata)
+        trace._rows = [list(row)
+                       for row in zip(*columns.values(), strict=True)]
+        return trace
+
     def append(self, **row):
         if set(row) != set(self.columns):
             missing = set(self.columns) - set(row)

@@ -46,19 +46,19 @@ GOLDEN = {
     # and comparison.csv move whenever the reference solver's last bits do.
     ("compare", "logistic_compare.yaml"): {
         "comparison.csv":
-            "989f05f25044b9b3fd1707797751222bc407e49fde681d500a18463e2f014e2a",
+            "8c2a02419dd05b03c55666f890f8d697298a39747b64645729acb00f6a48ea43",
         "dgd_trace.csv":
-            "419d492ad066836cf87e7d44f64460ea22bba275af087c27b7bfb7f4ef8ad2b3",
+            "8901cbcf2e56accf561f8b78809a459341bfb01b8bfe6d35ecfd202fda47957a",
         "diging_trace.csv":
-            "e731bf512ccebcbbd4174754936eea658930ca3ebd0127146834052ab7f4ca19",
+            "656935d8ef2967581468b9b0494b8b229de8b4e7dbb33392f579a86451ea8308",
         "dist_agm_trace.csv":
-            "713a54e89a9b66650d8bce872d62a053882208dd1c37948cd034234f520b8812",
+            "9eb885b3e8464e9a1ddd1f0ccb81e50ee127ef1aac0d8fdc89c46cb40e949ecd",
         "threshold.csv":
             "f193d0e26d3b0f304aaca089b1b1946a284c832c30319c2910d94cf7bf98aea9",
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "b70f936fd4d100f9f509974764a1c4be971176f82ca655510ed794b694e8863f",
+            "9b03b439c1a923954215ae59eb1b6f35be064a70dde245866c81767d91f546d2",
     },
 }
 
@@ -79,7 +79,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "7f670ea2b49456b07b8ada4f8d98ba82e48b44461aeb71821396cbf4a68408ed")
+    "e5e62ba5916788534b1031c932585297edcd9d607a717470e7231c8122c643af")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):

@@ -237,6 +237,47 @@ def test_energy_check_blowup_exit_code(tmp_path, capsys):
     assert 1.0 < float(lines[0].rpartition("=")[2]) < 5000.0
 
 
+def test_every_output_carries_one_stamp(tmp_path):
+    """run, compare and energy-check stamp each trace, comparison.csv and
+    summary.csv with the same config_hash, seed and problem. threshold.csv
+    is printed to stdout as written and carries no comment lines."""
+    cfg = {"seed": 3, "problem": QUAD_PROBLEM, "iters": 20,
+           "algorithms": [{"name": "dist_agm", "mode": "fixed", "h": 0.4},
+                          {"name": "dgd", "alpha": 0.05}],
+           "flow": {"beta": 0.1, "horizon": 1.5, "record_every": 50}}
+    path = write_config(tmp_path, cfg)
+    for command in ("run", "compare", "energy-check"):
+        assert main([command, path, "--out", str(tmp_path / command)]) == 0
+    stamp = {"config_hash": harness.config_hash(cfg), "seed": 3,
+             "problem": "quadratic"}
+    written = sorted(tmp_path.glob("*/*.csv"))
+    assert {p.name for p in written} == {
+        "dist_agm_trace.csv", "dgd_trace.csv", "summary.csv",
+        "comparison.csv", "threshold.csv", "flow_trace.csv"}
+    for csv_path in written:
+        metadata = RunTrace.read_csv(csv_path).metadata
+        if csv_path.name == "threshold.csv":
+            assert metadata == {}
+            continue
+        assert {key: metadata.get(key) for key in stamp} == stamp, csv_path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_run_summary_reads_last_k(tmp_path):
+    """A run that diverges at k = 1 reports 1 iteration, not the configured
+    count, and no slope."""
+    cfg = {"problem": QUAD_PROBLEM, "iters": 50,
+           "algorithms": [{"name": "dgd", "alpha": 1.0e+308}]}
+    out = tmp_path / "div"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert RunTrace.read_csv(out / "dgd_trace.csv").metadata[
+        "diverged_at"] == 1
+    summary = RunTrace.read_csv(out / "summary.csv")
+    assert len(summary) == 1
+    assert summary.last("iterations") == 1
+    assert summary.last("slope") == ""
+
+
 def test_seed_override(tmp_path):
     cfg = {"seed": 1, "problem": QUAD_PROBLEM, "iters": 10,
            "algorithms": [{"name": "dgd", "alpha": 0.01}]}

@@ -20,3 +20,20 @@ def test_no_private_imports_between_modules():
             found += [f"{path.name}: {alias.name} from {node.module}"
                       for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_only_trace_writes_csv():
+    """Every CSV the package writes goes through RunTrace.write_csv, so
+    trace.py is the only module that imports csv."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.append(path.name)
+    assert importers == ["trace.py"]
