@@ -13,15 +13,13 @@ import json
 import os
 import sys
 import time
-from typing import NamedTuple
 
 import numpy as np
 import yaml
 
 from . import agm, baselines, data_io, flow
-from .graphs import AgentGraph, build_topology
-from .objectives import (ConsensusOptimum, LogisticObjective,
-                         QuadraticObjective, SeparableObjective,
+from .graphs import build_topology
+from .objectives import (LogisticObjective, QuadraticObjective,
                          make_quadratic, solve_consensus_optimum)
 from .trace import RunTrace
 
@@ -69,13 +67,9 @@ def config_hash(cfg: dict) -> str:
 
 def build_graph(cfg: dict):
     spec = cfg.get("graph", {})
-    kind = spec.get("kind", "ring")
-    m = int(spec.get("m", 5))
-    try:
-        return build_topology(kind, m, p=float(spec.get("p", 0.5)),
-                              seed=int(spec.get("seed", 0)))
-    except ValueError as err:
-        raise ConfigError(f"graph: {err}") from err
+    return build_topology(spec.get("kind", "ring"), int(spec.get("m", 5)),
+                          p=float(spec.get("p", 0.5)),
+                          seed=int(spec.get("seed", 0)))
 
 
 def _mnist_dataset(spec):
@@ -183,9 +177,12 @@ def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
         if name == "dist_agm":
             h = float(params.get("h", 10.0))
             beta = float(params.get("beta", 0.1))
-            if params.get("mode", "adaptive") == "fixed":
+            mode = params.get("mode", "adaptive")
+            if mode == "fixed":
                 return agm.fixed_step_run(obj, graph, X0, h, beta, iters, opt,
                                           s_override=params.get("s"))
+            if mode != "adaptive":
+                raise ValueError(f"unknown mode {mode!r}")
             return agm.adaptive_run(
                 obj, graph, X0, h, beta, iters, opt,
                 oracle_mode=params.get("oracle_mode", "exact"),
@@ -213,84 +210,81 @@ def _algorithms(cfg):
             for entry in algos]
 
 
-class _SetUp(NamedTuple):
-    """What every config command starts from (see ``_set_up``)."""
-
-    stamp: dict  # config_hash, seed and problem, written into every output
-    out_dir: str
-    graph: AgentGraph
-    obj: SeparableObjective
-    opt: ConsensusOptimum
-    x0: np.ndarray
-    iters: int
-    gap_threshold: float
-    drift_tolerance: float
-
-    def write(self, trace: RunTrace, name: str):
-        """Stamp ``trace`` and write it to ``name`` in the output directory."""
-        trace.metadata.update(self.stamp)
-        trace.write_csv(os.path.join(self.out_dir, name))
+# The top-level numbers of a config, with their types and defaults.
+_NUMBERS = {"iters": (int, 1000), "gap_threshold": (float, 1e-3),
+            "drift_tolerance": (float, 1e-3)}
 
 
-def _set_up(cfg: dict, out_dir: str) -> _SetUp:
-    """Reads the top-level numbers, makes the output directory and builds
-    the graph, the problem and the start."""
-    iters = int(cfg.get("iters", 1000))
-    gap_threshold = float(cfg.get("gap_threshold", 1e-3))
-    drift_tolerance = float(cfg.get("drift_tolerance", 1e-3))
+def _parsed(section: str, build, *args):
+    """``build(*args)``, where a ValueError or TypeError is a bad value in
+    the config: it becomes a ConfigError naming ``section``. A ConfigError
+    passes through unchanged."""
+    try:
+        return build(*args)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{section}: {err}") from err
+
+
+def _set_up(cfg: dict, out_dir: str):
+    """What every config command starts from: reads the top-level numbers,
+    makes the output directory and builds the graph, the problem and the
+    start. A value that does not parse or is out of range raises ConfigError
+    naming its section. Returns (stamp, numbers, graph, objective, optimum,
+    x0); the stamp, config_hash, seed and problem, goes into every output."""
+    numbers = {key: _parsed(key, kind, cfg.get(key, default))
+               for key, (kind, default) in _NUMBERS.items()}
     os.makedirs(out_dir, exist_ok=True)
-    graph = build_graph(cfg)
-    obj, opt, problem = build_problem(cfg, graph)
-    x0 = initial_state(cfg, graph, obj)
+    graph = _parsed("graph", build_graph, cfg)
+    obj, opt, problem = _parsed("problem", build_problem, cfg, graph)
+    x0 = _parsed("init", initial_state, cfg, graph, obj)
     stamp = {"config_hash": config_hash(cfg), "seed": cfg.get("seed", 0),
              "problem": problem}
-    return _SetUp(stamp, out_dir, graph, obj, opt, x0, iters, gap_threshold,
-                  drift_tolerance)
+    return stamp, numbers, graph, obj, opt, x0
 
 
-def _summary_row(name: str, trace: RunTrace, problem: str, wall_s: float):
-    """One summary.csv row read from a run's trace. The slope is left blank
-    when the fit flags a non-positive gap in its window or raises because
-    the window is too short."""
-    ks, gaps = trace.column("k"), trace.column("F_gap")
-    try:
-        slope, _, flagged = flow.rate_slope(ks[ks > 0], gaps[ks > 0])
-    except ValueError:
-        slope, flagged = "", True
-    return {"algorithm": name, "problem": problem, "final_gap": gaps[-1],
-            "slope": "" if flagged else slope, "iterations": int(ks[-1]),
-            "wall_time_s": wall_s}
+def _write(trace: RunTrace, stamp: dict, out_dir: str, name: str):
+    """Stamp ``trace`` and write it to ``name`` in ``out_dir``."""
+    trace.metadata.update(stamp)
+    trace.write_csv(os.path.join(out_dir, name))
 
 
 def _run_all(cfg: dict, out_dir: str, algos):
     """The output path of ``run`` and ``compare``: runs each algorithm from
-    the same start, writes its stamped trace and a stamped summary.csv with
-    one row per run. A diverged run keeps its partial trace, stamped with
-    ``diverged_at``, and sets the exit code. Returns (set-up, {name: trace},
-    exit code)."""
-    setup = _set_up(cfg, out_dir)
+    the same start and writes its stamped trace, then a stamped summary.csv
+    with one row per run, read from its trace. A diverged run keeps its
+    partial trace, stamped with ``diverged_at``, and sets the exit code.
+    Returns (stamp, numbers, {name: trace}, exit code)."""
+    stamp, numbers, graph, obj, opt, x0 = _set_up(cfg, out_dir)
     traces, rows, code = {}, [], EXIT_OK
     for name, params in algos:
         start = time.perf_counter()
         try:
-            trace = run_algorithm(name, params, setup.obj, setup.graph,
-                                  setup.x0, setup.opt, setup.iters)
+            trace = run_algorithm(name, params, obj, graph, x0, opt,
+                                  numbers["iters"])
         except agm.DivergenceError as err:
             code, trace = EXIT_DIVERGENCE, err.trace
             trace.metadata["diverged_at"] = err.iteration
         wall_s = time.perf_counter() - start
-        rows.append(_summary_row(name, trace, setup.stamp["problem"], wall_s))
-        setup.write(trace, f"{name}_trace.csv")
+        ks, gaps = trace.column("k"), trace.column("F_gap")
+        try:  # blank when the fit flags a non-positive gap or too few points
+            slope, _, flagged = flow.rate_slope(ks[ks > 0], gaps[ks > 0])
+        except ValueError:
+            slope, flagged = "", True
+        rows.append({"algorithm": name, "problem": stamp["problem"],
+                     "final_gap": gaps[-1], "slope": "" if flagged else slope,
+                     "iterations": int(ks[-1]), "wall_time_s": wall_s})
+        _write(trace, stamp, out_dir, f"{name}_trace.csv")
         traces[name] = trace
-    data_io.write_summary(os.path.join(out_dir, "summary.csv"), rows,
-                          setup.stamp)
-    return setup, traces, code
+    data_io.write_summary(os.path.join(out_dir, "summary.csv"), rows, stamp)
+    return stamp, numbers, traces, code
 
 
 def cmd_run(cfg: dict, out_dir: str) -> int:
     """Execute every configured algorithm; write a trace per run and
     summary.csv. Returns the process exit code."""
-    return _run_all(cfg, out_dir, _algorithms(cfg))[2]
+    return _run_all(cfg, out_dir, _algorithms(cfg))[3]
 
 
 def iterations_to_threshold(trace: RunTrace, threshold: float):
@@ -308,17 +302,18 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
     algos = _algorithms(cfg)
     if len(algos) < 2:
         raise ConfigError("compare needs at least 2 algorithms")
-    setup, traces, code = _run_all(cfg, out_dir, algos)
-    threshold = setup.gap_threshold * (setup.obj.value(setup.x0)
-                                       - setup.opt.f_star)
+    stamp, numbers, traces, code = _run_all(cfg, out_dir, algos)
+    # every run starts from x0, so each trace's first gap is F(x0) - F*
+    first = next(iter(traces.values()))
+    threshold = numbers["gap_threshold"] * first.column("F_gap")[0]
     aligned = min(len(t) for t in traces.values())
-    ks = next(iter(traces.values())).column("k")[:aligned].astype(int)
-    table = {"k": ks}
-    for name, trace in traces.items():
-        for metric in ("laplacian_norm", "grad_norm", "F_gap"):
-            table[f"{name}:{metric}"] = trace.column(metric)[:aligned]
-    setup.write(RunTrace.from_columns(table, {"gap_threshold": threshold}),
-                "comparison.csv")
+    ks = first.column("k")[:aligned].astype(int)
+    table = {f"{name}:{metric}": trace.column(metric)[:aligned]
+             for name, trace in traces.items()
+             for metric in ("laplacian_norm", "grad_norm", "F_gap")}
+    _write(RunTrace.from_columns({"k": ks, **table},
+                                 {"gap_threshold": threshold}),
+           stamp, out_dir, "comparison.csv")
     short = [name for name, t in traces.items()
              if "diverged_at" in t.metadata]
     if short and aligned < max(len(t) for t in traces.values()):
@@ -354,38 +349,40 @@ def cmd_rate_check(trace_path: str, beta: float, window=None,
     return EXIT_OK if ok else 1
 
 
+def _flow_settings(spec: dict):
+    """FlowParams and record_every of the ``flow`` section. Beta defaults
+    to 0.1; the other parameters a section leaves out keep FlowParams'
+    defaults."""
+    params = flow.FlowParams(beta=float(spec.get("beta", 0.1)), **{
+        key: float(spec[key]) for key in ("k_gain", "t0", "dt", "horizon")
+        if key in spec})
+    record_every = int(spec.get("record_every", 10))
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    return params, record_every
+
+
 def cmd_energy_check(cfg: dict, out_dir: str) -> int:
     """Integrate the continuous flow and report conservation quality."""
-    fspec = cfg.get("flow", {})
+    params, record_every = _parsed("flow", _flow_settings,
+                                   cfg.get("flow", {}))
+    stamp, numbers, graph, obj, opt, x0 = _set_up(cfg, out_dir)
     try:
-        params = flow.FlowParams(
-            beta=float(fspec.get("beta", 0.1)),
-            k_gain=float(fspec.get("k_gain", 1.0)),
-            t0=float(fspec.get("t0", 1.0)),
-            dt=float(fspec.get("dt", 1e-3)),
-            horizon=float(fspec.get("horizon", 50.0)))
-        record_every = int(fspec.get("record_every", 10))
-    except ValueError as err:
-        raise ConfigError(f"flow: {err}") from err
-    setup = _set_up(cfg, out_dir)
-    try:
-        trace = flow.integrate(params, setup.obj, setup.graph, setup.x0,
-                               np.zeros_like(setup.x0), setup.opt,
+        trace = flow.integrate(params, obj, graph, x0, np.zeros_like(x0), opt,
                                record_every=record_every)
     except flow.BlowUpError as err:
         print(f"FAIL blow-up at t={err.last_t}")
         return EXIT_DIVERGENCE
-    setup.write(trace, "flow_trace.csv")
+    _write(trace, stamp, out_dir, "flow_trace.csv")
     totals = trace.column("E_total")
     ref = max(abs(totals[0]), 1e-12)
     drift = float(np.max(np.abs(totals - totals[0])) / ref)
-    comp_cols = ["E_kinetic", "E_laplacian", "E_potential",
-                 "E_int_laplacian", "E_int_bregman", "E_int_beta"]
-    worst = min(float(trace.column(c).min()) for c in comp_cols)
-    violations = sum(
-        int(np.sum(trace.column(c) < -1e-9 * (1.0 + np.abs(totals))))
-        for c in comp_cols)
-    ok = drift <= setup.drift_tolerance and violations == 0
+    comps = np.array([trace.column(c) for c in (
+        "E_kinetic", "E_laplacian", "E_potential", "E_int_laplacian",
+        "E_int_bregman", "E_int_beta")])
+    worst = float(comps.min())
+    violations = int(np.sum(comps < -1e-9 * (1.0 + np.abs(totals))))
+    ok = drift <= numbers["drift_tolerance"] and violations == 0
     print(f"max_relative_drift={drift:.3e} min_component={worst:.3e} "
           f"nonnegativity_violations={violations} {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else 1

@@ -52,11 +52,9 @@ class RunTrace:
 
     @classmethod
     def from_columns(cls, columns: dict, metadata=None) -> "RunTrace":
-        """A trace whose rows zip the sequences in ``columns``, one per
-        column name. Raises ValueError when their lengths differ."""
+        """A trace whose rows zip the equal-length sequences in ``columns``."""
         trace = cls(columns, metadata)
-        trace._rows = [list(row)
-                       for row in zip(*columns.values(), strict=True)]
+        trace._rows = [list(r) for r in zip(*columns.values(), strict=True)]
         return trace
 
     def append(self, **row):

@@ -326,6 +326,19 @@ def bad_algorithm(name, **params):
         name, id=f"run-{name}-{key_values(params)}")
 
 
+def bad_section(command, key, value, problem=QUAD_PROBLEM):
+    """A ``command`` whose config sets ``key`` (``section.name`` or a
+    top-level name) to ``value``; it must be refused with exit 2."""
+    cfg = {"problem": dict(problem), "iters": 5,
+           "algorithms": ["dist_agm", "dgd"]}
+    section, _, name = key.partition(".")
+    if name:
+        cfg.setdefault(section, {})[name] = value
+    else:
+        cfg[section] = value
+    return pytest.param(command, cfg, section, id=f"{command}-{key}={value}")
+
+
 @pytest.mark.parametrize("command,cfg,section", [
     ("energy-check", {"problem": QUAD_PROBLEM, "flow": {"beta": 2.5}},
      "flow"),
@@ -349,7 +362,21 @@ def bad_algorithm(name, **params):
     ]),
     *(pytest.param("energy-check", {"problem": QUAD_PROBLEM, "flow": flow},
                    "flow", id=f"energy-check-{key_values(flow)}")
-      for flow in ({"dt": NAN}, {"k_gain": INF}, {"horizon": INF})),
+      for flow in ({"dt": NAN}, {"k_gain": INF}, {"horizon": INF},
+                   {"record_every": -3})),
+    bad_algorithm("dist_agm", mode="fxied"),
+    # a bad value in any other section ends the same way, naming it
+    *(bad_section(*case) for case in [
+        ("run", "graph.m", "two"),
+        ("run", "problem.d", "two"),
+        ("run", "problem.scale", -1),
+        ("run", "problem.cond", 0.5),
+        ("run", "problem.n", 3, {"type": "logistic-synthetic", "p": 3}),
+        ("run", "init.scale", "x"),
+        ("run", "iters", "abc"),
+        ("compare", "gap_threshold", "x"),
+        ("energy-check", "drift_tolerance", "x"),
+    ]),
 ])
 def test_invalid_config_value_exit_code(command, cfg, section, tmp_path,
                                         capsys):
