@@ -77,14 +77,16 @@ class EnergyLedger:
 
 
 def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
-             graph: AgentGraph, grad=None):
+             graph: AgentGraph, grad=None, lx=None):
     """Phase-space right-hand side dY = (V, dV) of the state Y = [X; V].
-    ``grad`` is gradF(X) when the caller already holds it."""
+    ``grad`` is gradF(X) and ``lx`` is Llift X when the caller already
+    holds them."""
     if t <= 0:
         raise ValueError(f"flow is singular at t={t}")
     n = Y.size // 2
     X, V = Y[:n], Y[n:]
-    lx = apply_lifted_laplacian(graph, obj.d, X)
+    if lx is None:
+        lx = apply_lifted_laplacian(graph, obj.d, X)
     if grad is None:
         grad = obj.grad(X)
     return np.concatenate((V, -(3.0 / t) * V - t ** (-params.beta) * grad
@@ -114,15 +116,17 @@ class _Point(NamedTuple):
     """One evaluation of the flow at an accepted point (t, X)."""
 
     grad: np.ndarray  # gradF(X)
+    lx: np.ndarray  # Llift X
     gap: float  # F(X) - F*
     xbar: np.ndarray  # X - x*
-    x_lx: float  # xbar . Llift xbar
+    x_lx: float  # xbar . Llift X (= xbar . Llift xbar, as Llift x* = 0)
     integrands: tuple  # Laplacian, Bregman and beta energy integrands
 
 
 def _evaluate(t, X, obj, graph, opt, params) -> _Point:
     xbar = X - opt.x_star_stacked
-    x_lx = float(xbar.dot(apply_lifted_laplacian(graph, obj.d, xbar)))
+    lx = apply_lifted_laplacian(graph, obj.d, X)
+    x_lx = float(xbar.dot(lx))
     value = obj.value(X)
     grad = obj.grad(X)
     # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
@@ -130,9 +134,9 @@ def _evaluate(t, X, obj, graph, opt, params) -> _Point:
     bregman = opt.f_star - value + float(grad.dot(xbar))
     gap = value - opt.f_star
     weight = t ** (1.0 - params.beta)
-    return _Point(grad, gap, xbar, x_lx, (params.k_gain * t * x_lx,
-                                          2.0 * weight * bregman,
-                                          params.beta * weight * gap))
+    return _Point(grad, lx, gap, xbar, x_lx, (params.k_gain * t * x_lx,
+                                              2.0 * weight * bregman,
+                                              params.beta * weight * gap))
 
 
 def _ledger(t, V, point: _Point, params, integrals) -> EnergyLedger:
@@ -189,12 +193,11 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
 
     def record(t, Y, point):
         ledger = _ledger(t, Y[n:], point, params, acc)
-        lx = apply_lifted_laplacian(graph, obj.d, Y[:n])
         trace.append(
             t=t,
             F_gap=point.gap,
             grad_norm=float(np.linalg.norm(point.grad)),
-            laplacian_norm=float(np.linalg.norm(lx)),
+            laplacian_norm=float(np.linalg.norm(point.lx)),
             E_total=ledger.total,
             E_kinetic=ledger.kinetic,
             E_laplacian=ledger.laplacian_term,
@@ -209,7 +212,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     while t < params.horizon - 1e-15:
         dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
         half = 0.5 * dt
-        k1 = flow_rhs(t, Y, params, obj, graph, point.grad)
+        k1 = flow_rhs(t, Y, params, obj, graph, point.grad, point.lx)
         k2 = flow_rhs(t + half, Y + half * k1, params, obj, graph)
         k3 = flow_rhs(t + half, Y + half * k2, params, obj, graph)
         k4 = flow_rhs(t + dt, Y + dt * k3, params, obj, graph)

@@ -58,7 +58,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "9b03b439c1a923954215ae59eb1b6f35be064a70dde245866c81767d91f546d2",
+            "aadc9197006df7cc1e91364c1d02908c7f3432086729768cc9697ed3dd84646c",
     },
 }
 
@@ -79,7 +79,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "e5e62ba5916788534b1031c932585297edcd9d607a717470e7231c8122c643af")
+    "469d95f4f5d6cdd71b9efdca0e970ff97ab9da240768b9357d3c65d89ca7e241")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):

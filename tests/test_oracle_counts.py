@@ -5,8 +5,8 @@ Each adaptive or fixed-step iteration evaluates the new iterate once
 (stacked gradient, lifted Laplacian, cumulative cost) plus the cost at the
 plus-iterate. DGD and DIGing take their gradients from the per-agent sweep
 of their update and never call the stacked gradient. Each RK4 step of the
-flow evaluates its accepted point once, and that gradient is the next
-step's first stage.
+flow evaluates its accepted point once; that gradient and Laplacian apply
+are the next step's first stage.
 """
 
 from collections import Counter
@@ -109,5 +109,6 @@ def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
     got = per_iteration(counts, run)
     assert got["grad"] == 4
     assert got["value"] == 1
-    # one apply per RK stage, one for the ledger, one per recorded row
-    assert got["laplacian"] == pytest.approx(5 + 1 / record_every)
+    # one apply per RK stage; the accepted point's apply serves the ledger,
+    # the recorded row and the next step's first stage
+    assert got["laplacian"] == 4
