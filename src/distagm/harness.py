@@ -2,8 +2,8 @@
 commands, rate and energy checks.
 
 Configs are YAML mappings. Every stochastic choice is seeded, so identical
-config plus seed yields byte-identical trace files. A config hash is stamped
-into every output.
+config plus seed yields byte-identical trace files. Every trace,
+comparison.csv and summary.csv carry one stamp: config hash, seed, problem.
 """
 
 from __future__ import annotations
