@@ -216,7 +216,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         k2 = flow_rhs(t + half, Y + half * k1, params, obj, graph)
         k3 = flow_rhs(t + half, Y + half * k2, params, obj, graph)
         k4 = flow_rhs(t + dt, Y + dt * k3, params, obj, graph)
-        Y = Y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        Y = Y + dt / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))
         if not np.isfinite(Y).all():
             raise BlowUpError(f"trajectory diverged before t={t + dt:.6g}",
                               last_t=t)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distagm import data_io, harness
 from distagm.graphs import apply_lifted_laplacian, build_topology
@@ -42,6 +44,28 @@ def test_quadratic_value_matches_dense_loop(ring5):
     want_g = np.concatenate([obj.Qs[i] @ (blocks[i] - obj.bs[i])
                              for i in range(5)])
     np.testing.assert_allclose(got, want_g, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=2, max_value=8),
+       d=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_quadratic_operator_matches_per_agent_sweep(m, d, seed):
+    """The dense block-diagonal operator gives the per-agent oracles' values,
+    and it and the offsets it was built from are read-only."""
+    obj = make_quadratic(m, d, seed=seed)
+    X = np.random.default_rng(seed).standard_normal(m * d)
+    blocks = X.reshape(m, d)
+    want_g = np.concatenate([obj.local_grad(i, blocks[i]) for i in range(m)])
+    want_f = sum(obj.local_value(i, blocks[i]) for i in range(m))
+    got_g = obj.grad(X)
+    assert got_g.shape == (m * d,)
+    assert np.linalg.norm(got_g - want_g) <= 1e-12 * np.linalg.norm(want_g)
+    assert obj.value(X) == pytest.approx(want_f, rel=1e-12)
+    assert obj.M.shape == (m * d, m * d)
+    for arr in (obj.M, obj.b, obj.c, obj.Qs, obj.bs):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 def test_dimension_mismatch():
