@@ -24,23 +24,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     ("run", "discrete_rate.yaml"): {
         "dist_agm_trace.csv":
-            "b7d0d0637461f5d970e0f432a12e8d0b92ce9cb1134f3cc444b60c9309e74b4f",
+            "69db27e640f48e46c192c58e5c5e0502297dcf3fa0f07d5fab9e95bf68a2d030",
     },
     ("run", "beta_sweep/beta_0.01.yaml"): {
         "dist_agm_trace.csv":
-            "37c11e2d59d17f5edb80b54023fae4f6a58a2a5b4dcfcfd6187deeff8ce85122",
+            "c40ed68736000e7b918ec80c5b2e05daf3696f0b10c0dd5ef79e7a1fad4f8600",
     },
     ("run", "beta_sweep/beta_0.1.yaml"): {
         "dist_agm_trace.csv":
-            "ca0f48da61ef64c34a3472e84385ae82fa1e1891a3174f576498b56879ac1ef9",
+            "36bd4590dbe7594c66fee12f8c24f12a315b136c4e7e2d0f07d3e4c1731a51ad",
     },
     ("run", "beta_sweep/beta_0.5.yaml"): {
         "dist_agm_trace.csv":
-            "028f4f503d88fa388d4d5d7e7fbf0ba93aba16938ca15e8293d804ecc3a29265",
+            "48efbbd9f5fd8a0b015667ab2873d7aada6eb765da53c1fdaea76ae4918ebde3",
     },
     ("run", "beta_sweep/beta_1.0.yaml"): {
         "dist_agm_trace.csv":
-            "994d336587191285109dc9fae67130da67e74ea7e498d01ddb360620d75bf70b",
+            "6fc0ae36c2aa213c8dfac7de87bbee852039a4579e4b021732e61f6ad60a3d67",
     },
     # dist_agm's columns read the reference x*, not only F*, so its trace
     # and comparison.csv move whenever the reference solver's last bits do.
@@ -58,7 +58,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "aadc9197006df7cc1e91364c1d02908c7f3432086729768cc9697ed3dd84646c",
+            "1aef656cdae6ece3aa2453cbf6778e9ff6c2957f6ae4b12bc30221a6add57ca9",
     },
 }
 
@@ -79,7 +79,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "469d95f4f5d6cdd71b9efdca0e970ff97ab9da240768b9357d3c65d89ca7e241")
+    "f12d923ac645468b30f2b47d199c4072e7452f79437525e327cf431ba6326c1f")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
