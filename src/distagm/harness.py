@@ -65,8 +65,17 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """The ``name`` mapping of the config, empty when absent. Anything else
+    raises ConfigError naming the section."""
+    spec = cfg.get(name, {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name}: must be a mapping, got {spec!r}")
+    return spec
+
+
 def build_graph(cfg: dict):
-    spec = cfg.get("graph", {})
+    spec = _section(cfg, "graph")
     return build_topology(spec.get("kind", "ring"), int(spec.get("m", 5)),
                           p=float(spec.get("p", 0.5)),
                           seed=int(spec.get("seed", 0)))
@@ -108,7 +117,7 @@ def synthetic_gaussian_dataset(n=500, p=10, seed=0, separation=1.5):
 
 def build_problem(cfg: dict, graph):
     """Returns (objective, consensus optimum, problem label)."""
-    spec = cfg.get("problem", {})
+    spec = _section(cfg, "problem")
     kind = spec.get("type", "quadratic")
     if kind == "quadratic":
         obj = make_quadratic(graph.m, int(spec.get("d", 2)),
@@ -146,7 +155,7 @@ def build_problem(cfg: dict, graph):
 def initial_state(cfg: dict, graph, obj):
     """Stacked X0; entries are N(0, 0.1) unless the config pins a consensus
     start or an explicit scale."""
-    spec = cfg.get("init", {})
+    spec = _section(cfg, "init")
     rng = np.random.default_rng(int(spec.get("seed", cfg.get("seed", 0))))
     scale = float(spec.get("scale", 0.1))
     if spec.get("consensus", False):
@@ -202,12 +211,30 @@ def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
 
 
 def _algorithms(cfg):
+    """(name, params) of each entry of the ``algorithms`` list. An entry is a
+    name or a mapping with a ``name`` key. A missing or malformed list, or a
+    name listed twice (its runs would write one trace file), raises
+    ConfigError."""
     algos = cfg.get("algorithms")
     if not algos:
         raise ConfigError("config must list at least one algorithm")
-    return [(entry, {}) if isinstance(entry, str) else
-            (entry["name"], {k: v for k, v in entry.items() if k != "name"})
-            for entry in algos]
+    if not isinstance(algos, list):
+        raise ConfigError(f"algorithms: must be a list, got {algos!r}")
+    entries = []
+    for entry in algos:
+        if isinstance(entry, str):
+            entries.append((entry, {}))
+        elif isinstance(entry, dict) and "name" in entry:
+            entries.append((entry["name"], {k: v for k, v in entry.items()
+                                            if k != "name"}))
+        else:
+            raise ConfigError(f"algorithms: entry {entry!r} has no name")
+    names = [name for name, _ in entries]
+    twice = sorted({str(name) for name in names if names.count(name) > 1})
+    if twice:
+        raise ConfigError(f"algorithms: {', '.join(twice)} listed more than "
+                          "once; each run writes <name>_trace.csv")
+    return entries
 
 
 # The top-level numbers of a config, with their types and defaults.
@@ -235,6 +262,8 @@ def _set_up(cfg: dict, out_dir: str):
     x0); the stamp, config_hash, seed and problem, goes into every output."""
     numbers = {key: _parsed(key, kind, cfg.get(key, default))
                for key, (kind, default) in _NUMBERS.items()}
+    if numbers["iters"] < 0:
+        raise ConfigError(f"iters: must be >= 0, got {numbers['iters']}")
     os.makedirs(out_dir, exist_ok=True)
     graph = _parsed("graph", build_graph, cfg)
     obj, opt, problem = _parsed("problem", build_problem, cfg, graph)
@@ -365,7 +394,7 @@ def _flow_settings(spec: dict):
 def cmd_energy_check(cfg: dict, out_dir: str) -> int:
     """Integrate the continuous flow and report conservation quality."""
     params, record_every = _parsed("flow", _flow_settings,
-                                   cfg.get("flow", {}))
+                                   _section(cfg, "flow"))
     stamp, numbers, graph, obj, opt, x0 = _set_up(cfg, out_dir)
     try:
         trace = flow.integrate(params, obj, graph, x0, np.zeros_like(x0), opt,

@@ -374,9 +374,25 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM):
         ("run", "problem.n", 3, {"type": "logistic-synthetic", "p": 3}),
         ("run", "init.scale", "x"),
         ("run", "iters", "abc"),
+        ("run", "iters", -5),
         ("compare", "gap_threshold", "x"),
         ("energy-check", "drift_tolerance", "x"),
+        # a section that is not a mapping
+        ("run", "graph", 5),
+        ("run", "problem", 5),
+        ("run", "init", "x"),
+        ("energy-check", "flow", 1),
     ]),
+    # two runs of one name would write one trace file
+    pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5, "algorithms": [
+        {"name": "dgd", "alpha": 0.01}, {"name": "dgd", "alpha": 0.05}]},
+        "dgd", id="run-duplicate-dgd"),
+    pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5,
+                         "algorithms": [{"alpha": 0.01}]},
+                 "algorithms", id="run-algorithm-without-name"),
+    pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5,
+                         "algorithms": "dgd"},
+                 "algorithms", id="run-algorithms-not-a-list"),
 ])
 def test_invalid_config_value_exit_code(command, cfg, section, tmp_path,
                                         capsys):
