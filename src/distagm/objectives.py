@@ -117,7 +117,8 @@ class QuadraticObjective(SeparableObjective):
         M = np.zeros((self.m * d, self.m * d))
         for i, q in enumerate(Qs):
             M[i * d:(i + 1) * d, i * d:(i + 1) * d] = q
-        # M, b and c are derived from Qs and bs, so none of them may change
+        # M, b and c are derived from Qs and bs, so all five are read-only;
+        # Qs and bs are copies, which leaves the caller's arrays writable
         for arr in (Qs, bs, M):
             arr.setflags(write=False)
         self.Qs, self.bs, self.M = Qs, bs, M
