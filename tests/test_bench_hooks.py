@@ -7,10 +7,12 @@ benchmark.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from distagm import agm, baselines, flow, harness
 from distagm.objectives import QuadraticObjective
@@ -51,3 +53,32 @@ def test_flow_steps_matches_integrate(child, ring5, flow_quadratic, x0_ring5,
     trace = flow.integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
                            record_every=1, startup_dt_fraction=fraction)
     assert child.flow_steps(params, fraction) == len(trace) - 1
+
+
+def test_coarse_spans_time_set_up_and_solve(child, tmp_path, monkeypatch):
+    """The coarse child, which the end-to-end benchmark runs, times the
+    set-up and solve calls the harness looks up by module attribute. A
+    harness that bound one of them to a local name would read 0 here."""
+    spans = []
+
+    class Kept(child.Spans):
+        def __init__(self, tracer):
+            super().__init__(tracer)
+            spans.append(self)
+
+    monkeypatch.setattr(child, "Spans", Kept)
+    cfg = {"problem": {"common_offset": [0.3, -0.2]}, "iters": 5,
+           "algorithms": ["dist_agm"], "flow": {"horizon": 1.2}}
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = tmp_path / "result.json"
+    assert child.main([str(result), "coarse",
+                       "--", "run", str(path), "--out", str(tmp_path / "r"),
+                       "--", "energy-check", str(path),
+                       "--out", str(tmp_path / "e")]) == 0
+    counts = {name: spans[0].count(name) for name in spans[0].ids}
+    assert counts == {"harness.build_graph": 2, "harness.build_problem": 2,
+                      "harness.initial_state": 2, "harness.run_algorithm": 1,
+                      "flow.integrate": 1}
+    timings = json.loads(result.read_text())
+    assert timings["setup_s"] > 0.0 and timings["solve_s"] > 0.0

@@ -1,13 +1,16 @@
 """Config handling, CLI subcommands, exit codes, and output determinism."""
 
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from distagm import harness
+from distagm import agm, data_io, flow, harness
 from distagm.cli import main
+from distagm.graphs import build_topology
+from distagm.objectives import make_quadratic
 from distagm.trace import RunTrace
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -426,3 +429,96 @@ def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5):
         trace = harness.run_algorithm(params.pop("name"), params, obj, ring5,
                                       x0_ring5, opt, iters=0)
         assert len(trace) == 1
+
+
+def effective_args(fn, *args, **kwargs):
+    """The arguments ``fn`` runs with: those passed plus its defaults."""
+    call = inspect.signature(fn).bind(*args, **kwargs)
+    call.apply_defaults()
+    return call.arguments
+
+
+@pytest.mark.parametrize("cfg", [
+    {}, {"graph": {}, "problem": {}, "init": {}, "flow": {}}],
+    ids=["omitted", "empty"])
+def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
+    """A section with no keys builds what the library builds from the
+    required arguments alone, which the harness sets to ring, 5 agents,
+    d = 2, flow beta 0.1 and dist_agm h 10, beta 0.1."""
+    graph = harness.build_graph(cfg)
+    ring = build_topology("ring", 5)
+    assert (graph.m, graph.edges) == (ring.m, ring.edges)
+    obj, opt, label = harness.build_problem(cfg, graph)
+    quad = make_quadratic(5, 2)
+    np.testing.assert_array_equal(obj.Qs, quad.Qs)
+    np.testing.assert_array_equal(obj.bs, quad.bs)
+    assert label == "quadratic"
+    x0 = harness.initial_state(cfg, graph, obj)
+    np.testing.assert_array_equal(
+        x0, 0.1 * np.random.default_rng(0).standard_normal(10))
+
+    def bare(name):
+        return harness.run_algorithm(name, {}, obj, graph, x0, opt,
+                                     iters=0).metadata
+
+    assert bare("dist_agm") == agm.adaptive_run(obj, graph, x0, 10.0, 0.1,
+                                                0, opt).metadata
+    assert {key: bare("dist_agm")[key] for key in (
+        "algorithm", "h", "beta", "oracle_mode")} == {
+        "algorithm": "dist_agm_adaptive", "h": 10.0, "beta": 0.1,
+        "oracle_mode": "exact"}
+    assert bare("dgd")["alpha"] == bare("diging")["alpha"] == 0.001
+    assert {key: bare("pi_consensus")[key] for key in (
+        "alpha", "beta_gain", "h_step")} == {
+        "alpha": 0.01, "beta_gain": 0.1, "h_step": 0.05}
+
+    seen = {}
+    real_integrate = flow.integrate
+
+    def integrate(*args, **kwargs):
+        seen.update(effective_args(real_integrate, *args, **kwargs))
+        raise flow.BlowUpError("stop", last_t=0.0)
+
+    monkeypatch.setattr(flow, "integrate", integrate)
+    assert harness.cmd_energy_check(cfg, str(tmp_path)) == 3
+    assert seen["params"] == flow.FlowParams(beta=0.1)
+    assert seen["record_every"] == 10
+
+
+def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):
+    """A logistic problem that sets only its type solves the n=500, p=10
+    synthetic data, or the first 500 images of digits 5 and 1, with a
+    ridge of 1e-4 to a gradient norm of 1e-9 in at most 500000 steps."""
+    solver_args = []
+    real_solve = harness.solve_consensus_optimum
+
+    def solve(*args, **kwargs):
+        solver_args.append(effective_args(real_solve, *args, **kwargs))
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_consensus_optimum", solve)
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, size=(900, 2, 2)).astype(np.uint8)
+    labels = rng.choice([1, 5, 7], size=900).astype(np.uint8)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(
+        data_io.serialize_idx(images))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(
+        data_io.serialize_idx(labels))
+    expected = {
+        "logistic-synthetic": harness.synthetic_gaussian_dataset(
+            n=500, p=10, seed=0),
+        "logistic-mnist": data_io.build_binary_dataset(
+            images, labels, positive_digit=5, negative_digit=1, cap=500,
+            seed=0),
+    }
+    graph = harness.build_graph({})
+    for kind, ds in expected.items():
+        cfg = {"problem": {"type": kind, "dataset_root": str(tmp_path)}}
+        if kind == "logistic-synthetic":
+            del cfg["problem"]["dataset_root"]
+        obj, _, _ = harness.build_problem(cfg, graph)
+        np.testing.assert_array_equal(np.vstack(obj.Zs), ds.features)
+        np.testing.assert_array_equal(np.concatenate(obj.ys), ds.labels)
+        assert obj.l2 == 1e-4
+    assert [(args["tol"], args["max_iter"]) for args in solver_args] == [
+        (1e-9, 500_000)] * 2
