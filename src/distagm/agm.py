@@ -98,6 +98,11 @@ def theta(k: int) -> float:
     return 0.5 * k
 
 
+def _grad_weight(k: int, h: float, beta: float) -> float:
+    """Gradient weight (2 theta_k h)^{-beta}; 2 theta_k = k exactly."""
+    return (k * h) ** (-beta)
+
+
 def c_coeff(k: int) -> float:
     """theta_{k+1} / (theta_{k+1}^2 - theta_k^2) = 2(k+1)/(2k+1)."""
     return theta(k + 1) / (theta(k + 1) ** 2 - theta(k) ** 2)
@@ -146,10 +151,9 @@ def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     if state.ev is not None:
         return state.ev
     X = state.X
-    scale = (2.0 * theta(state.k) * state.h) ** (-state.beta)
     grad = obj.grad(X)
     lx = apply_lifted_laplacian(graph, obj.d, X)
-    G = scale * grad + lx
+    G = _grad_weight(state.k, state.h, state.beta) * grad + lx
     # Laplacian quadratic in the error; Llift X* vanishes at consensus.
     return IterateEval(grad=grad, lx=lx, G=G,
                        gap=obj.value(X) - opt.f_star,
@@ -198,8 +202,8 @@ def combined_field(state_k: int, X: np.ndarray, h: float, beta: float,
 
     ``step`` reads G_k from the iterate's stored evaluation instead; this
     is the independent oracle the update-algebra checks compare it with."""
-    scale = (2.0 * theta(state_k) * h) ** (-beta)
-    return scale * obj.grad(X) + apply_lifted_laplacian(graph, obj.d, X)
+    return (_grad_weight(state_k, h, beta) * obj.grad(X)
+            + apply_lifted_laplacian(graph, obj.d, X))
 
 
 def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
@@ -252,7 +256,7 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
                              obj: SeparableObjective, graph: AgentGraph,
                              opt: ConsensusOptimum,
                              lam_max: float,
-                             oracle_mode: str = "exact") -> StepDiagnostics:
+                             oracle_mode: str) -> StepDiagnostics:
     """Controller quantities for the transition k -> k+1 (k = prev.k >= 1).
 
     Only fills the raw quantities and the smoothness cap; case selection and
@@ -260,8 +264,8 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     """
     k = prev.k
     h, beta = prev.h, prev.beta
-    scale_k = (2.0 * theta(k) * h) ** (-beta)
-    scale_next = (2.0 * theta(k + 1) * h) ** (-beta)
+    scale_k = _grad_weight(k, h, beta)
+    scale_next = _grad_weight(k + 1, h, beta)
     ev_k = _evaluated(prev, obj, graph, opt)
     ev_next = _evaluated(nxt, obj, graph, opt)
     g_k, g_next = ev_k.G, ev_next.G
@@ -283,7 +287,7 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
 def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
                           graph: AgentGraph, opt: ConsensusOptimum,
                           lam_max: float,
-                          oracle_mode: str = "exact") -> StepDiagnostics:
+                          oracle_mode: str) -> StepDiagnostics:
     """k=0 specialization: both endpoints use the theta_1 gradient scale.
 
     With the trivial bootstrap X_1 = X_0, the a-quantity vanishes and the
@@ -291,9 +295,8 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     for the choice of s_1.
     """
     h, beta = state1.h, state1.beta
-    scale = (2.0 * theta(1) * h) ** (-beta)
     ev = _evaluated(state1, obj, graph, opt)
-    gs = scale * _grad_star(opt, oracle_mode, ev.G.size)
+    gs = _grad_weight(1, h, beta) * _grad_star(opt, oracle_mode, ev.G.size)
     r1 = -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - ev.G))
     cap = smoothness_cap(1, h, beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=0.0, b=2.0 * ev.g_sq, a_tilde=0.0,
@@ -304,7 +307,7 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
 def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
                    l_f: float) -> float:
     """Step cap 1 / max{lambda_max, (k h)^{-beta} L_f}."""
-    return 1.0 / max(lam_max, (k * h) ** (-beta) * l_f)
+    return 1.0 / max(lam_max, _grad_weight(k, h, beta) * l_f)
 
 
 def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
@@ -350,10 +353,9 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
         raise ValueError("V_k is defined for k >= 1; use lyapunov_v0_prime")
     if not prev.s > 0.0:
         return np.nan
-    scale = (2.0 * theta(k) * prev.h) ** (-prev.beta)
     ev = _evaluated(prev, obj, graph, opt)
     weight = 2.0 * c_coeff(k) * theta(k) ** 2
-    fn_term = weight * scale * ev.gap
+    fn_term = weight * _grad_weight(k, prev.h, prev.beta) * ev.gap
     cons_term = weight * ev.quad
     pen_term = -weight * 0.25 * prev.s * ev.g_sq
     z_err = nxt.Z - opt.x_star_stacked
@@ -373,9 +375,9 @@ def lyapunov_v0_prime(X0: np.ndarray, opt: ConsensusOptimum,
 
 def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
                    X0: np.ndarray, h: float, beta: float, iters: int,
-                   opt: ConsensusOptimum, s_override=None) -> RunTrace:
-    """Fixed step s = h^2 (or an override) for every iteration k >= 1."""
-    s = h * h if s_override is None else float(s_override)
+                   opt: ConsensusOptimum, s=None) -> RunTrace:
+    """Fixed step ``s`` (h^2 when None) for every iteration k >= 1."""
+    s = h * h if s is None else float(s)
     if not 0.0 < s < math.inf:
         raise ValueError(f"s must be finite and positive, got {s}")
     state = init(X0, h, beta)

@@ -30,25 +30,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(subs.add_parser(
         "energy-check", help="integrate the flow and report energy drift"))
 
-    rate = subs.add_parser("rate-check",
+    # an option left out takes the default of the function it is passed to
+    rate = subs.add_parser("rate-check", argument_default=argparse.SUPPRESS,
                            help="fit a convergence slope from a trace CSV")
-    rate.add_argument("trace", help="trace CSV produced by run/compare")
+    rate.add_argument("trace_path", metavar="trace",
+                      help="trace CSV produced by run/compare")
     rate.add_argument("--beta", type=float, required=True)
-    rate.add_argument("--window", type=float, nargs=2, default=None,
-                      metavar=("LO", "HI"))
-    rate.add_argument("--tail-fraction", type=float, default=0.5)
-    rate.add_argument("--tolerance", type=float, default=0.3)
+    rate.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
+    rate.add_argument("--tail-fraction", type=float)
+    rate.add_argument("--tolerance", type=float)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "rate-check":
+        options = vars(args)
+        del options["command"]
         try:
-            return harness.cmd_rate_check(
-                args.trace, args.beta,
-                window=tuple(args.window) if args.window else None,
-                tail_fraction=args.tail_fraction, tolerance=args.tolerance)
+            return harness.cmd_rate_check(**options)
         except (ValueError, OSError) as err:
             print(f"error: {err}", file=sys.stderr)
             return harness.EXIT_CONFIG

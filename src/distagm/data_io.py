@@ -102,10 +102,10 @@ def serialize_idx(arr: np.ndarray) -> bytes:
 
 def build_binary_dataset(images: np.ndarray, labels: np.ndarray,
                          positive_digit: int = 5, negative_digit: int = 1,
-                         cap=None, seed: int = 0,
+                         cap=500, seed: int = 0,
                          source: str = "") -> LabeledDataset:
     """Two-digit subset: pixels scaled by 1/255, bias column appended,
-    labels mapped to {0, 1}, deterministic shuffle, optional row cap."""
+    labels mapped to {0, 1}, deterministic shuffle, row cap (None: all)."""
     if positive_digit == negative_digit:
         raise ValueError("digits must be distinct")
     labels = np.asarray(labels).reshape(-1)

@@ -163,7 +163,7 @@ def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
 
 def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
               X0: np.ndarray, V0: np.ndarray, opt: ConsensusOptimum,
-              record_every: int = 1, startup_dt_fraction: float = 0.05) -> RunTrace:
+              record_every: int = 10, startup_dt_fraction: float = 0.05) -> RunTrace:
     """RK4 trajectory with conserved-energy bookkeeping.
 
     The step is ``params.dt`` except near a tiny t0, where the 3/t damping
@@ -174,6 +174,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     the next step's first stage. A step that leaves the finite range raises
     BlowUpError carrying the time of the last accepted point.
     """
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     X0 = np.asarray(X0, dtype=float)
     V0 = np.asarray(V0, dtype=float)
     n = graph.m * obj.d

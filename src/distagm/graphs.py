@@ -25,6 +25,8 @@ __all__ = [
 
 # Relative eigenvalue threshold below which an eigenvalue counts as zero.
 _CONNECTIVITY_RTOL = 1e-9
+# Erdos-Renyi draws tried before a disconnected sample is an error.
+_ER_DRAWS = 100
 
 
 class GraphError(ValueError):
@@ -80,12 +82,12 @@ def _graph_from_edges(m: int, edges) -> AgentGraph:
     return g
 
 
-def build_topology(kind: str, m: int, p: float = 0.5, seed: int = 0,
-                   max_retries: int = 100) -> AgentGraph:
+def build_topology(kind: str, m: int, p: float = 0.5,
+                   seed: int = 0) -> AgentGraph:
     """Construct a named connected topology over ``m`` agents.
 
     ``kind`` is one of ring, path, star, complete, erdos_renyi. Erdos-Renyi
-    graphs are resampled until connected, up to ``max_retries`` draws.
+    graphs are resampled until connected, up to 100 draws.
     """
     if m < 2:
         raise GraphError(f"need at least 2 agents, got m={m}")
@@ -103,7 +105,7 @@ def build_topology(kind: str, m: int, p: float = 0.5, seed: int = 0,
             m, [(i, j) for i in range(m) for j in range(i + 1, m)])
     if kind == "erdos_renyi":
         rng = np.random.default_rng(seed)
-        for _ in range(max_retries):
+        for _ in range(_ER_DRAWS):
             mask = rng.random((m, m)) < p
             edges = [(i, j) for i in range(m) for j in range(i + 1, m)
                      if mask[i, j]]
@@ -112,7 +114,7 @@ def build_topology(kind: str, m: int, p: float = 0.5, seed: int = 0,
             except NotConnectedError:
                 continue
         raise NotConnectedError(
-            f"no connected erdos_renyi(p={p}) graph in {max_retries} draws")
+            f"no connected erdos_renyi(p={p}) graph in {_ER_DRAWS} draws")
     raise GraphError(f"unknown topology kind: {kind!r}")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -65,7 +66,58 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-def _section(cfg: dict, name: str) -> dict:
+_LOGISTIC = {"type": None, "n": int, "p": int, "seed": int, "l2": float,
+             "solver_tol": float, "solver_max_iter": int}
+# The keys each config section may set, with the cast each value gets (None
+# keeps it as written). A problem's keys depend on its type and an entry's
+# on its algorithm. A key left out takes the default of the function that
+# reads it.
+_KEYS = {
+    "top level": {"seed": None, "iters": int, "gap_threshold": float,
+                  "drift_tolerance": float, "graph": None, "problem": None,
+                  "init": None, "flow": None, "algorithms": None},
+    "graph": {"kind": None, "m": int, "p": float, "seed": int},
+    "problem": {
+        "quadratic": {"type": None, "d": int, "cond": float, "seed": int,
+                      "scale": float, "offset_scale": float,
+                      "common_offset": None},
+        "logistic-synthetic": _LOGISTIC,
+        # n and p shape the synthetic data used when the files are absent
+        "logistic-mnist": {**_LOGISTIC, "dataset_root": None, "images": None,
+                           "labels": None, "positive_digit": int,
+                           "negative_digit": int, "cap": int}},
+    "init": {"seed": int, "scale": float, "consensus": None},
+    "flow": {"beta": float, "k_gain": float, "t0": float, "dt": float,
+             "horizon": float, "record_every": int},
+    "algorithms": {
+        "dist_agm": {"mode": None, "h": float, "beta": float, "s": None,
+                     "oracle_mode": None, "s1_fraction": float},
+        "dgd": {"alpha": float}, "diging": {"alpha": float},
+        "pi_consensus": {"alpha": float, "beta_gain": float,
+                         "h_step": float}},
+}
+
+
+def _settings(where: str, spec: dict, keys: dict, **required) -> dict:
+    """``required`` updated with the keys ``spec`` sets, each cast as
+    ``keys`` says. A key ``keys`` does not list, or a value its cast
+    refuses, raises ConfigError naming ``where`` and the key."""
+    for key, value in spec.items():
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key}")
+        try:
+            required[key] = value if keys[key] is None else keys[key](value)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{where}: {key}: {err}") from err
+    return required
+
+
+def _pick(settings: dict, *keys) -> dict:
+    """The entries of ``settings`` under ``keys`` that it holds."""
+    return {key: settings[key] for key in keys if key in settings}
+
+
+def _mapping(cfg: dict, name: str) -> dict:
     """The ``name`` mapping of the config, empty when absent. Anything else
     raises ConfigError naming the section."""
     spec = cfg.get(name, {})
@@ -74,11 +126,19 @@ def _section(cfg: dict, name: str) -> dict:
     return spec
 
 
+def _section(cfg: dict, name: str, **required) -> dict:
+    """The settings of the ``name`` section over ``required``."""
+    return _settings(name, _mapping(cfg, name), _KEYS[name], **required)
+
+
+def _top_level(cfg: dict) -> dict:
+    """The top-level settings over their defaults."""
+    return _settings("top level", cfg, _KEYS["top level"], seed=0,
+                     iters=1000, gap_threshold=1e-3, drift_tolerance=1e-3)
+
+
 def build_graph(cfg: dict):
-    spec = _section(cfg, "graph")
-    return build_topology(spec.get("kind", "ring"), int(spec.get("m", 5)),
-                          p=float(spec.get("p", 0.5)),
-                          seed=int(spec.get("seed", 0)))
+    return build_topology(**_section(cfg, "graph", kind="ring", m=5))
 
 
 def _mnist_dataset(spec):
@@ -91,20 +151,15 @@ def _mnist_dataset(spec):
         images = data_io.parse_idx(fh.read())
     with open(lab_path, "rb") as fh:
         labels = data_io.parse_idx(fh.read())
-    return data_io.build_binary_dataset(
-        images, labels,
-        positive_digit=int(spec.get("positive_digit", 5)),
-        negative_digit=int(spec.get("negative_digit", 1)),
-        cap=int(spec.get("cap", 500)),
-        seed=int(spec.get("seed", 0)),
-        source=img_path)
+    return data_io.build_binary_dataset(images, labels, source=img_path, **_pick(
+        spec, "positive_digit", "negative_digit", "cap", "seed"))
 
 
-def synthetic_gaussian_dataset(n=500, p=10, seed=0, separation=1.5):
+def synthetic_gaussian_dataset(n=500, p=10, seed=0):
     """Two-class Gaussian fallback when MNIST files are not on disk."""
     rng = np.random.default_rng(seed)
     half = n // 2
-    mu = separation * rng.standard_normal(p) / np.sqrt(p)
+    mu = 1.5 * rng.standard_normal(p) / np.sqrt(p)
     feats = np.vstack([rng.standard_normal((half, p)) + mu,
                        rng.standard_normal((n - half, p)) - mu])
     feats = (feats - feats.min()) / max(feats.max() - feats.min(), 1e-12)
@@ -117,15 +172,15 @@ def synthetic_gaussian_dataset(n=500, p=10, seed=0, separation=1.5):
 
 def build_problem(cfg: dict, graph):
     """Returns (objective, consensus optimum, problem label)."""
-    spec = _section(cfg, "problem")
+    spec = _mapping(cfg, "problem")
     kind = spec.get("type", "quadratic")
+    if kind not in _KEYS["problem"]:
+        raise ConfigError(f"unknown problem type {kind!r}")
+    settings = _settings("problem", spec, _KEYS["problem"][kind])
+    settings.pop("type", None)
     if kind == "quadratic":
-        obj = make_quadratic(graph.m, int(spec.get("d", 2)),
-                             cond=float(spec.get("cond", 10.0)),
-                             seed=int(spec.get("seed", 0)),
-                             scale=float(spec.get("scale", 1.0)),
-                             offset_scale=float(spec.get("offset_scale", 1.0)))
-        common = spec.get("common_offset")
+        common = settings.pop("common_offset", None)
+        obj = make_quadratic(graph.m, settings.pop("d", 2), **settings)
         if common is not None:
             # identical local minimizers: F >= F* along any trajectory
             bs = np.tile(np.asarray(common, dtype=float), (graph.m, 1))
@@ -133,77 +188,56 @@ def build_problem(cfg: dict, graph):
                 raise ConfigError("common_offset length must equal d")
             obj = QuadraticObjective(obj.Qs, bs)
         return obj, obj.closed_form_optimum(), "quadratic"
-    if kind in ("logistic-synthetic", "logistic-mnist"):
-        ds = None
-        if kind == "logistic-mnist":
-            ds = _mnist_dataset(spec)
-        if ds is None:
-            ds = synthetic_gaussian_dataset(
-                n=int(spec.get("n", 500)), p=int(spec.get("p", 10)),
-                seed=int(spec.get("seed", 0)))
-        shards = data_io.shard(ds, graph.m)
-        obj = LogisticObjective([s.features for s in shards],
-                                [s.labels for s in shards],
-                                l2=float(spec.get("l2", 1e-4)))
-        opt = solve_consensus_optimum(
-            obj, tol=float(spec.get("solver_tol", 1e-9)),
-            max_iter=int(spec.get("solver_max_iter", 500_000)))
-        return obj, opt, ds.source or kind
-    raise ConfigError(f"unknown problem type {kind!r}")
+    ds = _mnist_dataset(settings) if kind == "logistic-mnist" else None
+    if ds is None:
+        ds = synthetic_gaussian_dataset(**_pick(settings, "n", "p", "seed"))
+    shards = data_io.shard(ds, graph.m)
+    obj = LogisticObjective([s.features for s in shards],
+                            [s.labels for s in shards],
+                            **_pick(settings, "l2"))
+    solver = _pick(settings, "solver_tol", "solver_max_iter")
+    opt = solve_consensus_optimum(obj, **{
+        key.removeprefix("solver_"): value for key, value in solver.items()})
+    return obj, opt, ds.source or kind
 
 
 def initial_state(cfg: dict, graph, obj):
     """Stacked X0; entries are N(0, 0.1) unless the config pins a consensus
-    start or an explicit scale."""
-    spec = _section(cfg, "init")
-    rng = np.random.default_rng(int(spec.get("seed", cfg.get("seed", 0))))
-    scale = float(spec.get("scale", 0.1))
-    if spec.get("consensus", False):
-        x = scale * rng.standard_normal(obj.d)
-        return obj.stack(x)
-    return scale * rng.standard_normal(graph.m * obj.d)
-
-
-# The keys an algorithm entry may set besides its name.
-_ALGORITHM_KEYS = {
-    "dist_agm": {"mode", "h", "beta", "s", "oracle_mode", "s1_fraction"},
-    "dgd": {"alpha"}, "diging": {"alpha"},
-    "pi_consensus": {"alpha", "beta_gain", "h_step"}}
+    start or an explicit scale. The seed defaults to the top-level one."""
+    init = _section(cfg, "init", seed=_top_level(cfg)["seed"], scale=0.1,
+                    consensus=False)
+    rng = np.random.default_rng(int(init["seed"]))
+    if init["consensus"]:
+        return obj.stack(init["scale"] * rng.standard_normal(obj.d))
+    return init["scale"] * rng.standard_normal(graph.m * obj.d)
 
 
 def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
                   iters: int) -> RunTrace:
-    """One configured algorithm on the problem. An unknown key, or a
+    """One configured algorithm on the problem; the harness sets the
+    arguments the run functions do not default. An unknown key, or a
     parameter that does not parse or is out of range, raises ConfigError
     naming the algorithm."""
-    if name not in _ALGORITHM_KEYS:
+    if name not in _KEYS["algorithms"]:
         raise ConfigError(f"unknown algorithm {name!r}")
-    params = dict(params or {})
-    unknown = ", ".join(sorted(set(params) - _ALGORITHM_KEYS[name]))
-    if unknown:
-        raise ConfigError(f"algorithm {name}: unknown key {unknown}")
+    required = {"dist_agm": {"mode": "adaptive", "h": 10.0, "beta": 0.1},
+                "dgd": {"alpha": 0.001}, "diging": {"alpha": 0.001},
+                "pi_consensus": {"alpha": 0.01, "beta_gain": 0.1}}[name]
+    settings = _settings(f"algorithm {name}", params or {},
+                         _KEYS["algorithms"][name], **required)
     try:
+        run = getattr(baselines, f"{name}_run", None)
         if name == "dist_agm":
-            h = float(params.get("h", 10.0))
-            beta = float(params.get("beta", 0.1))
-            mode = params.get("mode", "adaptive")
-            if mode == "fixed":
-                return agm.fixed_step_run(obj, graph, X0, h, beta, iters, opt,
-                                          s_override=params.get("s"))
-            if mode != "adaptive":
+            # each mode reads h, beta and its own keys
+            mode = settings.pop("mode")
+            if mode == "adaptive":
+                run, reads = agm.adaptive_run, ("oracle_mode", "s1_fraction")
+            elif mode == "fixed":
+                run, reads = agm.fixed_step_run, ("s",)
+            else:
                 raise ValueError(f"unknown mode {mode!r}")
-            return agm.adaptive_run(
-                obj, graph, X0, h, beta, iters, opt,
-                oracle_mode=params.get("oracle_mode", "exact"),
-                s1_fraction=float(params.get("s1_fraction", 1e-3)))
-        if name in ("dgd", "diging"):
-            run = baselines.dgd_run if name == "dgd" else baselines.diging_run
-            return run(obj, graph, X0, float(params.get("alpha", 0.001)),
-                       iters, opt)
-        return baselines.pi_consensus_run(
-            obj, graph, X0, float(params.get("alpha", 0.01)),
-            float(params.get("beta_gain", 0.1)), iters, opt,
-            h_step=float(params.get("h_step", 0.05)))
+            settings = _pick(settings, "h", "beta", *reads)
+        return run(obj, graph, X0, iters=iters, opt=opt, **settings)
     except ValueError as err:
         # the runs raise ValueError only for a value they were given (h,
         # beta, alpha, oracle_mode, ...), which here comes from the config
@@ -237,17 +271,12 @@ def _algorithms(cfg):
     return entries
 
 
-# The top-level numbers of a config, with their types and defaults.
-_NUMBERS = {"iters": (int, 1000), "gap_threshold": (float, 1e-3),
-            "drift_tolerance": (float, 1e-3)}
-
-
-def _parsed(section: str, build, *args):
-    """``build(*args)``, where a ValueError or TypeError is a bad value in
-    the config: it becomes a ConfigError naming ``section``. A ConfigError
-    passes through unchanged."""
+def _parsed(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, where a ValueError or TypeError is a bad
+    value in the config: it becomes a ConfigError naming ``section``. A
+    ConfigError passes through unchanged."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ConfigError:
         raise
     except (TypeError, ValueError) as err:
@@ -255,20 +284,24 @@ def _parsed(section: str, build, *args):
 
 
 def _set_up(cfg: dict, out_dir: str):
-    """What every config command starts from: reads the top-level numbers,
+    """What every config command starts from: reads the top-level settings,
     makes the output directory and builds the graph, the problem and the
     start. A value that does not parse or is out of range raises ConfigError
-    naming its section. Returns (stamp, numbers, graph, objective, optimum,
-    x0); the stamp, config_hash, seed and problem, goes into every output."""
-    numbers = {key: _parsed(key, kind, cfg.get(key, default))
-               for key, (kind, default) in _NUMBERS.items()}
+    naming its section. Returns (stamp, top-level settings, graph,
+    objective, optimum, x0); the stamp, config_hash, seed and problem, goes
+    into every output."""
+    numbers = _top_level(cfg)
     if numbers["iters"] < 0:
         raise ConfigError(f"iters: must be >= 0, got {numbers['iters']}")
+    for key in ("gap_threshold", "drift_tolerance"):
+        if not 0.0 < numbers[key] < math.inf:
+            raise ConfigError(f"{key}: must be finite and positive, got "
+                              f"{numbers[key]}")
     os.makedirs(out_dir, exist_ok=True)
     graph = _parsed("graph", build_graph, cfg)
     obj, opt, problem = _parsed("problem", build_problem, cfg, graph)
     x0 = _parsed("init", initial_state, cfg, graph, obj)
-    stamp = {"config_hash": config_hash(cfg), "seed": cfg.get("seed", 0),
+    stamp = {"config_hash": config_hash(cfg), "seed": numbers["seed"],
              "problem": problem}
     return stamp, numbers, graph, obj, opt, x0
 
@@ -359,17 +392,17 @@ def cmd_compare(cfg: dict, out_dir: str) -> int:
     return code
 
 
-def cmd_rate_check(trace_path: str, beta: float, window=None,
-                   tail_fraction: float = 0.5, tolerance: float = 0.3) -> int:
-    """Fit the tail slope of a trace and compare against -(2 - beta)."""
+def cmd_rate_check(trace_path: str, beta: float, tolerance: float = 0.3,
+                   **fit) -> int:
+    """Fit the tail slope of a trace and compare against -(2 - beta).
+    ``fit`` holds the keyword arguments of ``flow.rate_slope`` the caller
+    sets (``window``, ``tail_fraction``)."""
     trace = RunTrace.read_csv(trace_path)
     axis = "t" if "t" in trace.columns else "k"
     ts = trace.column(axis)
     gaps = trace.column("F_gap")
     mask = ts > 0
-    slope, r2, flagged = flow.rate_slope(ts[mask], gaps[mask],
-                                         tail_fraction=tail_fraction,
-                                         window=window)
+    slope, r2, flagged = flow.rate_slope(ts[mask], gaps[mask], **fit)
     target = -(2.0 - beta)
     ok = slope <= target + tolerance
     print(f"slope={slope:.4f} r2={r2:.4f} target={target:.4f} "
@@ -378,27 +411,18 @@ def cmd_rate_check(trace_path: str, beta: float, window=None,
     return EXIT_OK if ok else 1
 
 
-def _flow_settings(spec: dict):
-    """FlowParams and record_every of the ``flow`` section. Beta defaults
-    to 0.1; the other parameters a section leaves out keep FlowParams'
-    defaults."""
-    params = flow.FlowParams(beta=float(spec.get("beta", 0.1)), **{
-        key: float(spec[key]) for key in ("k_gain", "t0", "dt", "horizon")
-        if key in spec})
-    record_every = int(spec.get("record_every", 10))
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    return params, record_every
-
-
 def cmd_energy_check(cfg: dict, out_dir: str) -> int:
-    """Integrate the continuous flow and report conservation quality."""
-    params, record_every = _parsed("flow", _flow_settings,
-                                   _section(cfg, "flow"))
+    """Integrate the continuous flow and report conservation quality. Beta
+    defaults to 0.1; the other keys of the ``flow`` section go to
+    FlowParams, except ``record_every``, which goes to ``flow.integrate``."""
+    settings = _section(cfg, "flow", beta=0.1)
+    record = _pick(settings, "record_every")
+    params = _parsed("flow", flow.FlowParams, **_pick(
+        settings, "beta", "k_gain", "t0", "dt", "horizon"))
     stamp, numbers, graph, obj, opt, x0 = _set_up(cfg, out_dir)
     try:
-        trace = flow.integrate(params, obj, graph, x0, np.zeros_like(x0), opt,
-                               record_every=record_every)
+        trace = _parsed("flow", flow.integrate, params, obj, graph, x0,
+                        np.zeros_like(x0), opt, **record)
     except flow.BlowUpError as err:
         print(f"FAIL blow-up at t={err.last_t}")
         return EXIT_DIVERGENCE

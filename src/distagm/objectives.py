@@ -158,9 +158,9 @@ class QuadraticObjective(SeparableObjective):
 
 class LogisticObjective(SeparableObjective):
     """Sharded cross-entropy: f_i(w) = sum over shard i of
-    log(1 + exp(z^T w)) - y z^T w, plus an optional ridge (l2/2m)||w||^2."""
+    log(1 + exp(z^T w)) - y z^T w, plus a ridge (l2/2m)||w||^2."""
 
-    def __init__(self, shards_z, shards_y, l2: float = 0.0):
+    def __init__(self, shards_z, shards_y, l2: float = 1e-4):
         if len(shards_z) != len(shards_y) or not shards_z:
             raise ValueError("need matching, non-empty feature/label shard lists")
         self.Zs = [np.asarray(z, dtype=float) for z in shards_z]
@@ -225,10 +225,11 @@ def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
 
 
 def make_logistic(features: np.ndarray, labels: np.ndarray, shards,
-                  l2: float = 1e-4) -> LogisticObjective:
+                  **objective) -> LogisticObjective:
     """Logistic objective sharded across agents.
 
-    ``shards`` is the agent count of a contiguous near-equal split.
+    ``shards`` is the agent count of a contiguous near-equal split;
+    ``objective`` holds LogisticObjective's keyword arguments (``l2``).
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -238,7 +239,7 @@ def make_logistic(features: np.ndarray, labels: np.ndarray, shards,
     return LogisticObjective(
         [features[idx] for idx in pieces],
         [labels[idx] for idx in pieces],
-        l2=l2,
+        **objective,
     )
 
 
@@ -250,12 +251,11 @@ _BACKTRACK = 0.5
 _F_RESOLUTION = 1e-12
 
 
-def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-10,
-                            max_iter: int = 200_000,
-                            x0=None) -> ConsensusOptimum:
+def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
+                            max_iter: int = 500_000) -> ConsensusOptimum:
     """Damped Newton on the centralized cost sum_i f_i, with Armijo
     backtracking on its value (Boyd & Vandenberghe, Convex Optimization,
-    Alg. 9.5).
+    Alg. 9.5), from x = 0.
 
     Runs until the centralized gradient norm falls below ``tol``. Raises
     SolverError carrying the best iterate if ``max_iter`` Newton steps do
@@ -263,7 +263,7 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = np.zeros(obj.d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(obj.d)
     f = obj.central_value(x)
     best_x, best_norm = x.copy(), np.inf
     for it in range(max_iter + 1):

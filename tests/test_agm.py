@@ -134,7 +134,8 @@ def test_b_tilde_dominates_w(ring5, flow_quadratic):
         nxt = AgmState(k=prev.k + 1, X=rng.standard_normal(10),
                        X_plus=prev.X_plus, Z=prev.Z, s=prev.s, h=1.0,
                        beta=0.1)
-        diag = compute_step_diagnostics(prev, nxt, obj, ring5, opt, lam)
+        diag = compute_step_diagnostics(prev, nxt, obj, ring5, opt, lam,
+                                        "exact")
         assert diag.b_tilde >= abs(2.0 * diag.w) - 1e-12
 
 
@@ -294,7 +295,7 @@ def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
     with pytest.raises(DivergenceError) as err:
         fixed_step_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=500,
-                       opt=opt, s_override=50.0)
+                       opt=opt, s=50.0)
     assert err.value.trace is not None
     assert err.value.iteration >= 1
 

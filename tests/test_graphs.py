@@ -56,7 +56,7 @@ def test_erdos_renyi_connected():
 
 def test_erdos_renyi_retries_exhausted():
     with pytest.raises(NotConnectedError):
-        build_topology("erdos_renyi", 12, p=1e-6, seed=0, max_retries=3)
+        build_topology("erdos_renyi", 12, p=1e-6, seed=0)
 
 
 def test_ring5_spectral_extremes():

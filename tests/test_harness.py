@@ -329,9 +329,10 @@ def bad_algorithm(name, **params):
         name, id=f"run-{name}-{key_values(params)}")
 
 
-def bad_section(command, key, value, problem=QUAD_PROBLEM):
+def bad_section(command, key, value, problem=QUAD_PROBLEM, named=None):
     """A ``command`` whose config sets ``key`` (``section.name`` or a
-    top-level name) to ``value``; it must be refused with exit 2."""
+    top-level name) to ``value``; it must be refused with exit 2 and a
+    message naming the section, or ``named`` when given."""
     cfg = {"problem": dict(problem), "iters": 5,
            "algorithms": ["dist_agm", "dgd"]}
     section, _, name = key.partition(".")
@@ -339,7 +340,8 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM):
         cfg.setdefault(section, {})[name] = value
     else:
         cfg[section] = value
-    return pytest.param(command, cfg, section, id=f"{command}-{key}={value}")
+    return pytest.param(command, cfg, named or section,
+                        id=f"{command}-{key}={value}")
 
 
 @pytest.mark.parametrize("command,cfg,section", [
@@ -380,6 +382,18 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM):
         ("run", "iters", -5),
         ("compare", "gap_threshold", "x"),
         ("energy-check", "drift_tolerance", "x"),
+        # the two thresholds must be finite and positive
+        ("energy-check", "drift_tolerance", NAN),
+        ("compare", "gap_threshold", -1),
+        # a key no function reads is refused, not run with the default
+        ("energy-check", "flow.bta", 0.5, QUAD_PROBLEM,
+         "flow: unknown key bta"),
+        ("run", "graph.kidn", "ring", QUAD_PROBLEM,
+         "graph: unknown key kidn"),
+        ("energy-check", "drift_tolerence", 1e-3, QUAD_PROBLEM,
+         "unknown key drift_tolerence"),
+        # n and p shape only the logistic data
+        ("run", "problem.n", 100, QUAD_PROBLEM, "problem: unknown key n"),
         # a section that is not a mapping
         ("run", "graph", 5),
         ("run", "problem", 5),
@@ -419,16 +433,36 @@ def test_unknown_algorithm_key_exit_code(tmp_path, capsys):
     assert "dgd" in err and "alhpa" in err
 
 
-def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5):
+def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5,
+                                         tmp_path, monkeypatch, capsys):
+    """Every key of every shipped config is one the harness reads. The
+    energy check reads the top level, graph, problem, init and flow, and
+    stops here at the flow's first step."""
+    def integrate(*args, **kwargs):
+        raise flow.BlowUpError("stop", last_t=0.0)
+
+    monkeypatch.setattr(flow, "integrate", integrate)
     obj, opt = flow_quadratic
-    entries = [entry for path in sorted(CONFIGS.rglob("*.yaml"))
-               for entry in harness.load_config(path).get("algorithms", [])]
-    assert entries
-    for entry in entries:
-        params = dict(entry)
-        trace = harness.run_algorithm(params.pop("name"), params, obj, ring5,
-                                      x0_ring5, opt, iters=0)
-        assert len(trace) == 1
+    paths = sorted(CONFIGS.rglob("*.yaml"))
+    for path in paths:
+        cfg = harness.load_config(path)
+        assert harness.cmd_energy_check(cfg, str(tmp_path)) == 3, path
+        for entry in cfg.get("algorithms", []):
+            params = dict(entry)
+            trace = harness.run_algorithm(params.pop("name"), params, obj,
+                                          ring5, x0_ring5, opt, iters=0)
+            assert len(trace) == 1
+    assert len(paths) == 9
+
+
+def test_mnist_fallback_reads_n_and_p(tmp_path):
+    """Without the IDX files a logistic-mnist problem solves the synthetic
+    data that its n and p shape."""
+    cfg = {"problem": {"type": "logistic-mnist", "dataset_root": str(tmp_path),
+                       "n": 60, "p": 3}}
+    obj, _, label = harness.build_problem(cfg, harness.build_graph({}))
+    assert sum(z.shape[0] for z in obj.Zs) == 60 and obj.d == 4
+    assert label.startswith("synthetic-gaussian")
 
 
 def effective_args(fn, *args, **kwargs):
