@@ -70,8 +70,9 @@ _LOGISTIC = {"type": None, "n": int, "p": int, "seed": int, "l2": float,
              "solver_tol": float, "solver_max_iter": int}
 # The keys each config section may set, with the cast each value gets (None
 # keeps it as written). A problem's keys depend on its type and an entry's
-# on its algorithm. A key left out takes the default of the function that
-# reads it.
+# on its algorithm. A key left out is not passed on, so it takes the default
+# of the function that reads it; the harness sets only the arguments that
+# function does not default.
 _KEYS = {
     "top level": {"seed": None, "iters": int, "gap_threshold": float,
                   "drift_tolerance": float, "graph": None, "problem": None,

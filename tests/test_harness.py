@@ -452,7 +452,7 @@ def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5,
             trace = harness.run_algorithm(params.pop("name"), params, obj,
                                           ring5, x0_ring5, opt, iters=0)
             assert len(trace) == 1
-    assert len(paths) == 9
+    assert paths
 
 
 def test_mnist_fallback_reads_n_and_p(tmp_path):
