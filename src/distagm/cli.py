@@ -13,8 +13,8 @@ def _add_config_args(sub):
     sub.add_argument("config", help="YAML config file")
     sub.add_argument("--out", default="out", help="output directory")
     sub.add_argument("--seed", type=int, default=None,
-                     help="reseed the run: sets seed, init.seed, "
-                          "problem.seed and graph.seed")
+                     help="reseed the run: replaces every seed the config "
+                          "sets or defaults")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,15 +54,9 @@ def main(argv=None) -> int:
             return harness.EXIT_CONFIG
     try:
         cfg = harness.load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-            for section in ("init", "problem", "graph"):
-                cfg.setdefault(section, {})["seed"] = args.seed
-        if args.command == "run":
-            return harness.cmd_run(cfg, args.out)
-        if args.command == "compare":
-            return harness.cmd_compare(cfg, args.out)
-        return harness.cmd_energy_check(cfg, args.out)
+        command = {"run": harness.cmd_run, "compare": harness.cmd_compare,
+                   "energy-check": harness.cmd_energy_check}[args.command]
+        return command(cfg, args.out, args.seed)
     except harness.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return harness.EXIT_CONFIG

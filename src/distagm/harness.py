@@ -27,6 +27,7 @@ from .trace import RunTrace
 __all__ = [
     "ConfigError",
     "load_config",
+    "check_config",
     "config_hash",
     "build_graph",
     "build_problem",
@@ -68,13 +69,15 @@ def config_hash(cfg: dict) -> str:
 
 _LOGISTIC = {"type": None, "n": int, "p": int, "seed": int, "l2": float,
              "solver_tol": float, "solver_max_iter": int}
+_AGM = {"mode": None, "h": float, "beta": float}
 # The keys each config section may set, with the cast each value gets (None
-# keeps it as written). A problem's keys depend on its type and an entry's
-# on its algorithm. A key left out is not passed on, so it takes the default
-# of the function that reads it; the harness sets only the arguments that
-# function does not default.
+# keeps it as written). A problem's keys depend on its type, an algorithm
+# entry's on the run function it calls: dist_agm's mode picks
+# agm.adaptive_run or agm.fixed_step_run. A key left out is not passed on,
+# so it takes the default of the function that reads it; the harness sets
+# only the arguments that function does not default.
 _KEYS = {
-    "top level": {"seed": None, "iters": int, "gap_threshold": float,
+    "top level": {"seed": int, "iters": int, "gap_threshold": float,
                   "drift_tolerance": float, "graph": None, "problem": None,
                   "init": None, "flow": None, "algorithms": None},
     "graph": {"kind": None, "m": int, "p": float, "seed": int},
@@ -91,8 +94,9 @@ _KEYS = {
     "flow": {"beta": float, "k_gain": float, "t0": float, "dt": float,
              "horizon": float, "record_every": int},
     "algorithms": {
-        "dist_agm": {"mode": None, "h": float, "beta": float, "s": None,
-                     "oracle_mode": None, "s1_fraction": float},
+        "dist_agm": {
+            "adaptive": {**_AGM, "oracle_mode": None, "s1_fraction": float},
+            "fixed": {**_AGM, "s": None}},
         "dgd": {"alpha": float}, "diging": {"alpha": float},
         "pi_consensus": {"alpha": float, "beta_gain": float,
                          "h_step": float}},
@@ -102,58 +106,124 @@ _KEYS = {
 def _settings(where: str, spec: dict, keys: dict, **required) -> dict:
     """``required`` updated with the keys ``spec`` sets, each cast as
     ``keys`` says. A key ``keys`` does not list, or a value its cast
-    refuses, raises ConfigError naming ``where`` and the key."""
+    refuses, raises ConfigError naming ``where`` and the key. The int cast
+    refuses a fractional number rather than truncate it."""
     for key, value in spec.items():
         if key not in keys:
             raise ConfigError(f"{where}: unknown key {key}")
         try:
+            if keys[key] is int and isinstance(value, float) and value % 1:
+                raise ValueError(f"must be a whole number, got {value}")
             required[key] = value if keys[key] is None else keys[key](value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{where}: {key}: {err}") from err
     return required
 
 
-def _pick(settings: dict, *keys) -> dict:
-    """The entries of ``settings`` under ``keys`` that it holds."""
-    return {key: settings[key] for key in keys if key in settings}
+def _keys(table: dict, choice, what: str) -> dict:
+    """The entry of ``table`` that ``choice``, a string, names."""
+    if isinstance(choice, str) and choice in table:
+        return table[choice]
+    raise ConfigError(f"unknown {what} {choice!r}")
 
 
-def _mapping(cfg: dict, name: str) -> dict:
-    """The ``name`` mapping of the config, empty when absent. Anything else
-    raises ConfigError naming the section."""
-    spec = cfg.get(name, {})
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name}: must be a mapping, got {spec!r}")
-    return spec
+def _parsed(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, where a ValueError or TypeError is a bad
+    value in the config: it becomes a ConfigError naming ``section``. A
+    ConfigError passes through unchanged."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{section}: {err}") from err
 
 
-def _section(cfg: dict, name: str, **required) -> dict:
-    """The settings of the ``name`` section over ``required``."""
-    return _settings(name, _mapping(cfg, name), _KEYS[name], **required)
+def check_config(cfg: dict, seed) -> dict:
+    """Every setting of ``cfg``, read before anything is built or written:
+    each section and algorithm entry checked against ``_KEYS``, cast, and
+    laid over the arguments the harness sets, with ``seed``, unless None,
+    in place of every seed. A bad section, key or value raises ConfigError
+    naming it. Returns the top-level settings with each section replaced by
+    its settings (``flow`` by (FlowParams, flow.integrate's keys),
+    ``algorithms`` by {name: settings}) and the reseeded config's hash."""
+    for name in ("graph", "problem", "init", "flow"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"{name}: must be a mapping, got {cfg[name]!r}")
+    if seed is not None:  # the config as reseeded, which the hash reads
+        cfg = {**cfg, "seed": seed, **{
+            name: {**cfg.get(name, {}), "seed": seed}
+            for name in ("graph", "problem", "init")}}
+    top = _settings("top level", cfg, _KEYS["top level"], seed=0,
+                    iters=1000, gap_threshold=1e-3, drift_tolerance=1e-3)
+    if top["iters"] < 0:
+        raise ConfigError(f"iters: must be >= 0, got {top['iters']}")
+    for key in ("gap_threshold", "drift_tolerance"):
+        if not 0.0 < top[key] < math.inf:
+            raise ConfigError(f"{key}: must be finite and positive, got "
+                              f"{top[key]}")
+    top["graph"] = _settings("graph", cfg.get("graph", {}), _KEYS["graph"],
+                             kind="ring", m=5)
+    kind = cfg.get("problem", {}).get("type", "quadratic")
+    top["problem"] = _settings(
+        "problem", cfg.get("problem", {}),
+        _keys(_KEYS["problem"], kind, "problem type"), type=kind)
+    top["init"] = _settings("init", cfg.get("init", {}), _KEYS["init"],
+                            seed=top["seed"], scale=0.1, consensus=False)
+    spec = _settings("flow", cfg.get("flow", {}), _KEYS["flow"], beta=0.1)
+    record = ({"record_every": spec.pop("record_every")}
+              if "record_every" in spec else {})
+    top["flow"] = _parsed("flow", flow.FlowParams, **spec), record
+    algos = cfg.get("algorithms") or []
+    if not isinstance(algos, list):
+        raise ConfigError(f"algorithms: must be a list, got {algos!r}")
+    top["algorithms"] = {}
+    for entry in algos:
+        params = {"name": entry} if isinstance(entry, str) else entry
+        if not isinstance(params, dict) or "name" not in params:
+            raise ConfigError(f"algorithms: entry {entry!r} has no name")
+        params = dict(params)
+        name = params.pop("name")
+        keys = _keys(_KEYS["algorithms"], name, "algorithm")
+        required = {"dist_agm": {"mode": "adaptive", "h": 10.0, "beta": 0.1},
+                    "dgd": {"alpha": 0.001}, "diging": {"alpha": 0.001},
+                    "pi_consensus": {"alpha": 0.01, "beta_gain": 0.1}}[name]
+        if name == "dist_agm":
+            keys = _keys(keys, params.get("mode", required["mode"]),
+                         "dist_agm mode")
+        if name in top["algorithms"]:
+            raise ConfigError(f"algorithms: {name} listed more than once; "
+                              "each run writes <name>_trace.csv")
+        top["algorithms"][name] = _settings(f"algorithm {name}", params, keys,
+                                            **required)
+    top["config_hash"] = config_hash(cfg)
+    return top
 
 
-def _top_level(cfg: dict) -> dict:
-    """The top-level settings over their defaults."""
-    return _settings("top level", cfg, _KEYS["top level"], seed=0,
-                     iters=1000, gap_threshold=1e-3, drift_tolerance=1e-3)
-
-
-def build_graph(cfg: dict):
-    return build_topology(**_section(cfg, "graph", kind="ring", m=5))
+def build_graph(settings: dict):
+    return build_topology(**settings["graph"])
 
 
 def _mnist_dataset(spec):
-    root = spec.get("dataset_root") or os.environ.get(DATASET_ROOT_ENV, ".")
-    img_path = os.path.join(root, spec.get("images", "train-images-idx3-ubyte"))
-    lab_path = os.path.join(root, spec.get("labels", "train-labels-idx1-ubyte"))
+    """The binary set of the IDX files, or None when they are not on disk.
+    Takes the MNIST keys out of ``spec``; the seed, which the synthetic
+    fallback reads too, stays."""
+    root = spec.pop("dataset_root", None) or os.environ.get(DATASET_ROOT_ENV,
+                                                            ".")
+    img_path = os.path.join(root, spec.pop("images", "train-images-idx3-ubyte"))
+    lab_path = os.path.join(root, spec.pop("labels", "train-labels-idx1-ubyte"))
+    digits = {key: spec.pop(key) for key in (
+        "positive_digit", "negative_digit", "cap") if key in spec}
     if not (os.path.exists(img_path) and os.path.exists(lab_path)):
         return None
+    if "seed" in spec:
+        digits["seed"] = spec["seed"]
     with open(img_path, "rb") as fh:
         images = data_io.parse_idx(fh.read())
     with open(lab_path, "rb") as fh:
         labels = data_io.parse_idx(fh.read())
-    return data_io.build_binary_dataset(images, labels, source=img_path, **_pick(
-        spec, "positive_digit", "negative_digit", "cap", "seed"))
+    return data_io.build_binary_dataset(images, labels, source=img_path,
+                                        **digits)
 
 
 def synthetic_gaussian_dataset(n=500, p=10, seed=0):
@@ -171,17 +241,14 @@ def synthetic_gaussian_dataset(n=500, p=10, seed=0):
                                   source=f"synthetic-gaussian(seed={seed})")
 
 
-def build_problem(cfg: dict, graph):
-    """Returns (objective, consensus optimum, problem label)."""
-    spec = _mapping(cfg, "problem")
-    kind = spec.get("type", "quadratic")
-    if kind not in _KEYS["problem"]:
-        raise ConfigError(f"unknown problem type {kind!r}")
-    settings = _settings("problem", spec, _KEYS["problem"][kind])
-    settings.pop("type", None)
+def build_problem(settings: dict, graph):
+    """Returns (objective, consensus optimum, problem label). Each key of
+    the problem settings goes to the function that reads it."""
+    spec = dict(settings["problem"])
+    kind = spec.pop("type")
     if kind == "quadratic":
-        common = settings.pop("common_offset", None)
-        obj = make_quadratic(graph.m, settings.pop("d", 2), **settings)
+        common = spec.pop("common_offset", None)
+        obj = make_quadratic(graph.m, spec.pop("d", 2), **spec)
         if common is not None:
             # identical local minimizers: F >= F* along any trajectory
             bs = np.tile(np.asarray(common, dtype=float), (graph.m, 1))
@@ -189,55 +256,40 @@ def build_problem(cfg: dict, graph):
                 raise ConfigError("common_offset length must equal d")
             obj = QuadraticObjective(obj.Qs, bs)
         return obj, obj.closed_form_optimum(), "quadratic"
-    ds = _mnist_dataset(settings) if kind == "logistic-mnist" else None
+    solver = {key.removeprefix("solver_"): spec.pop(key) for key in (
+        "solver_tol", "solver_max_iter") if key in spec}
+    ridge = {"l2": spec.pop("l2")} if "l2" in spec else {}
+    ds = _mnist_dataset(spec) if kind == "logistic-mnist" else None
     if ds is None:
-        ds = synthetic_gaussian_dataset(**_pick(settings, "n", "p", "seed"))
+        ds = synthetic_gaussian_dataset(**spec)
     shards = data_io.shard(ds, graph.m)
     obj = LogisticObjective([s.features for s in shards],
-                            [s.labels for s in shards],
-                            **_pick(settings, "l2"))
-    solver = _pick(settings, "solver_tol", "solver_max_iter")
-    opt = solve_consensus_optimum(obj, **{
-        key.removeprefix("solver_"): value for key, value in solver.items()})
+                            [s.labels for s in shards], **ridge)
+    opt = solve_consensus_optimum(obj, **solver)
     return obj, opt, ds.source or kind
 
 
-def initial_state(cfg: dict, graph, obj):
+def initial_state(settings: dict, graph, obj):
     """Stacked X0; entries are N(0, 0.1) unless the config pins a consensus
     start or an explicit scale. The seed defaults to the top-level one."""
-    init = _section(cfg, "init", seed=_top_level(cfg)["seed"], scale=0.1,
-                    consensus=False)
-    rng = np.random.default_rng(int(init["seed"]))
+    init = settings["init"]
+    rng = np.random.default_rng(init["seed"])
     if init["consensus"]:
         return obj.stack(init["scale"] * rng.standard_normal(obj.d))
     return init["scale"] * rng.standard_normal(graph.m * obj.d)
 
 
-def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
+def run_algorithm(name: str, settings: dict, obj, graph, X0, opt,
                   iters: int) -> RunTrace:
-    """One configured algorithm on the problem; the harness sets the
-    arguments the run functions do not default. An unknown key, or a
-    parameter that does not parse or is out of range, raises ConfigError
-    naming the algorithm."""
-    if name not in _KEYS["algorithms"]:
-        raise ConfigError(f"unknown algorithm {name!r}")
-    required = {"dist_agm": {"mode": "adaptive", "h": 10.0, "beta": 0.1},
-                "dgd": {"alpha": 0.001}, "diging": {"alpha": 0.001},
-                "pi_consensus": {"alpha": 0.01, "beta_gain": 0.1}}[name]
-    settings = _settings(f"algorithm {name}", params or {},
-                         _KEYS["algorithms"][name], **required)
+    """One algorithm entry, with the settings ``check_config`` read for it,
+    on the problem. A value the run refuses raises ConfigError naming the
+    algorithm."""
+    run = getattr(baselines, f"{name}_run", None)
+    if name == "dist_agm":
+        settings = dict(settings)
+        run = (agm.adaptive_run if settings.pop("mode") == "adaptive"
+               else agm.fixed_step_run)
     try:
-        run = getattr(baselines, f"{name}_run", None)
-        if name == "dist_agm":
-            # each mode reads h, beta and its own keys
-            mode = settings.pop("mode")
-            if mode == "adaptive":
-                run, reads = agm.adaptive_run, ("oracle_mode", "s1_fraction")
-            elif mode == "fixed":
-                run, reads = agm.fixed_step_run, ("s",)
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-            settings = _pick(settings, "h", "beta", *reads)
         return run(obj, graph, X0, iters=iters, opt=opt, **settings)
     except ValueError as err:
         # the runs raise ValueError only for a value they were given (h,
@@ -245,66 +297,18 @@ def run_algorithm(name: str, params: dict, obj, graph, X0, opt,
         raise ConfigError(f"algorithm {name}: {err}") from err
 
 
-def _algorithms(cfg):
-    """(name, params) of each entry of the ``algorithms`` list. An entry is a
-    name or a mapping with a ``name`` key. A missing or malformed list, or a
-    name listed twice (its runs would write one trace file), raises
-    ConfigError."""
-    algos = cfg.get("algorithms")
-    if not algos:
-        raise ConfigError("config must list at least one algorithm")
-    if not isinstance(algos, list):
-        raise ConfigError(f"algorithms: must be a list, got {algos!r}")
-    entries = []
-    for entry in algos:
-        if isinstance(entry, str):
-            entries.append((entry, {}))
-        elif isinstance(entry, dict) and "name" in entry:
-            entries.append((entry["name"], {k: v for k, v in entry.items()
-                                            if k != "name"}))
-        else:
-            raise ConfigError(f"algorithms: entry {entry!r} has no name")
-    names = [name for name, _ in entries]
-    twice = sorted({str(name) for name in names if names.count(name) > 1})
-    if twice:
-        raise ConfigError(f"algorithms: {', '.join(twice)} listed more than "
-                          "once; each run writes <name>_trace.csv")
-    return entries
-
-
-def _parsed(section: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, where a ValueError or TypeError is a bad
-    value in the config: it becomes a ConfigError naming ``section``. A
-    ConfigError passes through unchanged."""
-    try:
-        return build(*args, **kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{section}: {err}") from err
-
-
-def _set_up(cfg: dict, out_dir: str):
-    """What every config command starts from: reads the top-level settings,
-    makes the output directory and builds the graph, the problem and the
-    start. A value that does not parse or is out of range raises ConfigError
-    naming its section. Returns (stamp, top-level settings, graph,
-    objective, optimum, x0); the stamp, config_hash, seed and problem, goes
-    into every output."""
-    numbers = _top_level(cfg)
-    if numbers["iters"] < 0:
-        raise ConfigError(f"iters: must be >= 0, got {numbers['iters']}")
-    for key in ("gap_threshold", "drift_tolerance"):
-        if not 0.0 < numbers[key] < math.inf:
-            raise ConfigError(f"{key}: must be finite and positive, got "
-                              f"{numbers[key]}")
+def _set_up(settings: dict, out_dir: str):
+    """Makes the output directory and builds the graph, the problem and the
+    start; a value a builder refuses raises ConfigError naming its section.
+    Returns (stamp, graph, objective, optimum, x0); the stamp, config_hash,
+    seed and problem, goes into every output."""
     os.makedirs(out_dir, exist_ok=True)
-    graph = _parsed("graph", build_graph, cfg)
-    obj, opt, problem = _parsed("problem", build_problem, cfg, graph)
-    x0 = _parsed("init", initial_state, cfg, graph, obj)
-    stamp = {"config_hash": config_hash(cfg), "seed": numbers["seed"],
-             "problem": problem}
-    return stamp, numbers, graph, obj, opt, x0
+    graph = _parsed("graph", build_graph, settings)
+    obj, opt, problem = _parsed("problem", build_problem, settings, graph)
+    x0 = _parsed("init", initial_state, settings, graph, obj)
+    stamp = {"config_hash": settings["config_hash"],
+             "seed": settings["seed"], "problem": problem}
+    return stamp, graph, obj, opt, x0
 
 
 def _write(trace: RunTrace, stamp: dict, out_dir: str, name: str):
@@ -313,19 +317,19 @@ def _write(trace: RunTrace, stamp: dict, out_dir: str, name: str):
     trace.write_csv(os.path.join(out_dir, name))
 
 
-def _run_all(cfg: dict, out_dir: str, algos):
+def _run_all(settings: dict, out_dir: str):
     """The output path of ``run`` and ``compare``: runs each algorithm from
     the same start and writes its stamped trace, then a stamped summary.csv
     with one row per run, read from its trace. A diverged run keeps its
     partial trace, stamped with ``diverged_at``, and sets the exit code.
-    Returns (stamp, numbers, {name: trace}, exit code)."""
-    stamp, numbers, graph, obj, opt, x0 = _set_up(cfg, out_dir)
+    Returns (stamp, {name: trace}, exit code)."""
+    stamp, graph, obj, opt, x0 = _set_up(settings, out_dir)
     traces, rows, code = {}, [], EXIT_OK
-    for name, params in algos:
+    for name, params in settings["algorithms"].items():
         start = time.perf_counter()
         try:
             trace = run_algorithm(name, params, obj, graph, x0, opt,
-                                  numbers["iters"])
+                                  settings["iters"])
         except agm.DivergenceError as err:
             code, trace = EXIT_DIVERGENCE, err.trace
             trace.metadata["diverged_at"] = err.iteration
@@ -341,13 +345,17 @@ def _run_all(cfg: dict, out_dir: str, algos):
         _write(trace, stamp, out_dir, f"{name}_trace.csv")
         traces[name] = trace
     data_io.write_summary(os.path.join(out_dir, "summary.csv"), rows, stamp)
-    return stamp, numbers, traces, code
+    return stamp, traces, code
 
 
-def cmd_run(cfg: dict, out_dir: str) -> int:
+def cmd_run(cfg: dict, out_dir: str, seed) -> int:
     """Execute every configured algorithm; write a trace per run and
-    summary.csv. Returns the process exit code."""
-    return _run_all(cfg, out_dir, _algorithms(cfg))[3]
+    summary.csv. ``seed``, unless None, reseeds the run. Returns the process
+    exit code."""
+    settings = check_config(cfg, seed)
+    if not settings["algorithms"]:
+        raise ConfigError("config must list at least one algorithm")
+    return _run_all(settings, out_dir)[2]
 
 
 def iterations_to_threshold(trace: RunTrace, threshold: float):
@@ -358,17 +366,17 @@ def iterations_to_threshold(trace: RunTrace, threshold: float):
     return int(ks[hit[0]]) if hit.size else None
 
 
-def cmd_compare(cfg: dict, out_dir: str) -> int:
+def cmd_compare(cfg: dict, out_dir: str, seed) -> int:
     """``run``'s output plus comparison.csv, the three plotted metrics of
     every run aligned on k, and threshold.csv, each run's iterations to the
-    gap threshold, which also goes to stdout."""
-    algos = _algorithms(cfg)
-    if len(algos) < 2:
+    gap threshold, which also goes to stdout. ``seed`` is as for ``run``."""
+    settings = check_config(cfg, seed)
+    if len(settings["algorithms"]) < 2:
         raise ConfigError("compare needs at least 2 algorithms")
-    stamp, numbers, traces, code = _run_all(cfg, out_dir, algos)
+    stamp, traces, code = _run_all(settings, out_dir)
     # every run starts from x0, so each trace's first gap is F(x0) - F*
     first = next(iter(traces.values()))
-    threshold = numbers["gap_threshold"] * first.column("F_gap")[0]
+    threshold = settings["gap_threshold"] * first.column("F_gap")[0]
     aligned = min(len(t) for t in traces.values())
     ks = first.column("k")[:aligned].astype(int)
     table = {f"{name}:{metric}": trace.column(metric)[:aligned]
@@ -412,15 +420,12 @@ def cmd_rate_check(trace_path: str, beta: float, tolerance: float = 0.3,
     return EXIT_OK if ok else 1
 
 
-def cmd_energy_check(cfg: dict, out_dir: str) -> int:
-    """Integrate the continuous flow and report conservation quality. Beta
-    defaults to 0.1; the other keys of the ``flow`` section go to
-    FlowParams, except ``record_every``, which goes to ``flow.integrate``."""
-    settings = _section(cfg, "flow", beta=0.1)
-    record = _pick(settings, "record_every")
-    params = _parsed("flow", flow.FlowParams, **_pick(
-        settings, "beta", "k_gain", "t0", "dt", "horizon"))
-    stamp, numbers, graph, obj, opt, x0 = _set_up(cfg, out_dir)
+def cmd_energy_check(cfg: dict, out_dir: str, seed) -> int:
+    """Integrate the continuous flow and report conservation quality.
+    ``seed``, unless None, reseeds the run."""
+    settings = check_config(cfg, seed)
+    params, record = settings["flow"]
+    stamp, graph, obj, opt, x0 = _set_up(settings, out_dir)
     try:
         trace = _parsed("flow", flow.integrate, params, obj, graph, x0,
                         np.zeros_like(x0), opt, **record)
@@ -436,7 +441,7 @@ def cmd_energy_check(cfg: dict, out_dir: str) -> int:
         "E_int_bregman", "E_int_beta")])
     worst = float(comps.min())
     violations = int(np.sum(comps < -1e-9 * (1.0 + np.abs(totals))))
-    ok = drift <= numbers["drift_tolerance"] and violations == 0
+    ok = drift <= settings["drift_tolerance"] and violations == 0
     print(f"max_relative_drift={drift:.3e} min_component={worst:.3e} "
           f"nonnegativity_violations={violations} {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else 1

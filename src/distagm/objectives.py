@@ -20,7 +20,6 @@ __all__ = [
     "ConsensusOptimum",
     "SolverError",
     "make_quadratic",
-    "make_logistic",
     "solve_consensus_optimum",
 ]
 
@@ -222,25 +221,6 @@ def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
         Qs[i] = 0.5 * (Qs[i] + Qs[i].T)
     bs = offset_scale * rng.standard_normal((m, d))
     return QuadraticObjective(Qs, bs)
-
-
-def make_logistic(features: np.ndarray, labels: np.ndarray, shards,
-                  **objective) -> LogisticObjective:
-    """Logistic objective sharded across agents.
-
-    ``shards`` is the agent count of a contiguous near-equal split;
-    ``objective`` holds LogisticObjective's keyword arguments (``l2``).
-    """
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if features.shape[0] < shards:
-        raise ValueError("fewer samples than agents")
-    pieces = np.array_split(np.arange(features.shape[0]), shards)
-    return LogisticObjective(
-        [features[idx] for idx in pieces],
-        [labels[idx] for idx in pieces],
-        **objective,
-    )
 
 
 # Armijo sufficient-decrease fraction and backtracking factor.

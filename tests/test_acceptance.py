@@ -10,7 +10,8 @@ the comparative and sweep behavior, claim 10 the structural invariants.
 import numpy as np
 import pytest
 
-from distagm import agm, baselines, flow, graphs, harness, objectives
+from distagm import (agm, baselines, data_io, flow, graphs, harness,
+                     objectives)
 
 H_DISCRETE = 1.0
 BETA = 0.1
@@ -155,7 +156,8 @@ def test_criterion_7_gradient_correctness():
     quad = objectives.make_quadratic(5, 2, seed=34)
     feats = rng.standard_normal((60, 3))
     labels = (rng.random(60) < 0.5).astype(float)
-    logi = objectives.make_logistic(feats, labels, shards=5, l2=1e-4)
+    logi = objectives.LogisticObjective(np.array_split(feats, 5),
+                                        np.array_split(labels, 5), l2=1e-4)
     worst = 0.0
     for obj in (quad, logi):
         n = obj.m * obj.d
@@ -178,8 +180,9 @@ def test_criterion_7_gradient_correctness():
 
 def test_criterion_8_comparative_behavior(ring5):
     ds = harness.synthetic_gaussian_dataset(n=500, p=10, seed=0)
-    obj = objectives.make_logistic(ds.features, ds.labels, shards=5,
-                                   l2=1e-4)
+    shards = data_io.shard(ds, 5)
+    obj = objectives.LogisticObjective([s.features for s in shards],
+                                       [s.labels for s in shards], l2=1e-4)
     opt = objectives.solve_consensus_optimum(obj, tol=1e-10)
     x0 = 0.1 * np.random.default_rng(0).standard_normal(5 * obj.d)
     threshold = 1e-3 * (obj.value(x0) - opt.f_star)

@@ -70,7 +70,7 @@ COMMANDS = {"run": harness.cmd_run, "compare": harness.cmd_compare,
                          ids=lambda v: str(v))
 def test_shipped_trace_bytes(command, config, tmp_path, capsys):
     cfg = harness.load_config(CONFIGS / config)
-    assert COMMANDS[command](cfg, str(tmp_path)) == harness.EXIT_OK
+    assert COMMANDS[command](cfg, str(tmp_path), None) == harness.EXIT_OK
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN[command, config]}
     assert got == GOLDEN[command, config]
@@ -86,6 +86,6 @@ def test_ramp_flow_trace_bytes(tmp_path, capsys):
     cfg = harness.load_config(CONFIGS / "continuous_rate.yaml")
     assert cfg["flow"]["t0"] == 1e-3
     cfg["flow"].update(horizon=5.0, record_every=1)
-    assert harness.cmd_energy_check(cfg, str(tmp_path)) == harness.EXIT_OK
+    assert harness.cmd_energy_check(cfg, str(tmp_path), None) == harness.EXIT_OK
     data = (tmp_path / "flow_trace.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == RAMP_FLOW_TRACE

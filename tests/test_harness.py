@@ -52,32 +52,37 @@ def test_synthetic_dataset_deterministic():
     assert a.features[:, :-1].max() <= 1.0
 
 
+def checked(cfg):
+    """The settings ``check_config`` reads from ``cfg``, without --seed."""
+    return harness.check_config(cfg, None)
+
+
 def test_build_problem_common_offset():
-    cfg = {"problem": QUAD_PROBLEM}
-    graph = harness.build_graph(cfg)
-    obj, opt, label = harness.build_problem(cfg, graph)
+    settings = checked({"problem": QUAD_PROBLEM})
+    graph = harness.build_graph(settings)
+    obj, opt, label = harness.build_problem(settings, graph)
     assert label == "quadratic"
     np.testing.assert_array_equal(obj.bs, np.tile([0.3, -0.2], (5, 1)))
     np.testing.assert_allclose(opt.grad_at_opt, 0.0, atol=1e-12)
 
 
 def test_build_problem_errors():
-    graph = harness.build_graph({})
     with pytest.raises(harness.ConfigError):
-        harness.build_problem({"problem": {"type": "cubic"}}, graph)
+        checked({"problem": {"type": "cubic"}})
+    settings = checked({"problem": dict(QUAD_PROBLEM, common_offset=[1.0])})
     with pytest.raises(harness.ConfigError):
-        harness.build_problem(
-            {"problem": dict(QUAD_PROBLEM, common_offset=[1.0])}, graph)
+        harness.build_problem(settings, harness.build_graph(settings))
 
 
 def test_initial_state_shapes():
     cfg = {"seed": 1, "init": {"scale": 0.5}}
-    graph = harness.build_graph(cfg)
-    obj, _, _ = harness.build_problem(cfg, graph)
-    x0 = harness.initial_state(cfg, graph, obj)
+    settings = checked(cfg)
+    graph = harness.build_graph(settings)
+    obj, _, _ = harness.build_problem(settings, graph)
+    x0 = harness.initial_state(settings, graph, obj)
     assert x0.shape == (10,)
     cfg["init"]["consensus"] = True
-    xc = harness.initial_state(cfg, graph, obj)
+    xc = harness.initial_state(checked(cfg), graph, obj)
     np.testing.assert_array_equal(xc[:2], xc[2:4])
 
 
@@ -344,14 +349,26 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM, named=None):
                         id=f"{command}-{key}={value}")
 
 
-@pytest.mark.parametrize("command,cfg,section", [
-    ("energy-check", {"problem": QUAD_PROBLEM, "flow": {"beta": 2.5}},
-     "flow"),
-    ("run", {"problem": QUAD_PROBLEM, "iters": 5,
-             "algorithms": [{"name": "dgd", "alpha": -1}]}, "dgd"),
-    ("compare", {"problem": QUAD_PROBLEM, "iters": 5,
-                 "algorithms": [{"name": "dist_agm", "beta": 3.0}, "dgd"]},
-     "dist_agm"),
+def under_seeds(cases):
+    """Each case as written, then under ``--seed 3``, which must be refused
+    the same way."""
+    for case in cases:
+        yield pytest.param(*case.values, [], id=case.id)
+        yield pytest.param(*case.values, ["--seed", "3"],
+                           id=f"{case.id}-seed=3")
+
+
+@pytest.mark.parametrize("command,cfg,section,seed", under_seeds([
+    pytest.param("energy-check", {"problem": QUAD_PROBLEM,
+                                  "flow": {"beta": 2.5}},
+                 "flow", id="energy-check-cfg0-flow"),
+    pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5,
+                         "algorithms": [{"name": "dgd", "alpha": -1}]},
+                 "dgd", id="run-cfg1-dgd"),
+    pytest.param("compare", {"problem": QUAD_PROBLEM, "iters": 5,
+                             "algorithms": [{"name": "dist_agm", "beta": 3.0},
+                                            "dgd"]},
+                 "dist_agm", id="compare-cfg2-dist_agm"),
     # a NaN or infinite step size or gain is as invalid as a negative one
     *(bad_algorithm(name, **params) for name, params in [
         ("dist_agm", {"h": NAN}),
@@ -370,6 +387,9 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM, named=None):
       for flow in ({"dt": NAN}, {"k_gain": INF}, {"horizon": INF},
                    {"record_every": -3})),
     bad_algorithm("dist_agm", mode="fxied"),
+    # each dist_agm mode reads its own keys
+    bad_algorithm("dist_agm", mode="fixed", oracle_mode="practicl"),
+    bad_algorithm("dist_agm", s=-3),
     # a bad value in any other section ends the same way, naming it
     *(bad_section(*case) for case in [
         ("run", "graph.m", "two"),
@@ -399,6 +419,20 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM, named=None):
         ("run", "problem", 5),
         ("run", "init", "x"),
         ("energy-check", "flow", 1),
+        # a whole number is refused when fractional, not truncated
+        ("run", "graph.m", 5.7),
+        ("run", "iters", 20.9),
+        ("run", "iters", INF),
+        ("energy-check", "flow.record_every", 2.9),
+        # every command reads every section
+        ("run", "flow.bta", 0.5, QUAD_PROBLEM, "flow: unknown key bta"),
+        ("energy-check", "algorithms", [{"name": "dgd", "alhpa": 0.02}],
+         QUAD_PROBLEM, "dgd: unknown key alhpa"),
+        ("run", "algorithms", [{"name": [1]}], QUAD_PROBLEM,
+         "unknown algorithm [1]"),
+        # the second entry is read before the first one runs
+        ("compare", "algorithms", ["dist_agm", {"name": "dgd", "alhpa": 0.02}],
+         QUAD_PROBLEM, "dgd: unknown key alhpa"),
     ]),
     # two runs of one name would write one trace file
     pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5, "algorithms": [
@@ -410,15 +444,17 @@ def bad_section(command, key, value, problem=QUAD_PROBLEM, named=None):
     pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5,
                          "algorithms": "dgd"},
                  "algorithms", id="run-algorithms-not-a-list"),
-])
-def test_invalid_config_value_exit_code(command, cfg, section, tmp_path,
-                                        capsys):
-    code = main([command, write_config(tmp_path, cfg),
-                 "--out", str(tmp_path / "o")])
+]))
+def test_invalid_config_value_exit_code(command, cfg, section, seed,
+                                        tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([command, write_config(tmp_path, cfg), "--out", str(out),
+                 *seed])
     assert code == harness.EXIT_CONFIG == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert section in err
+    assert list(out.glob("*.csv")) == []
 
 
 def test_unknown_algorithm_key_exit_code(tmp_path, capsys):
@@ -436,8 +472,8 @@ def test_unknown_algorithm_key_exit_code(tmp_path, capsys):
 def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5,
                                          tmp_path, monkeypatch, capsys):
     """Every key of every shipped config is one the harness reads. The
-    energy check reads the top level, graph, problem, init and flow, and
-    stops here at the flow's first step."""
+    energy check reads every section, algorithm entries included, and stops
+    here at the flow's first step; each entry's run takes its settings."""
     def integrate(*args, **kwargs):
         raise flow.BlowUpError("stop", last_t=0.0)
 
@@ -446,11 +482,10 @@ def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5,
     paths = sorted(CONFIGS.rglob("*.yaml"))
     for path in paths:
         cfg = harness.load_config(path)
-        assert harness.cmd_energy_check(cfg, str(tmp_path)) == 3, path
-        for entry in cfg.get("algorithms", []):
-            params = dict(entry)
-            trace = harness.run_algorithm(params.pop("name"), params, obj,
-                                          ring5, x0_ring5, opt, iters=0)
+        assert harness.cmd_energy_check(cfg, str(tmp_path), None) == 3, path
+        for name, settings in checked(cfg)["algorithms"].items():
+            trace = harness.run_algorithm(name, settings, obj, ring5,
+                                          x0_ring5, opt, iters=0)
             assert len(trace) == 1
     assert paths
 
@@ -460,7 +495,8 @@ def test_mnist_fallback_reads_n_and_p(tmp_path):
     data that its n and p shape."""
     cfg = {"problem": {"type": "logistic-mnist", "dataset_root": str(tmp_path),
                        "n": 60, "p": 3}}
-    obj, _, label = harness.build_problem(cfg, harness.build_graph({}))
+    obj, _, label = harness.build_problem(checked(cfg),
+                                          harness.build_graph(checked({})))
     assert sum(z.shape[0] for z in obj.Zs) == 60 and obj.d == 4
     assert label.startswith("synthetic-gaussian")
 
@@ -479,20 +515,22 @@ def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
     """A section with no keys builds what the library builds from the
     required arguments alone, which the harness sets to ring, 5 agents,
     d = 2, flow beta 0.1 and dist_agm h 10, beta 0.1."""
-    graph = harness.build_graph(cfg)
+    settings = checked(cfg)
+    graph = harness.build_graph(settings)
     ring = build_topology("ring", 5)
     assert (graph.m, graph.edges) == (ring.m, ring.edges)
-    obj, opt, label = harness.build_problem(cfg, graph)
+    obj, opt, label = harness.build_problem(settings, graph)
     quad = make_quadratic(5, 2)
     np.testing.assert_array_equal(obj.Qs, quad.Qs)
     np.testing.assert_array_equal(obj.bs, quad.bs)
     assert label == "quadratic"
-    x0 = harness.initial_state(cfg, graph, obj)
+    x0 = harness.initial_state(settings, graph, obj)
     np.testing.assert_array_equal(
         x0, 0.1 * np.random.default_rng(0).standard_normal(10))
 
     def bare(name):
-        return harness.run_algorithm(name, {}, obj, graph, x0, opt,
+        params = checked({"algorithms": [name]})["algorithms"][name]
+        return harness.run_algorithm(name, params, obj, graph, x0, opt,
                                      iters=0).metadata
 
     assert bare("dist_agm") == agm.adaptive_run(obj, graph, x0, 10.0, 0.1,
@@ -514,7 +552,7 @@ def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
         raise flow.BlowUpError("stop", last_t=0.0)
 
     monkeypatch.setattr(flow, "integrate", integrate)
-    assert harness.cmd_energy_check(cfg, str(tmp_path)) == 3
+    assert harness.cmd_energy_check(cfg, str(tmp_path), None) == 3
     assert seen["params"] == flow.FlowParams(beta=0.1)
     assert seen["record_every"] == 10
 
@@ -545,12 +583,12 @@ def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):
             images, labels, positive_digit=5, negative_digit=1, cap=500,
             seed=0),
     }
-    graph = harness.build_graph({})
+    graph = harness.build_graph(checked({}))
     for kind, ds in expected.items():
         cfg = {"problem": {"type": kind, "dataset_root": str(tmp_path)}}
         if kind == "logistic-synthetic":
             del cfg["problem"]["dataset_root"]
-        obj, _, _ = harness.build_problem(cfg, graph)
+        obj, _, _ = harness.build_problem(checked(cfg), graph)
         np.testing.assert_array_equal(np.vstack(obj.Zs), ds.features)
         np.testing.assert_array_equal(np.concatenate(obj.ys), ds.labels)
         assert obj.l2 == 1e-4

@@ -37,3 +37,27 @@ def test_only_trace_writes_csv():
             if "csv" in names:
                 importers.append(path.name)
     assert importers == ["trace.py"]
+
+
+def test_one_function_reads_the_raw_config():
+    """The raw config is read in one pass, by ``harness.check_config``:
+    every other function takes the settings it returns. Only the hash and
+    the three config commands, which pass it on, also take a ``cfg``, and
+    cli.py names no config section, so the harness applies ``--seed``."""
+    takers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = (node.args.posonlyargs + node.args.args
+                        + node.args.kwonlyargs)
+                if any(arg.arg in ("cfg", "config") for arg in args):
+                    takers.append(node.name)
+    assert sorted(takers) == ["check_config", "cmd_compare",
+                              "cmd_energy_check", "cmd_run", "config_hash"]
+    sections = ("graph", "problem", "init", "flow", "algorithms")
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    named = [node.value for node in ast.walk(cli)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and any(node.value == name or f"{name}." in node.value
+                     for name in sections)]
+    assert named == []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from distagm import data_io, harness
 from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
-                                SolverError, make_logistic, make_quadratic,
+                                SolverError, make_quadratic,
                                 solve_consensus_optimum)
 
 
@@ -104,7 +104,8 @@ def test_logistic_gradient_finite_difference():
     rng = np.random.default_rng(4)
     feats = rng.standard_normal((40, 3))
     labels = (rng.random(40) < 0.5).astype(float)
-    obj = make_logistic(feats, labels, shards=4, l2=1e-3)
+    obj = LogisticObjective(np.array_split(feats, 4),
+                            np.array_split(labels, 4), l2=1e-3)
     for _ in range(50):
         X = rng.standard_normal(12)
         fd = central_fd(obj, X)
@@ -112,8 +113,8 @@ def test_logistic_gradient_finite_difference():
 
 
 def test_logistic_zero_weights_loss():
-    obj = make_logistic(np.array([[1.0, 2.0]]), np.array([1.0]), shards=1,
-                        l2=0.0)
+    obj = LogisticObjective([np.array([[1.0, 2.0]])], [np.array([1.0])],
+                            l2=0.0)
     assert obj.value(np.zeros(2)) == pytest.approx(np.log(2.0))
 
 
@@ -121,14 +122,14 @@ def test_logistic_symmetric_zero_gradient():
     # mirrored features with equal labels: gradient vanishes at zero weights
     feats = np.array([[1.0, -2.0], [-1.0, 2.0]])
     labels = np.array([1.0, 1.0])
-    obj = make_logistic(feats, labels, shards=1, l2=0.0)
+    obj = LogisticObjective([feats], [labels], l2=0.0)
     np.testing.assert_allclose(obj.grad(np.zeros(2)), 0.0, atol=1e-14)
 
 
 def test_logistic_gradient_saturates_without_overflow_warning():
     # margin -1000: exp(1000) would overflow; the sigmoid saturates
-    obj = make_logistic(np.array([[1.0, 0.0]]), np.array([1.0]), shards=1,
-                        l2=0.0)
+    obj = LogisticObjective([np.array([[1.0, 0.0]])], [np.array([1.0])],
+                            l2=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = obj.local_grad(0, np.array([-1000.0, 0.0]))
@@ -137,7 +138,7 @@ def test_logistic_gradient_saturates_without_overflow_warning():
 
 def test_logistic_label_validation():
     with pytest.raises(ValueError):
-        make_logistic(np.ones((3, 2)), np.array([0.0, 1.0, 2.0]), shards=1)
+        LogisticObjective([np.ones((3, 2))], [np.array([0.0, 1.0, 2.0])])
 
 
 def test_logistic_empty_shard_rejected():
@@ -158,7 +159,8 @@ def test_midpoint_convexity():
     feats = rng.standard_normal((30, 3))
     labels = (rng.random(30) < 0.5).astype(float)
     for obj in (make_quadratic(3, 3, seed=7),
-                make_logistic(feats, labels, shards=3)):
+                LogisticObjective(np.array_split(feats, 3),
+                                  np.array_split(labels, 3))):
         for _ in range(100):
             X, Y = rng.standard_normal((2, 9))
             mid = obj.value(0.5 * (X + Y))
@@ -181,7 +183,8 @@ def test_central_hess_finite_difference():
     feats = rng.standard_normal((40, 3))
     labels = (rng.random(40) < 0.5).astype(float)
     for obj in (make_quadratic(4, 3, cond=50.0, seed=7),
-                make_logistic(feats, labels, shards=4, l2=1e-3)):
+                LogisticObjective(np.array_split(feats, 4),
+                                  np.array_split(labels, 4), l2=1e-3)):
         for _ in range(10):
             x = rng.standard_normal(3)
             np.testing.assert_allclose(obj.central_hess(x),
@@ -194,7 +197,8 @@ def test_smoothness_bound():
     feats = rng.standard_normal((30, 3))
     labels = (rng.random(30) < 0.5).astype(float)
     for obj in (make_quadratic(3, 3, seed=7),
-                make_logistic(feats, labels, shards=3, l2=1e-4)):
+                LogisticObjective(np.array_split(feats, 3),
+                                  np.array_split(labels, 3), l2=1e-4)):
         n = obj.m * obj.d
         for _ in range(100):
             X, Y = rng.standard_normal((2, n))
@@ -225,7 +229,8 @@ def test_solver_on_ridge_logistic():
     rng = np.random.default_rng(12)
     feats = rng.standard_normal((60, 4))
     labels = (feats[:, 0] > 0).astype(float)
-    obj = make_logistic(feats, labels, shards=3, l2=1e-2)
+    obj = LogisticObjective(np.array_split(feats, 3),
+                            np.array_split(labels, 3), l2=1e-2)
     opt = solve_consensus_optimum(obj, tol=1e-10)
     assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-10
     assert obj.central_value(opt.x_star) == pytest.approx(opt.f_star)
@@ -254,7 +259,8 @@ def test_solver_steps_below_line_search_resolution():
     feats = 3.0 * rng.standard_normal((1000, 20))
     w = rng.standard_normal(20)
     labels = (rng.random(1000) < 1.0 / (1.0 + np.exp(-feats @ w))).astype(float)
-    obj = make_logistic(feats, labels, shards=5, l2=1e-2)
+    obj = LogisticObjective(np.array_split(feats, 5),
+                            np.array_split(labels, 5), l2=1e-2)
     opt = solve_consensus_optimum(obj, tol=1e-8, max_iter=50)
     assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-8
 
@@ -264,7 +270,8 @@ def test_solver_singular_hessian():
     rng = np.random.default_rng(17)
     feats = np.hstack([rng.standard_normal((80, 3)), np.zeros((80, 1))])
     labels = (rng.random(80) < 0.5).astype(float)
-    obj = make_logistic(feats, labels, shards=4, l2=0.0)
+    obj = LogisticObjective(np.array_split(feats, 4),
+                            np.array_split(labels, 4), l2=0.0)
     opt = solve_consensus_optimum(obj, tol=1e-10, max_iter=50)
     assert np.linalg.norm(obj.central_grad(opt.x_star)) <= 1e-10
     assert opt.x_star[3] == 0.0
@@ -275,7 +282,8 @@ def test_solver_nonconvergence_carries_best():
     rng = np.random.default_rng(13)
     feats = rng.standard_normal((60, 4))
     labels = (feats[:, 0] > 0).astype(float)
-    obj = make_logistic(feats, labels, shards=2, l2=1e-2)
+    obj = LogisticObjective(np.array_split(feats, 2),
+                            np.array_split(labels, 2), l2=1e-2)
     with pytest.raises(SolverError) as err:
         solve_consensus_optimum(obj, tol=1e-14, max_iter=3)
     assert err.value.best_x is not None
