@@ -19,7 +19,7 @@ __all__ = ["dgd_run", "diging_run", "pi_consensus_run"]
 
 
 def _grad_blocks(obj, xb):
-    return np.vstack([obj.local_grad(i, xb[i]) for i in range(obj.m)])
+    return obj.grad(xb.reshape(-1)).reshape(obj.m, obj.d)
 
 
 def dgd_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,

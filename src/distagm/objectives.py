@@ -66,15 +66,11 @@ class SeparableObjective:
 
     def value(self, X: np.ndarray) -> float:
         """Cumulative cost: sum of f_i over the agent blocks of X."""
-        X = self._check(X)
-        blocks = X.reshape(self.m, self.d)
-        return float(sum(self.local_value(i, blocks[i]) for i in range(self.m)))
+        raise NotImplementedError
 
     def grad(self, X: np.ndarray) -> np.ndarray:
         """Stacked gradient: block i is the gradient of f_i at block i of X."""
-        X = self._check(X)
-        blocks = X.reshape(self.m, self.d)
-        return np.concatenate([self.local_grad(i, blocks[i]) for i in range(self.m)])
+        raise NotImplementedError
 
     def central_value(self, x: np.ndarray) -> float:
         """Sum of all f_i at a single point (the centralized objective)."""
@@ -157,23 +153,42 @@ class QuadraticObjective(SeparableObjective):
 
 class LogisticObjective(SeparableObjective):
     """Sharded cross-entropy: f_i(w) = sum over shard i of
-    log(1 + exp(z^T w)) - y z^T w, plus a ridge (l2/2m)||w||^2."""
+    log(1 + exp(z^T w)) - y z^T w, plus a ridge (l2/2m)||w||^2.
+
+    The shards are held once, read-only, zero-padded to the longest:
+    features Z (m, rows, d), labels Y and a 0/1 row mask (m, rows); ``Zs``
+    and ``ys`` are views into them. The stacked oracles are one batched
+    product each way, block i reading only shard i and x_i. Padding costs
+    (m * rows - n)(d + 2) * 8 bytes, none for equal shards.
+    """
 
     def __init__(self, shards_z, shards_y, l2: float = 1e-4):
         if len(shards_z) != len(shards_y) or not shards_z:
             raise ValueError("need matching, non-empty feature/label shard lists")
-        self.Zs = [np.asarray(z, dtype=float) for z in shards_z]
-        self.ys = [np.asarray(y, dtype=float) for y in shards_y]
-        self.m = len(self.Zs)
-        self.l2 = float(l2)
-        for z, y in zip(self.Zs, self.ys):
+        shards_z = [np.asarray(z, dtype=float) for z in shards_z]
+        shards_y = [np.asarray(y, dtype=float) for y in shards_y]
+        for i, (z, y) in enumerate(zip(shards_z, shards_y)):
+            if z.ndim != 2 or z.shape[1] != shards_z[0].shape[1]:
+                raise ValueError(f"shard {i}: features have shape {z.shape}, "
+                                 "expected (n, d) with shard 0's d")
             if z.shape[0] == 0:
-                raise ValueError("empty shard")
-            if z.shape[0] != y.shape[0]:
-                raise ValueError("shard feature/label count mismatch")
+                raise ValueError(f"shard {i} is empty")
+            if y.shape != z.shape[:1]:
+                raise ValueError(f"shard {i}: labels have shape {y.shape}, "
+                                 f"expected ({z.shape[0]},)")
             if not np.all(np.isin(y, (0.0, 1.0))):
-                raise ValueError("labels must be in {0, 1}")
-        self.d = self.Zs[0].shape[1]
+                raise ValueError(f"shard {i}: labels must be in {{0, 1}}")
+        self.m, self.d = len(shards_z), shards_z[0].shape[1]
+        self.l2 = float(l2)
+        sizes = [z.shape[0] for z in shards_z]
+        self.Z = np.zeros((self.m, max(sizes), self.d))
+        self.Y, self.mask = np.zeros((2, self.m, max(sizes)))
+        for i, (z, y, n) in enumerate(zip(shards_z, shards_y, sizes)):
+            self.Z[i, :n], self.Y[i, :n], self.mask[i, :n] = z, y, 1.0
+        for arr in (self.Z, self.Y, self.mask):
+            arr.setflags(write=False)
+        self.Zs = [self.Z[i, :n] for i, n in enumerate(sizes)]
+        self.ys = [self.Y[i, :n] for i, n in enumerate(sizes)]
         # 1/4 bound on the logistic Hessian plus the per-agent ridge share.
         self.local_smoothness = np.array([
             0.25 * np.linalg.eigvalsh(z.T @ z)[-1] + self.l2 / self.m
@@ -189,6 +204,21 @@ class LogisticObjective(SeparableObjective):
     def local_grad(self, i, x):
         sig = _sigmoid(self.Zs[i] @ x)
         return self.Zs[i].T @ (sig - self.ys[i]) + self.l2 / self.m * x
+
+    def value(self, X):
+        xb = self._check(X).reshape(self.m, self.d)
+        margins = (self.Z @ xb[:, :, None])[..., 0]
+        loss = (np.logaddexp(0.0, margins) - self.Y * margins) * self.mask
+        # x_i.x_i as a dot and Python's sum over agents keep the sweep's bits
+        ridge = 0.5 * self.l2 / self.m * (xb[:, None, :] @ xb[:, :, None])
+        return float(sum((loss.sum(axis=1) + ridge.ravel()).tolist()))
+
+    def grad(self, X):
+        xb = self._check(X).reshape(self.m, self.d)
+        sig = _sigmoid((self.Z @ xb[:, :, None])[..., 0])
+        # padded rows have zero features, so they add nothing here
+        back = self.Z.transpose(0, 2, 1) @ (sig - self.Y)[:, :, None]
+        return (back[..., 0] + self.l2 / self.m * xb).reshape(-1)
 
     def central_hess(self, x):
         hess = self.l2 * np.eye(self.d)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distagm import data_io, harness
@@ -144,6 +144,76 @@ def test_logistic_label_validation():
 def test_logistic_empty_shard_rejected():
     with pytest.raises(ValueError):
         LogisticObjective([np.ones((0, 2))], [np.ones(0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(min_value=2, max_value=8),
+       d=st.integers(min_value=1, max_value=5),
+       extra=st.integers(min_value=0, max_value=7),
+       big=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_logistic_batched_oracles_match_per_agent_sweep(m, d, extra, big,
+                                                        seed):
+    """Batched value/grad equal the per-agent sweep on equal and ragged
+    shards, and stay finite with no warning at margins past +-709."""
+    rng = np.random.default_rng(seed)
+    n = 3 * m + extra
+    feats = rng.standard_normal((n, d))
+    labels = (rng.random(n) < 0.5).astype(float)
+    obj = LogisticObjective(np.array_split(feats, m),
+                            np.array_split(labels, m), l2=1e-3)
+    X = rng.standard_normal(m * d) * (1e4 if big else 1.0)
+    blocks = X.reshape(m, d)
+    if big:
+        margins = np.concatenate([z @ x for z, x in zip(obj.Zs, blocks)])
+        assume(np.abs(margins).max() > 709.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_f, got_g = obj.value(X), obj.grad(X)
+        want_f = sum(obj.local_value(i, blocks[i]) for i in range(m))
+        want_g = np.concatenate([obj.local_grad(i, blocks[i])
+                                 for i in range(m)])
+    assert np.isfinite(got_f) and np.all(np.isfinite(got_g))
+    assert got_g.shape == (m * d,)
+    if extra % m == 0:
+        # equal shards: the same products per agent, so the same bits
+        assert got_f == want_f and np.array_equal(got_g, want_g)
+    assert got_f == pytest.approx(want_f, rel=1e-12)
+    # componentwise rtol 1e-12 of the sum of the terms' magnitudes, which
+    # bounds |gradient| (|sigmoid - y| <= 1) and stays put under cancellation
+    scale = np.concatenate([np.abs(z).sum(axis=0) for z in obj.Zs])
+    assert np.all(np.abs(got_g - want_g) <= 1e-12 * (scale + np.abs(X)))
+
+
+def test_logistic_shards_held_once_read_only():
+    feats = np.random.default_rng(6).standard_normal((11, 3))
+    labels = np.array([0.0, 1.0] * 5 + [1.0])
+    obj = LogisticObjective(np.array_split(feats, 3),
+                            np.array_split(labels, 3))
+    assert obj.Z.shape == (3, 4, 3)
+    np.testing.assert_array_equal(obj.mask.sum(axis=1), [4, 4, 3])
+    np.testing.assert_array_equal(obj.Z[2, 3], 0.0)
+    for i, (z, y) in enumerate(zip(obj.Zs, obj.ys)):
+        assert np.shares_memory(z, obj.Z) and np.shares_memory(y, obj.Y)
+        np.testing.assert_array_equal(z, np.array_split(feats, 3)[i])
+    for arr in (obj.Z, obj.Y, obj.mask, obj.Zs[0], obj.ys[0]):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_logistic_column_labels_rejected():
+    # (n, 1) labels would broadcast the loss to (n, n) and give a wrong cost
+    feats = np.random.default_rng(5).standard_normal((6, 3))
+    labels = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="shard 1"):
+        LogisticObjective(np.array_split(feats, 2),
+                          [labels[:3], labels[3:, None]])
+
+
+def test_logistic_feature_count_mismatch_rejected():
+    with pytest.raises(ValueError, match="shard 2"):
+        LogisticObjective([np.ones((3, 4)), np.ones((3, 4)), np.ones((3, 3))],
+                          [np.zeros(3)] * 3)
 
 
 def test_convexity_inequality():

@@ -3,8 +3,8 @@ flow integrator.
 
 Each adaptive or fixed-step iteration evaluates the new iterate once
 (stacked gradient, lifted Laplacian, cumulative cost) plus the cost at the
-plus-iterate. DGD and DIGing take their gradients from the per-agent sweep
-of their update and never call the stacked gradient. Each RK4 step of the
+plus-iterate. DGD and DIGing take the gradient of their update from 1
+stacked gradient call and make no per-agent call. Each RK4 step of the
 flow evaluates its accepted point once; that gradient and Laplacian apply
 are the next step's first stage.
 """
@@ -78,8 +78,8 @@ def test_gradient_baselines_reuse_the_update_sweep(run_fn, counts, ring5,
     got = per_iteration(
         counts, lambda iters: run_fn(obj, ring5, x0_ring5, alpha=1e-3,
                                      iters=iters, opt=opt))
-    assert counts["grad"] == 0
-    assert got["local_grad"] == obj.m
+    assert got["grad"] == 1
+    assert got["local_grad"] == 0
     assert got["laplacian"] == 1
 
 
