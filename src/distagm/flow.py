@@ -176,6 +176,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     """
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
+    if not startup_dt_fraction > 0.0:
+        raise ValueError(
+            f"startup_dt_fraction must be positive, got {startup_dt_fraction}")
     X0 = np.asarray(X0, dtype=float)
     V0 = np.asarray(V0, dtype=float)
     n = graph.m * obj.d

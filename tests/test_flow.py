@@ -5,7 +5,7 @@ import pytest
 
 from distagm.flow import (BlowUpError, FlowParams, energy_at, flow_rhs,
                           flow_rhs_per_agent, integrate, rate_slope)
-from distagm.graphs import build_topology
+from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import QuadraticObjective
 from distagm.trace import RunTrace
 
@@ -120,6 +120,66 @@ def test_rate_bound_from_small_t0(ring5, flow_quadratic, x0_ring5):
     gaps = trace.column("F_gap")
     e0 = trace.column("E_total")[0]
     assert np.all(ts ** (2.0 - params.beta) * gaps <= e0 * 1.01)
+
+
+@pytest.mark.parametrize("fraction", [0.0, -0.05, float("nan")])
+def test_integrate_rejects_bad_startup_fraction(ring5, flow_quadratic,
+                                                x0_ring5, fraction):
+    # 0 would never advance t; a negative fraction steps backwards into the
+    # singular t <= 0 and a NaN one drops out of ``min`` unnoticed
+    obj, opt = flow_quadratic
+    params = FlowParams(beta=0.1, t0=1.0, dt=1e-2, horizon=1.1)
+    with pytest.raises(ValueError, match="startup_dt_fraction"):
+        integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
+                  startup_dt_fraction=fraction)
+
+
+def test_one_step_matches_rk4_from_flow_rhs(ring5, flow_quadratic, x0_ring5):
+    """One integrator step against classical RK4 assembled from four
+    ``flow_rhs`` calls and the ledger written out from its definitions."""
+    obj, opt = flow_quadratic
+    params = FlowParams(beta=0.3, k_gain=1.7, t0=1.25, dt=0.125, horizon=1.375)
+    V0 = 0.4 * np.random.default_rng(3).standard_normal(10)
+    trace = integrate(params, obj, ring5, x0_ring5, V0, opt, record_every=1,
+                      startup_dt_fraction=1.0)
+    assert len(trace) == 2
+
+    t0, dt = params.t0, params.dt
+    Y0 = np.concatenate((x0_ring5, V0))
+    k1 = flow_rhs(t0, Y0, params, obj, ring5)
+    k2 = flow_rhs(t0 + dt / 2, Y0 + dt / 2 * k1, params, obj, ring5)
+    k3 = flow_rhs(t0 + dt / 2, Y0 + dt / 2 * k2, params, obj, ring5)
+    k4 = flow_rhs(t0 + dt, Y0 + dt * k3, params, obj, ring5)
+    Y1 = Y0 + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    def point(t, Y):
+        X, V = Y[:10], Y[10:]
+        xbar = X - opt.x_star_stacked
+        lx = apply_lifted_laplacian(ring5, obj.d, X)
+        grad = obj.grad(X)
+        gap = obj.value(X) - opt.f_star
+        w = t ** (1 - params.beta)
+        integrands = np.array((
+            params.k_gain * t * xbar.dot(lx),
+            2 * w * (opt.f_star - obj.value(X) - grad.dot(opt.x_star_stacked - X)),
+            params.beta * w * gap))
+        row = {"t": t, "F_gap": gap, "grad_norm": np.linalg.norm(grad),
+               "laplacian_norm": np.linalg.norm(lx),
+               "E_kinetic": 0.5 * np.sum((t * V + 2 * xbar) ** 2),
+               "E_laplacian": 0.5 * params.k_gain * t ** 2 * xbar.dot(lx),
+               "E_potential": t ** (2 - params.beta) * gap}
+        return row, integrands
+
+    rows = [point(t0, Y0), point(t0 + dt, Y1)]
+    integrals = [np.zeros(3), dt / 2 * (rows[0][1] + rows[1][1])]
+    for k, ((row, _), acc) in enumerate(zip(rows, integrals)):
+        row.update(E_int_laplacian=acc[0], E_int_bregman=acc[1],
+                   E_int_beta=acc[2])
+        row["E_total"] = sum(v for name, v in row.items()
+                             if name.startswith("E_"))
+        for name, want in row.items():
+            got = trace.column(name)[k]
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0), (k, name)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
