@@ -58,7 +58,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "1aef656cdae6ece3aa2453cbf6778e9ff6c2957f6ae4b12bc30221a6add57ca9",
+            "65a84c43e102ebd4a3a916b034301d6ae61b6a2972d16e8c57371a99d78de2d3",
     },
 }
 
@@ -79,7 +79,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "f12d923ac645468b30f2b47d199c4072e7452f79437525e327cf431ba6326c1f")
+    "b0de7b0ed6ac65e216b974caf915c81af7bcefa7acc35df369249839f78648b0")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
