@@ -91,19 +91,14 @@ def _field_row(t, params: FlowParams) -> np.ndarray:
 
 
 def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
-             graph: AgentGraph, grad=None, lx=None):
-    """Phase-space right-hand side dY = (V, dV) of the state Y = [X; V].
-    ``grad`` is gradF(X) and ``lx`` is Llift X when the caller already
-    holds them."""
+             graph: AgentGraph):
+    """Phase-space right-hand side dY = (V, dV) of the state Y = [X; V]."""
     if t <= 0:
         raise ValueError(f"flow is singular at t={t}")
     n = Y.size // 2
     X, V = Y[:n], Y[n:]
-    if lx is None:
-        lx = apply_lifted_laplacian(graph, obj.d, X)
-    if grad is None:
-        grad = obj.grad(X)
-    return np.concatenate((V, _field_row(t, params).dot((V, grad, lx))))
+    field = (V, obj.grad(X), apply_lifted_laplacian(graph, obj.d, X))
+    return np.concatenate((V, _field_row(t, params).dot(field)))
 
 
 def flow_rhs_per_agent(t, Y, params: FlowParams, obj: SeparableObjective,
