@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import AbstractContextManager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,6 +29,9 @@ from .objectives import ConsensusOptimum, SeparableObjective
 from .trace import RunTrace
 
 __all__ = [
+    "AgmParams",
+    "AdaptiveParams",
+    "FixedParams",
     "AgmState",
     "StepDiagnostics",
     "StepChoice",
@@ -92,6 +95,52 @@ class TraceRecorder(AbstractContextManager):
     def __exit__(self, kind, err, tb):
         if isinstance(err, DivergenceError):
             err.trace = self.trace
+
+
+@dataclass(frozen=True)
+class AgmParams:
+    """Both dist_agm runs' knobs: time scale h, gradient-weight exponent."""
+
+    h: float = 10.0
+    beta: float = 0.1
+
+    def __post_init__(self):
+        if not (0.0 < self.beta < 2.0):
+            raise ValueError(f"beta must lie in (0, 2), got {self.beta}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be finite and positive, got {self.h}")
+
+
+@dataclass(frozen=True)
+class AdaptiveParams(AgmParams):
+    """``adaptive_run``'s knobs. The controller's r reads the optimum
+    gradient (``oracle_mode`` exact) or zero (practical); s_1 is
+    ``s1_fraction`` times the k=1 smoothness cap."""
+
+    oracle_mode: str = "exact"
+    s1_fraction: float = 1e-3
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.oracle_mode not in ("exact", "practical"):
+            raise ValueError(f"unknown oracle_mode {self.oracle_mode!r}")
+        if not 0.0 <= self.s1_fraction < math.inf:
+            raise ValueError(
+                f"need finite s1_fraction >= 0, got {self.s1_fraction}")
+
+
+@dataclass(frozen=True)
+class FixedParams(AgmParams):
+    """``fixed_step_run``'s knobs: the step ``s``, h^2 when left None."""
+
+    s: float | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        s = self.h * self.h if self.s is None else self.s
+        if isinstance(s, bool) or not 0.0 < float(s) < math.inf:
+            raise ValueError(f"s must be finite and positive, got {s!r}")
+        object.__setattr__(self, "s", float(s))
 
 
 def theta(k: int) -> float:
@@ -185,12 +234,8 @@ def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
 
     The k=0 update is trivial by construction so the (2 theta_k h)^{-beta}
     factor is never evaluated at k=0. The returned state carries s=0 until
-    the caller installs s_1.
+    the caller installs s_1. ``h`` and ``beta`` are checked by AgmParams.
     """
-    if not (0.0 < beta < 2.0):
-        raise ValueError(f"beta must lie in (0, 2), got {beta}")
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h must be finite and positive, got {h}")
     X0 = np.asarray(X0, dtype=float).copy()
     return AgmState(k=1, X=X0, X_plus=X0.copy(), Z=X0.copy(), s=0.0,
                     h=h, beta=beta)
@@ -245,11 +290,8 @@ def single_line_update(k: int, X: np.ndarray, Z: np.ndarray, s: float,
 
 def _grad_star(opt: ConsensusOptimum, oracle_mode: str,
                size: int) -> np.ndarray:
-    if oracle_mode == "exact":
-        return opt.grad_at_opt
-    if oracle_mode == "practical":
-        return np.zeros(size)
-    raise ValueError(f"unknown oracle_mode {oracle_mode!r}")
+    """The optimum gradient ``oracle_mode`` (see AdaptiveParams) reads."""
+    return opt.grad_at_opt if oracle_mode == "exact" else np.zeros(size)
 
 
 def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
@@ -373,18 +415,16 @@ def lyapunov_v0_prime(X0: np.ndarray, opt: ConsensusOptimum,
     return float(z1_err @ z1_err) / s_ref
 
 
-def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
-                   X0: np.ndarray, h: float, beta: float, iters: int,
-                   opt: ConsensusOptimum, s=None) -> RunTrace:
-    """Fixed step ``s`` (h^2 when None) for every iteration k >= 1."""
-    s = h * h if s is None else float(s)
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"s must be finite and positive, got {s}")
-    state = init(X0, h, beta)
+def fixed_step_run(params: FixedParams, obj: SeparableObjective,
+                   graph: AgentGraph, X0: np.ndarray, iters: int,
+                   opt: ConsensusOptimum) -> RunTrace:
+    """Fixed step ``params.s`` for every iteration k >= 1."""
+    s = params.s
+    state = init(X0, params.h, params.beta)
     state.s = s
     ev = state.ev = _evaluated(state, obj, graph, opt)
-    rec = TraceRecorder({"algorithm": "dist_agm_fixed", "h": h, "beta": beta,
-                         "s": s, "iters": iters}, opt.f_star)
+    rec = TraceRecorder({"algorithm": "dist_agm_fixed", **asdict(params),
+                         "iters": iters}, opt.f_star)
     with rec:
         rec(0, ev.gap, ev.grad, ev.lx, 0.0)  # X_plus is X_0 at k = 0
         for _ in range(iters):
@@ -395,10 +435,9 @@ def fixed_step_run(obj: SeparableObjective, graph: AgentGraph,
     return rec.trace
 
 
-def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
-                 h: float, beta: float, iters: int, opt: ConsensusOptimum,
-                 oracle_mode: str = "exact",
-                 s1_fraction: float = 1e-3) -> RunTrace:
+def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
+                 graph: AgentGraph, X0: np.ndarray, iters: int,
+                 opt: ConsensusOptimum) -> RunTrace:
     """Adaptive-step run with the four-case controller.
 
     Per iteration: apply the stored step, evaluate the controller
@@ -409,20 +448,19 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
     accepted positive step (or the k=1 cap when s_1 = 0) and is used only
     in the k=0 certificate and the rate bound, never in the dynamics.
     """
-    if not 0.0 <= s1_fraction < math.inf:
-        raise ValueError(f"need finite s1_fraction >= 0, got {s1_fraction}")
     lam_max = spectral_extremes(graph).lambda_max
-    state = init(X0, h, beta)
+    state = init(X0, params.h, params.beta)
     ev = state.ev = _evaluated(state, obj, graph, opt)
     boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max,
-                                 oracle_mode)
-    s1 = s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
+                                 params.oracle_mode)
+    s1 = params.s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
     s_ref = s1 if s1 > 0.0 else boot.cap_smooth
     state.s = s1
     v0_prime = lyapunov_v0_prime(X0, opt, s_ref)
-    rec = TraceRecorder({"algorithm": "dist_agm_adaptive", "h": h,
-                         "beta": beta, "iters": iters,
-                         "oracle_mode": oracle_mode, "s_ref": s_ref,
+    # s_ref, not s1_fraction, records the start step in the trace
+    rec = TraceRecorder({"algorithm": "dist_agm_adaptive", "h": params.h,
+                         "beta": params.beta, "iters": iters,
+                         "oracle_mode": params.oracle_mode, "s_ref": s_ref,
                          "V0_prime": v0_prime}, opt.f_star)
     with rec:
         rec(0, ev.gap, ev.grad, ev.lx, 0.0, v=v0_prime, case="bootstrap",
@@ -431,7 +469,7 @@ def adaptive_run(obj: SeparableObjective, graph: AgentGraph, X0: np.ndarray,
             prev = state
             state = step(prev, obj, graph, opt)
             diag = compute_step_diagnostics(prev, state, obj, graph, opt,
-                                            lam_max, oracle_mode)
+                                            lam_max, params.oracle_mode)
             choice = select_stepsize(diag, prev.s, a_coeff(prev.k),
                                      theta(prev.k + 1), prev.k)
             fallback = not math.isfinite(choice.chosen)

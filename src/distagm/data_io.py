@@ -1,7 +1,9 @@
-"""Dataset ingestion (IDX container format), agent sharding, and summaries."""
+"""Dataset ingestion (IDX container format), the MNIST and synthetic
+datasets, agent sharding, and summaries."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +16,16 @@ __all__ = [
     "parse_idx",
     "serialize_idx",
     "build_binary_dataset",
+    "mnist_dataset",
+    "synthetic_gaussian_dataset",
     "shard",
     "write_summary",
 ]
 
 _MAGIC_LABELS = 0x00000801
 _MAGIC_IMAGES = 0x00000803
+
+DATASET_ROOT_ENV = "DISTAGM_DATA"
 
 
 class IdxParseError(ValueError):
@@ -121,6 +127,42 @@ def build_binary_dataset(images: np.ndarray, labels: np.ndarray,
         feats, ys = feats[:cap], ys[:cap]
     feats = np.hstack([feats, np.ones((feats.shape[0], 1))])
     return LabeledDataset(features=feats, labels=ys, source=source)
+
+
+def mnist_dataset(spec: dict):
+    """The binary set of the IDX files, or None when they are not on disk.
+    Takes the MNIST keys out of the problem settings ``spec``; the seed,
+    which the synthetic fallback reads too, stays."""
+    root = spec.pop("dataset_root", None) or os.environ.get(DATASET_ROOT_ENV,
+                                                            ".")
+    img_path = os.path.join(root, spec.pop("images", "train-images-idx3-ubyte"))
+    lab_path = os.path.join(root, spec.pop("labels", "train-labels-idx1-ubyte"))
+    digits = {key: spec.pop(key) for key in (
+        "positive_digit", "negative_digit", "cap") if key in spec}
+    if not (os.path.exists(img_path) and os.path.exists(lab_path)):
+        return None
+    if "seed" in spec:
+        digits["seed"] = spec["seed"]
+    with open(img_path, "rb") as fh:
+        images = parse_idx(fh.read())
+    with open(lab_path, "rb") as fh:
+        labels = parse_idx(fh.read())
+    return build_binary_dataset(images, labels, source=img_path, **digits)
+
+
+def synthetic_gaussian_dataset(n=500, p=10, seed=0):
+    """Two-class Gaussian fallback when MNIST files are not on disk."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    mu = 1.5 * rng.standard_normal(p) / np.sqrt(p)
+    feats = np.vstack([rng.standard_normal((half, p)) + mu,
+                       rng.standard_normal((n - half, p)) - mu])
+    feats = (feats - feats.min()) / max(feats.max() - feats.min(), 1e-12)
+    labels = np.concatenate([np.ones(half), np.zeros(n - half)])
+    order = rng.permutation(n)
+    feats = np.hstack([feats[order], np.ones((n, 1))])
+    return LabeledDataset(features=feats, labels=labels[order],
+                          source=f"synthetic-gaussian(seed={seed})")
 
 
 def shard(ds: LabeledDataset, m: int) -> tuple:

@@ -22,7 +22,7 @@ makes 4 gradient calls, 4 lifted-Laplacian applies and 1 cost call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +51,7 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
-    beta: float
+    beta: float = 0.1
     k_gain: float = 1.0
     t0: float = 1.0
     dt: float = 1e-3
@@ -200,9 +200,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     columns = ["t", "F_gap", "grad_norm", "laplacian_norm", "E_total",
                "E_kinetic", "E_laplacian", "E_potential",
                "E_int_laplacian", "E_int_bregman", "E_int_beta"]
-    trace = RunTrace(columns, metadata={
-        "beta": params.beta, "k_gain": params.k_gain, "t0": params.t0,
-        "dt": params.dt, "horizon": params.horizon})
+    trace = RunTrace(columns, metadata=asdict(params))
 
     def record(t, Y, point):
         ledger = _ledger(t, Y[n:], point, params, acc)
@@ -272,7 +270,11 @@ def rate_slope(ts, gaps, tail_fraction: float = 0.5, window=None):
     ``window=(lo, hi)`` restricts to that t-range; otherwise the last
     ``tail_fraction`` of samples is used. Non-positive gaps (float noise)
     are dropped and flagged. Returns (slope, r_squared, flagged).
+    ``tail_fraction`` must lie in (0, 1].
     """
+    if not 0.0 < tail_fraction <= 1.0:
+        raise ValueError(f"tail_fraction must lie in (0, 1], got "
+                         f"{tail_fraction}")
     ts = np.asarray(ts, dtype=float)
     gaps = np.asarray(gaps, dtype=float)
     if window is not None:

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+import typing
 
 import numpy as np
 import yaml
@@ -44,8 +45,6 @@ EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_SOLVER = 4
 
-DATASET_ROOT_ENV = "DISTAGM_DATA"
-
 
 class ConfigError(ValueError):
     pass
@@ -67,15 +66,20 @@ def config_hash(cfg: dict) -> str:
         json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
+def _fields(cls) -> dict:
+    """The keys of a parameter dataclass, each with the cast its type gives
+    a config value (None keeps a str or optional value as written)."""
+    return {name: hint if hint in (int, float, bool) else None
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
 _LOGISTIC = {"type": None, "n": int, "p": int, "seed": int, "l2": float,
              "solver_tol": float, "solver_max_iter": int}
-_AGM = {"mode": None, "h": float, "beta": float}
 # The keys each config section may set, with the cast each value gets (None
-# keeps it as written). A problem's keys depend on its type, an algorithm
-# entry's on the run function it calls: dist_agm's mode picks
-# agm.adaptive_run or agm.fixed_step_run. A key left out is not passed on,
-# so it takes the default of the function that reads it; the harness sets
-# only the arguments that function does not default.
+# keeps it as written). A problem's keys depend on its type; the flow's are
+# FlowParams's fields plus flow.integrate's record_every. A key left out is
+# not passed on, so it takes the default of the function or dataclass that
+# reads it; the harness sets only the arguments those do not default.
 _KEYS = {
     "top level": {"seed": int, "iters": int, "gap_threshold": float,
                   "drift_tolerance": float, "graph": None, "problem": None,
@@ -90,31 +94,34 @@ _KEYS = {
         "logistic-mnist": {**_LOGISTIC, "dataset_root": None, "images": None,
                            "labels": None, "positive_digit": int,
                            "negative_digit": int, "cap": int}},
-    "init": {"seed": int, "scale": float, "consensus": None},
-    "flow": {"beta": float, "k_gain": float, "t0": float, "dt": float,
-             "horizon": float, "record_every": int},
-    "algorithms": {
-        "dist_agm": {
-            "adaptive": {**_AGM, "oracle_mode": None, "s1_fraction": float},
-            "fixed": {**_AGM, "s": None}},
-        "dgd": {"alpha": float}, "diging": {"alpha": float},
-        "pi_consensus": {"alpha": float, "beta_gain": float,
-                         "h_step": float}},
+    "init": {"seed": int, "scale": float, "consensus": bool},
+    "flow": {**_fields(flow.FlowParams), "record_every": int},
 }
+# The parameter dataclass each algorithm entry builds: its fields are the
+# keys the entry may set, and it holds their defaults and checks their
+# ranges. dist_agm's mode picks agm.adaptive_run or agm.fixed_step_run.
+_PARAMS = {"dist_agm": {"adaptive": agm.AdaptiveParams,
+                        "fixed": agm.FixedParams},
+           "dgd": baselines.StepParams, "diging": baselines.StepParams,
+           "pi_consensus": baselines.PIParams}
 
 
 def _settings(where: str, spec: dict, keys: dict, **required) -> dict:
     """``required`` updated with the keys ``spec`` sets, each cast as
     ``keys`` says. A key ``keys`` does not list, or a value its cast
     refuses, raises ConfigError naming ``where`` and the key. The int cast
-    refuses a fractional number rather than truncate it."""
+    refuses a fractional number rather than truncate it; the bool cast
+    takes only true or false, which the number casts refuse."""
     for key, value in spec.items():
         if key not in keys:
             raise ConfigError(f"{where}: unknown key {key}")
+        cast = keys[key]
         try:
-            if keys[key] is int and isinstance(value, float) and value % 1:
+            if cast is not None and isinstance(value, bool) != (cast is bool):
+                raise TypeError(f"must be {cast.__name__}, got {value!r}")
+            if cast is int and isinstance(value, float) and value % 1:
                 raise ValueError(f"must be a whole number, got {value}")
-            required[key] = value if keys[key] is None else keys[key](value)
+            required[key] = value if cast is None else cast(value)
         except (TypeError, ValueError) as err:
             raise ConfigError(f"{where}: {key}: {err}") from err
     return required
@@ -143,10 +150,13 @@ def check_config(cfg: dict, seed) -> dict:
     """Every setting of ``cfg``, read before anything is built or written:
     each section and algorithm entry checked against ``_KEYS``, cast, and
     laid over the arguments the harness sets, with ``seed``, unless None,
-    in place of every seed. A bad section, key or value raises ConfigError
-    naming it. Returns the top-level settings with each section replaced by
-    its settings (``flow`` by (FlowParams, flow.integrate's keys),
-    ``algorithms`` by {name: settings}) and the reseeded config's hash."""
+    in place of every seed. The flow's and each algorithm's parameter
+    dataclass is built here, so every range they check is checked before
+    anything runs. A bad section, key or value raises ConfigError naming
+    it. Returns the top-level settings with each section replaced by its
+    settings (``flow`` by (FlowParams, flow.integrate's keys),
+    ``algorithms`` by {name: parameter dataclass}) and the reseeded
+    config's hash."""
     for name in ("graph", "problem", "init", "flow"):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"{name}: must be a mapping, got {cfg[name]!r}")
@@ -170,7 +180,7 @@ def check_config(cfg: dict, seed) -> dict:
         _keys(_KEYS["problem"], kind, "problem type"), type=kind)
     top["init"] = _settings("init", cfg.get("init", {}), _KEYS["init"],
                             seed=top["seed"], scale=0.1, consensus=False)
-    spec = _settings("flow", cfg.get("flow", {}), _KEYS["flow"], beta=0.1)
+    spec = _settings("flow", cfg.get("flow", {}), _KEYS["flow"])
     record = ({"record_every": spec.pop("record_every")}
               if "record_every" in spec else {})
     top["flow"] = _parsed("flow", flow.FlowParams, **spec), record
@@ -184,61 +194,21 @@ def check_config(cfg: dict, seed) -> dict:
             raise ConfigError(f"algorithms: entry {entry!r} has no name")
         params = dict(params)
         name = params.pop("name")
-        keys = _keys(_KEYS["algorithms"], name, "algorithm")
-        required = {"dist_agm": {"mode": "adaptive", "h": 10.0, "beta": 0.1},
-                    "dgd": {"alpha": 0.001}, "diging": {"alpha": 0.001},
-                    "pi_consensus": {"alpha": 0.01, "beta_gain": 0.1}}[name]
+        cls = _keys(_PARAMS, name, "algorithm")
         if name == "dist_agm":
-            keys = _keys(keys, params.get("mode", required["mode"]),
-                         "dist_agm mode")
+            cls = _keys(cls, params.pop("mode", "adaptive"), "dist_agm mode")
         if name in top["algorithms"]:
             raise ConfigError(f"algorithms: {name} listed more than once; "
                               "each run writes <name>_trace.csv")
-        top["algorithms"][name] = _settings(f"algorithm {name}", params, keys,
-                                            **required)
+        where = f"algorithm {name}"
+        top["algorithms"][name] = _parsed(
+            where, cls, **_settings(where, params, _fields(cls)))
     top["config_hash"] = config_hash(cfg)
     return top
 
 
 def build_graph(settings: dict):
     return build_topology(**settings["graph"])
-
-
-def _mnist_dataset(spec):
-    """The binary set of the IDX files, or None when they are not on disk.
-    Takes the MNIST keys out of ``spec``; the seed, which the synthetic
-    fallback reads too, stays."""
-    root = spec.pop("dataset_root", None) or os.environ.get(DATASET_ROOT_ENV,
-                                                            ".")
-    img_path = os.path.join(root, spec.pop("images", "train-images-idx3-ubyte"))
-    lab_path = os.path.join(root, spec.pop("labels", "train-labels-idx1-ubyte"))
-    digits = {key: spec.pop(key) for key in (
-        "positive_digit", "negative_digit", "cap") if key in spec}
-    if not (os.path.exists(img_path) and os.path.exists(lab_path)):
-        return None
-    if "seed" in spec:
-        digits["seed"] = spec["seed"]
-    with open(img_path, "rb") as fh:
-        images = data_io.parse_idx(fh.read())
-    with open(lab_path, "rb") as fh:
-        labels = data_io.parse_idx(fh.read())
-    return data_io.build_binary_dataset(images, labels, source=img_path,
-                                        **digits)
-
-
-def synthetic_gaussian_dataset(n=500, p=10, seed=0):
-    """Two-class Gaussian fallback when MNIST files are not on disk."""
-    rng = np.random.default_rng(seed)
-    half = n // 2
-    mu = 1.5 * rng.standard_normal(p) / np.sqrt(p)
-    feats = np.vstack([rng.standard_normal((half, p)) + mu,
-                       rng.standard_normal((n - half, p)) - mu])
-    feats = (feats - feats.min()) / max(feats.max() - feats.min(), 1e-12)
-    labels = np.concatenate([np.ones(half), np.zeros(n - half)])
-    order = rng.permutation(n)
-    feats = np.hstack([feats[order], np.ones((n, 1))])
-    return data_io.LabeledDataset(features=feats, labels=labels[order],
-                                  source=f"synthetic-gaussian(seed={seed})")
 
 
 def build_problem(settings: dict, graph):
@@ -259,9 +229,9 @@ def build_problem(settings: dict, graph):
     solver = {key.removeprefix("solver_"): spec.pop(key) for key in (
         "solver_tol", "solver_max_iter") if key in spec}
     ridge = {"l2": spec.pop("l2")} if "l2" in spec else {}
-    ds = _mnist_dataset(spec) if kind == "logistic-mnist" else None
+    ds = data_io.mnist_dataset(spec) if kind == "logistic-mnist" else None
     if ds is None:
-        ds = synthetic_gaussian_dataset(**spec)
+        ds = data_io.synthetic_gaussian_dataset(**spec)
     shards = data_io.shard(ds, graph.m)
     obj = LogisticObjective([s.features for s in shards],
                             [s.labels for s in shards], **ridge)
@@ -279,22 +249,17 @@ def initial_state(settings: dict, graph, obj):
     return init["scale"] * rng.standard_normal(graph.m * obj.d)
 
 
-def run_algorithm(name: str, settings: dict, obj, graph, X0, opt,
+def run_algorithm(name: str, params, obj, graph, X0, opt,
                   iters: int) -> RunTrace:
-    """One algorithm entry, with the settings ``check_config`` read for it,
-    on the problem. A value the run refuses raises ConfigError naming the
-    algorithm."""
-    run = getattr(baselines, f"{name}_run", None)
+    """One algorithm entry, with the parameter dataclass ``check_config``
+    built for it, on the problem. The run function is looked up on its
+    module at each call."""
     if name == "dist_agm":
-        settings = dict(settings)
-        run = (agm.adaptive_run if settings.pop("mode") == "adaptive"
+        run = (agm.adaptive_run if isinstance(params, agm.AdaptiveParams)
                else agm.fixed_step_run)
-    try:
-        return run(obj, graph, X0, iters=iters, opt=opt, **settings)
-    except ValueError as err:
-        # the runs raise ValueError only for a value they were given (h,
-        # beta, alpha, oracle_mode, ...), which here comes from the config
-        raise ConfigError(f"algorithm {name}: {err}") from err
+    else:
+        run = getattr(baselines, f"{name}_run")
+    return run(params, obj, graph, X0, iters, opt)
 
 
 def _set_up(settings: dict, out_dir: str):
@@ -405,7 +370,12 @@ def cmd_rate_check(trace_path: str, beta: float, tolerance: float = 0.3,
                    **fit) -> int:
     """Fit the tail slope of a trace and compare against -(2 - beta).
     ``fit`` holds the keyword arguments of ``flow.rate_slope`` the caller
-    sets (``window``, ``tail_fraction``)."""
+    sets (``window``, ``tail_fraction``). A ``beta`` outside (0, 2) or a
+    non-finite ``tolerance`` raises ValueError."""
+    if not 0.0 < beta < 2.0:
+        raise ValueError(f"beta must lie in (0, 2), got {beta}")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     trace = RunTrace.read_csv(trace_path)
     axis = "t" if "t" in trace.columns else "k"
     ts = trace.column(axis)

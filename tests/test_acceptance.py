@@ -45,8 +45,10 @@ def conservation_runs(flow_quadratic, x0_ring5):
 @pytest.fixture(scope="module")
 def adaptive_trace(ring5, controller_quadratic, x0_ring5):
     obj, opt = controller_quadratic
-    return agm.adaptive_run(obj, ring5, x0_ring5, h=H_DISCRETE, beta=BETA,
-                            iters=10_000, opt=opt, oracle_mode="practical")
+    params = agm.AdaptiveParams(h=H_DISCRETE, beta=BETA,
+                                oracle_mode="practical")
+    return agm.adaptive_run(params, obj, ring5, x0_ring5, iters=10_000,
+                            opt=opt)
 
 
 def test_criterion_1_energy_conservation(conservation_runs):
@@ -179,21 +181,20 @@ def test_criterion_7_gradient_correctness():
 
 
 def test_criterion_8_comparative_behavior(ring5):
-    ds = harness.synthetic_gaussian_dataset(n=500, p=10, seed=0)
+    ds = data_io.synthetic_gaussian_dataset(n=500, p=10, seed=0)
     shards = data_io.shard(ds, 5)
     obj = objectives.LogisticObjective([s.features for s in shards],
                                        [s.labels for s in shards], l2=1e-4)
     opt = objectives.solve_consensus_optimum(obj, tol=1e-10)
     x0 = 0.1 * np.random.default_rng(0).standard_normal(5 * obj.d)
     threshold = 1e-3 * (obj.value(x0) - opt.f_star)
-    agm_trace = agm.adaptive_run(obj, ring5, x0, h=10.0, beta=BETA,
-                                 iters=500, opt=opt,
-                                 oracle_mode="practical")
+    agm_trace = agm.adaptive_run(
+        agm.AdaptiveParams(h=10.0, beta=BETA, oracle_mode="practical"), obj,
+        ring5, x0, iters=500, opt=opt)
     budget = 5000
-    dgd = baselines.dgd_run(obj, ring5, x0, alpha=1e-3, iters=budget,
-                            opt=opt)
-    dig = baselines.diging_run(obj, ring5, x0, alpha=1e-3, iters=budget,
-                               opt=opt)
+    step = baselines.StepParams(alpha=1e-3)
+    dgd = baselines.dgd_run(step, obj, ring5, x0, iters=budget, opt=opt)
+    dig = baselines.diging_run(step, obj, ring5, x0, iters=budget, opt=opt)
     hits = {name: harness.iterations_to_threshold(tr, threshold)
             for name, tr in (("dist_agm", agm_trace), ("dgd", dgd),
                              ("diging", dig))}
@@ -209,9 +210,10 @@ def test_criterion_9_beta_sweep(ring5, controller_quadratic, x0_ring5):
     obj, opt = controller_quadratic
     finals = []
     for beta in (1.0, 0.5, 0.1, 0.01):
-        trace = agm.adaptive_run(obj, ring5, x0_ring5, h=H_DISCRETE,
-                                 beta=beta, iters=2000, opt=opt,
-                                 oracle_mode="practical")
+        params = agm.AdaptiveParams(h=H_DISCRETE, beta=beta,
+                                    oracle_mode="practical")
+        trace = agm.adaptive_run(params, obj, ring5, x0_ring5, iters=2000,
+                                 opt=opt)
         finals.append(float(trace.last("F_gap_plus")))
     ok = all(finals[i + 1] <= finals[i] * (1.0 + 1e-9)
              for i in range(len(finals) - 1))
@@ -242,25 +244,25 @@ def test_criterion_10_structural_invariants(flow_quadratic, exact_opt):
     hetero = objectives.make_quadratic(5, 2, cond=10.0, seed=7)
     hopt = hetero.closed_form_optimum()
     x0 = rng.standard_normal(10)
-    dig = baselines.diging_run(hetero, ring, x0, alpha=0.01, iters=300,
-                               opt=hopt)
+    dig = baselines.diging_run(baselines.StepParams(alpha=0.01), hetero, ring,
+                               x0, iters=300, opt=hopt)
     tracking = float(dig.metadata["max_tracking_residual"])
 
     x_star = exact_opt.x_star_stacked.copy()
     stationary = True
     for run in (
-        lambda: agm.fixed_step_run(obj, ring, x_star, h=0.4, beta=BETA,
-                                   iters=20, opt=exact_opt),
-        lambda: agm.adaptive_run(obj, ring, x_star, h=0.4, beta=BETA,
-                                 iters=20, opt=exact_opt,
-                                 oracle_mode="practical"),
-        lambda: baselines.dgd_run(obj, ring, x_star, alpha=0.05, iters=20,
-                                  opt=exact_opt),
-        lambda: baselines.diging_run(obj, ring, x_star, alpha=0.05,
-                                     iters=20, opt=exact_opt),
-        lambda: baselines.pi_consensus_run(obj, ring, x_star, alpha=0.1,
-                                           beta_gain=0.1, iters=20,
-                                           opt=exact_opt),
+        lambda: agm.fixed_step_run(agm.FixedParams(h=0.4, beta=BETA), obj,
+                                   ring, x_star, iters=20, opt=exact_opt),
+        lambda: agm.adaptive_run(
+            agm.AdaptiveParams(h=0.4, beta=BETA, oracle_mode="practical"),
+            obj, ring, x_star, iters=20, opt=exact_opt),
+        lambda: baselines.dgd_run(baselines.StepParams(alpha=0.05), obj,
+                                  ring, x_star, iters=20, opt=exact_opt),
+        lambda: baselines.diging_run(baselines.StepParams(alpha=0.05), obj,
+                                     ring, x_star, iters=20, opt=exact_opt),
+        lambda: baselines.pi_consensus_run(
+            baselines.PIParams(alpha=0.1, beta_gain=0.1), obj, ring, x_star,
+            iters=20, opt=exact_opt),
     ):
         trace = run()
         stationary = stationary and bool(

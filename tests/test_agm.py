@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distagm import agm
-from distagm.agm import (AgmState, DivergenceError, TraceRecorder, a_coeff,
-                         adaptive_run,
+from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
+                         FixedParams, TraceRecorder, a_coeff, adaptive_run,
                          bootstrap_diagnostics, c_coeff, combined_field,
                          compute_step_diagnostics, fixed_step_run, init,
                          lyapunov, lyapunov_v0_prime, select_stepsize,
                          single_line_update, smoothness_cap, step, theta)
 from distagm.graphs import build_topology, spectral_extremes
 from distagm.objectives import QuadraticObjective, make_quadratic
+
+PRACTICAL = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
 
 
 @given(k=st.integers(min_value=1, max_value=10 ** 6))
@@ -26,10 +28,11 @@ def test_coefficient_identities(k):
 
 
 def test_init_validation():
-    with pytest.raises(ValueError):
-        init(np.zeros(4), h=1.0, beta=2.0)
-    with pytest.raises(ValueError):
-        init(np.zeros(4), h=0.0, beta=0.5)
+    for params in (AdaptiveParams, FixedParams):
+        with pytest.raises(ValueError):
+            params(h=1.0, beta=2.0)
+        with pytest.raises(ValueError):
+            params(h=0.0, beta=0.5)
 
 
 def test_init_bootstrap_state():
@@ -99,11 +102,11 @@ def test_fixed_point_at_symmetric_optimum(ring5, flow_quadratic, exact_opt):
     # with the optimum written down exactly the update field vanishes
     obj, _ = flow_quadratic
     x_star = exact_opt.x_star_stacked.copy()
-    trace = fixed_step_run(obj, ring5, x_star, h=1.0, beta=0.1, iters=20,
-                           opt=exact_opt)
+    trace = fixed_step_run(FixedParams(h=1.0, beta=0.1), obj, ring5, x_star,
+                           iters=20, opt=exact_opt)
     assert np.max(np.abs(trace.column("F_gap"))) == 0.0
-    trace = adaptive_run(obj, ring5, x_star, h=1.0, beta=0.1, iters=20,
-                         opt=exact_opt, oracle_mode="practical")
+    trace = adaptive_run(PRACTICAL, obj, ring5, x_star, iters=20,
+                         opt=exact_opt)
     assert np.max(np.abs(trace.column("F_gap"))) == 0.0
 
 
@@ -232,8 +235,8 @@ def test_bootstrap_diagnostics_specialization(ring5, flow_quadratic,
 
 def test_adaptive_run_bootstrap_row(ring5, controller_quadratic, x0_ring5):
     obj, opt = controller_quadratic
-    trace = adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=1,
-                         opt=opt, oracle_mode="practical")
+    trace = adaptive_run(PRACTICAL, obj, ring5, x0_ring5, iters=1,
+                         opt=opt)
     assert len(trace) == 2
     assert trace.column("case")[0] == "bootstrap"
     lam = spectral_extremes(ring5).lambda_max
@@ -258,8 +261,8 @@ def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
         return nxt
 
     monkeypatch.setattr(agm, "step", spy)
-    trace = adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=12,
-                         opt=opt, oracle_mode="practical")
+    trace = adaptive_run(PRACTICAL, obj, ring5, x0_ring5, iters=12,
+                         opt=opt)
     assert len(pairs) == 12
     lam = spectral_extremes(ring5).lambda_max
 
@@ -282,11 +285,11 @@ def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
 
 def test_fixed_run_trace_shape(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
-    trace = fixed_step_run(obj, ring5, x0_ring5, h=0.3, beta=0.1, iters=0,
-                           opt=opt)
+    trace = fixed_step_run(FixedParams(h=0.3, beta=0.1), obj, ring5,
+                           x0_ring5, iters=0, opt=opt)
     assert len(trace) == 1
-    trace = fixed_step_run(obj, ring5, x0_ring5, h=0.3, beta=0.1, iters=25,
-                           opt=opt)
+    trace = fixed_step_run(FixedParams(h=0.3, beta=0.1), obj, ring5,
+                           x0_ring5, iters=25, opt=opt)
     assert len(trace) == 26
     np.testing.assert_array_equal(trace.column("k"), np.arange(26))
 
@@ -294,8 +297,8 @@ def test_fixed_run_trace_shape(ring5, flow_quadratic, x0_ring5):
 def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
     with pytest.raises(DivergenceError) as err:
-        fixed_step_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=500,
-                       opt=opt, s=50.0)
+        fixed_step_run(FixedParams(h=1.0, beta=0.1, s=50.0), obj, ring5,
+                       x0_ring5, iters=500, opt=opt)
     assert err.value.trace is not None
     assert err.value.iteration >= 1
 
@@ -327,19 +330,17 @@ def test_trace_recorder_hands_over_trace():
     assert err.value.trace is rec.trace and len(rec.trace) == 1
 
 
-def test_unknown_oracle_mode(ring5, flow_quadratic, x0_ring5):
-    obj, opt = flow_quadratic
+def test_unknown_oracle_mode():
     with pytest.raises(ValueError):
-        adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=1,
-                     opt=opt, oracle_mode="psychic")
+        AdaptiveParams(h=1.0, beta=0.1, oracle_mode="psychic")
 
 
 def test_deterministic_runs(ring5, controller_quadratic, x0_ring5, tmp_path):
     obj, opt = controller_quadratic
     paths = []
     for name in ("a.csv", "b.csv"):
-        trace = adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1,
-                             iters=50, opt=opt, oracle_mode="practical")
+        trace = adaptive_run(PRACTICAL, obj, ring5, x0_ring5, iters=50,
+                             opt=opt)
         path = tmp_path / name
         trace.write_csv(path)
         paths.append(path)

@@ -82,3 +82,26 @@ def test_coarse_spans_time_set_up_and_solve(child, tmp_path, monkeypatch):
                       "flow.integrate": 1}
     timings = json.loads(result.read_text())
     assert timings["setup_s"] > 0.0 and timings["solve_s"] > 0.0
+
+
+def test_full_spans_time_each_run(child, tmp_path, monkeypatch):
+    """The full child wraps the run functions on their modules. The harness
+    looks each one up when it runs it, so a compare of dist_agm and dgd
+    records one span of each; a run bound at import would record none."""
+    spans = []
+
+    class Kept(child.Spans):
+        def __init__(self, tracer):
+            super().__init__(tracer)
+            spans.append(self)
+
+    monkeypatch.setattr(child, "Spans", Kept)
+    cfg = {"problem": {"common_offset": [0.3, -0.2]}, "iters": 5,
+           "algorithms": ["dist_agm", "dgd"]}
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert child.main([str(tmp_path / "result.json"), "full", "--",
+                       "compare", str(path), "--out", str(tmp_path / "c")]) == 0
+    assert spans[0].count("agm.adaptive_run") == 1
+    assert spans[0].count("baselines.dgd_run") == 1
+    assert spans[0].count("harness.run_algorithm") == 2

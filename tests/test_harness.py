@@ -43,8 +43,8 @@ def test_config_hash_stable():
 
 
 def test_synthetic_dataset_deterministic():
-    a = harness.synthetic_gaussian_dataset(n=100, p=4, seed=3)
-    b = harness.synthetic_gaussian_dataset(n=100, p=4, seed=3)
+    a = data_io.synthetic_gaussian_dataset(n=100, p=4, seed=3)
+    b = data_io.synthetic_gaussian_dataset(n=100, p=4, seed=3)
     np.testing.assert_array_equal(a.features, b.features)
     assert a.features.shape == (100, 5)  # bias column appended
     assert set(np.unique(a.labels)) == {0.0, 1.0}
@@ -220,6 +220,28 @@ def test_cmd_rate_check_bad_trace(tmp_path):
     assert main(["rate-check", str(path), "--beta", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--tail-fraction", "1.5"), ("--tail-fraction", "0"),
+    ("--tail-fraction", "nan"), ("--beta", "nan"), ("--beta", "2"),
+    ("--beta", "0"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+])
+def test_cmd_rate_check_out_of_range_option(option, value, tmp_path, capsys):
+    """An option outside its range is refused with exit 2 and one error
+    line naming it, not fitted or judged as if it were valid."""
+    trace = RunTrace(["k", "F_gap"])
+    for k in range(1, 201):
+        trace.append(k=k, F_gap=5.0 / k ** 2)
+    path = tmp_path / "synthetic.csv"
+    trace.write_csv(path)
+    options = {"--beta": "0.1", option: value}
+    assert main(["rate-check", str(path),
+                 *(arg for item in options.items() for arg in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert option.removeprefix("--").replace("-", "_") in captured.err
+
+
 def test_cmd_energy_check(tmp_path, capsys):
     cfg = {"seed": 2, "problem": QUAD_PROBLEM,
            "init": {"seed": 2, "scale": 1.5},
@@ -369,11 +391,17 @@ def under_seeds(cases):
                              "algorithms": [{"name": "dist_agm", "beta": 3.0},
                                             "dgd"]},
                  "dist_agm", id="compare-cfg2-dist_agm"),
+    # a later entry's range is checked before the first entry runs
+    pytest.param("compare", {"problem": QUAD_PROBLEM, "iters": 5,
+                             "algorithms": ["dist_agm",
+                                            {"name": "dgd", "alpha": -1}]},
+                 "dgd", id="compare-dist_agm-then-dgd-alpha=-1"),
     # a NaN or infinite step size or gain is as invalid as a negative one
     *(bad_algorithm(name, **params) for name, params in [
         ("dist_agm", {"h": NAN}),
         ("dist_agm", {"mode": "fixed", "s": NAN}),
         ("dist_agm", {"mode": "fixed", "s": -1.0}),
+        ("dist_agm", {"mode": "fixed", "s": True}),
         ("dist_agm", {"s1_fraction": NAN}),
         ("dist_agm", {"s1_fraction": -1.0}),
         ("dgd", {"alpha": NAN}),
@@ -424,6 +452,10 @@ def under_seeds(cases):
         ("run", "iters", 20.9),
         ("run", "iters", INF),
         ("energy-check", "flow.record_every", 2.9),
+        # a bool is not a number, and a flag takes only true or false
+        ("run", "iters", True),
+        ("compare", "gap_threshold", True),
+        ("run", "init.consensus", "false"),
         # every command reads every section
         ("run", "flow.bta", 0.5, QUAD_PROBLEM, "flow: unknown key bta"),
         ("energy-check", "algorithms", [{"name": "dgd", "alhpa": 0.02}],
@@ -513,8 +545,9 @@ def effective_args(fn, *args, **kwargs):
     ids=["omitted", "empty"])
 def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
     """A section with no keys builds what the library builds from the
-    required arguments alone, which the harness sets to ring, 5 agents,
-    d = 2, flow beta 0.1 and dist_agm h 10, beta 0.1."""
+    required arguments alone, which the harness sets to ring, 5 agents and
+    d = 2; an algorithm entry or flow section with no keys builds its
+    parameter dataclass's defaults."""
     settings = checked(cfg)
     graph = harness.build_graph(settings)
     ring = build_topology("ring", 5)
@@ -533,8 +566,8 @@ def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
         return harness.run_algorithm(name, params, obj, graph, x0, opt,
                                      iters=0).metadata
 
-    assert bare("dist_agm") == agm.adaptive_run(obj, graph, x0, 10.0, 0.1,
-                                                0, opt).metadata
+    assert bare("dist_agm") == agm.adaptive_run(agm.AdaptiveParams(), obj,
+                                                graph, x0, 0, opt).metadata
     assert {key: bare("dist_agm")[key] for key in (
         "algorithm", "h", "beta", "oracle_mode")} == {
         "algorithm": "dist_agm_adaptive", "h": 10.0, "beta": 0.1,
@@ -553,7 +586,7 @@ def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
 
     monkeypatch.setattr(flow, "integrate", integrate)
     assert harness.cmd_energy_check(cfg, str(tmp_path), None) == 3
-    assert seen["params"] == flow.FlowParams(beta=0.1)
+    assert seen["params"] == flow.FlowParams() == flow.FlowParams(beta=0.1)
     assert seen["record_every"] == 10
 
 
@@ -577,7 +610,7 @@ def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):
     (tmp_path / "train-labels-idx1-ubyte").write_bytes(
         data_io.serialize_idx(labels))
     expected = {
-        "logistic-synthetic": harness.synthetic_gaussian_dataset(
+        "logistic-synthetic": data_io.synthetic_gaussian_dataset(
             n=500, p=10, seed=0),
         "logistic-mnist": data_io.build_binary_dataset(
             images, labels, positive_digit=5, negative_digit=1, cap=500,

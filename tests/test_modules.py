@@ -1,7 +1,10 @@
 """Module boundaries inside the package."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from distagm import agm, baselines, harness
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distagm"
 
@@ -60,4 +63,44 @@ def test_one_function_reads_the_raw_config():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and any(node.value == name or f"{name}." in node.value
                      for name in sections)]
+    assert named == []
+
+
+# The parameter dataclass each algorithm entry (and dist_agm mode) builds.
+ALGORITHM_PARAMS = {("dist_agm", "adaptive"): agm.AdaptiveParams,
+                    ("dist_agm", "fixed"): agm.FixedParams,
+                    ("dgd", None): baselines.StepParams,
+                    ("diging", None): baselines.StepParams,
+                    ("pi_consensus", None): baselines.PIParams}
+
+
+def test_algorithm_keys_are_dataclass_fields():
+    """An algorithm entry accepts exactly the fields of its run's parameter
+    dataclass, besides ``name`` and dist_agm's ``mode``, and check_config
+    builds that dataclass from it: each knob is named in one place."""
+    knobs = {field.name: field.default for cls in ALGORITHM_PARAMS.values()
+             for field in fields(cls)}
+    for (name, mode), cls in ALGORITHM_PARAMS.items():
+        entry = {"name": name, **({} if mode is None else {"mode": mode})}
+        accepted = set()
+        for key, value in knobs.items():
+            try:
+                settings = harness.check_config(
+                    {"algorithms": [{**entry, key: value}]}, None)
+            except harness.ConfigError as err:
+                assert f"unknown key {key}" in str(err)
+                continue
+            accepted.add(key)
+            assert type(settings["algorithms"][name]) is cls
+        assert accepted == {field.name for field in fields(cls)}, name
+
+
+def test_harness_names_no_algorithm_knob():
+    """harness.py derives an algorithm entry's keys from its dataclass, so
+    no string constant there names a knob."""
+    knobs = {field.name for cls in ALGORITHM_PARAMS.values()
+             for field in fields(cls)}
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    named = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value in knobs]
     assert named == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from distagm import data_io, harness
+from distagm import data_io
 from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
                                 SolverError, make_quadratic,
@@ -314,7 +314,7 @@ def test_solver_quadratic_in_one_newton_step():
 
 def test_solver_on_synthetic_data_seed_3():
     # the shipped logistic problem family at data seed 3
-    ds = harness.synthetic_gaussian_dataset(n=500, p=10, seed=3)
+    ds = data_io.synthetic_gaussian_dataset(n=500, p=10, seed=3)
     shards = data_io.shard(ds, 5)
     obj = LogisticObjective([s.features for s in shards],
                             [s.labels for s in shards], l2=1e-4)

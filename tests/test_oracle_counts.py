@@ -58,12 +58,13 @@ def test_agm_evaluates_each_iterate_once(mode, counts, ring5,
     obj, opt = controller_quadratic
     if mode == "adaptive":
         def run(iters):
-            agm.adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1,
-                             iters=iters, opt=opt, oracle_mode="practical")
+            agm.adaptive_run(
+                agm.AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical"),
+                obj, ring5, x0_ring5, iters=iters, opt=opt)
     else:
         def run(iters):
-            agm.fixed_step_run(obj, ring5, x0_ring5, h=0.3, beta=0.1,
-                               iters=iters, opt=opt)
+            agm.fixed_step_run(agm.FixedParams(h=0.3, beta=0.1), obj, ring5,
+                               x0_ring5, iters=iters, opt=opt)
     got = per_iteration(counts, run)
     assert got["grad"] == 1
     assert got["value"] <= 2
@@ -76,8 +77,8 @@ def test_gradient_baselines_reuse_the_update_sweep(run_fn, counts, ring5,
                                                    x0_ring5):
     obj, opt = controller_quadratic
     got = per_iteration(
-        counts, lambda iters: run_fn(obj, ring5, x0_ring5, alpha=1e-3,
-                                     iters=iters, opt=opt))
+        counts, lambda iters: run_fn(baselines.StepParams(alpha=1e-3), obj,
+                                     ring5, x0_ring5, iters=iters, opt=opt))
     assert got["grad"] == 1
     assert got["local_grad"] == 0
     assert got["laplacian"] == 1
@@ -88,8 +89,8 @@ def test_pi_consensus_reuses_update_oracles(counts, ring5,
     obj, opt = controller_quadratic
     got = per_iteration(
         counts, lambda iters: baselines.pi_consensus_run(
-            obj, ring5, x0_ring5, alpha=0.1, beta_gain=0.1, iters=iters,
-            opt=opt))
+            baselines.PIParams(alpha=0.1, beta_gain=0.1), obj, ring5,
+            x0_ring5, iters=iters, opt=opt))
     assert got["grad"] == 1
     assert got["value"] == 1
     assert got["laplacian"] == 1

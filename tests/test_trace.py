@@ -77,8 +77,8 @@ def test_controller_trace_roundtrip(tmp_path, ring5, controller_quadratic,
                                     x0_ring5):
     # the controller's case labels (``w>0,r>=0``) contain the delimiter
     obj, opt = controller_quadratic
-    tr = agm.adaptive_run(obj, ring5, x0_ring5, h=1.0, beta=0.1, iters=30,
-                          opt=opt, oracle_mode="practical")
+    params = agm.AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
+    tr = agm.adaptive_run(params, obj, ring5, x0_ring5, iters=30, opt=opt)
     assert any("," in case for case in tr.column("case"))
     path = tmp_path / "dist_agm_trace.csv"
     tr.write_csv(path)
