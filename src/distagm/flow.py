@@ -18,6 +18,12 @@ buffers once: the stage slopes K (4 x 2n) and the stage points W (4 x n,
 holding X_s, V_s, gradF(X_s) and Llift X_s). A stage's dV is one dot of its
 row with W[1:], and the step is Y + (dt/6, dt/3, dt/3, dt/6) . K. A step
 makes 4 gradient calls, 4 lifted-Laplacian applies and 1 cost call.
+
+The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
+the six ledger terms among them. One private row builder fills a row from
+the accepted point's evaluation; ``integrate`` appends it every
+``record_every`` steps and ``energy_at`` returns it at one sample.
+``FlowParams`` holds every knob of a run and is the trace's metadata.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from .trace import RunTrace
 
 __all__ = [
     "FlowParams",
-    "EnergyLedger",
+    "LEDGER",
+    "COLUMNS",
     "BlowUpError",
     "flow_rhs",
     "flow_rhs_per_agent",
@@ -51,11 +58,15 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowParams:
+    """The flow's knobs, checked at construction; ``integrate`` writes them
+    as its trace's metadata."""
+
     beta: float = 0.1
     k_gain: float = 1.0
     t0: float = 1.0
     dt: float = 1e-3
     horizon: float = 50.0
+    record_every: int = 10
 
     def __post_init__(self):
         if not (0.0 < self.beta < 2.0):
@@ -64,24 +75,17 @@ class FlowParams:
             raise ValueError("k_gain and dt must be finite and positive")
         if not (0.0 < self.t0 < self.horizon < np.inf):
             raise ValueError("need 0 < t0 < horizon < inf")
+        if not self.record_every >= 1:
+            raise ValueError(
+                f"record_every must be >= 1, got {self.record_every}")
 
 
-@dataclass(frozen=True)
-class EnergyLedger:
-    """Six conserved-energy components; ``total`` is their sum."""
-
-    kinetic: float
-    laplacian_term: float
-    potential_term: float
-    integral_laplacian: float
-    integral_bregman: float
-    integral_beta: float
-
-    @property
-    def total(self) -> float:
-        return (self.kinetic + self.laplacian_term + self.potential_term
-                + self.integral_laplacian + self.integral_bregman
-                + self.integral_beta)
+# The six ledger terms as trace columns: kinetic, Laplacian and potential
+# at the point, then the Laplacian, Bregman and beta running integrals.
+LEDGER = ("E_kinetic", "E_laplacian", "E_potential", "E_int_laplacian",
+          "E_int_bregman", "E_int_beta")
+# The flow trace's columns; E_total is the sum of the LEDGER terms.
+COLUMNS = ("t", "F_gap", "grad_norm", "laplacian_norm", "E_total", *LEDGER)
 
 
 def _field_row(t, params: FlowParams) -> np.ndarray:
@@ -147,43 +151,48 @@ def _evaluate(t, X, obj, graph, opt, params) -> _Point:
                                               params.beta * weight * gap))
 
 
-def _ledger(t, V, point: _Point, params, integrals) -> EnergyLedger:
-    """The ledger from its three point terms and the running integrals."""
+def _row(t, V, point: _Point, params: FlowParams, integrals) -> dict:
+    """The trace row at an accepted point, keyed by ``COLUMNS``: the
+    ledger's three point terms, then ``integrals``, the running (Laplacian,
+    Bregman, beta) triple, and their sum, taken left to right."""
     momentum = t * V + 2.0 * point.xbar
-    return EnergyLedger(
-        0.5 * float(np.dot(momentum, momentum)),
-        0.5 * params.k_gain * t ** 2 * point.x_lx,
-        t ** (2.0 - params.beta) * point.gap,
-        *integrals)
+    ledger = (0.5 * float(np.dot(momentum, momentum)),
+              0.5 * params.k_gain * t ** 2 * point.x_lx,
+              t ** (2.0 - params.beta) * point.gap, *integrals)
+    total = ledger[0]
+    for term in ledger[1:]:
+        total += term
+    return dict(zip(COLUMNS, (t, point.gap, float(np.linalg.norm(point.grad)),
+                              float(np.linalg.norm(point.lx)), total, *ledger),
+                    strict=True))
 
 
 def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
-              opt: ConsensusOptimum, params: FlowParams) -> EnergyLedger:
-    """Energy ledger at one sample given the three running integrals.
+              opt: ConsensusOptimum, params: FlowParams) -> dict:
+    """The trace row, ledger included, at one sample given the three running
+    integrals.
 
     ``integrals`` is the (laplacian, bregman, beta) triple accumulated since
-    t0. For a start at small t0 with zero velocity the total approaches
+    t0. For a start at small t0 with zero velocity ``E_total`` approaches
     twice the squared initial distance to the optimum.
     """
-    return _ledger(t, V, _evaluate(t, X, obj, graph, opt, params), params,
-                   integrals)
+    return _row(t, V, _evaluate(t, X, obj, graph, opt, params), params,
+                integrals)
 
 
 def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
               X0: np.ndarray, V0: np.ndarray, opt: ConsensusOptimum,
-              record_every: int = 10, startup_dt_fraction: float = 0.05) -> RunTrace:
+              startup_dt_fraction: float = 0.05) -> RunTrace:
     """RK4 trajectory with conserved-energy bookkeeping.
 
     The step is ``params.dt`` except near a tiny t0, where the 3/t damping
     would destabilize an explicit step: there the step is capped at
     ``startup_dt_fraction * t`` and ramps geometrically up to dt. Records
-    every ``record_every`` accepted steps. Each accepted point is evaluated
-    once; that evaluation feeds the trapezoid integrals, the trace row and
-    the next step's first stage. A step that leaves the finite range raises
+    the start, every ``params.record_every``-th accepted step and the last
+    one. Each accepted point is evaluated once; that evaluation feeds the
+    trapezoid integrals, the trace row and the next step's first stage. A step that leaves the finite range raises
     BlowUpError carrying the time of the last accepted point.
     """
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
     if not startup_dt_fraction > 0.0:
         raise ValueError(
             f"startup_dt_fraction must be positive, got {startup_dt_fraction}")
@@ -197,28 +206,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     acc = [0.0, 0.0, 0.0]  # running Laplacian, Bregman and beta integrals
     point = _evaluate(t, Y[:n], obj, graph, opt, params)
 
-    columns = ["t", "F_gap", "grad_norm", "laplacian_norm", "E_total",
-               "E_kinetic", "E_laplacian", "E_potential",
-               "E_int_laplacian", "E_int_bregman", "E_int_beta"]
-    trace = RunTrace(columns, metadata=asdict(params))
-
-    def record(t, Y, point):
-        ledger = _ledger(t, Y[n:], point, params, acc)
-        trace.append(
-            t=t,
-            F_gap=point.gap,
-            grad_norm=float(np.linalg.norm(point.grad)),
-            laplacian_norm=float(np.linalg.norm(point.lx)),
-            E_total=ledger.total,
-            E_kinetic=ledger.kinetic,
-            E_laplacian=ledger.laplacian_term,
-            E_potential=ledger.potential_term,
-            E_int_laplacian=ledger.integral_laplacian,
-            E_int_bregman=ledger.integral_bregman,
-            E_int_beta=ledger.integral_beta,
-        )
-
-    record(t, Y, point)
+    trace = RunTrace(COLUMNS, metadata=asdict(params))
+    trace.append(**_row(t, Y[n:], point, params, acc))
     # Stage buffers, filled in place each step: K[i] is stage i's dY and
     # W holds its point X_s, V_s, gradF(X_s) and Llift X_s, so W[:2] read
     # flat is the stage's phase-space point. The views are taken once, and
@@ -258,8 +247,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         acc = [a + half * (p + q) for a, p, q in
                zip(acc, prev.integrands, point.integrands)]
         steps_since_record += 1
-        if steps_since_record >= record_every or t >= params.horizon - 1e-15:
-            record(t, Y, point)
+        if (steps_since_record >= params.record_every
+                or t >= params.horizon - 1e-15):
+            trace.append(**_row(t, Y[n:], point, params, acc))
             steps_since_record = 0
     return trace
 

@@ -77,9 +77,9 @@ _LOGISTIC = {"type": None, "n": int, "p": int, "seed": int, "l2": float,
              "solver_tol": float, "solver_max_iter": int}
 # The keys each config section may set, with the cast each value gets (None
 # keeps it as written). A problem's keys depend on its type; the flow's are
-# FlowParams's fields plus flow.integrate's record_every. A key left out is
-# not passed on, so it takes the default of the function or dataclass that
-# reads it; the harness sets only the arguments those do not default.
+# FlowParams's fields. A key left out is not passed on, so it takes the
+# default of the function or dataclass that reads it; the harness sets only
+# the arguments those do not default.
 _KEYS = {
     "top level": {"seed": int, "iters": int, "gap_threshold": float,
                   "drift_tolerance": float, "graph": None, "problem": None,
@@ -95,7 +95,7 @@ _KEYS = {
                            "labels": None, "positive_digit": int,
                            "negative_digit": int, "cap": int}},
     "init": {"seed": int, "scale": float, "consensus": bool},
-    "flow": {**_fields(flow.FlowParams), "record_every": int},
+    "flow": _fields(flow.FlowParams),
 }
 # The parameter dataclass each algorithm entry builds: its fields are the
 # keys the entry may set, and it holds their defaults and checks their
@@ -154,9 +154,8 @@ def check_config(cfg: dict, seed) -> dict:
     dataclass is built here, so every range they check is checked before
     anything runs. A bad section, key or value raises ConfigError naming
     it. Returns the top-level settings with each section replaced by its
-    settings (``flow`` by (FlowParams, flow.integrate's keys),
-    ``algorithms`` by {name: parameter dataclass}) and the reseeded
-    config's hash."""
+    settings (``flow`` by its FlowParams, ``algorithms`` by {name:
+    parameter dataclass}) and the reseeded config's hash."""
     for name in ("graph", "problem", "init", "flow"):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"{name}: must be a mapping, got {cfg[name]!r}")
@@ -180,10 +179,8 @@ def check_config(cfg: dict, seed) -> dict:
         _keys(_KEYS["problem"], kind, "problem type"), type=kind)
     top["init"] = _settings("init", cfg.get("init", {}), _KEYS["init"],
                             seed=top["seed"], scale=0.1, consensus=False)
-    spec = _settings("flow", cfg.get("flow", {}), _KEYS["flow"])
-    record = ({"record_every": spec.pop("record_every")}
-              if "record_every" in spec else {})
-    top["flow"] = _parsed("flow", flow.FlowParams, **spec), record
+    top["flow"] = _parsed("flow", flow.FlowParams, **_settings(
+        "flow", cfg.get("flow", {}), _KEYS["flow"]))
     algos = cfg.get("algorithms") or []
     if not isinstance(algos, list):
         raise ConfigError(f"algorithms: must be a list, got {algos!r}")
@@ -394,11 +391,10 @@ def cmd_energy_check(cfg: dict, out_dir: str, seed) -> int:
     """Integrate the continuous flow and report conservation quality.
     ``seed``, unless None, reseeds the run."""
     settings = check_config(cfg, seed)
-    params, record = settings["flow"]
     stamp, graph, obj, opt, x0 = _set_up(settings, out_dir)
     try:
-        trace = _parsed("flow", flow.integrate, params, obj, graph, x0,
-                        np.zeros_like(x0), opt, **record)
+        trace = flow.integrate(settings["flow"], obj, graph, x0,
+                               np.zeros_like(x0), opt)
     except flow.BlowUpError as err:
         print(f"FAIL blow-up at t={err.last_t}")
         return EXIT_DIVERGENCE
@@ -406,9 +402,7 @@ def cmd_energy_check(cfg: dict, out_dir: str, seed) -> int:
     totals = trace.column("E_total")
     ref = max(abs(totals[0]), 1e-12)
     drift = float(np.max(np.abs(totals - totals[0])) / ref)
-    comps = np.array([trace.column(c) for c in (
-        "E_kinetic", "E_laplacian", "E_potential", "E_int_laplacian",
-        "E_int_bregman", "E_int_beta")])
+    comps = np.array([trace.column(c) for c in flow.LEDGER])
     worst = float(comps.min())
     violations = int(np.sum(comps < -1e-9 * (1.0 + np.abs(totals))))
     ok = drift <= settings["drift_tolerance"] and violations == 0

@@ -24,10 +24,9 @@ def report(n, ok, detail):
 
 def run_flow(obj, opt, x0, dt, t0=1.0, horizon=50.0, record_every=20):
     params = flow.FlowParams(beta=BETA, k_gain=1.0, t0=t0, dt=dt,
-                             horizon=horizon)
+                             horizon=horizon, record_every=record_every)
     g = graphs.build_topology("ring", 5)
-    return flow.integrate(params, obj, g, x0, np.zeros(10), opt,
-                          record_every=record_every)
+    return flow.integrate(params, obj, g, x0, np.zeros(10), opt)
 
 
 def drift_of(trace):
@@ -65,8 +64,7 @@ def test_criterion_2_component_nonnegativity(conservation_runs):
     tol = -1e-9 * (1.0 + np.abs(trace.column("E_total")))
     worst, worst_col = np.inf, ""
     ok = True
-    for col in ("E_kinetic", "E_laplacian", "E_potential",
-                "E_int_laplacian", "E_int_bregman", "E_int_beta"):
+    for col in flow.LEDGER:
         vals = trace.column(col)
         ok = ok and bool(np.all(vals >= tol))
         if vals.min() < worst:

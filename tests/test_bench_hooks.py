@@ -49,9 +49,10 @@ def test_full_trace_install_and_restore(child):
 def test_flow_steps_matches_integrate(child, ring5, flow_quadratic, x0_ring5,
                                       t0, dt, horizon, fraction):
     obj, opt = flow_quadratic
-    params = flow.FlowParams(beta=0.1, t0=t0, dt=dt, horizon=horizon)
+    params = flow.FlowParams(beta=0.1, t0=t0, dt=dt, horizon=horizon,
+                             record_every=1)
     trace = flow.integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
-                           record_every=1, startup_dt_fraction=fraction)
+                           startup_dt_fraction=fraction)
     assert child.flow_steps(params, fraction) == len(trace) - 1
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from distagm.flow import (BlowUpError, FlowParams, energy_at, flow_rhs,
-                          flow_rhs_per_agent, integrate, rate_slope)
+from distagm.flow import (LEDGER, BlowUpError, FlowParams, energy_at,
+                          flow_rhs, flow_rhs_per_agent, integrate, rate_slope)
 from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import QuadraticObjective
 from distagm.trace import RunTrace
@@ -17,6 +17,8 @@ def test_params_validation():
         FlowParams(beta=0.1, dt=-1.0)
     with pytest.raises(ValueError):
         FlowParams(beta=0.1, t0=60.0, horizon=50.0)
+    with pytest.raises(ValueError, match="record_every"):
+        FlowParams(record_every=0)
 
 
 def test_rhs_singularity():
@@ -60,39 +62,38 @@ def test_rhs_per_agent_matches_stacked(ring5, flow_quadratic):
 def test_energy_reference_small_t0(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
     params = FlowParams(beta=0.1, t0=1e-3, dt=1e-3, horizon=1.0)
-    ledger = energy_at(params.t0, x0_ring5, np.zeros(10), (0.0, 0.0, 0.0),
-                       obj, ring5, opt, params)
+    row = energy_at(params.t0, x0_ring5, np.zeros(10), (0.0, 0.0, 0.0),
+                    obj, ring5, opt, params)
     ref = 2.0 * float(np.sum((x0_ring5 - opt.x_star_stacked) ** 2))
-    assert ledger.total == pytest.approx(ref, rel=1e-2)
+    assert row["E_total"] == pytest.approx(ref, rel=1e-2)
 
 
 def test_energy_zero_at_equilibrium(ring5, flow_quadratic):
     obj, opt = flow_quadratic
     params = FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=2.0)
-    ledger = energy_at(1.0, opt.x_star_stacked.copy(), np.zeros(10),
-                       (0.0, 0.0, 0.0), obj, ring5, opt, params)
-    assert ledger.total == pytest.approx(0.0, abs=1e-12)
+    row = energy_at(1.0, opt.x_star_stacked.copy(), np.zeros(10),
+                    (0.0, 0.0, 0.0), obj, ring5, opt, params)
+    assert row["E_total"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_integrate_stays_at_equilibrium(ring5, flow_quadratic):
     obj, opt = flow_quadratic
     params = FlowParams(beta=0.1, t0=1.0, dt=1e-2, horizon=3.0)
     trace = integrate(params, obj, ring5, opt.x_star_stacked.copy(),
-                      np.zeros(10), opt, record_every=10)
+                      np.zeros(10), opt)
     assert np.max(np.abs(trace.column("F_gap"))) <= 1e-20
     assert np.max(np.abs(trace.column("E_total"))) <= 1e-20
 
 
 def test_short_run_conservation(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
-    params = FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=5.0)
-    trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10),
-                      record_every=50, opt=opt)
+    params = FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=5.0,
+                        record_every=50)
+    trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt=opt)
     totals = trace.column("E_total")
     drift = np.max(np.abs(totals - totals[0])) / abs(totals[0])
     assert drift <= 1e-4
-    for col in ("E_kinetic", "E_laplacian", "E_potential",
-                "E_int_laplacian", "E_int_bregman", "E_int_beta"):
+    for col in LEDGER:
         assert trace.column(col).min() >= -1e-9 * (1.0 + abs(totals[0]))
 
 
@@ -100,9 +101,10 @@ def test_rk4_convergence_order(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
 
     def final_gap(dt):
-        params = FlowParams(beta=0.1, t0=1.0, dt=dt, horizon=3.0)
+        params = FlowParams(beta=0.1, t0=1.0, dt=dt, horizon=3.0,
+                            record_every=10 ** 9)
         trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
-                          record_every=10 ** 9, startup_dt_fraction=1.0)
+                          startup_dt_fraction=1.0)
         return trace.column("F_gap")[-1]
 
     ref = final_gap(0.00625)
@@ -113,9 +115,9 @@ def test_rk4_convergence_order(ring5, flow_quadratic, x0_ring5):
 
 def test_rate_bound_from_small_t0(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
-    params = FlowParams(beta=0.1, t0=1e-3, dt=5e-3, horizon=50.0)
-    trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
-                      record_every=20)
+    params = FlowParams(beta=0.1, t0=1e-3, dt=5e-3, horizon=50.0,
+                        record_every=20)
+    trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
     ts = trace.column("t")
     gaps = trace.column("F_gap")
     e0 = trace.column("E_total")[0]
@@ -138,9 +140,10 @@ def test_one_step_matches_rk4_from_flow_rhs(ring5, flow_quadratic, x0_ring5):
     """One integrator step against classical RK4 assembled from four
     ``flow_rhs`` calls and the ledger written out from its definitions."""
     obj, opt = flow_quadratic
-    params = FlowParams(beta=0.3, k_gain=1.7, t0=1.25, dt=0.125, horizon=1.375)
+    params = FlowParams(beta=0.3, k_gain=1.7, t0=1.25, dt=0.125, horizon=1.375,
+                        record_every=1)
     V0 = 0.4 * np.random.default_rng(3).standard_normal(10)
-    trace = integrate(params, obj, ring5, x0_ring5, V0, opt, record_every=1,
+    trace = integrate(params, obj, ring5, x0_ring5, V0, opt,
                       startup_dt_fraction=1.0)
     assert len(trace) == 2
 
@@ -185,7 +188,8 @@ def test_one_step_matches_rk4_from_flow_rhs(ring5, flow_quadratic, x0_ring5):
 def test_blowup_detected(ring5, flow_quadratic, x0_ring5, monkeypatch):
     obj, _ = flow_quadratic
     opt = obj.closed_form_optimum()
-    params = FlowParams(beta=0.1, t0=1.0, dt=5.0, horizon=5000.0)
+    params = FlowParams(beta=0.1, t0=1.0, dt=5.0, horizon=5000.0,
+                        record_every=1)
     recorded = []
     append = RunTrace.append
 
@@ -196,7 +200,7 @@ def test_blowup_detected(ring5, flow_quadratic, x0_ring5, monkeypatch):
     monkeypatch.setattr(RunTrace, "append", spy)
     with pytest.raises(BlowUpError) as err:
         integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
-                  record_every=1, startup_dt_fraction=100.0)
+                  startup_dt_fraction=100.0)
     # every accepted point is recorded, so the last row is the last finite one
     assert len(recorded) > 1
     assert err.value.last_t == recorded[-1]

@@ -587,7 +587,7 @@ def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
     monkeypatch.setattr(flow, "integrate", integrate)
     assert harness.cmd_energy_check(cfg, str(tmp_path), None) == 3
     assert seen["params"] == flow.FlowParams() == flow.FlowParams(beta=0.1)
-    assert seen["record_every"] == 10
+    assert seen["params"].record_every == 10
 
 
 def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):

@@ -104,9 +104,10 @@ def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
     def run(steps):
         # dt = 1/8 keeps t on a binary grid: exactly ``steps`` RK4 steps
         params = flow.FlowParams(beta=0.1, t0=1.0, dt=0.125,
-                                 horizon=1.0 + 0.125 * steps)
+                                 horizon=1.0 + 0.125 * steps,
+                                 record_every=record_every)
         flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt,
-                       record_every=record_every, startup_dt_fraction=1.0)
+                       startup_dt_fraction=1.0)
     got = per_iteration(counts, run)
     assert got["grad"] == 4
     assert got["value"] == 1
