@@ -58,7 +58,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "65a84c43e102ebd4a3a916b034301d6ae61b6a2972d16e8c57371a99d78de2d3",
+            "4abca6eaff105ed9cae1205b03d990c83b80fea9822583b7b746d0ac235d81ef",
     },
 }
 
@@ -79,7 +79,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "b0de7b0ed6ac65e216b974caf915c81af7bcefa7acc35df369249839f78648b0")
+    "72367c9d0f866f162c4ba0dd17ed22f8c5847013ed3dcef42787a17eb40781cb")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
