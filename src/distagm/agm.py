@@ -457,10 +457,8 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
     s_ref = s1 if s1 > 0.0 else boot.cap_smooth
     state.s = s1
     v0_prime = lyapunov_v0_prime(X0, opt, s_ref)
-    # s_ref, not s1_fraction, records the start step in the trace
-    rec = TraceRecorder({"algorithm": "dist_agm_adaptive", "h": params.h,
-                         "beta": params.beta, "iters": iters,
-                         "oracle_mode": params.oracle_mode, "s_ref": s_ref,
+    rec = TraceRecorder({"algorithm": "dist_agm_adaptive", **asdict(params),
+                         "iters": iters, "s_ref": s_ref,
                          "V0_prime": v0_prime}, opt.f_star)
     with rec:
         rec(0, ev.gap, ev.grad, ev.lx, 0.0, v=v0_prime, case="bootstrap",

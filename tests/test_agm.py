@@ -1,5 +1,7 @@
 """Discrete algorithm: update algebra, controller quantities, certificates."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,6 +245,8 @@ def test_adaptive_run_bootstrap_row(ring5, controller_quadratic, x0_ring5):
     cap1 = smoothness_cap(1, 1.0, 0.1, lam, obj.smoothness)
     assert trace.column("s_k")[1] == pytest.approx(1e-3 * cap1)
     assert float(trace.metadata["s_ref"]) == pytest.approx(1e-3 * cap1)
+    # the trace stamps every knob of the run, s1_fraction included
+    assert trace.metadata.items() >= asdict(PRACTICAL).items()
 
 
 def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
