@@ -24,23 +24,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     ("run", "discrete_rate.yaml"): {
         "dist_agm_trace.csv":
-            "69db27e640f48e46c192c58e5c5e0502297dcf3fa0f07d5fab9e95bf68a2d030",
+            "0acffd6ee46214b48fba9d25dc4df4b0bb55f10647fcd3fe96d021a2c3a072ca",
     },
     ("run", "beta_sweep/beta_0.01.yaml"): {
         "dist_agm_trace.csv":
-            "c40ed68736000e7b918ec80c5b2e05daf3696f0b10c0dd5ef79e7a1fad4f8600",
+            "51679e570927a27e7830336bd140e69af04382c81400eac6e592631ed35adf26",
     },
     ("run", "beta_sweep/beta_0.1.yaml"): {
         "dist_agm_trace.csv":
-            "36bd4590dbe7594c66fee12f8c24f12a315b136c4e7e2d0f07d3e4c1731a51ad",
+            "32ea7618e95b39bd6a87680cd64f1b52df121cf75897dd582086bd4adcbcb0db",
     },
     ("run", "beta_sweep/beta_0.5.yaml"): {
         "dist_agm_trace.csv":
-            "48efbbd9f5fd8a0b015667ab2873d7aada6eb765da53c1fdaea76ae4918ebde3",
+            "c11f6ff40ff8cb0ef6e73c3861f663e6033b7e5f0077f9349fbd882cc6e785c9",
     },
     ("run", "beta_sweep/beta_1.0.yaml"): {
         "dist_agm_trace.csv":
-            "6fc0ae36c2aa213c8dfac7de87bbee852039a4579e4b021732e61f6ad60a3d67",
+            "000683fb4add9429b66eab922263d34915ca9f05a1895c0476dde9599c563419",
     },
     # dist_agm's columns read the reference x*, not only F*, so its trace
     # and comparison.csv move whenever the reference solver's last bits do.
@@ -52,7 +52,7 @@ GOLDEN = {
         "diging_trace.csv":
             "656935d8ef2967581468b9b0494b8b229de8b4e7dbb33392f579a86451ea8308",
         "dist_agm_trace.csv":
-            "9eb885b3e8464e9a1ddd1f0ccb81e50ee127ef1aac0d8fdc89c46cb40e949ecd",
+            "d87e2fdfd3b4df47a8917516da261870d3679b948b9336befae26243c8ac5e23",
         "threshold.csv":
             "f193d0e26d3b0f304aaca089b1b1946a284c832c30319c2910d94cf7bf98aea9",
     },
