@@ -219,8 +219,9 @@ def build_problem(settings: dict, graph):
         if common is not None:
             # identical local minimizers: F >= F* along any trajectory
             bs = np.tile(np.asarray(common, dtype=float), (graph.m, 1))
-            if bs.shape[1] != obj.d:
-                raise ConfigError("common_offset length must equal d")
+            if bs.shape[1] != obj.d or not np.isfinite(bs).all():
+                raise ConfigError(f"problem: common_offset must hold d = "
+                                  f"{obj.d} finite numbers, got {common!r}")
             obj = QuadraticObjective(obj.Qs, bs)
         return obj, obj.closed_form_optimum(), "quadratic"
     solver = {key.removeprefix("solver_"): spec.pop(key) for key in (
@@ -240,6 +241,8 @@ def initial_state(settings: dict, graph, obj):
     """Stacked X0; entries are N(0, 0.1) unless the config pins a consensus
     start or an explicit scale. The seed defaults to the top-level one."""
     init = settings["init"]
+    if not math.isfinite(init["scale"]):
+        raise ValueError(f"scale must be finite, got {init['scale']}")
     rng = np.random.default_rng(init["seed"])
     if init["consensus"]:
         return obj.stack(init["scale"] * rng.standard_normal(obj.d))
@@ -260,14 +263,15 @@ def run_algorithm(name: str, params, obj, graph, X0, opt,
 
 
 def _set_up(settings: dict, out_dir: str):
-    """Makes the output directory and builds the graph, the problem and the
-    start; a value a builder refuses raises ConfigError naming its section.
-    Returns (stamp, graph, objective, optimum, x0); the stamp, config_hash,
-    seed and problem, goes into every output."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Builds the graph, the problem and the start, then makes the output
+    directory; a value a builder refuses raises ConfigError naming its
+    section, and no directory is made. Returns (stamp, graph, objective,
+    optimum, x0); the stamp, config_hash, seed and problem, goes into every
+    output."""
     graph = _parsed("graph", build_graph, settings)
     obj, opt, problem = _parsed("problem", build_problem, settings, graph)
     x0 = _parsed("init", initial_state, settings, graph, obj)
+    os.makedirs(out_dir, exist_ok=True)
     stamp = {"config_hash": settings["config_hash"],
              "seed": settings["seed"], "problem": problem}
     return stamp, graph, obj, opt, x0

@@ -237,8 +237,10 @@ def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
                    scale: float = 1.0, offset_scale: float = 1.0) -> QuadraticObjective:
     """Seeded quadratic test problem with per-agent spectra in
     [scale/cond, scale] and random offsets b_i of size ~offset_scale."""
-    if cond < 1.0 or scale <= 0.0:
-        raise ValueError("need cond >= 1 and scale > 0")
+    if not (1.0 <= cond < np.inf and 0.0 < scale < np.inf
+            and np.isfinite(offset_scale)):
+        raise ValueError(f"need finite cond >= 1, scale > 0 and offset_scale, "
+                         f"got {cond}, {scale} and {offset_scale}")
     rng = np.random.default_rng(seed)
     Qs = np.empty((m, d, d))
     for i in range(m):

@@ -424,6 +424,14 @@ def under_seeds(cases):
         ("run", "problem.d", "two"),
         ("run", "problem.scale", -1),
         ("run", "problem.cond", 0.5),
+        ("run", "graph.kind", "hexagon"),
+        # a NaN or infinite problem or start value is a config error, not
+        # a run that diverges
+        ("run", "problem.cond", NAN),
+        ("run", "problem.scale", INF),
+        ("run", "problem.common_offset", [NAN, 0.1]),
+        ("run", "init.scale", NAN),
+        ("run", "init.scale", INF),
         ("run", "problem.n", 3, {"type": "logistic-synthetic", "p": 3}),
         ("run", "init.scale", "x"),
         ("run", "iters", "abc"),
@@ -486,7 +494,7 @@ def test_invalid_config_value_exit_code(command, cfg, section, seed,
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert section in err
-    assert list(out.glob("*.csv")) == []
+    assert not out.exists()
 
 
 def test_unknown_algorithm_key_exit_code(tmp_path, capsys):

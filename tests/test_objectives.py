@@ -365,8 +365,10 @@ def test_make_quadratic_spectrum():
     eigs = np.linalg.eigvalsh(obj.Qs)
     np.testing.assert_allclose(eigs[:, -1], 2.0, rtol=1e-9)
     np.testing.assert_allclose(eigs[:, 0], 0.02, rtol=1e-9)
-    with pytest.raises(ValueError):
-        make_quadratic(2, 2, cond=0.5)
+    for bad in ({"cond": 0.5}, {"cond": np.nan}, {"scale": np.inf},
+                {"scale": -1.0}, {"offset_scale": np.nan}):
+        with pytest.raises(ValueError, match="need finite"):
+            make_quadratic(2, 2, **bad)
 
 
 def test_stack_and_central():
