@@ -4,7 +4,7 @@ import ast
 from dataclasses import fields
 from pathlib import Path
 
-from distagm import agm, baselines, harness
+from distagm import agm, baselines, flow, harness
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distagm"
 
@@ -96,10 +96,13 @@ def test_algorithm_keys_are_dataclass_fields():
 
 
 def test_harness_names_no_algorithm_knob():
-    """harness.py derives an algorithm entry's keys from its dataclass, so
-    no string constant there names a knob."""
-    knobs = {field.name for cls in ALGORITHM_PARAMS.values()
-             for field in fields(cls)}
+    """harness.py derives an algorithm entry's and the flow's keys from
+    their dataclasses, and reads the flow trace's ledger columns from
+    ``flow.LEDGER``, so no string constant there names a knob or a ledger
+    term."""
+    knobs = {field.name for cls in (*ALGORITHM_PARAMS.values(),
+                                    flow.FlowParams)
+             for field in fields(cls)} | set(flow.LEDGER)
     tree = ast.parse((PACKAGE / "harness.py").read_text())
     named = [node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in knobs]
