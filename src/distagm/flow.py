@@ -190,8 +190,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     ``startup_dt_fraction * t`` and ramps geometrically up to dt. Records
     the start, every ``params.record_every``-th accepted step and the last
     one. Each accepted point is evaluated once; that evaluation feeds the
-    trapezoid integrals, the trace row and the next step's first stage. A step that leaves the finite range raises
-    BlowUpError carrying the time of the last accepted point.
+    trapezoid integrals, the trace row and the next step's first stage. A
+    step that leaves the finite range raises BlowUpError carrying the time
+    of the last accepted point.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(
