@@ -160,7 +160,7 @@ def _row(t, V, point: _Point, params: FlowParams, integrals) -> dict:
               0.5 * params.k_gain * t ** 2 * point.x_lx,
               t ** (2.0 - params.beta) * point.gap, *integrals)
     total = ledger[0]
-    for term in ledger[1:]:
+    for term in ledger[1:]:  # not sum(), which compensates from Python 3.12
         total += term
     return dict(zip(COLUMNS, (t, point.gap, float(np.linalg.norm(point.grad)),
                               float(np.linalg.norm(point.lx)), total, *ledger),
