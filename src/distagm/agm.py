@@ -60,12 +60,23 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a float array, bit for bit, without its
+    dispatch: the square root of v.v over v's entries in memory order."""
+    v = v.ravel("K")
+    return math.sqrt(float(v.dot(v)))
+
+
 class TraceRecorder(AbstractContextManager):
     """Trace schema, row builder and divergence guard of every discrete run.
 
     Each call appends one row from oracle values the caller holds. A gap not
     within ``DIVERGENCE_FACTOR`` times the first row's gap (floored at the
-    objective's rounding noise; NaN included) raises DivergenceError. As a
+    objective's rounding noise, capped at the largest float; NaN and inf
+    included, on the first row too) raises DivergenceError. As a
     context manager it hands its partial trace to any DivergenceError that
     leaves the block, such as ``step``'s non-finite check."""
 
@@ -83,11 +94,13 @@ class TraceRecorder(AbstractContextManager):
                  case="", w=np.nan, r=np.nan, mono=True, fallback=False):
         self.trace.append(
             k=k, F_gap_plus=gap if gap_plus is None else gap_plus, F_gap=gap,
-            grad_norm=float(np.linalg.norm(grad)),
-            laplacian_norm=float(np.linalg.norm(lx)), s_k=s_k, V_k=v,
+            grad_norm=_norm(grad), laplacian_norm=_norm(lx), s_k=s_k, V_k=v,
             case=case, w=w, r=r, monotonicity_ok=mono, fallback_flag=fallback)
         if self._limit is None:
-            self._limit = self.DIVERGENCE_FACTOR * max(gap, self._floor)
+            # capped at the largest float, so that a first gap of inf (a
+            # start whose cost overflows) is out of bounds too
+            self._limit = min(self.DIVERGENCE_FACTOR * max(gap, self._floor),
+                              _FLOAT_MAX)
         if not gap <= self._limit:
             raise DivergenceError(f"gap {gap:.3g} out of bounds at iteration "
                                   f"{k}", iteration=k, trace=self.trace)

@@ -15,9 +15,13 @@ The dynamics are written once, as the coefficient row (-3/t, -t^{-beta},
 -k_gain) that multiplies (V, gradF(X), Llift X) to give dV; ``flow_rhs`` and
 the integrator both read it. Each ``integrate`` call allocates its RK4 stage
 buffers once: the stage slopes K (4 x 2n) and the stage points W (4 x n,
-holding X_s, V_s, gradF(X_s) and Llift X_s). A stage's dV is one dot of its
-row with W[1:], and the step is Y + (dt/6, dt/3, dt/3, dt/6) . K. A step
-makes 4 gradient calls, 4 lifted-Laplacian applies and 1 cost call.
+holding X_s, V_s, gradF(X_s) and Llift X_s). The gradient and Laplacian
+oracles write their stage field into W[2] and W[3] in place (their ``out``
+argument), and the accepted point's evaluation writes there too, where the
+next step's first stage reads it. A stage's dV is one dot of its row with
+W[1:], and the step is Y + (dt/6, dt/3, dt/3, dt/6) . K, written into a
+second state buffer. A step allocates no stage array and makes 4 gradient
+calls, 4 lifted-Laplacian applies and 1 cost call.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
 the six ledger terms among them. One private row builder fills a row from
@@ -28,6 +32,7 @@ the accepted point's evaluation; ``integrate`` appends it every
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -88,10 +93,16 @@ LEDGER = ("E_kinetic", "E_laplacian", "E_potential", "E_int_laplacian",
 COLUMNS = ("t", "F_gap", "grad_norm", "laplacian_norm", "E_total", *LEDGER)
 
 
-def _field_row(t, params: FlowParams) -> np.ndarray:
+def _field_row(t, params: FlowParams, out=None) -> np.ndarray:
     """Coefficients of V, gradF(X) and Llift X in dV at time t: the dynamics
-    are dV = -(3/t) V - t^{-beta} gradF(X) - k_gain Llift X."""
-    return np.array((-3.0 / t, -t ** (-params.beta), -params.k_gain))
+    are dV = -(3/t) V - t^{-beta} gradF(X) - k_gain Llift X. Written into
+    ``out`` when given, else into a new array."""
+    if out is None:
+        out = np.empty(3)
+    out[0] = -3.0 / t
+    out[1] = -t ** (-params.beta)
+    out[2] = -params.k_gain
+    return out
 
 
 def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
@@ -125,7 +136,10 @@ def flow_rhs_per_agent(t, Y, params: FlowParams, obj: SeparableObjective,
 
 
 class _Point(NamedTuple):
-    """One evaluation of the flow at an accepted point (t, X)."""
+    """One evaluation of the flow at an accepted point (t, X). In
+    ``integrate`` grad and lx are views of the stage buffer: they hold the
+    point's values until the next step's second stage overwrites them, and
+    ``_row`` reads them before that."""
 
     grad: np.ndarray  # gradF(X)
     lx: np.ndarray  # Llift X
@@ -135,12 +149,14 @@ class _Point(NamedTuple):
     integrands: tuple  # Laplacian, Bregman and beta energy integrands
 
 
-def _evaluate(t, X, obj, graph, opt, params) -> _Point:
+def _evaluate(t, X, obj, graph, opt, params, grad=None, lx=None) -> _Point:
+    """The point's oracles and ledger inputs; ``grad`` and ``lx``, when
+    given, are the buffers its gradient and Llift X are written into."""
     xbar = X - opt.x_star_stacked
-    lx = apply_lifted_laplacian(graph, obj.d, X)
+    lx = apply_lifted_laplacian(graph, obj.d, X, lx)
     x_lx = float(xbar.dot(lx))
     value = obj.value(X)
-    grad = obj.grad(X)
+    grad = obj.grad(X, grad)
     # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
     # every rounding of the subtraction and the dot product
     bregman = opt.f_star - value + float(grad.dot(xbar))
@@ -154,16 +170,18 @@ def _evaluate(t, X, obj, graph, opt, params) -> _Point:
 def _row(t, V, point: _Point, params: FlowParams, integrals) -> dict:
     """The trace row at an accepted point, keyed by ``COLUMNS``: the
     ledger's three point terms, then ``integrals``, the running (Laplacian,
-    Bregman, beta) triple, and their sum, taken left to right."""
+    Bregman, beta) triple, and their sum, taken left to right. A norm is
+    sqrt(v.v), the same bits as ``np.linalg.norm`` of a 1-D float64 array."""
     momentum = t * V + 2.0 * point.xbar
-    ledger = (0.5 * float(np.dot(momentum, momentum)),
+    ledger = (0.5 * float(momentum.dot(momentum)),
               0.5 * params.k_gain * t ** 2 * point.x_lx,
               t ** (2.0 - params.beta) * point.gap, *integrals)
     total = ledger[0]
     for term in ledger[1:]:  # not sum(), which compensates from Python 3.12
         total += term
-    return dict(zip(COLUMNS, (t, point.gap, float(np.linalg.norm(point.grad)),
-                              float(np.linalg.norm(point.lx)), total, *ledger),
+    grad, lx = point.grad, point.lx
+    return dict(zip(COLUMNS, (t, point.gap, math.sqrt(float(grad.dot(grad))),
+                              math.sqrt(float(lx.dot(lx))), total, *ledger),
                     strict=True))
 
 
@@ -190,9 +208,12 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     ``startup_dt_fraction * t`` and ramps geometrically up to dt. Records
     the start, every ``params.record_every``-th accepted step and the last
     one. Each accepted point is evaluated once; that evaluation feeds the
-    trapezoid integrals, the trace row and the next step's first stage. A
-    step that leaves the finite range raises BlowUpError carrying the time
-    of the last accepted point.
+    trapezoid integrals, the trace row and the next step's first stage. The
+    stage oracles and that evaluation write into preallocated stage
+    buffers, so a step allocates no stage array; per step there are 4
+    ``grad`` calls, 4 lifted-Laplacian applies and 1 ``value`` call. A step
+    that leaves the finite range raises BlowUpError carrying the time of
+    the last accepted point.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(
@@ -202,55 +223,69 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     n = graph.m * obj.d
     if X0.shape != (n,) or V0.shape != X0.shape:
         raise ValueError("X0/V0 must be stacked md-vectors")
-    Y = np.concatenate((X0, V0))  # phase-space state [X; V]
-    t = params.t0
-    acc = [0.0, 0.0, 0.0]  # running Laplacian, Bregman and beta integrals
-    point = _evaluate(t, Y[:n], obj, graph, opt, params)
-
-    trace = RunTrace(COLUMNS, metadata=asdict(params))
-    trace.append(**_row(t, Y[n:], point, params, acc))
     # Stage buffers, filled in place each step: K[i] is stage i's dY and
     # W holds its point X_s, V_s, gradF(X_s) and Llift X_s, so W[:2] read
-    # flat is the stage's phase-space point. The views are taken once, and
+    # flat is the stage's phase-space point. The oracles write W[2] and
+    # W[3]; the accepted point's evaluation writes them too, and the next
+    # step's first stage reads them there. The views are taken once, and
     # ``out`` goes by position, which numpy parses faster than a keyword.
     K = np.empty((4, 2 * n))
     W = np.empty((4, n))
     stage_y, x_s, v_s, field = W[:2].reshape(-1), W[0], W[1], W[1:]
-    stage_dx = [K[i, :n] for i in range(4)]
-    stage_dv = [K[i, n:] for i in range(4)]
-    row = _field_row(t, params)
+    grad_s, lx_s = W[2], W[3]
+    slopes = list(K)
+    stage_dx = [k[:n] for k in slopes]
+    stage_dv = [k[n:] for k in slopes]
+    Y = np.concatenate((X0, V0))  # phase-space state [X; V]
+    y_next, incr = np.empty_like(Y), np.empty_like(Y)
+    t = params.t0
+    point = _evaluate(t, Y[:n], obj, graph, opt, params, grad_s, lx_s)
+    # running Laplacian, Bregman and beta integrals
+    int_lap = int_breg = int_beta = 0.0
+    trace = RunTrace(COLUMNS, metadata=asdict(params))
+    trace.append(**_row(t, Y[n:], point, params, (0.0, 0.0, 0.0)))
+    # field rows at the step's start, midpoint and end, filled in place
+    row, mid, end = _field_row(t, params), np.empty(3), np.empty(3)
+    wts, wts_dt = None, None  # RK4 weights (dt/6, dt/3, dt/3, dt/6)
+    t_end = params.horizon - 1e-15
     steps_since_record = 0
-    while t < params.horizon - 1e-15:
+    while t < t_end:
         dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
         half = 0.5 * dt
+        if dt != wts_dt:  # built once for the fixed-dt stretch
+            wts, wts_dt = np.array((dt / 6.0, dt / 3.0, dt / 3.0,
+                                    dt / 6.0)), dt
+        # stage 1 is the accepted point, whose field is already in W[2:]
         stage_y[:] = Y
-        W[2] = point.grad
-        W[3] = point.lx
-        mid = _field_row(t + half, params)
-        end = _field_row(t + dt, params)
-        for i, coef, h in ((0, row, 0.0), (1, mid, half), (2, mid, half),
-                           (3, end, dt)):
-            if i:
-                np.multiply(K[i - 1], h, stage_y)
-                stage_y += Y
-                W[2] = obj.grad(x_s)
-                W[3] = apply_lifted_laplacian(graph, obj.d, x_s)
+        stage_dx[0][:] = v_s
+        row.dot(field, stage_dv[0])
+        _field_row(t + half, params, mid)
+        _field_row(t + dt, params, end)
+        for i, coef, h in ((1, mid, half), (2, mid, half), (3, end, dt)):
+            np.multiply(slopes[i - 1], h, stage_y)
+            stage_y += Y
+            obj.grad(x_s, grad_s)
+            apply_lifted_laplacian(graph, obj.d, x_s, lx_s)
             stage_dx[i][:] = v_s
-            np.dot(coef, field, stage_dv[i])
-        Y = Y + np.array((dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)).dot(K)
+            coef.dot(field, stage_dv[i])
+        wts.dot(K, incr)
+        np.add(Y, incr, y_next)
+        Y, y_next = y_next, Y
         if not np.isfinite(Y).all():
             raise BlowUpError(f"trajectory diverged before t={t + dt:.6g}",
                               last_t=t)
         t = t + dt  # the same sum as stage 4's time, so its row carries over
-        row = end
-        prev = point
-        point = _evaluate(t, Y[:n], obj, graph, opt, params)
-        acc = [a + half * (p + q) for a, p, q in
-               zip(acc, prev.integrands, point.integrands)]
+        row, end = end, row
+        p = point.integrands
+        point = _evaluate(t, Y[:n], obj, graph, opt, params, grad_s, lx_s)
+        q = point.integrands
+        int_lap += half * (p[0] + q[0])
+        int_breg += half * (p[1] + q[1])
+        int_beta += half * (p[2] + q[2])
         steps_since_record += 1
-        if (steps_since_record >= params.record_every
-                or t >= params.horizon - 1e-15):
-            trace.append(**_row(t, Y[n:], point, params, acc))
+        if steps_since_record >= params.record_every or t >= t_end:
+            trace.append(**_row(t, Y[n:], point, params,
+                                (int_lap, int_breg, int_beta)))
             steps_since_record = 0
     return trace
 

@@ -129,12 +129,15 @@ def spectral_extremes(g: AgentGraph) -> SpectralExtremes:
     return SpectralExtremes(lambda_max=lam_max, lambda_min_nonzero=lam_2)
 
 
-def apply_lifted_laplacian(g: AgentGraph, d: int, X: np.ndarray) -> np.ndarray:
+def apply_lifted_laplacian(g: AgentGraph, d: int, X: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Apply the dimension-lifted Laplacian to a stacked state.
 
     Block ``i`` of the result is ``sum_{j in N_i} (x_i - x_j)``; equivalent to
     the Kronecker-lifted Laplacian times ``X`` without forming the md x md
-    matrix.
+    matrix. With ``out``, a C-contiguous float64 array of X's shape, the
+    result is written into it and ``out`` is returned, with the bits of the
+    allocating call.
     """
     X = np.asarray(X, dtype=float)
     if X.shape != (g.m * d,):
@@ -142,7 +145,11 @@ def apply_lifted_laplacian(g: AgentGraph, d: int, X: np.ndarray) -> np.ndarray:
             f"stacked state has length {X.shape}, expected ({g.m * d},)")
     blocks = X.reshape(g.m, d)
     # ndarray.dot makes the same BLAS call as @ with less dispatch
-    return g.laplacian.dot(blocks).reshape(-1)
+    if out is None:
+        return g.laplacian.dot(blocks).reshape(-1)
+    # a 1-D out reshapes to a view; dot refuses a strided one
+    g.laplacian.dot(blocks, out.reshape(g.m, d))
+    return out
 
 
 def lifted_laplacian_dense(g: AgentGraph, d: int) -> np.ndarray:

@@ -68,8 +68,14 @@ class SeparableObjective:
         """Cumulative cost: sum of f_i over the agent blocks of X."""
         raise NotImplementedError
 
-    def grad(self, X: np.ndarray) -> np.ndarray:
-        """Stacked gradient: block i is the gradient of f_i at block i of X."""
+    def grad(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Stacked gradient: block i is the gradient of f_i at block i of X.
+
+        With ``out``, a C-contiguous float64 array of X's shape, the
+        gradient is written into it and ``out`` is returned, with the bits
+        of the allocating call. ``flow.integrate`` writes each RK4 stage's
+        gradient into its stage buffer this way.
+        """
         raise NotImplementedError
 
     def central_value(self, x: np.ndarray) -> float:
@@ -132,8 +138,10 @@ class QuadraticObjective(SeparableObjective):
         r = self._check(X) - self.b
         return 0.5 * float(r.dot(self.M.dot(r)))
 
-    def grad(self, X):
-        return self.M.dot(self._check(X)) - self.c
+    def grad(self, X, out=None):
+        # ``out`` goes by position, which numpy parses faster than a keyword
+        out = self.M.dot(self._check(X), out)
+        return np.subtract(out, self.c, out)
 
     def central_hess(self, x):
         return self.Qs.sum(axis=0)
@@ -180,6 +188,8 @@ class LogisticObjective(SeparableObjective):
                 raise ValueError(f"shard {i}: labels must be in {{0, 1}}")
         self.m, self.d = len(shards_z), shards_z[0].shape[1]
         self.l2 = float(l2)
+        if not 0.0 <= self.l2 < np.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {l2}")
         sizes = [z.shape[0] for z in shards_z]
         self.Z = np.zeros((self.m, max(sizes), self.d))
         self.Y, self.mask = np.zeros((2, self.m, max(sizes)))
@@ -213,12 +223,14 @@ class LogisticObjective(SeparableObjective):
         ridge = 0.5 * self.l2 / self.m * (xb[:, None, :] @ xb[:, :, None])
         return float(sum((loss.sum(axis=1) + ridge.ravel()).tolist()))
 
-    def grad(self, X):
-        xb = self._check(X).reshape(self.m, self.d)
+    def grad(self, X, out=None):
+        X = self._check(X)
+        xb = X.reshape(self.m, self.d)
         sig = _sigmoid((self.Z @ xb[:, :, None])[..., 0])
         # padded rows have zero features, so they add nothing here
         back = self.Z.transpose(0, 2, 1) @ (sig - self.Y)[:, :, None]
-        return (back[..., 0] + self.l2 / self.m * xb).reshape(-1)
+        # back is a fresh (m, d, 1) array, so its flat view lines up with X
+        return np.add(back.reshape(-1), self.l2 / self.m * X, out)
 
     def central_hess(self, x):
         hess = self.l2 * np.eye(self.d)
@@ -273,8 +285,10 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
     SolverError carrying the best iterate if ``max_iter`` Newton steps do
     not get there.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x = np.zeros(obj.d)
     f = obj.central_value(x)
     best_x, best_norm = x.copy(), np.inf

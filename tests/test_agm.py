@@ -324,6 +324,35 @@ def test_trace_recorder_guard():
     assert err.value.trace is rec.trace
 
 
+def test_trace_recorder_refuses_an_infinite_first_gap():
+    """A start whose cost overflows (gap inf) stops the run at k = 0: as the
+    reference it would put every later gap, inf included, in bounds."""
+    grad = lx = np.zeros(2)
+    rec = TraceRecorder({}, f_star=0.0)
+    with pytest.raises(DivergenceError) as err:
+        rec(0, np.inf, grad, lx, 0.1)
+    assert err.value.iteration == 0 and len(err.value.trace) == 1
+    # a finite first gap whose limit overflows still stops a later inf
+    rec = TraceRecorder({}, f_star=0.0)
+    rec(0, 1e303, grad, lx, 0.1)
+    with pytest.raises(DivergenceError):
+        rec(1, np.inf, grad, lx, 0.1)
+
+
+def test_trace_recorder_norms_match_linalg_norm():
+    """The recorded norms have the bits of ``np.linalg.norm``, for stacked
+    vectors and for agent blocks in either memory order."""
+    rng = np.random.default_rng(5)
+    for scale in 10.0 ** np.arange(-150, 151, 25):
+        blocks = scale * rng.standard_normal((5, 2))
+        for grad, lx in ((blocks.reshape(-1), blocks[::-1].reshape(-1)),
+                         (blocks, np.asfortranarray(blocks))):
+            rec = TraceRecorder({}, f_star=0.0)
+            rec(0, 1.0, grad, lx, 0.1)
+            assert rec.trace.column("grad_norm")[0] == np.linalg.norm(grad)
+            assert rec.trace.column("laplacian_norm")[0] == np.linalg.norm(lx)
+
+
 def test_trace_recorder_hands_over_trace():
     """A DivergenceError raised inside the block, as by step's non-finite
     check, leaves carrying the recorder's partial trace."""

@@ -6,7 +6,8 @@ import pytest
 from distagm.flow import (LEDGER, BlowUpError, FlowParams, energy_at,
                           flow_rhs, flow_rhs_per_agent, integrate, rate_slope)
 from distagm.graphs import apply_lifted_laplacian, build_topology
-from distagm.objectives import QuadraticObjective
+from distagm.objectives import (LogisticObjective, QuadraticObjective,
+                                solve_consensus_optimum)
 from distagm.trace import RunTrace
 
 
@@ -136,18 +137,42 @@ def test_integrate_rejects_bad_startup_fraction(ring5, flow_quadratic,
                   startup_dt_fraction=fraction)
 
 
-def test_one_step_matches_rk4_from_flow_rhs(ring5, flow_quadratic, x0_ring5):
+@pytest.fixture(scope="module")
+def ring5_logistic():
+    """A small ring-of-five logistic problem in R^2 with its optimum."""
+    rng = np.random.default_rng(11)
+    feats = rng.standard_normal((40, 2))
+    labels = (feats[:, 0] + 0.5 * rng.standard_normal(40) > 0).astype(float)
+    obj = LogisticObjective(np.array_split(feats, 5),
+                            np.array_split(labels, 5), l2=1e-2)
+    return obj, solve_consensus_optimum(obj)
+
+
+# (problem fixture, params.dt, startup_dt_fraction): one step of dt = 1/8
+# from t0 = 1.25, either the configured dt or a ramp step below it
+ONE_STEP_CASES = {
+    "quadratic": ("flow_quadratic", 0.125, 1.0),
+    "logistic": ("ring5_logistic", 0.125, 1.0),
+    "ramp": ("flow_quadratic", 0.5, 0.1),
+}
+
+
+@pytest.mark.parametrize("problem,params_dt,fraction",
+                         ONE_STEP_CASES.values(), ids=ONE_STEP_CASES)
+def test_one_step_matches_rk4_from_flow_rhs(problem, params_dt, fraction,
+                                            request, ring5, x0_ring5):
     """One integrator step against classical RK4 assembled from four
     ``flow_rhs`` calls and the ledger written out from its definitions."""
-    obj, opt = flow_quadratic
-    params = FlowParams(beta=0.3, k_gain=1.7, t0=1.25, dt=0.125, horizon=1.375,
-                        record_every=1)
+    obj, opt = request.getfixturevalue(problem)
+    params = FlowParams(beta=0.3, k_gain=1.7, t0=1.25, dt=params_dt,
+                        horizon=1.375, record_every=1)
     V0 = 0.4 * np.random.default_rng(3).standard_normal(10)
     trace = integrate(params, obj, ring5, x0_ring5, V0, opt,
-                      startup_dt_fraction=1.0)
+                      startup_dt_fraction=fraction)
     assert len(trace) == 2
 
-    t0, dt = params.t0, params.dt
+    t0, dt = params.t0, 0.125
+    assert dt == min(params.dt, fraction * t0)
     Y0 = np.concatenate((x0_ring5, V0))
     k1 = flow_rhs(t0, Y0, params, obj, ring5)
     k2 = flow_rhs(t0 + dt / 2, Y0 + dt / 2 * k1, params, obj, ring5)

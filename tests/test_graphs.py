@@ -118,6 +118,21 @@ def test_lifted_apply_complete2():
         apply_lifted_laplacian(g, 1, np.array([1.0, 0.0])), [1.0, -1.0])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_lifted_apply_into_out_matches_allocating_call(kind):
+    """With ``out`` the apply writes the allocating call's bits into it and
+    returns it; a wrongly shaped X and a strided out are refused."""
+    g = build_topology(kind, 5)
+    x = np.random.default_rng(4).standard_normal(10)
+    out = np.full(10, np.nan)
+    assert apply_lifted_laplacian(g, 2, x, out) is out
+    assert out.tobytes() == apply_lifted_laplacian(g, 2, x).tobytes()
+    with pytest.raises(ValueError):
+        apply_lifted_laplacian(g, 2, np.zeros(9), out)
+    with pytest.raises(ValueError):
+        apply_lifted_laplacian(g, 2, x, np.empty(20)[::2])
+
+
 def test_lifted_apply_dimension_error():
     g = build_topology("ring", 5)
     with pytest.raises(ValueError):

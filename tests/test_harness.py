@@ -18,6 +18,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 NAN, INF = float("nan"), float("inf")
 QUAD_PROBLEM = {"type": "quadratic", "d": 2, "seed": 7,
                 "common_offset": [0.3, -0.2]}
+SMALL_LOGISTIC = {"type": "logistic-synthetic", "n": 60, "p": 3,
+                  "solver_max_iter": 5}
 
 
 def write_config(tmp_path, cfg, name="config.yaml"):
@@ -344,6 +346,21 @@ def test_solver_error_exit_code(tmp_path, capsys):
     assert err.startswith("solver error: ") and err.count("\n") == 1
 
 
+def test_overflowing_start_diverges_at_the_first_row(tmp_path, capsys):
+    """A finite start whose cost overflows stops at k = 0 with exit 3 and a
+    stamped one-row trace, not a run of inf rows that exits 0."""
+    cfg = {"problem": QUAD_PROBLEM, "init": {"scale": 1e300}, "iters": 5,
+           "algorithms": [{"name": "dgd", "alpha": 0.01}]}
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["run", write_config(tmp_path, cfg), "--out", str(out)])
+    assert code == harness.EXIT_DIVERGENCE == 3
+    trace = RunTrace.read_csv(out / "dgd_trace.csv")
+    assert trace.metadata["diverged_at"] == 0
+    assert {"config_hash", "seed", "problem"} <= set(trace.metadata)
+    assert len(trace) == 1 and trace.column("F_gap")[0] == INF
+
+
 def key_values(params):
     return "-".join(f"{k}={v}" for k, v in params.items())
 
@@ -433,6 +450,12 @@ def under_seeds(cases):
         ("run", "init.scale", NAN),
         ("run", "init.scale", INF),
         ("run", "problem.n", 3, {"type": "logistic-synthetic", "p": 3}),
+        # a logistic ridge or solver tolerance out of range; the short
+        # solver budget keeps a run that misses the check fast
+        *(("run", key, value, SMALL_LOGISTIC) for key, value in [
+            ("problem.l2", NAN), ("problem.l2", -1.0),
+            ("problem.solver_tol", NAN), ("problem.solver_tol", 0.0),
+            ("problem.solver_max_iter", -1)]),
         ("run", "init.scale", "x"),
         ("run", "iters", "abc"),
         ("run", "iters", -5),

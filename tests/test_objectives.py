@@ -76,6 +76,46 @@ def test_dimension_mismatch():
         obj.grad(np.zeros(7))
 
 
+def small_logistic(l2=1e-3):
+    rng = np.random.default_rng(21)
+    feats = rng.standard_normal((30, 3))
+    labels = (rng.random(30) < 0.5).astype(float)
+    return LogisticObjective(np.array_split(feats, 5),
+                             np.array_split(labels, 5), l2=l2)
+
+
+@pytest.mark.parametrize("obj", [make_quadratic(5, 3, seed=4),
+                                 small_logistic()],
+                         ids=["quadratic", "logistic"])
+def test_grad_into_out_matches_allocating_call(obj):
+    """``grad(X, out)`` writes the allocating call's bits into ``out`` and
+    returns it; a wrongly shaped X or out is still refused."""
+    X = np.random.default_rng(8).standard_normal(obj.m * obj.d)
+    out = np.full_like(X, np.nan)
+    assert obj.grad(X, out) is out
+    assert out.tobytes() == obj.grad(X).tobytes()
+    with pytest.raises(ValueError):
+        obj.grad(X[:-1], out)
+    with pytest.raises(ValueError):
+        obj.grad(X, np.empty(X.size + 1))
+
+
+@pytest.mark.parametrize("l2", [np.nan, np.inf, -1.0])
+def test_logistic_ridge_out_of_range(l2):
+    with pytest.raises(ValueError, match="l2"):
+        small_logistic(l2)
+
+
+@pytest.mark.parametrize("setting", [{"tol": np.nan}, {"tol": np.inf},
+                                     {"tol": 0.0}, {"max_iter": -1}],
+                         ids=lambda kw: "-".join(f"{k}={v}"
+                                                 for k, v in kw.items()))
+def test_solver_refuses_out_of_range_settings(setting):
+    # a budget of 5 Newton steps ends fast if the setting is not refused
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        solve_consensus_optimum(small_logistic(), **{"max_iter": 5, **setting})
+
+
 def test_two_scalar_average():
     obj = QuadraticObjective(np.array([np.eye(1), np.eye(1)]),
                              np.array([[0.0], [1.0]]))
