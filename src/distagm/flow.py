@@ -237,7 +237,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     stage_dx = [k[:n] for k in slopes]
     stage_dv = [k[n:] for k in slopes]
     Y = np.concatenate((X0, V0))  # phase-space state [X; V]
-    y_next, incr = np.empty_like(Y), np.empty_like(Y)
+    y_next, incr, zeros = np.empty_like(Y), np.empty_like(Y), np.zeros_like(Y)
     t = params.t0
     point = _evaluate(t, Y[:n], obj, graph, opt, params, grad_s, lx_s)
     # running Laplacian, Bregman and beta integrals
@@ -251,17 +251,20 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     steps_since_record = 0
     while t < t_end:
         dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
-        half = 0.5 * dt
         if dt != wts_dt:  # built once for the fixed-dt stretch
-            wts, wts_dt = np.array((dt / 6.0, dt / 3.0, dt / 3.0,
-                                    dt / 6.0)), dt
+            half, wts_dt = 0.5 * dt, dt
+            wts = np.array((dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0))
+            # stage offsets as 0-d arrays, which a ufunc reads faster than
+            # a Python float
+            h_mid, h_end = np.array(half), np.array(dt)
         # stage 1 is the accepted point, whose field is already in W[2:]
         stage_y[:] = Y
         stage_dx[0][:] = v_s
         row.dot(field, stage_dv[0])
         _field_row(t + half, params, mid)
         _field_row(t + dt, params, end)
-        for i, coef, h in ((1, mid, half), (2, mid, half), (3, end, dt)):
+        for i, coef, h in ((1, mid, h_mid), (2, mid, h_mid),
+                           (3, end, h_end)):
             np.multiply(slopes[i - 1], h, stage_y)
             stage_y += Y
             obj.grad(x_s, grad_s)
@@ -271,7 +274,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         wts.dot(K, incr)
         np.add(Y, incr, y_next)
         Y, y_next = y_next, Y
-        if not np.isfinite(Y).all():
+        # 0 . Y is 0 when every entry of Y is finite and NaN otherwise
+        # (0 * inf is NaN): the isfinite test in one dot, with no temporary
+        if not math.isfinite(zeros.dot(Y)):
             raise BlowUpError(f"trajectory diverged before t={t + dt:.6g}",
                               last_t=t)
         t = t + dt  # the same sum as stage 4's time, so its row carries over
