@@ -42,8 +42,6 @@ __all__ = [
     "a_coeff",
     "init",
     "step",
-    "combined_field",
-    "single_line_update",
     "compute_step_diagnostics",
     "smoothness_cap",
     "select_stepsize",
@@ -254,16 +252,6 @@ def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
                     h=h, beta=beta)
 
 
-def combined_field(state_k: int, X: np.ndarray, h: float, beta: float,
-                   obj: SeparableObjective, graph: AgentGraph) -> np.ndarray:
-    """G_k = (2 theta_k h)^{-beta} gradF(X_k) + Llift X_k, evaluated afresh.
-
-    ``step`` reads G_k from the iterate's stored evaluation instead; this
-    is the independent oracle the update-algebra checks compare it with."""
-    return (_grad_weight(state_k, h, beta) * obj.grad(X)
-            + apply_lifted_laplacian(graph, obj.d, X))
-
-
 def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
          opt: ConsensusOptimum, s_next: float = np.nan) -> AgmState:
     """One iteration k -> k+1 using the stored step-size s_k.
@@ -286,19 +274,6 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
                    s=s_next, h=state.h, beta=state.beta)
     nxt.ev = _evaluated(nxt, obj, graph, opt)
     return nxt
-
-
-def single_line_update(k: int, X: np.ndarray, Z: np.ndarray, s: float,
-                       g: np.ndarray) -> np.ndarray:
-    """Collapsed one-line form of the three-line update, written directly in
-    (X_k, Z_k, G_k). Independent algebra used as the update oracle:
-
-        X_{k+1} = k^2/(k+1)^2 X_k + (2k+1)/(k+1)^2 Z_k
-                  - s k (3k+1) / (2 (k+1)^2) G_k
-    """
-    kk = float(k)
-    return (kk ** 2 * X + (2.0 * kk + 1.0) * Z
-            - 0.5 * s * kk * (3.0 * kk + 1.0) * g) / (kk + 1.0) ** 2
 
 
 def _grad_star(opt: ConsensusOptimum, oracle_mode: str,

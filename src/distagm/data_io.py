@@ -14,7 +14,6 @@ __all__ = [
     "IdxParseError",
     "LabeledDataset",
     "parse_idx",
-    "serialize_idx",
     "build_binary_dataset",
     "mnist_dataset",
     "synthetic_gaussian_dataset",
@@ -89,21 +88,6 @@ def parse_idx(data: bytes) -> np.ndarray:
             f"payload length {len(payload)} != product of dims {count}",
             offset=header_len + len(payload))
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
-
-
-def serialize_idx(arr: np.ndarray) -> bytes:
-    """Inverse of parse_idx for 1-D label or 3-D image uint8 tensors."""
-    arr = np.asarray(arr, dtype=np.uint8)
-    if arr.ndim == 1:
-        magic = _MAGIC_LABELS
-    elif arr.ndim == 3:
-        magic = _MAGIC_IMAGES
-    else:
-        raise ValueError(f"unsupported IDX rank {arr.ndim}")
-    out = magic.to_bytes(4, "big")
-    for dim in arr.shape:
-        out += int(dim).to_bytes(4, "big")
-    return out + arr.tobytes()
 
 
 def build_binary_dataset(images: np.ndarray, labels: np.ndarray,

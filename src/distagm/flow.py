@@ -48,7 +48,6 @@ __all__ = [
     "COLUMNS",
     "BlowUpError",
     "flow_rhs",
-    "flow_rhs_per_agent",
     "energy_at",
     "integrate",
     "rate_slope",
@@ -114,25 +113,6 @@ def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
     X, V = Y[:n], Y[n:]
     field = (V, obj.grad(X), apply_lifted_laplacian(graph, obj.d, X))
     return np.concatenate((V, _field_row(t, params).dot(field)))
-
-
-def flow_rhs_per_agent(t, Y, params: FlowParams, obj: SeparableObjective,
-                       graph: AgentGraph):
-    """Per-agent assembly of the same dynamics: agent i reads only its own
-    gradient and neighbor state differences. Cross-checks the stacked form."""
-    if t <= 0:
-        raise ValueError(f"flow is singular at t={t}")
-    n = Y.size // 2
-    xb = Y[:n].reshape(graph.m, obj.d)
-    vb = Y[n:].reshape(graph.m, obj.d)
-    dv = np.empty_like(xb)
-    for i in range(graph.m):
-        consensus = sum((xb[i] - xb[j] for j in graph.neighbors[i]),
-                        np.zeros(obj.d))
-        dv[i] = (-(3.0 / t) * vb[i]
-                 - t ** (-params.beta) * obj.local_grad(i, xb[i])
-                 - params.k_gain * consensus)
-    return np.concatenate((Y[n:], dv.reshape(-1)))
 
 
 class _Point(NamedTuple):

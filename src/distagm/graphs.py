@@ -19,7 +19,6 @@ __all__ = [
     "build_topology",
     "spectral_extremes",
     "apply_lifted_laplacian",
-    "lifted_laplacian_dense",
     "metropolis_weights",
 ]
 
@@ -44,7 +43,6 @@ class AgentGraph:
     m: int
     edges: frozenset  # frozenset of (i, j) tuples with i < j
     laplacian: np.ndarray = field(repr=False)
-    neighbors: tuple = field(repr=False)  # tuple of sorted neighbor tuples
 
     @property
     def degrees(self) -> np.ndarray:
@@ -62,21 +60,13 @@ class SpectralExtremes:
 def _graph_from_edges(m: int, edges) -> AgentGraph:
     edges = frozenset(tuple(sorted(e)) for e in edges)
     lap = np.zeros((m, m))
-    nbrs = [[] for _ in range(m)]
     for i, j in edges:
         if i == j or not (0 <= i < m and 0 <= j < m):
             raise GraphError(f"invalid edge ({i}, {j}) for m={m}")
         lap[i, j] = lap[j, i] = -1.0
         lap[i, i] += 1.0
         lap[j, j] += 1.0
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    g = AgentGraph(
-        m=m,
-        edges=edges,
-        laplacian=lap,
-        neighbors=tuple(tuple(sorted(n)) for n in nbrs),
-    )
+    g = AgentGraph(m=m, edges=edges, laplacian=lap)
     g.laplacian.setflags(write=False)
     spectral_extremes(g)  # raises NotConnectedError on a disconnected graph
     return g
@@ -150,11 +140,6 @@ def apply_lifted_laplacian(g: AgentGraph, d: int, X: np.ndarray,
     # a 1-D out reshapes to a view; dot refuses a strided one
     g.laplacian.dot(blocks, out.reshape(g.m, d))
     return out
-
-
-def lifted_laplacian_dense(g: AgentGraph, d: int) -> np.ndarray:
-    """Dense Kronecker form of the lifted Laplacian (test/oracle use)."""
-    return np.kron(g.laplacian, np.eye(d))
 
 
 def metropolis_weights(g: AgentGraph) -> np.ndarray:

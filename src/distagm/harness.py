@@ -233,7 +233,11 @@ def build_problem(settings: dict, graph):
     shards = data_io.shard(ds, graph.m)
     obj = LogisticObjective([s.features for s in shards],
                             [s.labels for s in shards], **ridge)
-    opt = solve_consensus_optimum(obj, **solver)
+    try:
+        opt = solve_consensus_optimum(obj, **solver)
+    except ValueError as err:
+        # the solver names its keyword; the config spells it solver_<keyword>
+        raise ConfigError(f"problem: solver_{err}") from err
     return obj, opt, ds.source or kind
 
 

@@ -49,7 +49,6 @@ class SeparableObjective:
     m: int
     d: int
     smoothness: float  # Lipschitz constant (upper bound) of the stacked gradient
-    local_smoothness: np.ndarray  # per-agent gradient Lipschitz bounds
 
     def local_value(self, i: int, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -109,11 +108,13 @@ class QuadraticObjective(SeparableObjective):
         if Qs.ndim != 3 or Qs.shape[1] != Qs.shape[2] or bs.shape != Qs.shape[:2]:
             raise ValueError("expected Qs of shape (m, d, d) and bs of shape (m, d)")
         self.m, self.d = bs.shape
+        if self.m < 1 or self.d < 1:
+            raise ValueError(f"need at least 1 agent and 1 dimension, got "
+                             f"m={self.m} and d={self.d}")
         eigs = np.linalg.eigvalsh(Qs)
         if np.any(eigs <= 0):
             raise ValueError("per-agent quadratic matrices must be SPD")
-        self.local_smoothness = eigs[:, -1].copy()
-        self.smoothness = float(self.local_smoothness.max())
+        self.smoothness = float(eigs[:, -1].max())
         d = self.d
         M = np.zeros((self.m * d, self.m * d))
         for i, q in enumerate(Qs):
@@ -200,11 +201,9 @@ class LogisticObjective(SeparableObjective):
         self.Zs = [self.Z[i, :n] for i, n in enumerate(sizes)]
         self.ys = [self.Y[i, :n] for i, n in enumerate(sizes)]
         # 1/4 bound on the logistic Hessian plus the per-agent ridge share.
-        self.local_smoothness = np.array([
+        self.smoothness = float(max(
             0.25 * np.linalg.eigvalsh(z.T @ z)[-1] + self.l2 / self.m
-            for z in self.Zs
-        ])
-        self.smoothness = float(self.local_smoothness.max())
+            for z in self.Zs))
 
     def local_value(self, i, x):
         margins = self.Zs[i] @ x

@@ -12,6 +12,7 @@ import pytest
 
 from distagm import (agm, baselines, data_io, flow, graphs, harness,
                      objectives)
+from oracles import combined_field, single_line_update
 
 H_DISCRETE = 1.0
 BETA = 0.1
@@ -129,8 +130,8 @@ def test_criterion_6_update_algebra(ring5):
         state = agm.AgmState(k=k, X=x, X_plus=x.copy(), Z=z, s=s, h=1.0,
                              beta=BETA)
         nxt = agm.step(state, obj, ring5, opt)
-        g = agm.combined_field(k, x, 1.0, BETA, obj, ring5)
-        oracle = agm.single_line_update(k, x, z, s, g)
+        g = combined_field(k, x, 1.0, BETA, obj, ring5)
+        oracle = single_line_update(k, x, z, s, g)
         # relative to the term magnitudes of the collapsed sum, so large-k
         # cancellation does not inflate the reported deviation
         kk = float(k)

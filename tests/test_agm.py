@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from distagm import agm
 from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
                          FixedParams, TraceRecorder, a_coeff, adaptive_run,
-                         bootstrap_diagnostics, c_coeff, combined_field,
+                         bootstrap_diagnostics, c_coeff,
                          compute_step_diagnostics, fixed_step_run, init,
                          lyapunov, lyapunov_v0_prime, select_stepsize,
-                         single_line_update, smoothness_cap, step, theta)
+                         smoothness_cap, step, theta)
+from distagm.flow import FlowParams, flow_rhs
 from distagm.graphs import build_topology, spectral_extremes
 from distagm.objectives import QuadraticObjective, make_quadratic
+from oracles import combined_field, single_line_update
 
 PRACTICAL = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
 
@@ -296,6 +298,49 @@ def test_fixed_run_trace_shape(ring5, flow_quadratic, x0_ring5):
                            x0_ring5, iters=25, opt=opt)
     assert len(trace) == 26
     np.testing.assert_array_equal(trace.column("k"), np.arange(26))
+
+
+@pytest.mark.parametrize("common_offset", [True, False],
+                         ids=["common_offset", "no_common_offset"])
+def test_fixed_step_converges_to_the_flow(ring5, x0_ring5, common_offset):
+    """The fixed-step method at s = h^2 discretizes the flow at t = k h,
+    the time scaling of Su, Boyd & Candes (2016). On energy_conservation.
+    yaml's problem, with beta = 0.1 and k_gain = 1, X_k at k = 4/h is
+    compared with X(4) from RK4 through ``flow_rhs``, stepping min(1e-3,
+    0.05 t) from t0 = 1e-4 with V0 = 0. The relative errors measured 0.140,
+    0.082, 0.045 and 0.023 at h = 0.2, 0.1, 0.05 and 0.025 (0.105 to 0.017
+    without the common minimizer): halving ratios of 1.72 to 1.91, order 1.
+    Each ratio must be at least 1.6."""
+    obj = make_quadratic(5, 2, cond=10.0, seed=7)
+    if common_offset:
+        obj = QuadraticObjective(obj.Qs, np.tile([0.3, -0.2], (5, 1)))
+    opt = obj.closed_form_optimum()
+    params = FlowParams(beta=0.1, k_gain=1.0, t0=1e-4, horizon=4.0)
+
+    def rhs(t, Y):
+        return flow_rhs(t, Y, params, obj, ring5)
+
+    t, Y = params.t0, np.concatenate((x0_ring5, np.zeros(10)))
+    while t < params.horizon:
+        dt = min(1e-3, 0.05 * t, params.horizon - t)
+        k1 = rhs(t, Y)
+        k2 = rhs(t + dt / 2, Y + dt / 2 * k1)
+        k3 = rhs(t + dt / 2, Y + dt / 2 * k2)
+        k4 = rhs(t + dt, Y + dt * k3)
+        Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += dt
+    x_flow = Y[:10]
+    errors = []
+    for h in (0.2, 0.1, 0.05, 0.025):
+        state = init(x0_ring5, h, params.beta)  # X_1 = X_0 sits at t = h
+        state.s = h * h
+        for _ in range(round(params.horizon / h) - 1):
+            state = step(state, obj, ring5, opt, s_next=h * h)
+        assert state.k * h == pytest.approx(params.horizon)
+        errors.append(np.linalg.norm(state.X - x_flow)
+                      / np.linalg.norm(x_flow))
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert np.all(ratios >= 1.6), (errors, ratios)
 
 
 def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):

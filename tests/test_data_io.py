@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from distagm.data_io import (IdxParseError, LabeledDataset,
-                             build_binary_dataset, parse_idx, serialize_idx,
-                             shard, write_summary)
+                             build_binary_dataset, parse_idx, shard,
+                             write_summary)
+from oracles import serialize_idx
 
 
 def test_parse_label_vector():

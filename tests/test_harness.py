@@ -12,6 +12,7 @@ from distagm.cli import main
 from distagm.graphs import build_topology
 from distagm.objectives import make_quadratic
 from distagm.trace import RunTrace
+from oracles import serialize_idx
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -439,6 +440,9 @@ def under_seeds(cases):
     *(bad_section(*case) for case in [
         ("run", "graph.m", "two"),
         ("run", "problem.d", "two"),
+        # a problem with no dimension is refused before it is built
+        ("run", "problem.d", 0),
+        ("energy-check", "problem.d", 0),
         ("run", "problem.scale", -1),
         ("run", "problem.cond", 0.5),
         ("run", "graph.kind", "hexagon"),
@@ -450,12 +454,13 @@ def under_seeds(cases):
         ("run", "init.scale", NAN),
         ("run", "init.scale", INF),
         ("run", "problem.n", 3, {"type": "logistic-synthetic", "p": 3}),
-        # a logistic ridge or solver tolerance out of range; the short
-        # solver budget keeps a run that misses the check fast
-        *(("run", key, value, SMALL_LOGISTIC) for key, value in [
-            ("problem.l2", NAN), ("problem.l2", -1.0),
-            ("problem.solver_tol", NAN), ("problem.solver_tol", 0.0),
-            ("problem.solver_max_iter", -1)]),
+        # a logistic ridge or solver setting out of range, named by its
+        # config key; the short solver budget keeps a run that misses the
+        # check fast
+        *(("run", f"problem.{key}", value, SMALL_LOGISTIC, f"problem: {key}")
+          for key, value in [
+            ("l2", NAN), ("l2", -1.0), ("solver_tol", NAN),
+            ("solver_tol", 0.0), ("solver_max_iter", -1)]),
         ("run", "init.scale", "x"),
         ("run", "iters", "abc"),
         ("run", "iters", -5),
@@ -637,9 +642,9 @@ def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):
     images = rng.integers(0, 256, size=(900, 2, 2)).astype(np.uint8)
     labels = rng.choice([1, 5, 7], size=900).astype(np.uint8)
     (tmp_path / "train-images-idx3-ubyte").write_bytes(
-        data_io.serialize_idx(images))
+        serialize_idx(images))
     (tmp_path / "train-labels-idx1-ubyte").write_bytes(
-        data_io.serialize_idx(labels))
+        serialize_idx(labels))
     expected = {
         "logistic-synthetic": data_io.synthetic_gaussian_dataset(
             n=500, p=10, seed=0),

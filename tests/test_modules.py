@@ -1,12 +1,14 @@
 """Module boundaries inside the package."""
 
 import ast
+import re
 from dataclasses import fields
 from pathlib import Path
 
 from distagm import agm, baselines, flow, harness
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distagm"
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def test_no_private_imports_between_modules():
@@ -107,3 +109,37 @@ def test_harness_names_no_algorithm_knob():
     named = [node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and node.value in knobs]
     assert named == []
+
+
+def test_every_public_name_is_read():
+    """Each name in a module's ``__all__`` is read by package code outside
+    its own definition, or named in perfbench/, which looks names up at
+    call time: a name only tests call belongs in tests/oracles.py. The one
+    exemption is ``flow.flow_rhs``, the stacked statement of the flow's
+    dynamics, which ``integrate`` unrolls into its stage buffers and the
+    tests integrate as the reference."""
+    exported, reads = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            targets = ([stmt.name] if isinstance(
+                stmt, (ast.FunctionDef, ast.ClassDef)) else
+                [t.id for t in getattr(stmt, "targets", [])
+                 if isinstance(t, ast.Name)])
+            if targets == ["__all__"]:
+                exported[path.stem] = ast.literal_eval(stmt.value)
+                continue
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        None)
+                if name is not None:
+                    # a read in the statement that defines the same name is
+                    # tagged with its module: it is no use of that export
+                    reads.add((path.stem if name in targets else "", name))
+    bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.iterdir())
+                      if p.is_file())
+    unread = [f"{module}.{name}" for module, names in exported.items()
+              for name in names
+              if not any(n == name and m != module for m, n in reads)
+              and not re.search(rf"\b{name}\b", bench)]
+    assert unread == ["flow.flow_rhs"]
