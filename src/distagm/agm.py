@@ -5,9 +5,11 @@ with the four-case step-size controller, the per-iteration controller
 quantities (a, b, a~, b~, w, r), and the Lyapunov certificates V_k / V0'
 whose monotone decrease certifies the O(1/k^{2-beta}) rate.
 
-Each iterate is evaluated once: its oracle values and the scalars read from
-them (cost gap, Laplacian quadratic, |G_k|^2) travel with the state, and the
-controller, the certificate and the next iteration read them from there.
+Each iterate is evaluated once, with one ``value_grad`` call: its oracle
+values, the scalars read from them (cost gap, Laplacian quadratic, |G_k|^2)
+and the iteration's coefficients (the gradient weight, theta_k,
+theta_{k+1}, A_k) travel with the state, and the controller, the
+certificate and the next iteration read them from there.
 
 The controller's r-quantity reads the stacked gradient at the consensus
 optimum. That is centralized information; the "practical" oracle mode
@@ -17,6 +19,7 @@ and flags the approximation in the trace metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
@@ -66,6 +69,16 @@ def _norm(v: np.ndarray) -> float:
     dispatch: the square root of v.v over v's entries in memory order."""
     v = v.ravel("K")
     return math.sqrt(float(v.dot(v)))
+
+
+@functools.cache
+def _zeros(n: int) -> np.ndarray:
+    """A read-only zero n-vector. ``_zeros(n).dot(v)`` is 0 when every
+    entry of v is finite and NaN otherwise (0 * inf is NaN): the finiteness
+    test in one dot, with no temporary."""
+    zeros = np.zeros(n)
+    zeros.setflags(write=False)
+    return zeros
 
 
 class TraceRecorder(AbstractContextManager):
@@ -165,7 +178,8 @@ def _grad_weight(k: int, h: float, beta: float) -> float:
 
 def c_coeff(k: int) -> float:
     """theta_{k+1} / (theta_{k+1}^2 - theta_k^2) = 2(k+1)/(2k+1)."""
-    return theta(k + 1) / (theta(k + 1) ** 2 - theta(k) ** 2)
+    th, th_next = theta(k), theta(k + 1)
+    return th_next / (th_next ** 2 - th ** 2)
 
 
 def a_coeff(k: int) -> float:
@@ -177,7 +191,9 @@ def a_coeff(k: int) -> float:
 class IterateEval:
     """Oracle values at one iterate X_k and the scalars every consumer reads
     from them: gradF(X_k), Llift X_k, G_k, the cost gap F(X_k) - F*, the
-    Laplacian quadratic 1/2 (X_k - x*) . Llift X_k, and |G_k|^2."""
+    Laplacian quadratic 1/2 (X_k - x*) . Llift X_k, and |G_k|^2; then the
+    coefficients of iteration k: the gradient weight (k h)^{-beta},
+    theta_k, theta_{k+1} and A_k."""
 
     grad: np.ndarray
     lx: np.ndarray
@@ -185,6 +201,10 @@ class IterateEval:
     gap: float
     quad: float
     g_sq: float
+    grad_weight: float
+    theta: float
+    theta_next: float
+    a_k: float
 
 
 @dataclass(slots=True)
@@ -210,19 +230,24 @@ def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     """The state's oracle values, evaluated here if it does not carry them."""
     if state.ev is not None:
         return state.ev
-    X = state.X
-    grad = obj.grad(X)
+    X, k = state.X, state.k
+    value, grad = obj.value_grad(X)
     lx = apply_lifted_laplacian(graph, obj.d, X)
-    G = _grad_weight(state.k, state.h, state.beta) * grad + lx
+    grad_weight = _grad_weight(k, state.h, state.beta)
+    G = grad_weight * grad + lx
     # Laplacian quadratic in the error; Llift X* vanishes at consensus.
-    return IterateEval(grad=grad, lx=lx, G=G,
-                       gap=obj.value(X) - opt.f_star,
+    return IterateEval(grad=grad, lx=lx, G=G, gap=value - opt.f_star,
                        quad=0.5 * float((X - opt.x_star_stacked).dot(lx)),
-                       g_sq=float(G.dot(G)))
+                       g_sq=float(G.dot(G)), grad_weight=grad_weight,
+                       theta=theta(k), theta_next=theta(k + 1),
+                       a_k=a_coeff(k))
 
 
-@dataclass(slots=True, frozen=True)
-class StepDiagnostics:
+class StepDiagnostics(NamedTuple):
+    """The controller quantities of one transition (see
+    compute_step_diagnostics); a named tuple, which builds faster than a
+    frozen dataclass."""
+
     a: float
     b: float
     a_tilde: float
@@ -262,10 +287,11 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
-    g = _evaluated(state, obj, graph, opt).G
-    if not np.isfinite(g).all():
+    ev = _evaluated(state, obj, graph, opt)
+    g = ev.G
+    if not math.isfinite(_zeros(g.size).dot(g)):
         raise DivergenceError("non-finite update field", iteration=state.k)
-    th_k, th_next = theta(state.k), theta(state.k + 1)
+    th_k, th_next = ev.theta, ev.theta_next
     x_plus = state.X - 0.5 * state.s * g
     z_new = state.Z - state.s * th_k * g
     ratio = th_k ** 2 / th_next ** 2
@@ -276,10 +302,15 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     return nxt
 
 
-def _grad_star(opt: ConsensusOptimum, oracle_mode: str,
-               size: int) -> np.ndarray:
-    """The optimum gradient ``oracle_mode`` (see AdaptiveParams) reads."""
-    return opt.grad_at_opt if oracle_mode == "exact" else np.zeros(size)
+def _r_quantity(opt: ConsensusOptimum, oracle_mode: str, scale: float,
+                g: np.ndarray) -> float:
+    """r = -|gs|^2 + 2 gs . (gs - G) with gs = scale * (the optimum gradient
+    ``oracle_mode`` reads, see AdaptiveParams). In practical mode gs = 0,
+    so r is 0, or NaN when G is not finite, as the full formula gives."""
+    if oracle_mode != "exact":
+        return float(_zeros(g.size).dot(g))
+    gs = scale * opt.grad_at_opt
+    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - g))
 
 
 def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
@@ -293,11 +324,9 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     the chosen step live in select_stepsize.
     """
     k = prev.k
-    h, beta = prev.h, prev.beta
-    scale_k = _grad_weight(k, h, beta)
-    scale_next = _grad_weight(k + 1, h, beta)
     ev_k = _evaluated(prev, obj, graph, opt)
     ev_next = _evaluated(nxt, obj, graph, opt)
+    scale_k, scale_next = ev_k.grad_weight, ev_next.grad_weight
     g_k, g_next = ev_k.G, ev_next.G
 
     a = (scale_k * ev_k.gap + ev_k.quad - scale_next * ev_next.gap
@@ -307,9 +336,8 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
     w = float(g_k.dot(g_next))
     a_tilde = a + 0.5 * prev.s * w
     b_tilde = ev_k.g_sq + ev_next.g_sq
-    gs = scale_next * _grad_star(opt, oracle_mode, g_k.size)
-    r = -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - g_next))
-    cap = smoothness_cap(k + 1, h, beta, lam_max, obj.smoothness)
+    r = _r_quantity(opt, oracle_mode, scale_next, g_next)
+    cap = smoothness_cap(k + 1, prev.h, prev.beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=a, b=b, a_tilde=a_tilde, b_tilde=b_tilde,
                            w=w, r=r, cap_smooth=cap)
 
@@ -324,11 +352,9 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     b-quantity is twice the squared field norm; only the sign of r matters
     for the choice of s_1.
     """
-    h, beta = state1.h, state1.beta
     ev = _evaluated(state1, obj, graph, opt)
-    gs = _grad_weight(1, h, beta) * _grad_star(opt, oracle_mode, ev.G.size)
-    r1 = -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - ev.G))
-    cap = smoothness_cap(1, h, beta, lam_max, obj.smoothness)
+    r1 = _r_quantity(opt, oracle_mode, ev.grad_weight, ev.G)
+    cap = smoothness_cap(1, state1.h, state1.beta, lam_max, obj.smoothness)
     return StepDiagnostics(a=0.0, b=2.0 * ev.g_sq, a_tilde=0.0,
                            b_tilde=2.0 * ev.g_sq, w=ev.g_sq,
                            r=r1, cap_smooth=cap)
@@ -384,8 +410,9 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     if not prev.s > 0.0:
         return np.nan
     ev = _evaluated(prev, obj, graph, opt)
-    weight = 2.0 * c_coeff(k) * theta(k) ** 2
-    fn_term = weight * _grad_weight(k, prev.h, prev.beta) * ev.gap
+    # 2 c_k theta_k^2, the same bits as 2 A_k: doubling is exact
+    weight = 2.0 * ev.a_k
+    fn_term = weight * ev.grad_weight * ev.gap
     cons_term = weight * ev.quad
     pen_term = -weight * 0.25 * prev.s * ev.g_sq
     z_err = nxt.Z - opt.x_star_stacked
@@ -456,8 +483,8 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
             state = step(prev, obj, graph, opt)
             diag = compute_step_diagnostics(prev, state, obj, graph, opt,
                                             lam_max, params.oracle_mode)
-            choice = select_stepsize(diag, prev.s, a_coeff(prev.k),
-                                     theta(prev.k + 1), prev.k)
+            choice = select_stepsize(diag, prev.s, prev.ev.a_k,
+                                     prev.ev.theta_next, prev.k)
             fallback = not math.isfinite(choice.chosen)
             state.s = (min(prev.s, diag.cap_smooth) if fallback
                        else choice.chosen)

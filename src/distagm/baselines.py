@@ -8,6 +8,7 @@ Agent updates read only neighbor states, trackers, or integral states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -49,8 +50,10 @@ class PIParams(_PositiveParams):
     h_step: float = 0.05
 
 
-def _grad_blocks(obj, xb):
-    return obj.grad(xb.reshape(-1)).reshape(obj.m, obj.d)
+def _value_grad_blocks(obj, xb):
+    """The cost and the stacked gradient, one block per row, at blocks xb."""
+    value, grad = obj.value_grad(xb.reshape(-1))
+    return value, grad.reshape(obj.m, obj.d)
 
 
 def dgd_run(params: StepParams, obj: SeparableObjective, graph: AgentGraph,
@@ -58,15 +61,15 @@ def dgd_run(params: StepParams, obj: SeparableObjective, graph: AgentGraph,
     """Decentralized gradient descent: x_i <- sum_j W_ij x_j - alpha grad f_i."""
     w = metropolis_weights(graph)
     xb = np.asarray(X0, dtype=float).reshape(graph.m, obj.d).copy()
-    grads = _grad_blocks(obj, xb)
+    value, grads = _value_grad_blocks(obj, xb)
     rec = TraceRecorder({"algorithm": "dgd", **asdict(params),
                          "iters": iters}, opt.f_star)
     for k in range(iters + 1):
         if k:
             xb = w @ xb - params.alpha * grads
-            grads = _grad_blocks(obj, xb)
+            value, grads = _value_grad_blocks(obj, xb)
         X = xb.reshape(-1)
-        rec(k, obj.value(X) - opt.f_star, grads,
+        rec(k, value - opt.f_star, grads,
             apply_lifted_laplacian(graph, obj.d, X), params.alpha)
     return rec.trace
 
@@ -80,20 +83,23 @@ def diging_run(params: StepParams, obj: SeparableObjective,
     """
     w = metropolis_weights(graph)
     xb = np.asarray(X0, dtype=float).reshape(graph.m, obj.d).copy()
-    grads = yb = _grad_blocks(obj, xb)
+    value, grads = _value_grad_blocks(obj, xb)
+    yb = grads
     rec = TraceRecorder({"algorithm": "diging", **asdict(params),
                          "iters": iters}, opt.f_star)
     residual = 0.0
     for k in range(iters + 1):
         if k:
             xb = w @ xb - params.alpha * yb
-            new_grads = _grad_blocks(obj, xb)
+            value, new_grads = _value_grad_blocks(obj, xb)
             yb = w @ yb + new_grads - grads
             grads = new_grads
-            residual = max(residual, float(np.linalg.norm(
-                yb.sum(axis=0) - grads.sum(axis=0))))
+            # np.add.reduce is ndarray.sum without its Python wrapper, and
+            # sqrt(v.v) is np.linalg.norm of a 1-D array without its dispatch
+            gap = np.add.reduce(yb, 0) - np.add.reduce(grads, 0)
+            residual = max(residual, math.sqrt(float(gap.dot(gap))))
         X = xb.reshape(-1)
-        rec(k, obj.value(X) - opt.f_star, grads,
+        rec(k, value - opt.f_star, grads,
             apply_lifted_laplacian(graph, obj.d, X), params.alpha)
     rec.trace.metadata["max_tracking_residual"] = residual
     return rec.trace
@@ -112,18 +118,20 @@ def pi_consensus_run(params: PIParams, obj: SeparableObjective,
     alpha, beta_gain, h_step = params.alpha, params.beta_gain, params.h_step
     x = np.asarray(X0, dtype=float).copy()
     v = np.zeros_like(x)
-    g, lx = obj.grad(x), apply_lifted_laplacian(graph, obj.d, x)
+    value, g = obj.value_grad(x)
+    lx = apply_lifted_laplacian(graph, obj.d, x)
     rec = TraceRecorder({"algorithm": "pi_consensus", **asdict(params),
                          "iters": iters}, opt.f_star)
-    rec(0, obj.value(x) - opt.f_star, g, lx, h_step)
+    rec(0, value - opt.f_star, g, lx, h_step)
     v_sum = 0.0
     for k in range(1, iters + 1):
         x_new = x + h_step * (-alpha * g - lx - beta_gain * v)
         v = v + h_step * lx
         x = x_new
-        v_sum = max(v_sum, float(np.linalg.norm(
-            v.reshape(graph.m, obj.d).sum(axis=0))))
-        g, lx = obj.grad(x), apply_lifted_laplacian(graph, obj.d, x)
-        rec(k, obj.value(x) - opt.f_star, g, lx, h_step)
+        total = np.add.reduce(v.reshape(graph.m, obj.d), 0)
+        v_sum = max(v_sum, math.sqrt(float(total.dot(total))))
+        value, g = obj.value_grad(x)
+        lx = apply_lifted_laplacian(graph, obj.d, x)
+        rec(k, value - opt.f_star, g, lx, h_step)
     rec.trace.metadata["max_integral_sum"] = v_sum
     return rec.trace

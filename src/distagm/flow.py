@@ -20,8 +20,9 @@ oracles write their stage field into W[2] and W[3] in place (their ``out``
 argument), and the accepted point's evaluation writes there too, where the
 next step's first stage reads it. A stage's dV is one dot of its row with
 W[1:], and the step is Y + (dt/6, dt/3, dt/3, dt/6) . K, written into a
-second state buffer. A step allocates no stage array and makes 4 gradient
-calls, 4 lifted-Laplacian applies and 1 cost call.
+second state buffer. A step allocates no stage array and makes 3 gradient
+calls, 1 fused cost-and-gradient call (``value_grad``) and 4
+lifted-Laplacian applies.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
 the six ledger terms among them. One private row builder fills a row from
@@ -135,8 +136,7 @@ def _evaluate(t, X, obj, graph, opt, params, grad=None, lx=None) -> _Point:
     xbar = X - opt.x_star_stacked
     lx = apply_lifted_laplacian(graph, obj.d, X, lx)
     x_lx = float(xbar.dot(lx))
-    value = obj.value(X)
-    grad = obj.grad(X, grad)
+    value, grad = obj.value_grad(X, grad)
     # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
     # every rounding of the subtraction and the dot product
     bregman = opt.f_star - value + float(grad.dot(xbar))
@@ -190,10 +190,10 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     one. Each accepted point is evaluated once; that evaluation feeds the
     trapezoid integrals, the trace row and the next step's first stage. The
     stage oracles and that evaluation write into preallocated stage
-    buffers, so a step allocates no stage array; per step there are 4
-    ``grad`` calls, 4 lifted-Laplacian applies and 1 ``value`` call. A step
-    that leaves the finite range raises BlowUpError carrying the time of
-    the last accepted point.
+    buffers, so a step allocates no stage array; per step there are 3
+    ``grad`` calls, 1 ``value_grad`` call and 4 lifted-Laplacian applies.
+    A step that leaves the finite range raises BlowUpError carrying the
+    time of the last accepted point.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(

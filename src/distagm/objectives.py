@@ -5,6 +5,18 @@ cumulative cost evaluates them on a stacked md-vector, one block per agent.
 The consensus optimum (common minimizer of the sum) is computed offline and
 feeds the energy/Lyapunov diagnostics; distributed algorithms never read it
 inside their updates.
+
+Every caller that needs the cost and the gradient at one point asks for
+both with one ``value_grad`` call. The quadratic family answers it with its
+``value`` and ``grad``. The logistic family computes the margins Z_i x_i,
+one exp(-|m|) shared by the softplus max(m, 0) + log1p(exp(-|m|)) and the
+sigmoid, and one back-projection Z_i^T (sigma - y_i). Its label term
+sum_r y_r m_r is x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term
+and the ridge are one d-length dot per agent. Per iteration, an adaptive or
+fixed-step dist_agm run makes 1 ``value_grad`` call and 1 ``value`` call
+(the cost at the plus-iterate), DGD, DIGing and PI consensus 1
+``value_grad`` call, and an RK4 flow step 1 ``value_grad`` call and 3
+``grad`` calls.
 """
 
 from __future__ import annotations
@@ -76,6 +88,12 @@ class SeparableObjective:
         gradient into its stage buffer this way.
         """
         raise NotImplementedError
+
+    def value_grad(self, X: np.ndarray,
+                   out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """``(value(X), grad(X, out))``, with those calls' bits. A family
+        whose two oracles share work overrides this to do it once."""
+        return self.value(X), self.grad(X, out)
 
     def central_value(self, x: np.ndarray) -> float:
         """Sum of all f_i at a single point (the centralized objective)."""
@@ -152,12 +170,10 @@ class QuadraticObjective(SeparableObjective):
         q_sum = self.Qs.sum(axis=0)
         x_star = np.linalg.solve(q_sum, np.einsum("mij,mj->i", self.Qs, self.bs))
         x_stacked = self.stack(x_star)
-        return ConsensusOptimum(
-            x_star=x_star,
-            f_star=self.value(x_stacked),
-            x_star_stacked=x_stacked,
-            grad_at_opt=self.grad(x_stacked),
-        )
+        f_star, grad_at_opt = self.value_grad(x_stacked)
+        return ConsensusOptimum(x_star=x_star, f_star=f_star,
+                                x_star_stacked=x_stacked,
+                                grad_at_opt=grad_at_opt)
 
 
 class LogisticObjective(SeparableObjective):
@@ -166,8 +182,10 @@ class LogisticObjective(SeparableObjective):
 
     The shards are held once, read-only, zero-padded to the longest:
     features Z (m, rows, d), labels Y and a 0/1 row mask (m, rows); ``Zs``
-    and ``ys`` are views into them. The stacked oracles are one batched
-    product each way, block i reading only shard i and x_i. Padding costs
+    and ``ys`` are views into them. ``ZtY`` (m, d), row i Z_i^T y_i, is
+    built once and read-only too. The stacked oracles are one batched
+    product each way, block i reading only shard i and x_i; the per-agent
+    and centralized oracles read the same private formulas. Padding costs
     (m * rows - n)(d + 2) * 8 bytes, none for equal shards.
     """
 
@@ -196,52 +214,108 @@ class LogisticObjective(SeparableObjective):
         self.Y, self.mask = np.zeros((2, self.m, max(sizes)))
         for i, (z, y, n) in enumerate(zip(shards_z, shards_y, sizes)):
             self.Z[i, :n], self.Y[i, :n], self.mask[i, :n] = z, y, 1.0
-        for arr in (self.Z, self.Y, self.mask):
+        # padded rows have zero features, so they add nothing to Z_i^T y_i
+        self.ZtY = (self.Z.transpose(0, 2, 1) @ self.Y[:, :, None])[..., 0]
+        for arr in (self.Z, self.Y, self.mask, self.ZtY):
             arr.setflags(write=False)
         self.Zs = [self.Z[i, :n] for i, n in enumerate(sizes)]
         self.ys = [self.Y[i, :n] for i, n in enumerate(sizes)]
+        self._half_ridge = 0.5 * self.l2 / self.m
         # 1/4 bound on the logistic Hessian plus the per-agent ridge share.
         self.smoothness = float(max(
             0.25 * np.linalg.eigvalsh(z.T @ z)[-1] + self.l2 / self.m
             for z in self.Zs))
 
+    def _linear(self, i, x):
+        """The label term and the ridge of f_i: x . ((l2/2m) x - Z_i^T y_i)."""
+        return x.dot(self._half_ridge * x - self.ZtY[i])
+
     def local_value(self, i, x):
         margins = self.Zs[i] @ x
-        loss = np.logaddexp(0.0, margins) - self.ys[i] * margins
-        return float(loss.sum() + 0.5 * self.l2 / self.m * (x @ x))
+        loss = _softplus(margins, _exp_neg_abs(margins))
+        return float(np.add.reduce(loss) + self._linear(i, x))
 
     def local_grad(self, i, x):
-        sig = _sigmoid(self.Zs[i] @ x)
-        return self.Zs[i].T @ (sig - self.ys[i]) + self.l2 / self.m * x
+        margins = self.Zs[i] @ x
+        resid = _sigmoid(margins, _exp_neg_abs(margins))
+        resid -= self.ys[i]
+        return self.Zs[i].T @ resid + self.l2 / self.m * x
 
-    def value(self, X):
-        xb = self._check(X).reshape(self.m, self.d)
-        margins = (self.Z @ xb[:, :, None])[..., 0]
-        loss = (np.logaddexp(0.0, margins) - self.Y * margins) * self.mask
-        # x_i.x_i as a dot and Python's sum over agents keep the sweep's bits
-        ridge = 0.5 * self.l2 / self.m * (xb[:, None, :] @ xb[:, :, None])
-        return float(sum((loss.sum(axis=1) + ridge.ravel()).tolist()))
-
-    def grad(self, X, out=None):
+    def _margins(self, X):
+        """X checked, its agent blocks and the margins Z_i x_i (m, rows)."""
         X = self._check(X)
         xb = X.reshape(self.m, self.d)
-        sig = _sigmoid((self.Z @ xb[:, :, None])[..., 0])
+        return X, xb, (self.Z @ xb[:, :, None])[..., 0]
+
+    def _cost(self, xb, margins, e):
+        loss = _softplus(margins, e)
+        loss *= self.mask
+        # _linear of every agent, a dot each; Python's sum over agents
+        # keeps the per-agent sweep's bits
+        lin = xb[:, None, :] @ (self._half_ridge * xb - self.ZtY)[:, :, None]
+        return float(sum((np.add.reduce(loss, 1) + lin.ravel()).tolist()))
+
+    def _grad(self, X, margins, e, out):
+        if out is not None and out.shape != X.shape:
+            # np.add would broadcast a 1-vector into a longer out
+            raise ValueError(f"out has shape {out.shape}, expected {X.shape}")
+        resid = _sigmoid(margins, e)
+        resid -= self.Y
         # padded rows have zero features, so they add nothing here
-        back = self.Z.transpose(0, 2, 1) @ (sig - self.Y)[:, :, None]
+        back = self.Z.transpose(0, 2, 1) @ resid[:, :, None]
         # back is a fresh (m, d, 1) array, so its flat view lines up with X
         return np.add(back.reshape(-1), self.l2 / self.m * X, out)
+
+    def value(self, X):
+        _, xb, margins = self._margins(X)
+        return self._cost(xb, margins, _exp_neg_abs(margins))
+
+    def grad(self, X, out=None):
+        X, _, margins = self._margins(X)
+        return self._grad(X, margins, _exp_neg_abs(margins), out)
+
+    def value_grad(self, X, out=None):
+        X, xb, margins = self._margins(X)
+        e = _exp_neg_abs(margins)
+        return self._cost(xb, margins, e), self._grad(X, margins, e, out)
 
     def central_hess(self, x):
         hess = self.l2 * np.eye(self.d)
         for z in self.Zs:
-            sig = _sigmoid(z @ x)
+            margins = z @ x
+            sig = _sigmoid(margins, _exp_neg_abs(margins))
             hess += (z.T * (sig * (1.0 - sig))) @ z
         return hess
 
 
-def _sigmoid(margins):
-    # exp overflows past 709.78; the clipped sigmoid is ~1e-308 there
-    return 1.0 / (1.0 + np.exp(np.minimum(-margins, 709.0)))
+# The logistic formulas, on margins m and e = exp(-|m|). e lies in [0, 1],
+# so it never overflows; past |m| = 745 it underflows to 0 without a
+# warning. The constants are read-only 0-d arrays, which a ufunc reads
+# faster than a Python float.
+_ZERO, _ONE, _MINUS_ONE = (np.array(v) for v in (0.0, 1.0, -1.0))
+for _c in (_ZERO, _ONE, _MINUS_ONE):
+    _c.setflags(write=False)
+
+
+def _exp_neg_abs(margins):
+    e = np.copysign(margins, _MINUS_ONE)  # -|m|
+    return np.exp(e, e)
+
+
+def _softplus(margins, e):
+    """log(1 + exp(m)) as max(m, 0) + log1p(e)."""
+    out = np.maximum(margins, _ZERO)
+    out += np.log1p(e)
+    return out
+
+
+def _sigmoid(margins, e):
+    """1 / (1 + exp(-m)) as 1 / (1 + e) for m >= 0 and e / (1 + e) below.
+    The numerator is max(sign m, e): e <= 1, and e = 1 at m = 0."""
+    out = np.sign(margins)
+    np.fmax(out, e, out)
+    out /= e + _ONE
+    return out
 
 
 def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
@@ -252,6 +326,9 @@ def make_quadratic(m: int, d: int, cond: float = 10.0, seed: int = 0,
             and np.isfinite(offset_scale)):
         raise ValueError(f"need finite cond >= 1, scale > 0 and offset_scale, "
                          f"got {cond}, {scale} and {offset_scale}")
+    if m < 1 or d < 1:
+        raise ValueError(f"need at least 1 agent and 1 dimension, got "
+                         f"m={m} and d={d}")
     rng = np.random.default_rng(seed)
     Qs = np.empty((m, d, d))
     for i in range(m):
@@ -319,9 +396,6 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
             f_new = obj.central_value(x_new)
         x, f = x_new, f_new
     x_stacked = obj.stack(best_x)
-    return ConsensusOptimum(
-        x_star=best_x,
-        f_star=obj.value(x_stacked),
-        x_star_stacked=x_stacked,
-        grad_at_opt=obj.grad(x_stacked),
-    )
+    f_star, grad_at_opt = obj.value_grad(x_stacked)
+    return ConsensusOptimum(x_star=best_x, f_star=f_star,
+                            x_star_stacked=x_stacked, grad_at_opt=grad_at_opt)

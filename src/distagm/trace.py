@@ -49,6 +49,7 @@ class RunTrace:
         self.columns = list(columns)
         self.metadata = dict(metadata or {})
         self._rows = []
+        self._names = frozenset(self.columns)  # the keys append expects
 
     @classmethod
     def from_columns(cls, columns: dict, metadata=None) -> "RunTrace":
@@ -58,9 +59,9 @@ class RunTrace:
         return trace
 
     def append(self, **row):
-        if set(row) != set(self.columns):
-            missing = set(self.columns) - set(row)
-            extra = set(row) - set(self.columns)
+        if row.keys() != self._names:
+            missing = self._names - row.keys()
+            extra = row.keys() - self._names
             raise ValueError(f"row mismatch: missing={missing}, extra={extra}")
         self._rows.append([row[c] for c in self.columns])
 

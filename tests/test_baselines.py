@@ -6,7 +6,7 @@ import pytest
 from distagm.agm import DivergenceError
 from distagm.baselines import (PIParams, StepParams, dgd_run, diging_run,
                                pi_consensus_run)
-from distagm.objectives import make_quadratic, solve_consensus_optimum
+from distagm.objectives import make_quadratic
 
 
 @pytest.fixture(scope="module")

@@ -443,6 +443,10 @@ def under_seeds(cases):
         # a problem with no dimension is refused before it is built
         ("run", "problem.d", 0),
         ("energy-check", "problem.d", 0),
+        # a negative one too, in the same words as d = 0
+        *((command, "problem.d", -1, QUAD_PROBLEM,
+           "problem: need at least 1 agent and 1 dimension, got m=5 and "
+           "d=-1") for command in ("run", "energy-check")),
         ("run", "problem.scale", -1),
         ("run", "problem.cond", 0.5),
         ("run", "graph.kind", "hexagon"),

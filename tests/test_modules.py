@@ -9,6 +9,7 @@ from distagm import agm, baselines, flow, harness
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distagm"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_private_imports_between_modules():
@@ -25,6 +26,34 @@ def test_no_private_imports_between_modules():
             found += [f"{path.name}: {alias.name} from {node.module}"
                       for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_every_imported_name_is_used():
+    """Each name a module under src/ or tests/ imports is loaded somewhere in
+    that module or listed in its ``__all__``; ``from __future__`` imports
+    are exempt."""
+    unused = []
+    for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]):
+        tree = ast.parse(path.read_text(), str(path))
+        imported, loaded, exported = [], set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.partition(".")[0]
+                             for alias in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [alias.asname or alias.name
+                             for alias in node.names if alias.name != "*"]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                           ast.Load):
+                loaded.add(node.id)
+            elif (isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["__all__"]):
+                exported.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in imported
+                   if name not in loaded | exported]
+    assert unused == []
 
 
 def test_only_trace_writes_csv():

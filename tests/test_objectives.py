@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distagm import data_io
-from distagm.graphs import apply_lifted_laplacian, build_topology
+from distagm.graphs import apply_lifted_laplacian
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
                                 SolverError, make_quadratic,
                                 solve_consensus_optimum)
@@ -210,19 +210,61 @@ def test_logistic_batched_oracles_match_per_agent_sweep(m, d, extra, big,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got_f, got_g = obj.value(X), obj.grad(X)
+        fused_f, fused_g = obj.value_grad(X)
         want_f = sum(obj.local_value(i, blocks[i]) for i in range(m))
         want_g = np.concatenate([obj.local_grad(i, blocks[i])
                                  for i in range(m)])
     assert np.isfinite(got_f) and np.all(np.isfinite(got_g))
+    assert np.isfinite(fused_f) and np.all(np.isfinite(fused_g))
     assert got_g.shape == (m * d,)
     if extra % m == 0:
         # equal shards: the same products per agent, so the same bits
         assert got_f == want_f and np.array_equal(got_g, want_g)
+        assert fused_f == want_f and np.array_equal(fused_g, want_g)
     assert got_f == pytest.approx(want_f, rel=1e-12)
     # componentwise rtol 1e-12 of the sum of the terms' magnitudes, which
     # bounds |gradient| (|sigmoid - y| <= 1) and stays put under cancellation
     scale = np.concatenate([np.abs(z).sum(axis=0) for z in obj.Zs])
     assert np.all(np.abs(got_g - want_g) <= 1e-12 * (scale + np.abs(X)))
+
+
+def bits(value):
+    """The bytes of a float or float array, so that 0.0 and -0.0 differ."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(logistic=st.booleans(),
+       m=st.integers(min_value=1, max_value=6),
+       d=st.integers(min_value=1, max_value=4),
+       scale=st.sampled_from([1e-3, 1.0, 1e4]),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_value_grad_is_value_and_grad(logistic, m, d, scale, seed):
+    """``value_grad(X)`` returns ``(value(X), grad(X))`` bit for bit, in
+    both families; with ``out`` it writes the gradient there and returns
+    it. Margins past +-709 (scale 1e4) raise no warning."""
+    rng = np.random.default_rng(seed)
+    if logistic:
+        n = 2 * m + int(rng.integers(0, m + 1))
+        obj = LogisticObjective(
+            np.array_split(rng.standard_normal((n, d)), m),
+            np.array_split((rng.random(n) < 0.5).astype(float), m), l2=1e-3)
+    else:
+        obj = make_quadratic(m, d, seed=seed)
+    X = scale * rng.standard_normal(m * d)
+    out = np.full_like(X, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, g = obj.value_grad(X)
+        f_out, g_out = obj.value_grad(X, out)
+        want_f, want_g = obj.value(X), obj.grad(X)
+    assert bits(f) == bits(want_f) and bits(g) == bits(want_g)
+    assert g_out is out
+    assert bits(f_out) == bits(want_f) and bits(out) == bits(want_g)
+    with pytest.raises(ValueError):
+        obj.value_grad(X[:-1])
+    with pytest.raises(ValueError):
+        obj.value_grad(X, np.empty(X.size + 1))
 
 
 def test_logistic_shards_held_once_read_only():

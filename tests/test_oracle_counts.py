@@ -7,16 +7,31 @@ plus-iterate. DGD and DIGing take the gradient of their update from 1
 stacked gradient call and make no per-agent call. Each RK4 step of the
 flow evaluates its accepted point once; that gradient and Laplacian apply
 are the next step's first stage.
+
+The runs ask for the cost and the gradient at one point with one
+``value_grad`` call. On the quadratic family that is a ``value`` and a
+``grad`` call, which the quadratic counts include; the logistic family
+answers it in one evaluation, and its counts show ``value_grad`` itself.
 """
 
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from distagm import agm, baselines, flow
 from distagm.graphs import apply_lifted_laplacian
+from distagm.objectives import LogisticObjective, solve_consensus_optimum
 
 ITERS = 20
+
+
+def counted(calls, name, fn):
+    """``fn``, counting each call in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 @pytest.fixture
@@ -24,23 +39,40 @@ def counts(monkeypatch, controller_quadratic):
     """Counters of the stacked oracle calls on the controller quadratic."""
     obj, _ = controller_quadratic
     calls = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     cls = type(obj)
     for name in ("grad", "value", "local_grad"):
-        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        monkeypatch.setattr(cls, name, counted(calls, name,
+                                               getattr(cls, name)))
     for module in (agm, baselines, flow):
         monkeypatch.setattr(module, "apply_lifted_laplacian",
-                            counted("laplacian", apply_lifted_laplacian))
+                            counted(calls, "laplacian",
+                                    apply_lifted_laplacian))
     return calls
 
 
-def per_iteration(calls, run):
+@pytest.fixture(scope="module")
+def ring5_logistic():
+    """A small logistic problem on the ring of five, 2 features per agent."""
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((40, 2))
+    labels = (rng.random(40) < 0.5).astype(float)
+    obj = LogisticObjective(np.array_split(feats, 5),
+                            np.array_split(labels, 5), l2=1e-2)
+    return obj, solve_consensus_optimum(obj)
+
+
+@pytest.fixture
+def logistic_counts(monkeypatch):
+    """Counters of the logistic family's stacked oracle calls."""
+    calls = Counter()
+    for name in ("value_grad", "value", "grad"):
+        monkeypatch.setattr(LogisticObjective, name, counted(
+            calls, name, getattr(LogisticObjective, name)))
+    return calls
+
+
+def per_iteration(calls, run,
+                  names=("grad", "value", "laplacian", "local_grad")):
     """Calls per iteration, from the difference of an ITERS and a 2*ITERS
     run so that set-up calls cancel."""
     calls.clear()
@@ -48,8 +80,7 @@ def per_iteration(calls, run):
     short = Counter(calls)
     calls.clear()
     run(2 * ITERS)
-    return {name: (calls[name] - short[name]) / ITERS
-            for name in ("grad", "value", "laplacian", "local_grad")}
+    return {name: (calls[name] - short[name]) / ITERS for name in names}
 
 
 @pytest.mark.parametrize("mode", ["adaptive", "fixed"])
@@ -82,6 +113,31 @@ def test_gradient_baselines_reuse_the_update_sweep(run_fn, counts, ring5,
     assert got["grad"] == 1
     assert got["local_grad"] == 0
     assert got["laplacian"] == 1
+
+
+def test_logistic_adaptive_iteration_fuses_its_evaluation(
+        logistic_counts, ring5, ring5_logistic, x0_ring5):
+    """An adaptive iteration evaluates the new iterate with 1 fused call
+    and takes the cost at the plus-iterate with 1 ``value`` call."""
+    obj, opt = ring5_logistic
+    got = per_iteration(
+        logistic_counts, lambda iters: agm.adaptive_run(
+            agm.AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical"),
+            obj, ring5, x0_ring5, iters=iters, opt=opt),
+        names=("value_grad", "value", "grad"))
+    assert got == {"value_grad": 1, "value": 1, "grad": 0}
+
+
+@pytest.mark.parametrize("run_fn", [baselines.dgd_run, baselines.diging_run])
+def test_logistic_gradient_baselines_fuse_their_evaluation(
+        run_fn, logistic_counts, ring5, ring5_logistic, x0_ring5):
+    obj, opt = ring5_logistic
+    got = per_iteration(
+        logistic_counts, lambda iters: run_fn(
+            baselines.StepParams(alpha=1e-3), obj, ring5, x0_ring5,
+            iters=iters, opt=opt),
+        names=("value_grad", "value", "grad"))
+    assert got == {"value_grad": 1, "value": 0, "grad": 0}
 
 
 def test_pi_consensus_reuses_update_oracles(counts, ring5,
