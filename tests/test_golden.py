@@ -46,13 +46,13 @@ GOLDEN = {
     # and comparison.csv move whenever the reference solver's last bits do.
     ("compare", "logistic_compare.yaml"): {
         "comparison.csv":
-            "8c2a02419dd05b03c55666f890f8d697298a39747b64645729acb00f6a48ea43",
+            "35f1968ed3e298b12ce1d5e94f4cd400ef8456fa1142ee62ba7507f2c0187392",
         "dgd_trace.csv":
-            "8901cbcf2e56accf561f8b78809a459341bfb01b8bfe6d35ecfd202fda47957a",
+            "2b91c9fc4a66851d2434501150a30d80176339f1e058ef866e621f476eaee708",
         "diging_trace.csv":
-            "656935d8ef2967581468b9b0494b8b229de8b4e7dbb33392f579a86451ea8308",
+            "f4a1a387a0fbd402a78e0243f140cea6d3142d0ecdb84eb29a3a21751b8ad88f",
         "dist_agm_trace.csv":
-            "d87e2fdfd3b4df47a8917516da261870d3679b948b9336befae26243c8ac5e23",
+            "1a9b3532926863fc1a2091808055326bd324cb4b194706d79ec07f4865a22489",
         "threshold.csv":
             "f193d0e26d3b0f304aaca089b1b1946a284c832c30319c2910d94cf7bf98aea9",
     },
