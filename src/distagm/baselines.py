@@ -66,7 +66,8 @@ def dgd_run(params: StepParams, obj: SeparableObjective, graph: AgentGraph,
                          "iters": iters}, opt.f_star)
     for k in range(iters + 1):
         if k:
-            xb = w @ xb - params.alpha * grads
+            # ndarray.dot makes the same BLAS call as @ with less dispatch
+            xb = w.dot(xb) - params.alpha * grads
             value, grads = _value_grad_blocks(obj, xb)
         X = xb.reshape(-1)
         rec(k, value - opt.f_star, grads,
@@ -90,9 +91,9 @@ def diging_run(params: StepParams, obj: SeparableObjective,
     residual = 0.0
     for k in range(iters + 1):
         if k:
-            xb = w @ xb - params.alpha * yb
+            xb = w.dot(xb) - params.alpha * yb
             value, new_grads = _value_grad_blocks(obj, xb)
-            yb = w @ yb + new_grads - grads
+            yb = w.dot(yb) + new_grads - grads
             grads = new_grads
             # np.add.reduce is ndarray.sum without its Python wrapper, and
             # sqrt(v.v) is np.linalg.norm of a 1-D array without its dispatch
