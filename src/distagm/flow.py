@@ -4,37 +4,47 @@ Integrates the second-order agent dynamics
 
     Xdd + (3/t) Xd + t^{-beta} gradF(X) + k_gain * Llift X = 0
 
-as a first-order system in the phase-space state Y = [X; V] with classical
-fixed-step RK4, and maintains the six-term energy ledger that is conserved
-along exact trajectories: a kinetic term in the conjugate momentum, a
-Laplacian quadratic, a time-weighted optimality gap, and three running
-integrals (Laplacian, Bregman, and gap) accumulated by the trapezoidal rule
-on the integration grid.
+together with the six-term energy ledger that is conserved along exact
+trajectories: a kinetic term in the conjugate momentum, a Laplacian
+quadratic, a time-weighted optimality gap, and three running integrals
+(Laplacian, Bregman and gap). The integrator's state is Y = [X; V; I]: the
+phase-space point and the three integrals, whose rates are the ledger's
+integrands at the point, so the integrals are integrated at the order of
+the stepper.
+
+One explicit Runge-Kutta loop, driven by a Butcher tableau, advances Y.
+The default is classical RK4 at the fixed step ``dt``. ``rtol`` selects the
+Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4-5): its last stage is the new point (FSAL), and the
+step is chosen so that the embedded error estimate stays within rtol
+relative and 1e-3 rtol absolute in the RMS norm.
 
 The dynamics are written once, as the coefficient row (-3/t, -t^{-beta},
 -k_gain) that multiplies (V, gradF(X), Llift X) to give dV; ``flow_rhs`` and
-the integrator both read it. Each ``integrate`` call allocates its RK4 stage
-buffers once: the stage slopes K (4 x 2n) and the stage points W (4 x n,
-holding X_s, V_s, gradF(X_s) and Llift X_s). The gradient and Laplacian
-oracles write their stage field into W[2] and W[3] in place (their ``out``
-argument), and the accepted point's evaluation writes there too, where the
-next step's first stage reads it. A stage's dV is one dot of its row with
-W[1:], and the step is Y + (dt/6, dt/3, dt/3, dt/6) . K, written into a
-second state buffer. A step allocates no stage array and makes 3 gradient
-calls, 1 fused cost-and-gradient call (``value_grad``) and 4
-lifted-Laplacian applies.
+the integrator both read it. Each ``integrate`` call allocates its stage
+buffers once: the stage slopes K (one row of dY per stage) and the stage
+point W (X_s, V_s, gradF(X_s) and Llift X_s). A stage's X_s and V_s are
+Y's plus one dot of the tableau's row with K; the oracles write their field
+into W in place (their ``out`` argument), and dV is one dot of the
+coefficient row with W[1:]. The step to the new point is the last such row,
+and that point's evaluation, the only one it gets, feeds the trace row and
+the next step's first stage. A stage makes 1 fused cost-and-gradient call
+(``value_grad``), whose cost the ledger's rates need, and 1 lifted-Laplacian
+apply: 4 of each per RK4 step and 6 per Dormand-Prince attempt.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
 the six ledger terms among them. One private row builder fills a row from
 the accepted point's evaluation; ``integrate`` appends it every
 ``record_every`` steps and ``energy_at`` returns it at one sample.
-``FlowParams`` holds every knob of a run and is the trace's metadata.
+``FlowParams`` holds every knob of a run and, with the accepted and
+rejected step counts, is the trace's metadata.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +74,9 @@ class BlowUpError(RuntimeError):
 @dataclass(frozen=True)
 class FlowParams:
     """The flow's knobs, checked at construction; ``integrate`` writes them
-    as its trace's metadata."""
+    as its trace's metadata. ``rtol`` None steps RK4 at ``dt``; a finite
+    positive ``rtol`` selects the error-controlled Dormand-Prince step,
+    with ``dt`` its first trial step."""
 
     beta: float = 0.1
     k_gain: float = 1.0
@@ -72,6 +84,7 @@ class FlowParams:
     dt: float = 1e-3
     horizon: float = 50.0
     record_every: int = 10
+    rtol: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.beta < 2.0):
@@ -83,6 +96,12 @@ class FlowParams:
         if not self.record_every >= 1:
             raise ValueError(
                 f"record_every must be >= 1, got {self.record_every}")
+        if self.rtol is not None:
+            if isinstance(self.rtol, bool) or not 0.0 < float(
+                    self.rtol) < math.inf:
+                raise ValueError(
+                    f"rtol must be finite and positive, got {self.rtol!r}")
+            object.__setattr__(self, "rtol", float(self.rtol))
 
 
 # The six ledger terms as trace columns: kinetic, Laplacian and potential
@@ -91,6 +110,43 @@ LEDGER = ("E_kinetic", "E_laplacian", "E_potential", "E_int_laplacian",
           "E_int_bregman", "E_int_beta")
 # The flow trace's columns; E_total is the sum of the LEDGER terms.
 COLUMNS = ("t", "F_gap", "grad_norm", "laplacian_norm", "E_total", *LEDGER)
+
+
+class _Tableau(NamedTuple):
+    """An explicit Runge-Kutta method in exact fractions. Stage i sits at
+    t + c[i] h and Y + h (a[i] . K[:i]); the step is Y + h (b . K). When
+    ``b_hat`` is given, h ((b - b_hat) . K) estimates the step's local
+    error. An FSAL pair's last a-row equals b (whose last entry is 0), so
+    its last stage is the new point."""
+
+    c: tuple
+    a: tuple  # a[i] holds the i coefficients of stage i; a[0] is empty
+    b: tuple
+    b_hat: tuple = ()
+
+
+def _q(*values) -> tuple:
+    return tuple(Fraction(v) for v in values)
+
+
+_RK4 = _Tableau(c=_q("0", "1/2", "1/2", "1"),
+                a=((), _q("1/2"), _q("0", "1/2"), _q("0", "0", "1")),
+                b=_q("1/6", "1/3", "1/3", "1/6"))
+_DOPRI5 = _Tableau(
+    c=_q("0", "1/5", "3/10", "4/5", "8/9", "1", "1"),
+    a=((), _q("1/5"), _q("3/40", "9/40"), _q("44/45", "-56/15", "32/9"),
+       _q("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
+       _q("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
+       _q("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84")),
+    b=_q("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84", "0"),
+    b_hat=_q("5179/57600", "0", "7571/16695", "393/640", "-92097/339200",
+             "187/2100", "1/40"))
+# Step-size control of the embedded pair: the factor 0.9 err^(-1/5) (the
+# exponent is one over the lower order plus one), kept within [0.2, 10],
+# and no growth on the step after a rejection.
+_SAFETY, _SHRINK_MIN, _GROW_MAX, _ERR_EXPONENT = 0.9, 0.2, 10.0, -0.2
+# The absolute tolerance, as a fraction of rtol.
+_ATOL_PER_RTOL = 1e-3
 
 
 def _field_row(t, params: FlowParams, out=None) -> np.ndarray:
@@ -117,34 +173,43 @@ def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
 
 
 class _Point(NamedTuple):
-    """One evaluation of the flow at an accepted point (t, X). In
-    ``integrate`` grad and lx are views of the stage buffer: they hold the
-    point's values until the next step's second stage overwrites them, and
-    ``_row`` reads them before that."""
+    """One evaluation of the flow at a point X. In ``integrate`` grad, lx
+    and xbar are views of the stage buffers: they hold the point's values
+    until the next stage overwrites them, and ``_row`` reads an accepted
+    point's before that."""
 
     grad: np.ndarray  # gradF(X)
     lx: np.ndarray  # Llift X
     gap: float  # F(X) - F*
     xbar: np.ndarray  # X - x*
     x_lx: float  # xbar . Llift X (= xbar . Llift xbar, as Llift x* = 0)
-    integrands: tuple  # Laplacian, Bregman and beta energy integrands
+    bregman: float  # F* - F(X) - gradF(X) . (x* - X)
 
 
-def _evaluate(t, X, obj, graph, opt, params, grad=None, lx=None) -> _Point:
-    """The point's oracles and ledger inputs; ``grad`` and ``lx``, when
-    given, are the buffers its gradient and Llift X are written into."""
-    xbar = X - opt.x_star_stacked
+def _evaluate(X, obj, graph, opt, grad=None, lx=None, xbar=None) -> _Point:
+    """The point's oracles and ledger inputs; ``grad``, ``lx`` and ``xbar``,
+    when given, are the buffers they are written into."""
+    xbar = np.subtract(X, opt.x_star_stacked, xbar)
     lx = apply_lifted_laplacian(graph, obj.d, X, lx)
     x_lx = float(xbar.dot(lx))
     value, grad = obj.value_grad(X, grad)
     # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
     # every rounding of the subtraction and the dot product
     bregman = opt.f_star - value + float(grad.dot(xbar))
-    gap = value - opt.f_star
+    return _Point(grad, lx, value - opt.f_star, xbar, x_lx, bregman)
+
+
+def _ledger_rates(t, point: _Point, params: FlowParams, out=None):
+    """The rates of the Laplacian, Bregman and beta integrals at time t:
+    the ledger's three integrands at the point. Written into ``out`` when
+    given, else into a new array."""
+    if out is None:
+        out = np.empty(3)
     weight = t ** (1.0 - params.beta)
-    return _Point(grad, lx, gap, xbar, x_lx, (params.k_gain * t * x_lx,
-                                              2.0 * weight * bregman,
-                                              params.beta * weight * gap))
+    out[0] = params.k_gain * t * point.x_lx
+    out[1] = 2.0 * weight * point.bregman
+    out[2] = params.beta * weight * point.gap
+    return out
 
 
 def _row(t, V, point: _Point, params: FlowParams, integrals) -> dict:
@@ -174,26 +239,60 @@ def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
     t0. For a start at small t0 with zero velocity ``E_total`` approaches
     twice the squared initial distance to the optimum.
     """
-    return _row(t, V, _evaluate(t, X, obj, graph, opt, params), params,
-                integrals)
+    return _row(t, V, _evaluate(X, obj, graph, opt), params, integrals)
+
+
+def _step_weights(tab: _Tableau):
+    """The loop's view of ``tab``: (num, den, c_num, c_den, e). Row i of
+    num / den (i = 1..S) holds the coefficients of the stage-i point; row S
+    is the step, b, whose point is the new one. The new point's slope is
+    K[S], which an FSAL pair's last stage already is and which RK4 adds.
+    c_num / c_den are the S + 1 stage times; e, when ``tab`` has b_hat,
+    the error weights b - b_hat over K[0..S]. Each coefficient is kept as a
+    numerator and a denominator, and its weight is h * num / den, so RK4's
+    weights are dt/6 and dt/3 and its stage offsets dt/2 and dt, bit for
+    bit."""
+    fsal = tab.a[-1] == tab.b[:-1]
+    S = len(tab.a) - fsal
+    rows = (*tab.a[1:S], tab.b[:S])
+    num, den = np.zeros((S + 1, S)), np.ones((S + 1, S))
+    for i, row in enumerate(rows, start=1):
+        for j, q in enumerate(row):
+            num[i, j], den[i, j] = q.numerator, q.denominator
+    times = (*tab.c[:S], Fraction(1))
+    c_num = np.array([q.numerator for q in times], dtype=float)
+    c_den = np.array([q.denominator for q in times], dtype=float)
+    e = None
+    if tab.b_hat:
+        e = np.array([float(b - b_hat)
+                      for b, b_hat in zip(tab.b, tab.b_hat, strict=True)])
+    return num, den, c_num, c_den, e
 
 
 def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
               X0: np.ndarray, V0: np.ndarray, opt: ConsensusOptimum,
               startup_dt_fraction: float = 0.05) -> RunTrace:
-    """RK4 trajectory with conserved-energy bookkeeping.
+    """The trajectory from (t0, X0, V0) to the horizon with its energy
+    ledger, integrated in the state Y = [X; V; I].
 
-    The step is ``params.dt`` except near a tiny t0, where the 3/t damping
-    would destabilize an explicit step: there the step is capped at
-    ``startup_dt_fraction * t`` and ramps geometrically up to dt. Records
-    the start, every ``params.record_every``-th accepted step and the last
-    one. Each accepted point is evaluated once; that evaluation feeds the
-    trapezoid integrals, the trace row and the next step's first stage. The
-    stage oracles and that evaluation write into preallocated stage
-    buffers, so a step allocates no stage array; per step there are 3
-    ``grad`` calls, 1 ``value_grad`` call and 4 lifted-Laplacian applies.
-    A step that leaves the finite range raises BlowUpError carrying the
-    time of the last accepted point.
+    With ``params.rtol`` None the step is RK4 at ``params.dt``, except near
+    a tiny t0, where the 3/t damping would destabilize an explicit step:
+    there the step is capped at ``startup_dt_fraction * t`` and ramps
+    geometrically up to dt. With ``params.rtol`` set the step is
+    Dormand-Prince 5(4), starting from a trial step of ``params.dt`` and
+    resized after every attempt from its error estimate, which also keeps
+    it stable near a tiny t0; ``startup_dt_fraction`` is not read. A
+    rejected attempt is redone at a smaller step. Records the start, every
+    ``params.record_every``-th accepted step and the last one; the trace's
+    metadata adds ``steps``, the accepted steps, and ``rejected``.
+
+    Each accepted point is evaluated once; that evaluation feeds the trace
+    row and the next step's first stage. The stage oracles write into
+    stage buffers allocated once per call, so a step allocates no stage
+    array. A stage makes 1 ``value_grad`` call and 1 lifted-Laplacian
+    apply. A fixed step that leaves the finite range, or a controlled step
+    that shrinks below the resolution of t, raises BlowUpError carrying
+    the time of the last accepted point.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(
@@ -203,75 +302,106 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     n = graph.m * obj.d
     if X0.shape != (n,) or V0.shape != X0.shape:
         raise ValueError("X0/V0 must be stacked md-vectors")
-    # Stage buffers, filled in place each step: K[i] is stage i's dY and
-    # W holds its point X_s, V_s, gradF(X_s) and Llift X_s, so W[:2] read
-    # flat is the stage's phase-space point. The oracles write W[2] and
-    # W[3]; the accepted point's evaluation writes them too, and the next
-    # step's first stage reads them there. The views are taken once, and
-    # ``out`` goes by position, which numpy parses faster than a keyword.
-    K = np.empty((4, 2 * n))
+    rtol = params.rtol
+    num, den, c_num, c_den, e = _step_weights(
+        _RK4 if rtol is None else _DOPRI5)
+    S = len(num) - 1  # stages 1..S-1 lie inside the step; S is the new point
+    # Stage buffers, filled in place each step: K[i] is stage i's dY, with
+    # K[0] the accepted point's, and W holds the stage's X_s, V_s,
+    # gradF(X_s) and Llift X_s, so W[:2] read flat is its phase-space
+    # point. The views are taken once, and ``out`` goes by position, which
+    # numpy parses faster than a keyword.
+    K = np.empty((S + 1, 2 * n + 3))
     W = np.empty((4, n))
     stage_y, x_s, v_s, field = W[:2].reshape(-1), W[0], W[1], W[1:]
-    grad_s, lx_s = W[2], W[3]
-    slopes = list(K)
-    stage_dx = [k[:n] for k in slopes]
-    stage_dv = [k[n:] for k in slopes]
-    Y = np.concatenate((X0, V0))  # phase-space state [X; V]
-    y_next, incr, zeros = np.empty_like(Y), np.empty_like(Y), np.zeros_like(Y)
+    grad_s, lx_s, xbar = W[2], W[3], np.empty(n)
+    stage_xv = K[:, :2 * n]
+    stage_dx, stage_dv, stage_di = (list(K[:, :n]), list(K[:, n:2 * n]),
+                                    list(K[:, 2 * n:]))
+    coef = np.empty(3)
+    weights = np.empty_like(num)
+    rows = [weights[i, :i] for i in range(S + 1)]
+    Y = np.concatenate((X0, V0, np.zeros(3)))  # [X; V; I]
+    y_new, incr, zeros = np.empty_like(Y), np.empty_like(Y), np.zeros_like(Y)
+    if e is not None:
+        err, scale = np.empty_like(Y), np.empty_like(Y)
+        atol = _ATOL_PER_RTOL * rtol
+
+    def slope(t_s, i) -> _Point:
+        """Evaluate the stage point in W at time t_s into K[i]."""
+        point = _evaluate(x_s, obj, graph, opt, grad_s, lx_s, xbar)
+        stage_dx[i][:] = v_s
+        _field_row(t_s, params, coef).dot(field, stage_dv[i])
+        _ledger_rates(t_s, point, params, stage_di[i])
+        return point
+
     t = params.t0
-    point = _evaluate(t, Y[:n], obj, graph, opt, params, grad_s, lx_s)
-    # running Laplacian, Bregman and beta integrals
-    int_lap = int_breg = int_beta = 0.0
+    stage_y[:] = Y[:2 * n]
+    point = slope(t, 0)
     trace = RunTrace(COLUMNS, metadata=asdict(params))
-    trace.append(**_row(t, Y[n:], point, params, (0.0, 0.0, 0.0)))
-    # field rows at the step's start, midpoint and end, filled in place
-    row, mid, end = _field_row(t, params), np.empty(3), np.empty(3)
-    wts, wts_dt = None, None  # RK4 weights (dt/6, dt/3, dt/3, dt/6)
+    trace.append(**_row(t, V0, point, params, (0.0, 0.0, 0.0)))
     t_end = params.horizon - 1e-15
-    steps_since_record = 0
+    steps = rejected = steps_since_record = 0
+    h, h_weights, grow_max = params.dt, None, _GROW_MAX
     while t < t_end:
-        dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
-        if dt != wts_dt:  # built once for the fixed-dt stretch
-            half, wts_dt = 0.5 * dt, dt
-            wts = np.array((dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0))
-            # stage offsets as 0-d arrays, which a ufunc reads faster than
-            # a Python float
-            h_mid, h_end = np.array(half), np.array(dt)
-        # stage 1 is the accepted point, whose field is already in W[2:]
-        stage_y[:] = Y
-        stage_dx[0][:] = v_s
-        row.dot(field, stage_dv[0])
-        _field_row(t + half, params, mid)
-        _field_row(t + dt, params, end)
-        for i, coef, h in ((1, mid, h_mid), (2, mid, h_mid),
-                           (3, end, h_end)):
-            np.multiply(slopes[i - 1], h, stage_y)
-            stage_y += Y
-            obj.grad(x_s, grad_s)
-            apply_lifted_laplacian(graph, obj.d, x_s, lx_s)
-            stage_dx[i][:] = v_s
-            coef.dot(field, stage_dv[i])
-        wts.dot(K, incr)
-        np.add(Y, incr, y_next)
-        Y, y_next = y_next, Y
+        if rtol is None:
+            dt = min(params.dt, startup_dt_fraction * t, params.horizon - t)
+        else:
+            dt = min(h, params.horizon - t)
+        if dt != h_weights:  # built once for a fixed-dt stretch
+            np.multiply(num, dt, weights)
+            weights /= den
+            offsets = (c_num * dt / c_den).tolist()
+            h_weights = dt
+        y_xv = Y[:2 * n]
+        for i in range(1, S):
+            rows[i].dot(stage_xv[:i], stage_y)
+            stage_y += y_xv
+            slope(t + offsets[i], i)
+        rows[S].dot(K[:S], incr)
+        np.add(Y, incr, y_new)
         # 0 . Y is 0 when every entry of Y is finite and NaN otherwise
         # (0 * inf is NaN): the isfinite test in one dot, with no temporary
-        if not math.isfinite(zeros.dot(Y)):
+        finite = math.isfinite(zeros.dot(y_new))
+        if finite:
+            stage_y[:] = y_new[:2 * n]
+            point = slope(t + offsets[S], S)
+        elif rtol is None:
             raise BlowUpError(f"trajectory diverged before t={t + dt:.6g}",
                               last_t=t)
-        t = t + dt  # the same sum as stage 4's time, so its row carries over
-        row, end = end, row
-        p = point.integrands
-        point = _evaluate(t, Y[:n], obj, graph, opt, params, grad_s, lx_s)
-        q = point.integrands
-        int_lap += half * (p[0] + q[0])
-        int_breg += half * (p[1] + q[1])
-        int_beta += half * (p[2] + q[2])
+        if rtol is not None:
+            size = math.inf
+            if finite:  # the RMS of the error over atol + rtol |Y|
+                e.dot(K, err)
+                np.maximum(np.abs(Y, scale), np.abs(y_new, incr),
+                           out=scale)
+                scale *= rtol
+                scale += atol
+                err /= scale
+                size = dt * math.sqrt(err.dot(err) / err.size)
+            if not size <= 1.0:  # NaN too: a stage overflowed
+                rejected += 1
+                h = dt * (max(_SHRINK_MIN, _SAFETY * size ** _ERR_EXPONENT)
+                          if size < math.inf else _SHRINK_MIN)
+                grow_max = 1.0
+                if t + h == t:
+                    raise BlowUpError(
+                        f"step size underflow before t={t + dt:.6g}",
+                        last_t=t)
+                continue
+            h = dt * (min(grow_max, _SAFETY * size ** _ERR_EXPONENT)
+                      if size > 0.0 else grow_max)
+            grow_max = _GROW_MAX
+        t = t + dt  # the same sum as the new point's time
+        Y, y_new = y_new, Y
+        K[0] = K[S]
+        steps += 1
         steps_since_record += 1
         if steps_since_record >= params.record_every or t >= t_end:
-            trace.append(**_row(t, Y[n:], point, params,
-                                (int_lap, int_breg, int_beta)))
+            trace.append(**_row(t, Y[n:2 * n], point, params,
+                                Y[2 * n:].tolist()))
             steps_since_record = 0
+    trace.metadata.update(steps=steps, rejected=rejected)
     return trace
 
 

@@ -7,6 +7,8 @@ noise floor so the controller diagnostics stay meaningful. Claims 8-9 cover
 the comparative and sweep behavior, claim 10 the structural invariants.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from distagm import (agm, baselines, data_io, flow, graphs, harness,
                      objectives)
 from oracles import combined_field, single_line_update
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 H_DISCRETE = 1.0
 BETA = 0.1
 
@@ -23,9 +26,11 @@ def report(n, ok, detail):
     assert ok, detail
 
 
-def run_flow(obj, opt, x0, dt, t0=1.0, horizon=50.0, record_every=20):
+def run_flow(obj, opt, x0, dt, t0=1.0, horizon=50.0, record_every=20,
+             rtol=None):
     params = flow.FlowParams(beta=BETA, k_gain=1.0, t0=t0, dt=dt,
-                             horizon=horizon, record_every=record_every)
+                             horizon=horizon, record_every=record_every,
+                             rtol=rtol)
     g = graphs.build_topology("ring", 5)
     return flow.integrate(params, obj, g, x0, np.zeros(10), opt)
 
@@ -75,9 +80,13 @@ def test_criterion_2_component_nonnegativity(conservation_runs):
 
 
 def test_criterion_3_continuous_rate(flow_quadratic, x0_ring5):
+    """The flow from near t = 0 to t = 1000 under the error-controlled step
+    at continuous_rate.yaml's rtol."""
     obj, opt = flow_quadratic
+    rtol = harness.load_config(CONFIGS / "continuous_rate.yaml")["flow"][
+        "rtol"]
     trace = run_flow(obj, opt, x0_ring5, dt=5e-3, t0=1e-3, horizon=1000.0,
-                     record_every=50)
+                     record_every=50, rtol=rtol)
     slope, r2, flagged = flow.rate_slope(trace.column("t"),
                                          trace.column("F_gap"),
                                          window=(10.0, 1000.0))

@@ -106,3 +106,20 @@ def test_full_spans_time_each_run(child, tmp_path, monkeypatch):
     assert spans[0].count("agm.adaptive_run") == 1
     assert spans[0].count("baselines.dgd_run") == 1
     assert spans[0].count("harness.run_algorithm") == 2
+
+
+def test_full_trace_of_a_controlled_flow(child, tmp_path):
+    """A full traced energy-check under the error-controlled step, as the
+    traced ``quadratic`` workload runs it, exits 0 with a finite drift.
+    The step count the child derives replicates the fixed schedule, so it
+    is not asserted here."""
+    cfg = {"problem": {"common_offset": [0.3, -0.2]},
+           "init": {"scale": 1.5},
+           "flow": {"horizon": 3.0, "record_every": 1, "rtol": 1e-8}}
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = tmp_path / "result.json"
+    assert child.main([str(result), "full", "--", "energy-check", str(path),
+                       "--out", str(tmp_path / "e")]) == 0
+    drift = json.loads(result.read_text())["metrics"]["flow.max_drift"]
+    assert np.isfinite(drift) and 0.0 < drift <= 1e-3

@@ -6,10 +6,11 @@ The hashes were produced with numpy 2.4; a different numpy or BLAS may round
 differently and move them. The dist_agm traces quote the controller case
 labels, which contain a comma.
 
-The shipped energy-check config starts at t0 = 1, where every step is the
-configured dt. The ramp pin runs ``continuous_rate.yaml`` cut to a short
-horizon with every point recorded, so the ``startup_dt_fraction * t`` steps
-near t0 = 1e-3 are pinned too.
+The shipped energy-check config takes the error-controlled Dormand-Prince
+step, so its pin covers that path and its step-size controller. The ramp pin
+runs ``continuous_rate.yaml`` on the fixed RK4 path (its ``rtol`` removed),
+cut to a short horizon with every point recorded, so the
+``startup_dt_fraction * t`` steps near t0 = 1e-3 are pinned too.
 """
 
 import hashlib
@@ -85,6 +86,7 @@ RAMP_FLOW_TRACE = (
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
     cfg = harness.load_config(CONFIGS / "continuous_rate.yaml")
     assert cfg["flow"]["t0"] == 1e-3
+    del cfg["flow"]["rtol"]
     cfg["flow"].update(horizon=5.0, record_every=1)
     assert harness.cmd_energy_check(cfg, str(tmp_path), None) == harness.EXIT_OK
     data = (tmp_path / "flow_trace.csv").read_bytes()

@@ -431,7 +431,9 @@ def under_seeds(cases):
     *(pytest.param("energy-check", {"problem": QUAD_PROBLEM, "flow": flow},
                    "flow", id=f"energy-check-{key_values(flow)}")
       for flow in ({"dt": NAN}, {"k_gain": INF}, {"horizon": INF},
-                   {"record_every": -3})),
+                   {"record_every": -3}, {"rtol": NAN}, {"rtol": INF},
+                   {"rtol": 0.0}, {"rtol": -1e-8}, {"rtol": "x"},
+                   {"rtol": True})),
     bad_algorithm("dist_agm", mode="fxied"),
     # each dist_agm mode reads its own keys
     bad_algorithm("dist_agm", mode="fixed", oracle_mode="practicl"),

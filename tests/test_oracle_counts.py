@@ -4,9 +4,9 @@ flow integrator.
 Each adaptive or fixed-step iteration evaluates the new iterate once
 (stacked gradient, lifted Laplacian, cumulative cost) plus the cost at the
 plus-iterate. DGD and DIGing take the gradient of their update from 1
-stacked gradient call and make no per-agent call. Each RK4 step of the
-flow evaluates its accepted point once; that gradient and Laplacian apply
-are the next step's first stage.
+stacked gradient call and make no per-agent call. Each stage of the
+flow's Runge-Kutta step makes one fused evaluation and one Laplacian apply,
+the accepted point's once; that evaluation is the next step's first stage.
 
 The runs ask for the cost and the gradient at one point with one
 ``value_grad`` call. On the quadratic family that is a ``value`` and a
@@ -165,8 +165,26 @@ def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
         flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt,
                        startup_dt_fraction=1.0)
     got = per_iteration(counts, run)
+    # one fused evaluation (a grad and a value call on the quadratic) and
+    # one apply per RK stage: the ledger's rates need the cost at every
+    # stage. The accepted point's evaluation is stage 4's successor and
+    # serves the recorded row and the next step's first stage.
     assert got["grad"] == 4
-    assert got["value"] == 1
-    # one apply per RK stage; the accepted point's apply serves the ledger,
-    # the recorded row and the next step's first stage
+    assert got["value"] == 4
     assert got["laplacian"] == 4
+
+
+def test_controlled_flow_takes_few_evaluations(counts, ring5, flow_quadratic,
+                                               x0_ring5):
+    """energy_conservation.yaml's run at rtol 1e-8: about 1.1k accepted and
+    few rejected Dormand-Prince steps, 6 evaluations per attempt and 1 at
+    the start, 6.9k in all against 196k for the fixed RK4 step at dt =
+    1e-3."""
+    obj, opt = flow_quadratic
+    params = flow.FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=50.0,
+                             record_every=1, rtol=1e-8)
+    trace = flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt)
+    attempts = trace.metadata["steps"] + trace.metadata["rejected"]
+    assert counts["grad"] == counts["value"] == counts["laplacian"]
+    assert counts["grad"] == 6 * attempts + 1
+    assert counts["grad"] < 10_000
