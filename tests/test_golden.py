@@ -59,7 +59,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "4abca6eaff105ed9cae1205b03d990c83b80fea9822583b7b746d0ac235d81ef",
+            "5a917567c4b89710231d0c2ecb54d75396f16c43bc80637cca6fae5a3a69204f",
     },
 }
 
@@ -80,7 +80,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "72367c9d0f866f162c4ba0dd17ed22f8c5847013ed3dcef42787a17eb40781cb")
+    "9b548e012ebc678f796aed6f297ab93e38e1abe039457f30bf33bec74c727f70")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
