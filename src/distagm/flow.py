@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -113,7 +112,8 @@ COLUMNS = ("t", "F_gap", "grad_norm", "laplacian_norm", "E_total", *LEDGER)
 
 
 class _Tableau(NamedTuple):
-    """An explicit Runge-Kutta method in exact fractions. Stage i sits at
+    """An explicit Runge-Kutta method, each coefficient an exact fraction
+    held as its (numerator, denominator) integer pair. Stage i sits at
     t + c[i] h and Y + h (a[i] . K[:i]); the step is Y + h (b . K). When
     ``b_hat`` is given, h ((b - b_hat) . K) estimates the step's local
     error. An FSAL pair's last a-row equals b (whose last entry is 0), so
@@ -126,7 +126,9 @@ class _Tableau(NamedTuple):
 
 
 def _q(*values) -> tuple:
-    return tuple(Fraction(v) for v in values)
+    """Each "p/q" or "p" as the pair (p, q) or (p, 1)."""
+    return tuple((int(num), int(den or 1))
+                 for num, _, den in (v.partition("/") for v in values))
 
 
 _RK4 = _Tableau(c=_q("0", "1/2", "1/2", "1"),
@@ -257,15 +259,15 @@ def _step_weights(tab: _Tableau):
     rows = (*tab.a[1:S], tab.b[:S])
     num, den = np.zeros((S + 1, S)), np.ones((S + 1, S))
     for i, row in enumerate(rows, start=1):
-        for j, q in enumerate(row):
-            num[i, j], den[i, j] = q.numerator, q.denominator
-    times = (*tab.c[:S], Fraction(1))
-    c_num = np.array([q.numerator for q in times], dtype=float)
-    c_den = np.array([q.denominator for q in times], dtype=float)
+        for j, (p, q) in enumerate(row):
+            num[i, j], den[i, j] = p, q
+    c_num, c_den = np.array((*tab.c[:S], (1, 1)), dtype=float).T
     e = None
     if tab.b_hat:
-        e = np.array([float(b - b_hat)
-                      for b, b_hat in zip(tab.b, tab.b_hat, strict=True)])
+        # b - b_hat in integers, rounded once
+        e = np.array([(p * q_hat - p_hat * q) / (q * q_hat)
+                      for (p, q), (p_hat, q_hat)
+                      in zip(tab.b, tab.b_hat, strict=True)])
     return num, den, c_num, c_den, e
 
 
@@ -323,7 +325,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     rows = [weights[i, :i] for i in range(S + 1)]
     Y = np.concatenate((X0, V0, np.zeros(3)))  # [X; V; I]
     y_new, incr, zeros = np.empty_like(Y), np.empty_like(Y), np.zeros_like(Y)
-    if e is not None:
+    if rtol is not None:
         err, scale = np.empty_like(Y), np.empty_like(Y)
         atol = _ATOL_PER_RTOL * rtol
 

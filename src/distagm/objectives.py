@@ -15,8 +15,8 @@ sum_r y_r m_r is x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term
 and the ridge are one d-length dot per agent. Per iteration, an adaptive or
 fixed-step dist_agm run makes 1 ``value_grad`` call and 1 ``value`` call
 (the cost at the plus-iterate), DGD, DIGing and PI consensus 1
-``value_grad`` call, and an RK4 flow step 1 ``value_grad`` call and 3
-``grad`` calls.
+``value_grad`` call, and a flow step 1 ``value_grad`` call per stage: 4
+for RK4, 6 per Dormand-Prince attempt.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class SeparableObjective:
 
         With ``out``, a C-contiguous float64 array of X's shape, the
         gradient is written into it and ``out`` is returned, with the bits
-        of the allocating call. ``flow.integrate`` writes each RK4 stage's
-        gradient into its stage buffer this way.
+        of the allocating call. ``flow.integrate`` writes each stage's
+        gradient into its stage buffer this way, through ``value_grad``.
         """
         raise NotImplementedError
 

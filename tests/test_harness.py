@@ -254,7 +254,9 @@ def test_cmd_energy_check(tmp_path, capsys):
     assert main(["energy-check", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert (out / "flow_trace.csv").exists()
+    metadata = RunTrace.read_csv(out / "flow_trace.csv").metadata
+    assert metadata["rtol"] == "None" and metadata["rejected"] == 0
+    assert metadata["steps"] >= 2000
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
