@@ -5,11 +5,16 @@ with the four-case step-size controller, the per-iteration controller
 quantities (a, b, a~, b~, w, r), and the Lyapunov certificates V_k / V0'
 whose monotone decrease certifies the O(1/k^{2-beta}) rate.
 
-Each iterate is evaluated once, with one ``value_grad`` call: its oracle
-values, the scalars read from them (cost gap, Laplacian quadratic, |G_k|^2)
-and the iteration's coefficients (the gradient weight, theta_k,
-theta_{k+1}, A_k) travel with the state, and the controller, the
-certificate and the next iteration read them from there.
+Each iterate is evaluated once, with one ``value_grad`` call and one
+lifted-Laplacian apply, into the one object that holds it (``AgmState``):
+its oracle values, the cost gap, the finiteness probe of G_k and the
+iteration's coefficients (the gradient weight, theta_k, theta_{k+1}, A_k).
+One private call per transition k -> k+1 adds the Laplacian quadratic and
+|G_{k+1}|^2 to the new state and returns the controller quantities, the
+chosen step and the certificate V_k; ``compute_step_diagnostics``,
+``select_stepsize`` and ``lyapunov`` read the same formulas. The
+fixed-step run makes no transition call, so it computes neither quadratic.
+Trace rows are appended positionally.
 
 The controller's r-quantity reads the stacked gradient at the consensus
 optimum. That is centralized information; the "practical" oracle mode
@@ -67,7 +72,8 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)`` of a float array, bit for bit, without its
     dispatch: the square root of v.v over v's entries in memory order."""
-    v = v.ravel("K")
+    if v.ndim != 1:
+        v = v.ravel("K")
     return math.sqrt(float(v.dot(v)))
 
 
@@ -84,12 +90,13 @@ def _zeros(n: int) -> np.ndarray:
 class TraceRecorder(AbstractContextManager):
     """Trace schema, row builder and divergence guard of every discrete run.
 
-    Each call appends one row from oracle values the caller holds. A gap not
-    within ``DIVERGENCE_FACTOR`` times the first row's gap (floored at the
-    objective's rounding noise, capped at the largest float; NaN and inf
-    included, on the first row too) raises DivergenceError. As a
-    context manager it hands its partial trace to any DivergenceError that
-    leaves the block, such as ``step``'s non-finite check."""
+    Each call appends one row, positionally in ``COLUMNS`` order, from
+    oracle values the caller holds. A gap not within ``DIVERGENCE_FACTOR``
+    times the first row's gap (floored at the objective's rounding noise,
+    capped at the largest float; NaN and inf included, on the first row
+    too) raises DivergenceError. As a context manager it hands its partial
+    trace to any DivergenceError that leaves the block, such as ``step``'s
+    non-finite check."""
 
     COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
                "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
@@ -103,10 +110,9 @@ class TraceRecorder(AbstractContextManager):
 
     def __call__(self, k, gap, grad, lx, s_k, gap_plus=None, v=np.nan,
                  case="", w=np.nan, r=np.nan, mono=True, fallback=False):
-        self.trace.append(
-            k=k, F_gap_plus=gap if gap_plus is None else gap_plus, F_gap=gap,
-            grad_norm=_norm(grad), laplacian_norm=_norm(lx), s_k=s_k, V_k=v,
-            case=case, w=w, r=r, monotonicity_ok=mono, fallback_flag=fallback)
+        self.trace.append(k, gap if gap_plus is None else gap_plus, gap,
+                          _norm(grad), _norm(lx), s_k, v, case, w, r, mono,
+                          fallback)
         if self._limit is None:
             # capped at the largest float, so that a first gap of inf (a
             # start whose cost overflows) is out of bounds too
@@ -188,32 +194,20 @@ def a_coeff(k: int) -> float:
 
 
 @dataclass(slots=True)
-class IterateEval:
-    """Oracle values at one iterate X_k and the scalars every consumer reads
-    from them: gradF(X_k), Llift X_k, G_k, the cost gap F(X_k) - F*, the
-    Laplacian quadratic 1/2 (X_k - x*) . Llift X_k, and |G_k|^2; then the
-    coefficients of iteration k: the gradient weight (k h)^{-beta},
-    theta_k, theta_{k+1} and A_k."""
-
-    grad: np.ndarray
-    lx: np.ndarray
-    G: np.ndarray
-    gap: float
-    quad: float
-    g_sq: float
-    grad_weight: float
-    theta: float
-    theta_next: float
-    a_k: float
-
-
-@dataclass(slots=True)
 class AgmState:
     """Discrete iterate. ``X_plus`` is the plus-iterate produced by the step
     that created this state (i.e. X_{k-1}^+ when at index k); ``s`` is the
     step-size that the next step will apply, installed by the controller once
-    it is chosen. ``ev`` holds the oracle values at ``X``; hand-built states
-    leave it None and are evaluated on demand."""
+    it is chosen.
+
+    The state also carries what is read from X_k, filled in when it is
+    evaluated: gradF(X_k), Llift X_k, G_k, the cost gap F(X_k) - F*,
+    ``probe`` (0 . G_k: 0 when G_k is finite, NaN otherwise), and the
+    coefficients of iteration k: the gradient weight (k h)^{-beta},
+    theta_k, theta_{k+1} and A_k. The first transition that reads the
+    state adds the Laplacian quadratic 1/2 (X_k - x*) . Llift X_k and
+    |G_k|^2. A state built by hand leaves these None and is evaluated on
+    demand."""
 
     k: int
     X: np.ndarray
@@ -222,31 +216,46 @@ class AgmState:
     s: float
     h: float
     beta: float
-    ev: IterateEval | None = None
+    grad: np.ndarray | None = None
+    lx: np.ndarray | None = None
+    G: np.ndarray | None = None
+    gap: float | None = None
+    probe: float | None = None
+    weight: float | None = None
+    theta: float | None = None
+    theta_next: float | None = None
+    a_k: float | None = None
+    quad: float | None = None
+    g_sq: float | None = None
 
 
-def _evaluated(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
-               opt: ConsensusOptimum) -> IterateEval:
-    """The state's oracle values, evaluated here if it does not carry them."""
-    if state.ev is not None:
-        return state.ev
+def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
+              opt: ConsensusOptimum) -> AgmState:
+    """Fills in the state's oracle values and coefficients; returns it."""
     X, k = state.X, state.k
     value, grad = obj.value_grad(X)
     lx = apply_lifted_laplacian(graph, obj.d, X)
-    grad_weight = _grad_weight(k, state.h, state.beta)
-    G = grad_weight * grad + lx
-    # Laplacian quadratic in the error; Llift X* vanishes at consensus.
-    return IterateEval(grad=grad, lx=lx, G=G, gap=value - opt.f_star,
-                       quad=0.5 * float((X - opt.x_star_stacked).dot(lx)),
-                       g_sq=float(G.dot(G)), grad_weight=grad_weight,
-                       theta=theta(k), theta_next=theta(k + 1),
-                       a_k=a_coeff(k))
+    weight = _grad_weight(k, state.h, state.beta)
+    G = weight * grad + lx
+    state.grad, state.lx, state.G, state.weight = grad, lx, G, weight
+    state.gap = value - opt.f_star
+    state.probe = float(_zeros(G.size).dot(G))
+    state.theta, state.theta_next = theta(k), theta(k + 1)
+    state.a_k = a_coeff(k)
+    return state
+
+
+def _add_quadratics(state: AgmState, opt: ConsensusOptimum):
+    """Adds the Laplacian quadratic in the error, 1/2 (X - x*) . Llift X
+    (Llift X* vanishes at consensus), and |G|^2 to an evaluated state."""
+    G = state.G
+    state.quad = 0.5 * float((state.X - opt.x_star_stacked).dot(state.lx))
+    state.g_sq = float(G.dot(G))
 
 
 class StepDiagnostics(NamedTuple):
     """The controller quantities of one transition (see
-    compute_step_diagnostics); a named tuple, which builds faster than a
-    frozen dataclass."""
+    compute_step_diagnostics)."""
 
     a: float
     b: float
@@ -282,35 +291,81 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     """One iteration k -> k+1 using the stored step-size s_k.
 
     Installs ``s_next`` as the step-size the new state will apply. The new
-    state carries its oracle values, which the controller, the certificate
-    and the next step read.
+    state is evaluated: the controller, the certificate and the next step
+    read its oracle values from it.
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
-    ev = _evaluated(state, obj, graph, opt)
-    g = ev.G
-    if not math.isfinite(_zeros(g.size).dot(g)):
+    if state.G is None:
+        _evaluate(state, obj, graph, opt)
+    if not math.isfinite(state.probe):
         raise DivergenceError("non-finite update field", iteration=state.k)
-    th_k, th_next = ev.theta, ev.theta_next
-    x_plus = state.X - 0.5 * state.s * g
-    z_new = state.Z - state.s * th_k * g
-    ratio = th_k ** 2 / th_next ** 2
+    s, g, th_k = state.s, state.G, state.theta
+    x_plus = state.X - 0.5 * s * g
+    z_new = state.Z - s * th_k * g
+    ratio = th_k ** 2 / state.theta_next ** 2
     x_new = ratio * x_plus + (1.0 - ratio) * z_new
-    nxt = AgmState(k=state.k + 1, X=x_new, X_plus=x_plus, Z=z_new,
-                   s=s_next, h=state.h, beta=state.beta)
-    nxt.ev = _evaluated(nxt, obj, graph, opt)
-    return nxt
+    return _evaluate(AgmState(state.k + 1, x_new, x_plus, z_new, s_next,
+                              state.h, state.beta), obj, graph, opt)
 
 
-def _r_quantity(opt: ConsensusOptimum, oracle_mode: str, scale: float,
-                g: np.ndarray) -> float:
-    """r = -|gs|^2 + 2 gs . (gs - G) with gs = scale * (the optimum gradient
-    ``oracle_mode`` reads, see AdaptiveParams). In practical mode gs = 0,
-    so r is 0, or NaN when G is not finite, as the full formula gives."""
+def _r_quantity(state: AgmState, opt: ConsensusOptimum,
+                oracle_mode: str) -> float:
+    """r = -|gs|^2 + 2 gs . (gs - G) at an evaluated state, with gs = its
+    gradient weight times the optimum gradient ``oracle_mode`` reads (see
+    AdaptiveParams). In practical mode gs = 0, so r is the state's probe:
+    0, or NaN when G is not finite, as the full formula gives."""
     if oracle_mode != "exact":
-        return float(_zeros(g.size).dot(g))
-    gs = scale * opt.grad_at_opt
-    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - g))
+        return state.probe
+    gs = state.weight * opt.grad_at_opt
+    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.G))
+
+
+def _cap(weight: float, lam_max: float, l_f: float) -> float:
+    """Step cap 1 / max{lambda_max, weight L_f}."""
+    return 1.0 / max(lam_max, weight * l_f)
+
+
+def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
+                graph: AgentGraph, opt: ConsensusOptimum, lam_max: float,
+                oracle_mode: str) -> tuple:
+    """Everything of the transition k -> k+1 (k = prev.k >= 1): the
+    controller quantities (a, b, a~, b~, w, r, smoothness cap), the
+    controller's verdict (case, chosen step, monotonicity flag) and the
+    certificate V_k, in that order. V_k reads X_k and s_k from ``prev`` and
+    Z_{k+1} from ``nxt``; it is NaN when s_k = 0, as its distance term
+    divides by s_k. Evaluates either state that is not, and adds the
+    quadratics of the states that lack them."""
+    if prev.G is None:
+        _evaluate(prev, obj, graph, opt)
+    if prev.quad is None:
+        _add_quadratics(prev, opt)
+    if nxt.G is None:
+        _evaluate(nxt, obj, graph, opt)
+    _add_quadratics(nxt, opt)
+    s, g_k, g_next = prev.s, prev.G, nxt.G
+    a = (prev.weight * prev.gap + prev.quad - nxt.weight * nxt.gap
+         - nxt.quad - float(g_next.dot(prev.X - nxt.X)))
+    diff = g_k - g_next
+    b = float(diff.dot(diff))
+    w = float(g_k.dot(g_next))
+    a_tilde = a + 0.5 * s * w
+    b_tilde = prev.g_sq + nxt.g_sq
+    r = _r_quantity(nxt, opt, oracle_mode)
+    # (k+1) h to the -beta is nxt's gradient weight
+    cap = _cap(nxt.weight, lam_max, obj.smoothness)
+    case, chosen, mono = _select(a, b, a_tilde, b_tilde, w, r, cap, s,
+                                 prev.a_k, prev.theta_next, prev.k)
+    v = np.nan
+    if s > 0.0:
+        # 2 c_k theta_k^2, the same bits as 2 A_k: doubling is exact
+        weight = 2.0 * prev.a_k
+        fn_term = weight * prev.weight * prev.gap
+        cons_term = weight * prev.quad
+        pen_term = -weight * 0.25 * s * prev.g_sq
+        z_err = nxt.Z - opt.x_star_stacked
+        v = fn_term + cons_term + pen_term + float(z_err.dot(z_err)) / s
+    return a, b, a_tilde, b_tilde, w, r, cap, case, chosen, mono, v
 
 
 def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
@@ -320,26 +375,11 @@ def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
                              oracle_mode: str) -> StepDiagnostics:
     """Controller quantities for the transition k -> k+1 (k = prev.k >= 1).
 
-    Only fills the raw quantities and the smoothness cap; case selection and
-    the chosen step live in select_stepsize.
+    Only the raw quantities and the smoothness cap; case selection and the
+    chosen step live in select_stepsize.
     """
-    k = prev.k
-    ev_k = _evaluated(prev, obj, graph, opt)
-    ev_next = _evaluated(nxt, obj, graph, opt)
-    scale_k, scale_next = ev_k.grad_weight, ev_next.grad_weight
-    g_k, g_next = ev_k.G, ev_next.G
-
-    a = (scale_k * ev_k.gap + ev_k.quad - scale_next * ev_next.gap
-         - ev_next.quad - float(g_next.dot(prev.X - nxt.X)))
-    diff = g_k - g_next
-    b = float(diff.dot(diff))
-    w = float(g_k.dot(g_next))
-    a_tilde = a + 0.5 * prev.s * w
-    b_tilde = ev_k.g_sq + ev_next.g_sq
-    r = _r_quantity(opt, oracle_mode, scale_next, g_next)
-    cap = smoothness_cap(k + 1, prev.h, prev.beta, lam_max, obj.smoothness)
-    return StepDiagnostics(a=a, b=b, a_tilde=a_tilde, b_tilde=b_tilde,
-                           w=w, r=r, cap_smooth=cap)
+    return StepDiagnostics(*_transition(prev, nxt, obj, graph, opt, lam_max,
+                                        oracle_mode)[:7])
 
 
 def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
@@ -352,18 +392,45 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     b-quantity is twice the squared field norm; only the sign of r matters
     for the choice of s_1.
     """
-    ev = _evaluated(state1, obj, graph, opt)
-    r1 = _r_quantity(opt, oracle_mode, ev.grad_weight, ev.G)
+    if state1.G is None:
+        _evaluate(state1, obj, graph, opt)
+    _add_quadratics(state1, opt)
+    g_sq = state1.g_sq
     cap = smoothness_cap(1, state1.h, state1.beta, lam_max, obj.smoothness)
-    return StepDiagnostics(a=0.0, b=2.0 * ev.g_sq, a_tilde=0.0,
-                           b_tilde=2.0 * ev.g_sq, w=ev.g_sq,
-                           r=r1, cap_smooth=cap)
+    return StepDiagnostics(a=0.0, b=2.0 * g_sq, a_tilde=0.0,
+                           b_tilde=2.0 * g_sq, w=g_sq,
+                           r=_r_quantity(state1, opt, oracle_mode),
+                           cap_smooth=cap)
 
 
 def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
                    l_f: float) -> float:
     """Step cap 1 / max{lambda_max, (k h)^{-beta} L_f}."""
-    return 1.0 / max(lam_max, _grad_weight(k, h, beta) * l_f)
+    return _cap(_grad_weight(k, h, beta), lam_max, l_f)
+
+
+def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,
+            k) -> tuple:
+    """select_stepsize on the unpacked quantities: (case, chosen,
+    monotonicity_ok)."""
+    if w <= 0.0 and r >= 0.0:
+        case, num, den = "w<=0,r>=0", 4.0 * a, b
+    elif w <= 0.0:
+        case, num, den = ("w<=0,r<0", 4.0 * A_k * a,
+                          A_k * b + theta_next * (-r))
+    elif r >= 0.0:
+        case, num, den = "w>0,r>=0", 4.0 * a_tilde, b_tilde
+    else:
+        case, num, den = ("w>0,r<0", 4.0 * A_k * a_tilde,
+                          A_k * b_tilde + theta_next * (-r))
+    if den <= 0.0:
+        bound = math.inf if num >= 0.0 else math.nan
+    else:
+        bound = num / den
+    if math.isnan(bound) or bound < 0.0:
+        return case, math.nan, False
+    chosen = float(min(bound, cap))
+    return case, chosen, not (k + 1 >= 3 and chosen < s_k)
 
 
 def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
@@ -377,24 +444,7 @@ def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
     A non-positive case bound signals controller infeasibility via
     chosen=nan; callers fall back to min(s_k, cap) and flag the iteration.
     """
-    if diag.w <= 0.0 and diag.r >= 0.0:
-        case, num, den = "w<=0,r>=0", 4.0 * diag.a, diag.b
-    elif diag.w <= 0.0:
-        case, num, den = ("w<=0,r<0", 4.0 * A_k * diag.a,
-                          A_k * diag.b + theta_next * (-diag.r))
-    elif diag.r >= 0.0:
-        case, num, den = "w>0,r>=0", 4.0 * diag.a_tilde, diag.b_tilde
-    else:
-        case, num, den = ("w>0,r<0", 4.0 * A_k * diag.a_tilde,
-                          A_k * diag.b_tilde + theta_next * (-diag.r))
-    if den <= 0.0:
-        bound = np.inf if num >= 0.0 else np.nan
-    else:
-        bound = num / den
-    if math.isnan(bound) or bound < 0.0:
-        return StepChoice(case, np.nan, False)
-    chosen = float(min(bound, diag.cap_smooth))
-    return StepChoice(case, chosen, not (k + 1 >= 3 and chosen < s_k))
+    return StepChoice(*_select(*diag, s_k, A_k, theta_next, k))
 
 
 def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
@@ -404,19 +454,10 @@ def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     Uses X_k, s_k from ``prev`` and Z_{k+1} from ``nxt``. Undefined when
     s_k = 0 (the distance term divides by s_k); returns NaN in that case.
     """
-    k = prev.k
-    if k < 1:
+    if prev.k < 1:
         raise ValueError("V_k is defined for k >= 1; use lyapunov_v0_prime")
-    if not prev.s > 0.0:
-        return np.nan
-    ev = _evaluated(prev, obj, graph, opt)
-    # 2 c_k theta_k^2, the same bits as 2 A_k: doubling is exact
-    weight = 2.0 * ev.a_k
-    fn_term = weight * ev.grad_weight * ev.gap
-    cons_term = weight * ev.quad
-    pen_term = -weight * 0.25 * prev.s * ev.g_sq
-    z_err = nxt.Z - opt.x_star_stacked
-    return fn_term + cons_term + pen_term + float(z_err.dot(z_err)) / prev.s
+    # the certificate reads no controller input: any lam_max and mode do
+    return _transition(prev, nxt, obj, graph, opt, 0.0, "practical")[-1]
 
 
 def lyapunov_v0_prime(X0: np.ndarray, opt: ConsensusOptimum,
@@ -434,19 +475,18 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
                    graph: AgentGraph, X0: np.ndarray, iters: int,
                    opt: ConsensusOptimum) -> RunTrace:
     """Fixed step ``params.s`` for every iteration k >= 1."""
-    s = params.s
-    state = init(X0, params.h, params.beta)
+    s, f_star = params.s, opt.f_star
+    state = _evaluate(init(X0, params.h, params.beta), obj, graph, opt)
     state.s = s
-    ev = state.ev = _evaluated(state, obj, graph, opt)
     rec = TraceRecorder({"algorithm": "dist_agm_fixed", **asdict(params),
-                         "iters": iters}, opt.f_star)
+                         "iters": iters}, f_star)
     with rec:
-        rec(0, ev.gap, ev.grad, ev.lx, 0.0)  # X_plus is X_0 at k = 0
+        rec(0, state.gap, state.grad, state.lx, 0.0)  # X_plus is X_0 at k = 0
         for _ in range(iters):
             prev = state
-            state = step(prev, obj, graph, opt, s_next=s)
-            rec(prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, s,
-                gap_plus=obj.value(state.X_plus) - opt.f_star)
+            state = step(prev, obj, graph, opt, s)
+            rec(prev.k, prev.gap, prev.grad, prev.lx, s,
+                obj.value(state.X_plus) - f_star)
     return rec.trace
 
 
@@ -455,8 +495,8 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
                  opt: ConsensusOptimum) -> RunTrace:
     """Adaptive-step run with the four-case controller.
 
-    Per iteration: apply the stored step, evaluate the controller
-    quantities, select the next step, and record the Lyapunov certificate.
+    Per iteration: apply the stored step, then one transition call gives
+    the controller quantities, the next step and the Lyapunov certificate.
     The theory admits any s_1 > 0 when r_1 >= 0 but the later decrement
     argument needs s_1 <= s_2, so s_1 starts at a small fraction of the
     smoothness cap and the controller grows it. ``s_ref`` is the first
@@ -464,33 +504,28 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
     in the k=0 certificate and the rate bound, never in the dynamics.
     """
     lam_max = spectral_extremes(graph).lambda_max
-    state = init(X0, params.h, params.beta)
-    ev = state.ev = _evaluated(state, obj, graph, opt)
-    boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max,
-                                 params.oracle_mode)
+    mode, f_star = params.oracle_mode, opt.f_star
+    state = _evaluate(init(X0, params.h, params.beta), obj, graph, opt)
+    boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max, mode)
     s1 = params.s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
     s_ref = s1 if s1 > 0.0 else boot.cap_smooth
     state.s = s1
     v0_prime = lyapunov_v0_prime(X0, opt, s_ref)
     rec = TraceRecorder({"algorithm": "dist_agm_adaptive", **asdict(params),
                          "iters": iters, "s_ref": s_ref,
-                         "V0_prime": v0_prime}, opt.f_star)
+                         "V0_prime": v0_prime}, f_star)
     with rec:
-        rec(0, ev.gap, ev.grad, ev.lx, 0.0, v=v0_prime, case="bootstrap",
-            r=boot.r)  # X_plus is X_0 at k = 0
+        rec(0, state.gap, state.grad, state.lx, 0.0, None, v0_prime,
+            "bootstrap", np.nan, boot.r)  # X_plus is X_0 at k = 0
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt)
-            diag = compute_step_diagnostics(prev, state, obj, graph, opt,
-                                            lam_max, params.oracle_mode)
-            choice = select_stepsize(diag, prev.s, prev.ev.a_k,
-                                     prev.ev.theta_next, prev.k)
-            fallback = not math.isfinite(choice.chosen)
-            state.s = (min(prev.s, diag.cap_smooth) if fallback
-                       else choice.chosen)
-            v = lyapunov(prev, state, obj, graph, opt)
-            rec(prev.k, prev.ev.gap, prev.ev.grad, prev.ev.lx, prev.s,
-                gap_plus=obj.value(state.X_plus) - opt.f_star, v=v,
-                case=choice.case, w=diag.w, r=diag.r,
-                mono=choice.monotonicity_ok, fallback=fallback)
+            _a, _b, _at, _bt, w, r, cap, case, chosen, mono, v = _transition(
+                prev, state, obj, graph, opt, lam_max, mode)
+            s = prev.s
+            fallback = not math.isfinite(chosen)
+            state.s = min(s, cap) if fallback else chosen
+            rec(prev.k, prev.gap, prev.grad, prev.lx, s,
+                obj.value(state.X_plus) - f_star, v, case, w, r, mono,
+                fallback)
     return rec.trace

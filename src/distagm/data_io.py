@@ -162,10 +162,10 @@ def shard(ds: LabeledDataset, m: int) -> tuple:
 
 def write_summary(path, rows, metadata=None):
     """One row per run: algorithm, problem, final gap, slope, iterations,
-    wall time. ``rows`` is a list of dicts with exactly those keys. The
-    cells and the ``# key=value`` metadata lines are written as a trace's."""
+    wall time. ``rows`` is a list of dicts with those keys. The cells and
+    the ``# key=value`` metadata lines are written as a trace's."""
     summary = RunTrace(["algorithm", "problem", "final_gap", "slope",
                         "iterations", "wall_time_s"], metadata)
     for row in rows:
-        summary.append(**row)
+        summary.append(*[row[name] for name in summary.columns])
     summary.write_csv(path)

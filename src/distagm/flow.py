@@ -34,8 +34,9 @@ apply: 4 of each per RK4 step and 6 per Dormand-Prince attempt.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
 the six ledger terms among them. One private row builder fills a row from
-the accepted point's evaluation; ``integrate`` appends it every
-``record_every`` steps and ``energy_at`` returns it at one sample.
+the accepted point's evaluation as a tuple in ``COLUMNS`` order;
+``integrate`` appends it every ``record_every`` steps and ``energy_at``
+returns it, keyed by ``COLUMNS``, at one sample.
 ``FlowParams`` holds every knob of a run and, with the accepted and
 rejected step counts, is the trace's metadata.
 """
@@ -214,8 +215,8 @@ def _ledger_rates(t, point: _Point, params: FlowParams, out=None):
     return out
 
 
-def _row(t, V, point: _Point, params: FlowParams, integrals) -> dict:
-    """The trace row at an accepted point, keyed by ``COLUMNS``: the
+def _row(t, V, point: _Point, params: FlowParams, integrals) -> tuple:
+    """The trace row at an accepted point, in ``COLUMNS`` order: the
     ledger's three point terms, then ``integrals``, the running (Laplacian,
     Bregman, beta) triple, and their sum, taken left to right. A norm is
     sqrt(v.v), the same bits as ``np.linalg.norm`` of a 1-D float64 array."""
@@ -227,9 +228,8 @@ def _row(t, V, point: _Point, params: FlowParams, integrals) -> dict:
     for term in ledger[1:]:  # not sum(), which compensates from Python 3.12
         total += term
     grad, lx = point.grad, point.lx
-    return dict(zip(COLUMNS, (t, point.gap, math.sqrt(float(grad.dot(grad))),
-                              math.sqrt(float(lx.dot(lx))), total, *ledger),
-                    strict=True))
+    return (t, point.gap, math.sqrt(float(grad.dot(grad))),
+            math.sqrt(float(lx.dot(lx))), total, *ledger)
 
 
 def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
@@ -241,7 +241,8 @@ def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
     t0. For a start at small t0 with zero velocity ``E_total`` approaches
     twice the squared initial distance to the optimum.
     """
-    return _row(t, V, _evaluate(X, obj, graph, opt), params, integrals)
+    return dict(zip(COLUMNS, _row(t, V, _evaluate(X, obj, graph, opt),
+                                  params, integrals), strict=True))
 
 
 def _step_weights(tab: _Tableau):
@@ -341,7 +342,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     stage_y[:] = Y[:2 * n]
     point = slope(t, 0)
     trace = RunTrace(COLUMNS, metadata=asdict(params))
-    trace.append(**_row(t, V0, point, params, (0.0, 0.0, 0.0)))
+    trace.append(*_row(t, V0, point, params, (0.0, 0.0, 0.0)))
     t_end = params.horizon - 1e-15
     steps = rejected = steps_since_record = 0
     h, h_weights, grow_max = params.dt, None, _GROW_MAX
@@ -400,8 +401,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         steps += 1
         steps_since_record += 1
         if steps_since_record >= params.record_every or t >= t_end:
-            trace.append(**_row(t, Y[n:2 * n], point, params,
-                                Y[2 * n:].tolist()))
+            trace.append(*_row(t, Y[n:2 * n], point, params,
+                               Y[2 * n:].tolist()))
             steps_since_record = 0
     trace.metadata.update(steps=steps, rejected=rejected)
     return trace

@@ -39,31 +39,31 @@ def _parse_meta(text: str):
 class RunTrace:
     """Column-oriented record of one run plus self-describing metadata.
 
-    Rows are appended one iteration at a time; missing columns are not
-    allowed so every trace is rectangular. Metadata is written as leading
-    ``# key=value`` comment lines, keeping the CSV a single plot-ready file.
-    A field that contains a comma (a controller case label) is quoted.
+    Rows are appended one iteration at a time, each as its values in
+    ``columns`` order; a row of another length is refused, so every trace
+    is rectangular. Metadata is written as leading ``# key=value`` comment
+    lines, keeping the CSV a single plot-ready file. A field that contains
+    a comma (a controller case label) is quoted.
     """
 
     def __init__(self, columns, metadata=None):
         self.columns = list(columns)
         self.metadata = dict(metadata or {})
         self._rows = []
-        self._names = frozenset(self.columns)  # the keys append expects
 
     @classmethod
     def from_columns(cls, columns: dict, metadata=None) -> "RunTrace":
         """A trace whose rows zip the equal-length sequences in ``columns``."""
         trace = cls(columns, metadata)
-        trace._rows = [list(r) for r in zip(*columns.values(), strict=True)]
+        trace._rows = list(zip(*columns.values(), strict=True))
         return trace
 
-    def append(self, **row):
-        if row.keys() != self._names:
-            missing = self._names - row.keys()
-            extra = row.keys() - self._names
-            raise ValueError(f"row mismatch: missing={missing}, extra={extra}")
-        self._rows.append([row[c] for c in self.columns])
+    def append(self, *row):
+        """Append one row: its values in ``columns`` order."""
+        if len(row) != len(self.columns):
+            raise ValueError(f"row mismatch: {len(row)} values for the "
+                             f"{len(self.columns)} columns {self.columns}")
+        self._rows.append(row)
 
     def __len__(self):
         return len(self._rows)

@@ -53,3 +53,15 @@ def exact_opt():
 @pytest.fixture(scope="session")
 def x0_ring5():
     return 1.5 * np.random.default_rng(2).standard_normal(10)
+
+
+@pytest.fixture(scope="session")
+def ring5_logistic():
+    """A small logistic problem on the ring of five, 2 features per agent.
+    Its agents' minimizers differ: the optimum gradient g* is not 0."""
+    rng = np.random.default_rng(5)
+    feats = rng.standard_normal((40, 2))
+    labels = (rng.random(40) < 0.5).astype(float)
+    obj = objectives.LogisticObjective(np.array_split(feats, 5),
+                                       np.array_split(labels, 5), l2=1e-2)
+    return obj, objectives.solve_consensus_optimum(obj)

@@ -15,7 +15,8 @@ from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
                          lyapunov, lyapunov_v0_prime, select_stepsize,
                          smoothness_cap, step, theta)
 from distagm.flow import FlowParams, flow_rhs
-from distagm.graphs import build_topology, spectral_extremes
+from distagm.graphs import (apply_lifted_laplacian, build_topology,
+                            spectral_extremes)
 from distagm.objectives import QuadraticObjective, make_quadratic
 from oracles import combined_field, single_line_update
 
@@ -251,13 +252,27 @@ def test_adaptive_run_bootstrap_row(ring5, controller_quadratic, x0_ring5):
     assert trace.metadata.items() >= asdict(PRACTICAL).items()
 
 
-def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
+def bits(*values):
+    """The bytes of floats, so that NaN equals NaN and 0.0 differs from
+    -0.0."""
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("problem,mode", [("quadratic", "practical"),
+                                          ("quadratic", "exact"),
+                                          ("logistic", "exact")])
+def test_cached_scalars_match_fresh_evaluation(problem, mode, request, ring5,
                                                x0_ring5, monkeypatch):
-    """The controller and the certificate read each iterate's cost gap,
-    Laplacian quadratic and |G|^2 from the evaluation the step stored.
-    States rebuilt without it are evaluated afresh and must reproduce the
-    trace's w, r, V_k and the chosen step bit for bit."""
-    obj, opt = controller_quadratic
+    """The run reads each iterate's oracle values and scalars from the
+    state ``step`` evaluated, and each transition's quantities from one
+    private call. States rebuilt without them are evaluated afresh by the
+    public functions, which must reproduce the trace's w, r, V_k and
+    F_gap_plus and the installed step bit for bit: in both oracle modes,
+    and on a logistic problem whose optimum gradient is not 0, where the
+    controller falls back."""
+    obj, opt = request.getfixturevalue(
+        "controller_quadratic" if problem == "quadratic" else "ring5_logistic")
+    iters = 40
     pairs = []
     real_step = agm.step
 
@@ -267,26 +282,64 @@ def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
         return nxt
 
     monkeypatch.setattr(agm, "step", spy)
-    trace = adaptive_run(PRACTICAL, obj, ring5, x0_ring5, iters=12,
-                         opt=opt)
-    assert len(pairs) == 12
+    trace = adaptive_run(AdaptiveParams(h=1.0, beta=0.1, oracle_mode=mode),
+                         obj, ring5, x0_ring5, iters=iters, opt=opt)
+    assert len(pairs) == iters
     lam = spectral_extremes(ring5).lambda_max
 
     def bare(st):
         return AgmState(k=st.k, X=st.X.copy(), X_plus=st.X_plus.copy(),
                         Z=st.Z.copy(), s=st.s, h=st.h, beta=st.beta)
 
-    w, r, v = (trace.column(c) for c in ("w", "r", "V_k"))
+    w, r, v, gap_plus, fallback = (trace.column(c) for c in (
+        "w", "r", "V_k", "F_gap_plus", "fallback_flag"))
     for prev, nxt in pairs:
         k = prev.k
         fresh_prev, fresh_nxt = bare(prev), bare(nxt)
         diag = compute_step_diagnostics(fresh_prev, fresh_nxt, obj, ring5,
-                                        opt, lam, oracle_mode="practical")
-        assert (diag.w, diag.r) == (w[k], r[k])
-        assert lyapunov(fresh_prev, fresh_nxt, obj, ring5, opt) == v[k]
+                                        opt, lam, oracle_mode=mode)
+        assert bits(diag.w, diag.r) == bits(w[k], r[k])
+        assert bits(lyapunov(bare(prev), bare(nxt), obj, ring5, opt)) == \
+            bits(v[k])
+        assert bits(obj.value(nxt.X_plus) - opt.f_star) == bits(gap_plus[k])
         chosen = select_stepsize(diag, prev.s, a_coeff(k), theta(k + 1),
                                  k).chosen
-        assert chosen == nxt.s
+        if fallback[k]:
+            assert np.isnan(chosen)
+            chosen = min(prev.s, diag.cap_smooth)
+        assert bits(chosen) == bits(nxt.s)
+    if problem == "logistic":
+        assert fallback.sum() > 0
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "logistic"])
+def test_fixed_run_rows_replay_through_step(problem, request, ring5,
+                                            x0_ring5):
+    """Every row of a fixed-step run equals one recomputed from the public
+    oracles at the iterates ``step`` produces from the same start."""
+    obj, opt = request.getfixturevalue(
+        "flow_quadratic" if problem == "quadratic" else "ring5_logistic")
+    params = FixedParams(h=0.3, beta=0.1)
+    trace = fixed_step_run(params, obj, ring5, x0_ring5, iters=25, opt=opt)
+    state = init(x0_ring5, params.h, params.beta)
+    state.s = params.s
+
+    def row(k, X, gap_plus, s_k):
+        gap = obj.value(X) - opt.f_star
+        return bits(k, gap if gap_plus is None else gap_plus, gap,
+                    np.linalg.norm(obj.grad(X)),
+                    np.linalg.norm(apply_lifted_laplacian(ring5, obj.d, X)),
+                    s_k)
+
+    want = [row(0, state.X, None, 0.0)]
+    for _ in range(25):
+        nxt = step(state, obj, ring5, opt, s_next=params.s)
+        want.append(row(state.k, state.X,
+                        obj.value(nxt.X_plus) - opt.f_star, params.s))
+        state = nxt
+    cols = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm", "s_k")
+    got = [bits(*vals) for vals in zip(*(trace.column(c) for c in cols))]
+    assert got == want
 
 
 def test_fixed_run_trace_shape(ring5, flow_quadratic, x0_ring5):

@@ -371,9 +371,9 @@ def test_controlled_step_underflow_raises(ring5, flow_quadratic, x0_ring5,
     recorded = []
     append = RunTrace.append
 
-    def spy(self, **row):
-        recorded.append(row["t"])
-        append(self, **row)
+    def spy(self, *row):
+        recorded.append(row[0])  # t
+        append(self, *row)
 
     monkeypatch.setattr(RunTrace, "append", spy)
     with pytest.raises(BlowUpError, match="underflow") as err:
@@ -391,9 +391,9 @@ def test_blowup_detected(ring5, flow_quadratic, x0_ring5, monkeypatch):
     recorded = []
     append = RunTrace.append
 
-    def spy(self, **row):
-        recorded.append(row["t"])
-        append(self, **row)
+    def spy(self, *row):
+        recorded.append(row[0])  # t
+        append(self, *row)
 
     monkeypatch.setattr(RunTrace, "append", spy)
     with pytest.raises(BlowUpError) as err:

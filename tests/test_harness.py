@@ -200,7 +200,7 @@ def test_cmd_compare_needs_two(tmp_path):
 def test_cmd_rate_check(tmp_path, capsys):
     trace = RunTrace(["k", "F_gap"])
     for k in range(1, 201):
-        trace.append(k=k, F_gap=5.0 / k ** 2)
+        trace.append(k, 5.0 / k ** 2)
     path = tmp_path / "synthetic.csv"
     trace.write_csv(path)
     assert main(["rate-check", str(path), "--beta", "0.1"]) == 0
@@ -208,7 +208,7 @@ def test_cmd_rate_check(tmp_path, capsys):
 
     shallow = RunTrace(["k", "F_gap"])
     for k in range(1, 201):
-        shallow.append(k=k, F_gap=5.0 / k ** 1.1)
+        shallow.append(k, 5.0 / k ** 1.1)
     path2 = tmp_path / "shallow.csv"
     shallow.write_csv(path2)
     assert main(["rate-check", str(path2), "--beta", "0.5"]) == 1
@@ -218,7 +218,7 @@ def test_cmd_rate_check(tmp_path, capsys):
 def test_cmd_rate_check_bad_trace(tmp_path):
     path = tmp_path / "tiny.csv"
     trace = RunTrace(["k", "F_gap"])
-    trace.append(k=1, F_gap=1.0)
+    trace.append(1, 1.0)
     trace.write_csv(path)
     assert main(["rate-check", str(path), "--beta", "0.1"]) == 2
 
@@ -233,7 +233,7 @@ def test_cmd_rate_check_out_of_range_option(option, value, tmp_path, capsys):
     line naming it, not fitted or judged as if it were valid."""
     trace = RunTrace(["k", "F_gap"])
     for k in range(1, 201):
-        trace.append(k=k, F_gap=5.0 / k ** 2)
+        trace.append(k, 5.0 / k ** 2)
     path = tmp_path / "synthetic.csv"
     trace.write_csv(path)
     options = {"--beta": "0.1", option: value}

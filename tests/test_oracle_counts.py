@@ -16,12 +16,11 @@ answers it in one evaluation, and its counts show ``value_grad`` itself.
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from distagm import agm, baselines, flow
 from distagm.graphs import apply_lifted_laplacian
-from distagm.objectives import LogisticObjective, solve_consensus_optimum
+from distagm.objectives import LogisticObjective
 
 ITERS = 20
 
@@ -48,17 +47,6 @@ def counts(monkeypatch, controller_quadratic):
                             counted(calls, "laplacian",
                                     apply_lifted_laplacian))
     return calls
-
-
-@pytest.fixture(scope="module")
-def ring5_logistic():
-    """A small logistic problem on the ring of five, 2 features per agent."""
-    rng = np.random.default_rng(5)
-    feats = rng.standard_normal((40, 2))
-    labels = (rng.random(40) < 0.5).astype(float)
-    obj = LogisticObjective(np.array_split(feats, 5),
-                            np.array_split(labels, 5), l2=1e-2)
-    return obj, solve_consensus_optimum(obj)
 
 
 @pytest.fixture

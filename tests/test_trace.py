@@ -9,18 +9,23 @@ from distagm.trace import RunTrace
 
 def make_trace():
     tr = RunTrace(["k", "gap", "label"], metadata={"seed": 3, "h": 0.25})
-    tr.append(k=0, gap=1.0, label="start")
-    tr.append(k=1, gap=1.0 / 3.0, label="mid")
-    tr.append(k=2, gap=np.nan, label="end")
+    tr.append(0, 1.0, "start")
+    tr.append(1, 1.0 / 3.0, "mid")
+    tr.append(2, np.nan, "end")
     return tr
 
 
 def test_row_mismatch_rejected():
+    """A row holds one value per column, in column order; a row of another
+    length is refused and nothing is appended."""
     tr = RunTrace(["a", "b"])
-    with pytest.raises(ValueError):
-        tr.append(a=1.0)
-    with pytest.raises(ValueError):
-        tr.append(a=1.0, b=2.0, c=3.0)
+    with pytest.raises(ValueError, match="1 values for the 2 columns"):
+        tr.append(1.0)
+    with pytest.raises(ValueError, match="3 values for the 2 columns"):
+        tr.append(1.0, 2.0, 3.0)
+    assert len(tr) == 0
+    tr.append(1.0, 2.0)
+    assert tr.last("b") == 2.0
 
 
 def test_column_and_last():
@@ -49,7 +54,7 @@ def test_metadata_types_roundtrip(tmp_path):
             "problem": "synthetic-gaussian(seed=0)", "padded": "007",
             "short_float": "9e9"}
     tr = RunTrace(["k"], metadata=meta)
-    tr.append(k=0)
+    tr.append(0)
     path = tmp_path / "meta.csv"
     tr.write_csv(path)
     back = RunTrace.read_csv(path)
@@ -67,7 +72,7 @@ def test_write_deterministic_bytes(tmp_path):
 
 def test_full_precision_floats(tmp_path):
     tr = RunTrace(["x"])
-    tr.append(x=1.0 / 3.0)
+    tr.append(1.0 / 3.0)
     path = tmp_path / "p.csv"
     tr.write_csv(path)
     assert RunTrace.read_csv(path).column("x")[0] == 1.0 / 3.0
