@@ -7,8 +7,9 @@ feeds the energy/Lyapunov diagnostics; distributed algorithms never read it
 inside their updates.
 
 Every caller that needs the cost and the gradient at one point asks for
-both with one ``value_grad`` call. The quadratic family answers it with its
-``value`` and ``grad``. The logistic family computes the margins Z_i x_i,
+both with one ``value_grad`` call. The quadratic family answers it with one
+matrix-vector product: g = M r with r = X - b, and F = 1/2 r . g. The
+logistic family computes the margins Z_i x_i,
 one exp(-|m|) shared by the softplus max(m, 0) + log1p(exp(-|m|)) and the
 sigmoid, and one back-projection Z_i^T (sigma - y_i). Its label term
 sum_r y_r m_r is x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term
@@ -115,9 +116,11 @@ class QuadraticObjective(SeparableObjective):
     """f_i(x) = 0.5 (x - b_i)^T Q_i (x - b_i) with SPD Q_i; closed-form optimum.
 
     The stacked oracles use the block-diagonal Hessian M (md x md, block i
-    is Q_i), the stacked offsets b and c = M b, built once and read-only:
-    gradF(X) = M X - c and F(X) = 0.5 (X - b).M (X - b). M costs
-    (md)^2 * 8 bytes.
+    is Q_i) and the stacked offsets b, built once and read-only. With the
+    residual r = X - b, gradF(X) = M r and F(X) = 0.5 r . M r; ``value_grad``
+    makes the one product M r for both. Forming M r, not M X - M b, keeps
+    the gradient's relative error at rounding level however close X is to
+    b. M costs (md)^2 * 8 bytes.
     """
 
     def __init__(self, Qs: np.ndarray, bs: np.ndarray):
@@ -137,14 +140,12 @@ class QuadraticObjective(SeparableObjective):
         M = np.zeros((self.m * d, self.m * d))
         for i, q in enumerate(Qs):
             M[i * d:(i + 1) * d, i * d:(i + 1) * d] = q
-        # M, b and c are derived from Qs and bs, so all five are read-only;
+        # M and b are derived from Qs and bs, so all four are read-only;
         # Qs and bs are copies, which leaves the caller's arrays writable
         for arr in (Qs, bs, M):
             arr.setflags(write=False)
         self.Qs, self.bs, self.M = Qs, bs, M
         self.b = bs.reshape(-1)
-        self.c = M.dot(self.b)
-        self.c.setflags(write=False)
 
     def local_value(self, i, x):
         r = x - self.bs[i]
@@ -159,8 +160,12 @@ class QuadraticObjective(SeparableObjective):
 
     def grad(self, X, out=None):
         # ``out`` goes by position, which numpy parses faster than a keyword
-        out = self.M.dot(self._check(X), out)
-        return np.subtract(out, self.c, out)
+        return self.M.dot(self._check(X) - self.b, out)
+
+    def value_grad(self, X, out=None):
+        r = self._check(X) - self.b
+        g = self.M.dot(r, out)
+        return 0.5 * float(r.dot(g)), g
 
     def central_hess(self, x):
         return self.Qs.sum(axis=0)

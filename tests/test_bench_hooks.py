@@ -108,6 +108,26 @@ def test_full_spans_time_each_run(child, tmp_path, monkeypatch):
     assert spans[0].count("harness.run_algorithm") == 2
 
 
+def test_full_trace_counts_the_discrete_loop(child, tmp_path):
+    """The full child counts the adaptive run's iterations by its calls to
+    ``agm.step`` and the oracle calls inside the run per iteration. The run
+    looks ``step``, ``apply_lifted_laplacian`` and the objective's methods
+    up where the child patches them, so a loop that bound one of them to
+    a local name would read 0 here: 1 Laplacian apply and 1 ``value``
+    call, the cost at the plus-iterate, per iteration."""
+    cfg = {"problem": {"common_offset": [0.3, -0.2]}, "iters": 7,
+           "algorithms": ["dist_agm"]}
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = tmp_path / "result.json"
+    assert child.main([str(result), "full", "--", "run", str(path),
+                       "--out", str(tmp_path / "r")]) == 0
+    metrics = json.loads(result.read_text())["metrics"]
+    assert metrics["agm.iters"] == 7
+    assert metrics["graphs.laplacian_calls_per_iter"] == 1
+    assert metrics["objectives.value_calls_per_iter"] == 1
+
+
 def test_full_trace_of_a_controlled_flow(child, tmp_path):
     """A full traced energy-check under the error-controlled step, as the
     traced ``quadratic`` workload runs it, exits 0 with a finite drift.

@@ -9,9 +9,9 @@ flow's Runge-Kutta step makes one fused evaluation and one Laplacian apply,
 the accepted point's once; that evaluation is the next step's first stage.
 
 The runs ask for the cost and the gradient at one point with one
-``value_grad`` call. On the quadratic family that is a ``value`` and a
-``grad`` call, which the quadratic counts include; the logistic family
-answers it in one evaluation, and its counts show ``value_grad`` itself.
+``value_grad`` call. Both families answer it in one evaluation (on the
+quadratic family one matrix-vector product), so the counts show
+``value_grad`` itself and no ``value`` or ``grad`` call beside it.
 """
 
 from collections import Counter
@@ -39,7 +39,7 @@ def counts(monkeypatch, controller_quadratic):
     obj, _ = controller_quadratic
     calls = Counter()
     cls = type(obj)
-    for name in ("grad", "value", "local_grad"):
+    for name in ("value_grad", "grad", "value", "local_grad"):
         monkeypatch.setattr(cls, name, counted(calls, name,
                                                getattr(cls, name)))
     for module in (agm, baselines, flow):
@@ -59,8 +59,8 @@ def logistic_counts(monkeypatch):
     return calls
 
 
-def per_iteration(calls, run,
-                  names=("grad", "value", "laplacian", "local_grad")):
+def per_iteration(calls, run, names=("value_grad", "grad", "value",
+                                    "laplacian", "local_grad")):
     """Calls per iteration, from the difference of an ITERS and a 2*ITERS
     run so that set-up calls cancel."""
     calls.clear()
@@ -85,8 +85,9 @@ def test_agm_evaluates_each_iterate_once(mode, counts, ring5,
             agm.fixed_step_run(agm.FixedParams(h=0.3, beta=0.1), obj, ring5,
                                x0_ring5, iters=iters, opt=opt)
     got = per_iteration(counts, run)
-    assert got["grad"] == 1
-    assert got["value"] <= 2
+    assert got["value_grad"] == 1
+    assert got["grad"] == 0
+    assert got["value"] == 1  # the cost at the plus-iterate
     assert got["laplacian"] == 1
 
 
@@ -98,7 +99,8 @@ def test_gradient_baselines_reuse_the_update_sweep(run_fn, counts, ring5,
     got = per_iteration(
         counts, lambda iters: run_fn(baselines.StepParams(alpha=1e-3), obj,
                                      ring5, x0_ring5, iters=iters, opt=opt))
-    assert got["grad"] == 1
+    assert got["value_grad"] == 1
+    assert got["grad"] == got["value"] == 0
     assert got["local_grad"] == 0
     assert got["laplacian"] == 1
 
@@ -135,8 +137,8 @@ def test_pi_consensus_reuses_update_oracles(counts, ring5,
         counts, lambda iters: baselines.pi_consensus_run(
             baselines.PIParams(alpha=0.1, beta_gain=0.1), obj, ring5,
             x0_ring5, iters=iters, opt=opt))
-    assert got["grad"] == 1
-    assert got["value"] == 1
+    assert got["value_grad"] == 1
+    assert got["grad"] == got["value"] == 0
     assert got["laplacian"] == 1
 
 
@@ -153,12 +155,12 @@ def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
         flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt,
                        startup_dt_fraction=1.0)
     got = per_iteration(counts, run)
-    # one fused evaluation (a grad and a value call on the quadratic) and
-    # one apply per RK stage: the ledger's rates need the cost at every
-    # stage. The accepted point's evaluation is stage 4's successor and
-    # serves the recorded row and the next step's first stage.
-    assert got["grad"] == 4
-    assert got["value"] == 4
+    # one fused evaluation and one apply per RK stage: the ledger's rates
+    # need the cost at every stage. The accepted point's evaluation is
+    # stage 4's successor and serves the recorded row and the next step's
+    # first stage.
+    assert got["value_grad"] == 4
+    assert got["grad"] == got["value"] == 0
     assert got["laplacian"] == 4
 
 
@@ -173,6 +175,7 @@ def test_controlled_flow_takes_few_evaluations(counts, ring5, flow_quadratic,
                              record_every=1, rtol=1e-8)
     trace = flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt)
     attempts = trace.metadata["steps"] + trace.metadata["rejected"]
-    assert counts["grad"] == counts["value"] == counts["laplacian"]
-    assert counts["grad"] == 6 * attempts + 1
-    assert counts["grad"] < 10_000
+    assert counts["value_grad"] == counts["laplacian"]
+    assert counts["value_grad"] == 6 * attempts + 1
+    assert counts["value_grad"] < 10_000
+    assert counts["grad"] == counts["value"] == 0
