@@ -25,23 +25,23 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     ("run", "discrete_rate.yaml"): {
         "dist_agm_trace.csv":
-            "0acffd6ee46214b48fba9d25dc4df4b0bb55f10647fcd3fe96d021a2c3a072ca",
+            "a32434bb18e0a7807436d83b43286764c4094fd27c074175b55dbc34e456beef",
     },
     ("run", "beta_sweep/beta_0.01.yaml"): {
         "dist_agm_trace.csv":
-            "51679e570927a27e7830336bd140e69af04382c81400eac6e592631ed35adf26",
+            "3b052488c7e1488e43dab6d9ce3fdd3ab80eba7578cb59e7b161ca4b553b3109",
     },
     ("run", "beta_sweep/beta_0.1.yaml"): {
         "dist_agm_trace.csv":
-            "32ea7618e95b39bd6a87680cd64f1b52df121cf75897dd582086bd4adcbcb0db",
+            "72a3d1b373f71c5a08751a6774bff024de9f694c7e1a51de3709b24c2214d5da",
     },
     ("run", "beta_sweep/beta_0.5.yaml"): {
         "dist_agm_trace.csv":
-            "c11f6ff40ff8cb0ef6e73c3861f663e6033b7e5f0077f9349fbd882cc6e785c9",
+            "9cba22af476aad49cc6985a7769ae8577a76c5bff0452307d9612eb5f8a5e767",
     },
     ("run", "beta_sweep/beta_1.0.yaml"): {
         "dist_agm_trace.csv":
-            "000683fb4add9429b66eab922263d34915ca9f05a1895c0476dde9599c563419",
+            "c176b1c916ccc0afac83719748defad58801d74442a2de9c49ff8a0fc8bd0555",
     },
     # dist_agm's columns read the reference x*, not only F*, so its trace
     # and comparison.csv move whenever the reference solver's last bits do.
@@ -59,7 +59,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "5a917567c4b89710231d0c2ecb54d75396f16c43bc80637cca6fae5a3a69204f",
+            "8c2943377d9f592c432dfc943aec819d6329eb8c382444726088672547a69eaa",
     },
 }
 
@@ -80,7 +80,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "9b548e012ebc678f796aed6f297ab93e38e1abe039457f30bf33bec74c727f70")
+    "da4311756dcf99441087a61ae970cbecf31b3811df653c6b0c4f0f2a3e9b6761")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
