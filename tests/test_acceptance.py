@@ -42,9 +42,12 @@ def drift_of(trace):
 
 @pytest.fixture(scope="module")
 def conservation_runs(flow_quadratic, x0_ring5):
+    """The fixed RK4 flow at dt = 2e-3 and 1e-3. Halving dt once more, to
+    5e-4, leaves a drift of about 600 ulps of E_total, so the halving ratio
+    there reads rounding as much as the integrator's order."""
     obj, opt = flow_quadratic
-    return (run_flow(obj, opt, x0_ring5, dt=1e-3),
-            run_flow(obj, opt, x0_ring5, dt=5e-4))
+    return (run_flow(obj, opt, x0_ring5, dt=2e-3),
+            run_flow(obj, opt, x0_ring5, dt=1e-3))
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +69,7 @@ def test_criterion_1_energy_conservation(conservation_runs):
 
 
 def test_criterion_2_component_nonnegativity(conservation_runs):
-    trace = conservation_runs[0]
+    trace = conservation_runs[1]  # dt = 1e-3
     tol = -1e-9 * (1.0 + np.abs(trace.column("E_total")))
     worst, worst_col = np.inf, ""
     ok = True
