@@ -5,16 +5,10 @@ with the four-case step-size controller, the per-iteration controller
 quantities (a, b, a~, b~, w, r), and the Lyapunov certificates V_k / V0'
 whose monotone decrease certifies the O(1/k^{2-beta}) rate.
 
-Each iterate is evaluated once, with one ``value_grad`` call and one
-lifted-Laplacian apply, into the one object that holds it (``AgmState``):
-its oracle values, the cost gap, the finiteness probe of G_k and the
-iteration's coefficients (the gradient weight, theta_k, theta_{k+1}, A_k).
-One private call per transition k -> k+1 adds the Laplacian quadratic and
-|G_{k+1}|^2 to the new state and returns the controller quantities, the
-chosen step and the certificate V_k; ``compute_step_diagnostics``,
-``select_stepsize`` and ``lyapunov`` read the same formulas. The
-fixed-step run makes no transition call, so it computes neither quadratic.
-Trace rows are appended positionally.
+Each iterate is evaluated once, with one ``value_grad`` call, into the one
+object that holds it. One private call per transition returns the
+controller quantities, the chosen step and V_k, reading the formulas the
+public diagnostics, controller and certificate functions read.
 
 The controller's r-quantity reads the stacked gradient at the consensus
 optimum. That is centralized information; the "practical" oracle mode
@@ -90,13 +84,12 @@ def _zeros(n: int) -> np.ndarray:
 class TraceRecorder(AbstractContextManager):
     """Trace schema, row builder and divergence guard of every discrete run.
 
-    Each call appends one row, positionally in ``COLUMNS`` order, from
-    oracle values the caller holds. A gap not within ``DIVERGENCE_FACTOR``
-    times the first row's gap (floored at the objective's rounding noise,
-    capped at the largest float; NaN and inf included, on the first row
-    too) raises DivergenceError. As a context manager it hands its partial
-    trace to any DivergenceError that leaves the block, such as ``step``'s
-    non-finite check."""
+    Each call appends one row from oracle values the caller holds. A gap not
+    within ``DIVERGENCE_FACTOR`` times the first row's gap (floored at the
+    objective's rounding noise, capped at the largest float; NaN and inf
+    included, on the first row too) raises DivergenceError. As a
+    context manager it hands its partial trace to any DivergenceError that
+    leaves the block, such as ``step``'s non-finite check."""
 
     COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
                "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
@@ -195,19 +188,11 @@ def a_coeff(k: int) -> float:
 
 @dataclass(slots=True)
 class AgmState:
-    """Discrete iterate. ``X_plus`` is the plus-iterate produced by the step
-    that created this state (i.e. X_{k-1}^+ when at index k); ``s`` is the
-    step-size that the next step will apply, installed by the controller once
-    it is chosen.
-
-    The state also carries what is read from X_k, filled in when it is
-    evaluated: gradF(X_k), Llift X_k, G_k, the cost gap F(X_k) - F*,
-    ``probe`` (0 . G_k: 0 when G_k is finite, NaN otherwise), and the
-    coefficients of iteration k: the gradient weight (k h)^{-beta},
-    theta_k, theta_{k+1} and A_k. The first transition that reads the
-    state adds the Laplacian quadratic 1/2 (X_k - x*) . Llift X_k and
-    |G_k|^2. A state built by hand leaves these None and is evaluated on
-    demand."""
+    """Discrete iterate. ``X_plus`` is X_{k-1}^+, made by the step that made
+    this state; ``s`` is the step the next step applies, installed by the
+    controller. The later fields are read at X_k, filled in by ``_evaluate``
+    (``probe`` = 0 . G_k, NaN unless G_k is finite) and by the first
+    transition (quad, g_sq); a hand-built state leaves them None."""
 
     k: int
     X: np.ndarray
@@ -231,7 +216,8 @@ class AgmState:
 
 def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
               opt: ConsensusOptimum) -> AgmState:
-    """Fills in the state's oracle values and coefficients; returns it."""
+    """Fills in the oracle values at X_k and the coefficients of iteration
+    k: the gradient weight (k h)^{-beta}, theta_k, theta_{k+1} and A_k."""
     X, k = state.X, state.k
     value, grad = obj.value_grad(X)
     lx = apply_lifted_laplacian(graph, obj.d, X)
@@ -245,17 +231,21 @@ def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     return state
 
 
-def _add_quadratics(state: AgmState, opt: ConsensusOptimum):
-    """Adds the Laplacian quadratic in the error, 1/2 (X - x*) . Llift X
-    (Llift X* vanishes at consensus), and |G|^2 to an evaluated state."""
-    G = state.G
-    state.quad = 0.5 * float((state.X - opt.x_star_stacked).dot(state.lx))
-    state.g_sq = float(G.dot(G))
+def _quadratics(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
+                opt: ConsensusOptimum) -> AgmState:
+    """Evaluates the state if it is not; adds |G|^2 and the Laplacian
+    quadratic 1/2 (X - x*) . Llift X (Llift x* = 0) if it lacks them."""
+    if state.G is None:
+        _evaluate(state, obj, graph, opt)
+    if state.quad is None:
+        G = state.G
+        state.quad = 0.5 * float((state.X - opt.x_star_stacked).dot(state.lx))
+        state.g_sq = float(G.dot(G))
+    return state
 
 
 class StepDiagnostics(NamedTuple):
-    """The controller quantities of one transition (see
-    compute_step_diagnostics)."""
+    """Controller quantities of one transition (compute_step_diagnostics)."""
 
     a: float
     b: float
@@ -311,10 +301,9 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
 
 def _r_quantity(state: AgmState, opt: ConsensusOptimum,
                 oracle_mode: str) -> float:
-    """r = -|gs|^2 + 2 gs . (gs - G) at an evaluated state, with gs = its
-    gradient weight times the optimum gradient ``oracle_mode`` reads (see
-    AdaptiveParams). In practical mode gs = 0, so r is the state's probe:
-    0, or NaN when G is not finite, as the full formula gives."""
+    """r = -|gs|^2 + 2 gs . (gs - G), gs = the gradient weight times the
+    optimum gradient ``oracle_mode`` reads: in practical mode 0, so r is
+    the probe, as the formula gives (see AdaptiveParams)."""
     if oracle_mode != "exact":
         return state.probe
     gs = state.weight * opt.grad_at_opt
@@ -329,20 +318,11 @@ def _cap(weight: float, lam_max: float, l_f: float) -> float:
 def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
                 graph: AgentGraph, opt: ConsensusOptimum, lam_max: float,
                 oracle_mode: str) -> tuple:
-    """Everything of the transition k -> k+1 (k = prev.k >= 1): the
-    controller quantities (a, b, a~, b~, w, r, smoothness cap), the
-    controller's verdict (case, chosen step, monotonicity flag) and the
-    certificate V_k, in that order. V_k reads X_k and s_k from ``prev`` and
-    Z_{k+1} from ``nxt``; it is NaN when s_k = 0, as its distance term
-    divides by s_k. Evaluates either state that is not, and adds the
-    quadratics of the states that lack them."""
-    if prev.G is None:
-        _evaluate(prev, obj, graph, opt)
-    if prev.quad is None:
-        _add_quadratics(prev, opt)
-    if nxt.G is None:
-        _evaluate(nxt, obj, graph, opt)
-    _add_quadratics(nxt, opt)
+    """The transition k -> k+1 (k = prev.k >= 1): the StepDiagnostics
+    fields, the StepChoice fields, then V_k (see lyapunov). Evaluates a
+    state that is not, and adds the quadratics to the states."""
+    _quadratics(prev, obj, graph, opt)
+    _quadratics(nxt, obj, graph, opt)
     s, g_k, g_next = prev.s, prev.G, nxt.G
     a = (prev.weight * prev.gap + prev.quad - nxt.weight * nxt.gap
          - nxt.quad - float(g_next.dot(prev.X - nxt.X)))
@@ -357,50 +337,37 @@ def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     case, chosen, mono = _select(a, b, a_tilde, b_tilde, w, r, cap, s,
                                  prev.a_k, prev.theta_next, prev.k)
     v = np.nan
-    if s > 0.0:
-        # 2 c_k theta_k^2, the same bits as 2 A_k: doubling is exact
-        weight = 2.0 * prev.a_k
-        fn_term = weight * prev.weight * prev.gap
-        cons_term = weight * prev.quad
-        pen_term = -weight * 0.25 * s * prev.g_sq
-        z_err = nxt.Z - opt.x_star_stacked
-        v = fn_term + cons_term + pen_term + float(z_err.dot(z_err)) / s
+    if s > 0.0:  # gap, consensus, penalty and distance terms; 2 A_k is exact
+        a2, z_err = 2.0 * prev.a_k, nxt.Z - opt.x_star_stacked
+        v = (a2 * prev.weight * prev.gap + a2 * prev.quad
+             + -a2 * 0.25 * s * prev.g_sq + float(z_err.dot(z_err)) / s)
     return a, b, a_tilde, b_tilde, w, r, cap, case, chosen, mono, v
 
 
 def compute_step_diagnostics(prev: AgmState, nxt: AgmState,
                              obj: SeparableObjective, graph: AgentGraph,
-                             opt: ConsensusOptimum,
-                             lam_max: float,
+                             opt: ConsensusOptimum, lam_max: float,
                              oracle_mode: str) -> StepDiagnostics:
-    """Controller quantities for the transition k -> k+1 (k = prev.k >= 1).
-
-    Only the raw quantities and the smoothness cap; case selection and the
-    chosen step live in select_stepsize.
-    """
+    """Controller quantities for the transition k -> k+1 (k = prev.k >= 1)
+    and the smoothness cap; select_stepsize picks the case and the step."""
     return StepDiagnostics(*_transition(prev, nxt, obj, graph, opt, lam_max,
                                         oracle_mode)[:7])
 
 
 def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
                           graph: AgentGraph, opt: ConsensusOptimum,
-                          lam_max: float,
-                          oracle_mode: str) -> StepDiagnostics:
+                          lam_max: float, oracle_mode: str) -> StepDiagnostics:
     """k=0 specialization: both endpoints use the theta_1 gradient scale.
 
     With the trivial bootstrap X_1 = X_0, the a-quantity vanishes and the
     b-quantity is twice the squared field norm; only the sign of r matters
     for the choice of s_1.
     """
-    if state1.G is None:
-        _evaluate(state1, obj, graph, opt)
-    _add_quadratics(state1, opt)
-    g_sq = state1.g_sq
-    cap = smoothness_cap(1, state1.h, state1.beta, lam_max, obj.smoothness)
-    return StepDiagnostics(a=0.0, b=2.0 * g_sq, a_tilde=0.0,
-                           b_tilde=2.0 * g_sq, w=g_sq,
-                           r=_r_quantity(state1, opt, oracle_mode),
-                           cap_smooth=cap)
+    g_sq = _quadratics(state1, obj, graph, opt).g_sq
+    return StepDiagnostics(
+        0.0, 2.0 * g_sq, 0.0, 2.0 * g_sq, g_sq,
+        _r_quantity(state1, opt, oracle_mode),
+        smoothness_cap(1, state1.h, state1.beta, lam_max, obj.smoothness))
 
 
 def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
@@ -411,8 +378,7 @@ def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
 
 def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,
             k) -> tuple:
-    """select_stepsize on the unpacked quantities: (case, chosen,
-    monotonicity_ok)."""
+    """select_stepsize on unpacked quantities, returning a plain tuple."""
     if w <= 0.0 and r >= 0.0:
         case, num, den = "w<=0,r>=0", 4.0 * a, b
     elif w <= 0.0:
@@ -423,10 +389,8 @@ def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,
     else:
         case, num, den = ("w>0,r<0", 4.0 * A_k * a_tilde,
                           A_k * b_tilde + theta_next * (-r))
-    if den <= 0.0:
-        bound = math.inf if num >= 0.0 else math.nan
-    else:
-        bound = num / den
+    # a non-positive den admits any step if num >= 0 and none if not
+    bound = (math.inf if num >= 0.0 else math.nan) if den <= 0.0 else num / den
     if math.isnan(bound) or bound < 0.0:
         return case, math.nan, False
     chosen = float(min(bound, cap))
@@ -495,8 +459,8 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
                  opt: ConsensusOptimum) -> RunTrace:
     """Adaptive-step run with the four-case controller.
 
-    Per iteration: apply the stored step, then one transition call gives
-    the controller quantities, the next step and the Lyapunov certificate.
+    Per iteration: apply the stored step, evaluate the controller
+    quantities, select the next step, and record the Lyapunov certificate.
     The theory admits any s_1 > 0 when r_1 >= 0 but the later decrement
     argument needs s_1 <= s_2, so s_1 starts at a small fraction of the
     smoothness cap and the controller grows it. ``s_ref`` is the first
@@ -505,7 +469,7 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
     """
     lam_max = spectral_extremes(graph).lambda_max
     mode, f_star = params.oracle_mode, opt.f_star
-    state = _evaluate(init(X0, params.h, params.beta), obj, graph, opt)
+    state = init(X0, params.h, params.beta)
     boot = bootstrap_diagnostics(state, obj, graph, opt, lam_max, mode)
     s1 = params.s1_fraction * boot.cap_smooth if boot.r >= 0.0 else 0.0
     s_ref = s1 if s1 > 0.0 else boot.cap_smooth

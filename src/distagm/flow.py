@@ -34,9 +34,8 @@ apply: 4 of each per RK4 step and 6 per Dormand-Prince attempt.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
 the six ledger terms among them. One private row builder fills a row from
-the accepted point's evaluation as a tuple in ``COLUMNS`` order;
-``integrate`` appends it every ``record_every`` steps and ``energy_at``
-returns it, keyed by ``COLUMNS``, at one sample.
+the accepted point's evaluation; ``integrate`` appends it every
+``record_every`` steps and ``energy_at`` returns it as a dict.
 ``FlowParams`` holds every knob of a run and, with the accepted and
 rejected step counts, is the trace's metadata.
 """

@@ -7,13 +7,12 @@ feeds the energy/Lyapunov diagnostics; distributed algorithms never read it
 inside their updates.
 
 Every caller that needs the cost and the gradient at one point asks for
-both with one ``value_grad`` call. The quadratic family answers it with one
-matrix-vector product: g = M r with r = X - b, and F = 1/2 r . g. The
-logistic family computes the margins Z_i x_i,
-one exp(-|m|) shared by the softplus max(m, 0) + log1p(exp(-|m|)) and the
-sigmoid, and one back-projection Z_i^T (sigma - y_i). Its label term
-sum_r y_r m_r is x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term
-and the ridge are one d-length dot per agent. Per iteration, an adaptive or
+both with one ``value_grad`` call, on the quadratic family one product M r.
+The logistic family computes the margins Z_i x_i, one exp(-|m|) shared by
+the softplus max(m, 0) + log1p(exp(-|m|)) and the sigmoid, and one
+back-projection Z_i^T (sigma - y_i). Its label term sum_r y_r m_r is
+x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term and the ridge are
+one d-length dot per agent. Per iteration, an adaptive or
 fixed-step dist_agm run makes 1 ``value_grad`` call and 1 ``value`` call
 (the cost at the plus-iterate), DGD, DIGing and PI consensus 1
 ``value_grad`` call, and a flow step 1 ``value_grad`` call per stage: 4
@@ -116,11 +115,9 @@ class QuadraticObjective(SeparableObjective):
     """f_i(x) = 0.5 (x - b_i)^T Q_i (x - b_i) with SPD Q_i; closed-form optimum.
 
     The stacked oracles use the block-diagonal Hessian M (md x md, block i
-    is Q_i) and the stacked offsets b, built once and read-only. With the
-    residual r = X - b, gradF(X) = M r and F(X) = 0.5 r . M r; ``value_grad``
-    makes the one product M r for both. Forming M r, not M X - M b, keeps
-    the gradient's relative error at rounding level however close X is to
-    b. M costs (md)^2 * 8 bytes.
+    is Q_i) and the stacked offsets b, built once and read-only. With r =
+    X - b, gradF(X) = M r, with no cancellation as X nears b, and F(X) =
+    0.5 r . M r; M costs (md)^2 * 8 bytes.
     """
 
     def __init__(self, Qs: np.ndarray, bs: np.ndarray):

@@ -39,11 +39,10 @@ def _parse_meta(text: str):
 class RunTrace:
     """Column-oriented record of one run plus self-describing metadata.
 
-    Rows are appended one iteration at a time, each as its values in
-    ``columns`` order; a row of another length is refused, so every trace
-    is rectangular. Metadata is written as leading ``# key=value`` comment
-    lines, keeping the CSV a single plot-ready file. A field that contains
-    a comma (a controller case label) is quoted.
+    Rows are appended one iteration at a time, as values in ``columns``
+    order; a row of another length is refused, so every trace is rectangular.
+    Metadata is written as leading ``# key=value`` comment lines, keeping the
+    CSV a single plot-ready file. A field with a comma (case labels) is quoted.
     """
 
     def __init__(self, columns, metadata=None):
@@ -59,7 +58,6 @@ class RunTrace:
         return trace
 
     def append(self, *row):
-        """Append one row: its values in ``columns`` order."""
         if len(row) != len(self.columns):
             raise ValueError(f"row mismatch: {len(row)} values for the "
                              f"{len(self.columns)} columns {self.columns}")
