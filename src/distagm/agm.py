@@ -66,7 +66,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)`` of a float array, bit for bit, without its
     dispatch: the square root of v.v over v's entries in memory order."""
-    if v.ndim != 1:
+    if v.ndim != 1 or not v.flags.c_contiguous:
         v = v.ravel("K")
     return math.sqrt(float(v.dot(v)))
 

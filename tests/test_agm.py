@@ -439,11 +439,13 @@ def test_trace_recorder_refuses_an_infinite_first_gap():
 
 def test_trace_recorder_norms_match_linalg_norm():
     """The recorded norms have the bits of ``np.linalg.norm``, for stacked
-    vectors and for agent blocks in either memory order."""
+    vectors, strided vector views and agent blocks in either memory
+    order."""
     rng = np.random.default_rng(5)
     for scale in 10.0 ** np.arange(-150, 151, 25):
         blocks = scale * rng.standard_normal((5, 2))
         for grad, lx in ((blocks.reshape(-1), blocks[::-1].reshape(-1)),
+                         (blocks[:, 0], blocks[::-1, 1]),
                          (blocks, np.asfortranarray(blocks))):
             rec = TraceRecorder({}, f_star=0.0)
             rec(0, 1.0, grad, lx, 0.1)
