@@ -190,9 +190,9 @@ def a_coeff(k: int) -> float:
 class AgmState:
     """Discrete iterate. ``X_plus`` is X_{k-1}^+, made by the step that made
     this state; ``s`` is the step the next step applies, installed by the
-    controller. The later fields are read at X_k, filled in by ``_evaluate``
-    (``probe`` = 0 . G_k, NaN unless G_k is finite) and by the first
-    transition (quad, g_sq); a hand-built state leaves them None."""
+    controller. The later fields are read at X_k, filled in once by
+    ``_evaluate`` (``probe`` = 0 . G_k, NaN unless G_k is finite) and the
+    first transition (quad, g_sq); a hand-built state leaves them None."""
 
     k: int
     X: np.ndarray
