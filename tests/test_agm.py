@@ -258,21 +258,11 @@ def bits(*values):
     return np.array(values, dtype=float).tobytes()
 
 
-@pytest.mark.parametrize("problem,mode", [("quadratic", "practical"),
-                                          ("quadratic", "exact"),
-                                          ("logistic", "exact")])
-def test_cached_scalars_match_fresh_evaluation(problem, mode, request, ring5,
-                                               x0_ring5, monkeypatch):
-    """The run reads each iterate's oracle values and scalars from the
-    state ``step`` evaluated, and each transition's quantities from one
-    private call. States rebuilt without them are evaluated afresh by the
-    public functions, which must reproduce the trace's w, r, V_k and
-    F_gap_plus and the installed step bit for bit: in both oracle modes,
-    and on a logistic problem whose optimum gradient is not 0, where the
-    controller falls back."""
-    obj, opt = request.getfixturevalue(
-        "controller_quadratic" if problem == "quadratic" else "ring5_logistic")
-    iters = 40
+def replay_against_fresh_evaluation(obj, opt, mode, ring5, x0, monkeypatch):
+    """Runs 40 adaptive iterations and checks every transition against the
+    public functions on states rebuilt without their cached values: w, r,
+    V_k, F_gap_plus and the installed step, bit for bit. Returns the
+    trace's fallback flags."""
     pairs = []
     real_step = agm.step
 
@@ -283,8 +273,8 @@ def test_cached_scalars_match_fresh_evaluation(problem, mode, request, ring5,
 
     monkeypatch.setattr(agm, "step", spy)
     trace = adaptive_run(AdaptiveParams(h=1.0, beta=0.1, oracle_mode=mode),
-                         obj, ring5, x0_ring5, iters=iters, opt=opt)
-    assert len(pairs) == iters
+                         obj, ring5, x0, iters=40, opt=opt)
+    assert len(pairs) == 40
     lam = spectral_extremes(ring5).lambda_max
 
     def bare(st):
@@ -295,8 +285,7 @@ def test_cached_scalars_match_fresh_evaluation(problem, mode, request, ring5,
         "w", "r", "V_k", "F_gap_plus", "fallback_flag"))
     for prev, nxt in pairs:
         k = prev.k
-        fresh_prev, fresh_nxt = bare(prev), bare(nxt)
-        diag = compute_step_diagnostics(fresh_prev, fresh_nxt, obj, ring5,
+        diag = compute_step_diagnostics(bare(prev), bare(nxt), obj, ring5,
                                         opt, lam, oracle_mode=mode)
         assert bits(diag.w, diag.r) == bits(w[k], r[k])
         assert bits(lyapunov(bare(prev), bare(nxt), obj, ring5, opt)) == \
@@ -308,8 +297,31 @@ def test_cached_scalars_match_fresh_evaluation(problem, mode, request, ring5,
             assert np.isnan(chosen)
             chosen = min(prev.s, diag.cap_smooth)
         assert bits(chosen) == bits(nxt.s)
-    if problem == "logistic":
-        assert fallback.sum() > 0
+    return fallback
+
+
+def test_cached_scalars_match_fresh_evaluation(ring5, controller_quadratic,
+                                               x0_ring5, monkeypatch):
+    """The run reads each iterate's oracle values and scalars from the
+    state ``step`` evaluated, and each transition's quantities from one
+    private call. States rebuilt without them are evaluated afresh by the
+    public functions, which must reproduce the trace bit for bit."""
+    obj, opt = controller_quadratic
+    replay_against_fresh_evaluation(obj, opt, "practical", ring5, x0_ring5,
+                                    monkeypatch)
+
+
+@pytest.mark.parametrize("problem", ["quadratic", "logistic"])
+def test_cached_scalars_match_fresh_evaluation_in_exact_mode(
+        problem, request, ring5, x0_ring5, monkeypatch):
+    """The same replay with the exact optimum gradient in r, and on a
+    logistic problem whose optimum gradient is not 0, where the controller
+    falls back."""
+    obj, opt = request.getfixturevalue(
+        "controller_quadratic" if problem == "quadratic" else "ring5_logistic")
+    fallback = replay_against_fresh_evaluation(obj, opt, "exact", ring5,
+                                               x0_ring5, monkeypatch)
+    assert fallback.any() == (problem == "logistic")
 
 
 @pytest.mark.parametrize("problem", ["quadratic", "logistic"])
