@@ -10,10 +10,11 @@ object that holds it. One private call per transition returns the
 controller quantities, the chosen step and V_k, reading the formulas the
 public diagnostics, controller and certificate functions read.
 
-The controller's r-quantity reads the stacked gradient at the consensus
-optimum. That is centralized information; the "practical" oracle mode
+The controller reads two centralized quantities. Its r-quantity reads the
+stacked gradient at the consensus optimum; the "practical" oracle mode
 replaces it with zero (exact on instances whose local minimizers coincide)
-and flags the approximation in the trace metadata.
+and flags the approximation in the trace metadata. Its a-quantity holds
+the cost gaps F(X_k) - F* in both modes, so the step choice reads F* too.
 """
 
 from __future__ import annotations

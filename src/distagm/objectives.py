@@ -3,8 +3,10 @@
 A separable objective holds ``m`` local convex functions over R^d. The
 cumulative cost evaluates them on a stacked md-vector, one block per agent.
 The consensus optimum (common minimizer of the sum) is computed offline and
-feeds the energy/Lyapunov diagnostics; distributed algorithms never read it
-inside their updates.
+feeds the energy/Lyapunov diagnostics. The baselines, the flow's dynamics
+and the fixed-step dist_agm update never read it. The adaptive dist_agm
+controller does: its a-quantity holds the gaps F(X_k) - F*, so its step
+choice reads F* in either oracle mode, and g* in the exact one.
 
 Every caller that needs the cost and the gradient at one point asks for
 both with one ``value_grad`` call, on the quadratic family one product M r.

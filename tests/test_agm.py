@@ -1,13 +1,14 @@
 """Discrete algorithm: update algebra, controller quantities, certificates."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from distagm import agm
+from distagm import agm, harness
 from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
                          FixedParams, TraceRecorder, a_coeff, adaptive_run,
                          bootstrap_diagnostics, c_coeff,
@@ -21,6 +22,20 @@ from distagm.objectives import QuadraticObjective, make_quadratic
 from oracles import combined_field, single_line_update
 
 PRACTICAL = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_problem(name):
+    """The graph, objective, optimum, start, dist_agm parameters and
+    iteration budget of a shipped config, built as the harness builds
+    them."""
+    settings_ = harness.check_config(harness.load_config(CONFIGS / name),
+                                     None)
+    graph = harness.build_graph(settings_)
+    obj, opt, _ = harness.build_problem(settings_, graph)
+    x0 = harness.initial_state(settings_, graph, obj)
+    return (graph, obj, opt, x0, settings_["algorithms"]["dist_agm"],
+            settings_["iters"])
 
 
 @given(k=st.integers(min_value=1, max_value=10 ** 6))
@@ -490,3 +505,70 @@ def test_deterministic_runs(ring5, controller_quadratic, x0_ring5, tmp_path):
         trace.write_csv(path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@seed(9)
+@settings(max_examples=30, deadline=None, database=None)
+@given(kind=st.sampled_from(["ring", "path", "star", "complete"]),
+       m=st.integers(3, 7), d=st.integers(1, 3),
+       scale=st.floats(1e-2, 10.0), cond=st.floats(1.0, 100.0),
+       h=st.floats(0.3, 10.0), beta=st.floats(0.05, 1.5),
+       problem_seed=st.integers(0, 2 ** 16), start_seed=st.integers(0, 2 ** 16))
+def test_certificate_holds_across_common_minimizer_quadratics(
+        kind, m, d, scale, cond, h, beta, problem_seed, start_seed):
+    """Criteria 4 and 5 as properties of a problem family: random
+    common-minimizer quadratics on four graph kinds, 1000 practical-mode
+    adaptive iterations each. Above the floor F_gap > 1e-20 F_gap_0, where
+    the double-precision noise floor is still far, a run has no fallback,
+    a V_k non-increasing within 1 + 1e-9, and the pointwise bound
+    F_gap_plus <= 2 h^beta |X_0 - x*|^2 / (s_ref k^(2 - beta)). 30 draws
+    measured 0 failures and a worst bound ratio of 6e-3, in 0.8 s."""
+    graph = build_topology(kind, m)
+    rng = np.random.default_rng(start_seed)
+    base = make_quadratic(m, d, cond=cond, seed=problem_seed, scale=scale)
+    obj = QuadraticObjective(base.Qs,
+                             np.tile(rng.standard_normal(d), (m, 1)))
+    opt = obj.closed_form_optimum()
+    x0 = 1.5 * rng.standard_normal(m * d)
+    trace = adaptive_run(AdaptiveParams(h=h, beta=beta,
+                                        oracle_mode="practical"),
+                         obj, graph, x0, iters=1000, opt=opt)
+    k, gap, gap_plus, v, fallback = (trace.column(c) for c in (
+        "k", "F_gap", "F_gap_plus", "V_k", "fallback_flag"))
+    above = (gap > 1e-20 * gap[0]) & (k >= 1)
+    assert not fallback[above].any()
+    rises = v[2:] > v[1:-1] * (1.0 + 1e-9)
+    assert not (rises & above[2:]).any()
+    r2 = float(np.sum((x0 - opt.x_star_stacked) ** 2))
+    bound = 2.0 * h ** beta * r2 / (float(trace.metadata["s_ref"])
+                                    * k[above] ** (2.0 - beta))
+    assert np.all(gap_plus[above] <= bound * (1.0 + 1e-9))
+
+
+def test_logistic_compare_fallbacks_come_from_a_negative_gap():
+    """On logistic_compare.yaml's problem the agents' minimizers differ
+    (g* != 0), the signed gap turns negative, and with it the controller's
+    a: dist_agm falls back 1895 times, first at k = 106, and every fallback
+    row has F_gap < 0."""
+    graph, obj, opt, x0, params, iters = shipped_problem(
+        "logistic_compare.yaml")
+    trace = adaptive_run(params, obj, graph, x0, iters, opt)
+    fallback = trace.column("fallback_flag").astype(bool)
+    assert int(fallback.sum()) == 1895
+    assert int(trace.column("k")[fallback][0]) == 106
+    assert np.all(trace.column("F_gap")[fallback] < 0.0)
+
+
+def test_step_choice_reads_f_star():
+    """The controller's a holds the cost gaps F(X_k) - F*, so the adaptive
+    step reads F*, in practical oracle mode too. On discrete_rate.yaml's
+    problem, raising F* by 1e-6 leaves the bootstrap's s_1 and changes
+    s_k from k = 2 on."""
+    graph, obj, opt, x0, params, _ = shipped_problem("discrete_rate.yaml")
+    assert params.oracle_mode == "practical"
+    s_k = adaptive_run(params, obj, graph, x0, 200, opt).column("s_k")
+    shifted = replace(opt, f_star=opt.f_star + 1e-6)
+    s_shifted = adaptive_run(params, obj, graph, x0, 200,
+                             shifted).column("s_k")
+    assert np.array_equal(s_k[:2], s_shifted[:2])
+    assert s_k[2] != s_shifted[2]
