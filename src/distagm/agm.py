@@ -5,16 +5,18 @@ with the four-case step-size controller, the per-iteration controller
 quantities (a, b, a~, b~, w, r), and the Lyapunov certificates V_k / V0'
 whose monotone decrease certifies the O(1/k^{2-beta}) rate.
 
-Each iterate is evaluated once, with one ``value_grad`` call, into the one
-object that holds it. One private call per transition returns the
-controller quantities, the chosen step and V_k, reading the formulas the
-public diagnostics, controller and certificate functions read.
+Each iterate's vectors are the rows of one array it owns (see ``_XP``).
+``step`` forms X+_k, Z_{k+1} and X_{k+1} with one product of a 3x3
+coefficient block with the rows (Z_k, X_k, G_k) and evaluates X_{k+1} into
+its rows. One Gram product of the rows gives every inner product the
+transition and the trace row read; a difference that can cancel is a row
+of its own, never a bilinear expansion. One private call per transition
+returns the controller quantities, the step and V_k.
 
-The controller reads two centralized quantities. Its r-quantity reads the
-stacked gradient at the consensus optimum; the "practical" oracle mode
-replaces it with zero (exact on instances whose local minimizers coincide)
-and flags the approximation in the trace metadata. Its a-quantity holds
-the cost gaps F(X_k) - F* in both modes, so the step choice reads F* too.
+The controller reads two centralized quantities: the stacked gradient at
+the consensus optimum in r, which the "practical" oracle mode replaces with
+zero (exact when the local minimizers coincide; the trace metadata flags
+it), and the cost gaps F(X_k) - F* in a, in both modes.
 """
 
 from __future__ import annotations
@@ -88,9 +90,8 @@ class TraceRecorder(AbstractContextManager):
     Each call appends one row from oracle values the caller holds. A gap not
     within ``DIVERGENCE_FACTOR`` times the first row's gap (floored at the
     objective's rounding noise, capped at the largest float; NaN and inf
-    included, on the first row too) raises DivergenceError. As a
-    context manager it hands its partial trace to any DivergenceError that
-    leaves the block, such as ``step``'s non-finite check."""
+    included, on the first row too) raises DivergenceError, which leaving
+    the context carries the partial trace, as ``step``'s does."""
 
     COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
                "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
@@ -102,10 +103,15 @@ class TraceRecorder(AbstractContextManager):
         self._floor = 1e-12 * (1.0 + abs(f_star))
         self._limit = None
 
-    def __call__(self, k, gap, grad, lx, s_k, gap_plus=None, v=np.nan,
-                 case="", w=np.nan, r=np.nan, mono=True, fallback=False):
+    def __call__(self, k, gap, grad, lx, *rest):
+        self.record(k, gap, _norm(grad), _norm(lx), *rest)
+
+    def record(self, k, gap, grad_norm, lx_norm, s_k, gap_plus=None,
+               v=np.nan, case="", w=np.nan, r=np.nan, mono=True,
+               fallback=False):
+        """The row, given the norms of the gradient and of L X."""
         self.trace.append(k, gap if gap_plus is None else gap_plus, gap,
-                          _norm(grad), _norm(lx), s_k, v, case, w, r, mono,
+                          grad_norm, lx_norm, s_k, v, case, w, r, mono,
                           fallback)
         if self._limit is None:
             # capped at the largest float, so that a first gap of inf (a
@@ -187,13 +193,22 @@ def a_coeff(k: int) -> float:
     return c_coeff(k) * theta(k) ** 2
 
 
+# An iterate's rows: X+, Z, X, G, gradF(X), Llift X, Z - x*, X - x*,
+# X_k - X_{k+1}, G_k - G_{k+1} and G_k. ``_GRAM`` indexes the entries
+# ``_ready`` lists in the flat Gram product of the rows from _G on.
+_XP, _Z, _X, _G, _DF, _LX, _ZBAR, _XBAR, _DX, _DG, _GK = range(11)
+_GRAM = np.array([(i - _G) * (_GK + 1 - _G) + j - _G for i, j in (
+    (_G, _G), (_DF, _DF), (_LX, _LX), (_ZBAR, _ZBAR), (_XBAR, _LX),
+    (_G, _DX), (_DG, _DG), (_GK, _G))])
+
+
 @dataclass(slots=True)
 class AgmState:
     """Discrete iterate. ``X_plus`` is X_{k-1}^+, made by the step that made
-    this state; ``s`` is the step the next step applies, installed by the
-    controller. The later fields are read at X_k, filled in once by
-    ``_evaluate`` (``probe`` = 0 . G_k, NaN unless G_k is finite) and the
-    first transition (quad, g_sq); a hand-built state leaves them None."""
+    this state; ``s`` is the step the next step applies. X, X_plus and Z
+    are rows of ``rows`` (see ``_XP``), None in a hand-built state. The
+    later fields are filled in once, by ``_evaluate`` (``probe`` = 0 . G_k,
+    NaN unless G_k is finite) and ``_ready``."""
 
     k: int
     X: np.ndarray
@@ -202,47 +217,50 @@ class AgmState:
     s: float
     h: float
     beta: float
-    grad: np.ndarray | None = None
-    lx: np.ndarray | None = None
-    G: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    gram: list | None = None
     gap: float | None = None
     probe: float | None = None
     weight: float | None = None
-    theta: float | None = None
-    theta_next: float | None = None
-    a_k: float | None = None
-    quad: float | None = None
-    g_sq: float | None = None
 
 
 def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
               opt: ConsensusOptimum) -> AgmState:
-    """Fills in the oracle values at X_k and the coefficients of iteration
-    k: the gradient weight (k h)^{-beta}, theta_k, theta_{k+1} and A_k."""
-    X, k = state.X, state.k
-    value, grad = obj.value_grad(X)
-    lx = apply_lifted_laplacian(graph, obj.d, X)
-    weight = _grad_weight(k, state.h, state.beta)
-    G = weight * grad + lx
-    state.grad, state.lx, state.G, state.weight = grad, lx, G, weight
+    """Fills in the oracle values at X_k and the gradient weight
+    (k h)^{-beta}; G_k = weight gradF(X_k) + Llift X_k."""
+    rows = state.rows
+    if rows is None:
+        rows = state.rows = np.zeros((_GK + 1, state.X.size))
+        rows[_XP], rows[_Z], rows[_X] = state.X_plus, state.Z, state.X
+    X, G, grad, lx = state.X, rows[_G], rows[_DF], rows[_LX]
+    value, _ = obj.value_grad(X, grad)
+    apply_lifted_laplacian(graph, obj.d, X, lx)
+    state.weight = weight = _grad_weight(state.k, state.h, state.beta)
+    np.multiply(grad, weight, G)
+    G += lx
     state.gap = value - opt.f_star
     state.probe = float(_zeros(G.size).dot(G))
-    state.theta, state.theta_next = theta(k), theta(k + 1)
-    state.a_k = a_coeff(k)
     return state
 
 
-def _quadratics(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
-                opt: ConsensusOptimum) -> AgmState:
-    """Evaluates the state if it is not; adds |G|^2 and the Laplacian
-    quadratic 1/2 (X - x*) . Llift X (Llift x* = 0) if it lacks them."""
-    if state.G is None:
+def _ready(state: AgmState, prev: AgmState | None, obj: SeparableObjective,
+           graph: AgentGraph, opt: ConsensusOptimum, ref: np.ndarray):
+    """Evaluates the state if it is not. If it lacks ``gram``, fills in its
+    difference rows against ``ref`` (x*, or x* stacked twice) and ``prev``
+    (zero when None) and takes ``gram``: |G|^2, |gradF|^2, |Llift X|^2,
+    |Z - x*|^2, (X - x*) . Llift X, G . dX, |dG|^2 and G_k . G."""
+    if state.rows is None:
         _evaluate(state, obj, graph, opt)
-    if state.quad is None:
-        G = state.G
-        state.quad = 0.5 * float((state.X - opt.x_star_stacked).dot(state.lx))
-        state.g_sq = float(G.dot(G))
-    return state
+    if state.gram is None:
+        rows = state.rows
+        np.subtract(rows[_Z:_X + 1], ref, rows[_ZBAR:_XBAR + 1])
+        if prev is None:
+            rows[_DX:] = 0.0
+        else:  # over rows _X to _LX it would add gradF's and Llift X's
+            np.subtract(prev.rows[_X:_G + 1], rows[_X:_G + 1], rows[_DX:_GK])
+            rows[_GK] = prev.rows[_G]
+        block = rows[_G:]
+        state.gram = block.dot(block.T).take(_GRAM).tolist()
 
 
 class StepDiagnostics(NamedTuple):
@@ -266,12 +284,9 @@ class StepChoice(NamedTuple):
 
 
 def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
-    """State after the k=0 bootstrap: X_1 = X_0, Z_1 = Z_0 = X_0, s_0 = 0.
-
-    The k=0 update is trivial by construction so the (2 theta_k h)^{-beta}
-    factor is never evaluated at k=0. The returned state carries s=0 until
-    the caller installs s_1. ``h`` and ``beta`` are checked by AgmParams.
-    """
+    """State after the k=0 bootstrap: X_1 = X_0, Z_1 = Z_0 = X_0, s_0 = 0,
+    so the (2 theta_k h)^{-beta} factor is never evaluated at k=0. The
+    caller installs s_1; AgmParams checks ``h`` and ``beta``."""
     X0 = np.asarray(X0, dtype=float).copy()
     return AgmState(k=1, X=X0, X_plus=X0.copy(), Z=X0.copy(), s=0.0,
                     h=h, beta=beta)
@@ -282,22 +297,24 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     """One iteration k -> k+1 using the stored step-size s_k.
 
     Installs ``s_next`` as the step-size the new state will apply. The new
-    state is evaluated: the controller, the certificate and the next step
-    read its oracle values from it.
+    state owns a fresh array and is evaluated.
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
-    if state.G is None:
+    if state.rows is None:
         _evaluate(state, obj, graph, opt)
     if not math.isfinite(state.probe):
         raise DivergenceError("non-finite update field", iteration=state.k)
-    s, g, th_k = state.s, state.G, state.theta
-    x_plus = state.X - 0.5 * s * g
-    z_new = state.Z - s * th_k * g
-    ratio = th_k ** 2 / state.theta_next ** 2
-    x_new = ratio * x_plus + (1.0 - ratio) * z_new
-    return _evaluate(AgmState(state.k + 1, x_new, x_plus, z_new, s_next,
-                              state.h, state.beta), obj, graph, opt)
+    k, s, rows, th_k = state.k, state.s, state.rows, theta(state.k)
+    ratio = th_k ** 2 / theta(k + 1) ** 2
+    # X+ = X - s/2 G, Z' = Z - s theta_k G, X' = ratio X+ + (1 - ratio) Z'
+    coef = np.array([[0.0, 1.0, -0.5 * s], [1.0, 0.0, -s * th_k],
+                     [1.0 - ratio, ratio,
+                      -s * (0.5 * ratio + (1.0 - ratio) * th_k)]])
+    new = np.empty(rows.shape)
+    coef.dot(rows[_Z:_G + 1], new[:_G])
+    return _evaluate(AgmState(k + 1, new[_X], new[_XP], new[_Z], s_next,
+                              state.h, state.beta, new), obj, graph, opt)
 
 
 def _r_quantity(state: AgmState, opt: ConsensusOptimum,
@@ -308,7 +325,7 @@ def _r_quantity(state: AgmState, opt: ConsensusOptimum,
     if oracle_mode != "exact":
         return state.probe
     gs = state.weight * opt.grad_at_opt
-    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.G))
+    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.rows[_G]))
 
 
 def _cap(weight: float, lam_max: float, l_f: float) -> float:
@@ -318,30 +335,31 @@ def _cap(weight: float, lam_max: float, l_f: float) -> float:
 
 def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
                 graph: AgentGraph, opt: ConsensusOptimum, lam_max: float,
-                oracle_mode: str) -> tuple:
-    """The transition k -> k+1 (k = prev.k >= 1): the StepDiagnostics
-    fields, the StepChoice fields, then V_k (see lyapunov). Evaluates a
-    state that is not, and adds the quadratics to the states."""
-    _quadratics(prev, obj, graph, opt)
-    _quadratics(nxt, obj, graph, opt)
-    s, g_k, g_next = prev.s, prev.G, nxt.G
-    a = (prev.weight * prev.gap + prev.quad - nxt.weight * nxt.gap
-         - nxt.quad - float(g_next.dot(prev.X - nxt.X)))
-    diff = g_k - g_next
-    b = float(diff.dot(diff))
-    w = float(g_k.dot(g_next))
+                oracle_mode: str, ref=None) -> tuple:
+    """The transition k -> k+1 (k = prev.k >= 1) into ``nxt``, made from
+    ``prev`` by ``step`` or by hand: the StepDiagnostics fields, the
+    StepChoice fields, then V_k. ``ref`` is x* stacked twice, or None."""
+    ref = opt.x_star_stacked if ref is None else ref
+    _ready(prev, None, obj, graph, opt, ref)
+    _ready(nxt, prev, obj, graph, opt, ref)
+    g_sq, _, _, _, x_lx, _, _, _ = prev.gram
+    g_sq_next, _, _, z_sq, x_lx_next, g_dx, b, w = nxt.gram
+    k, s = prev.k, prev.s
+    quad = 0.5 * x_lx  # 1/2 (X - x*) . Llift X, as Llift x* = 0
+    a = (prev.weight * prev.gap + quad - nxt.weight * nxt.gap
+         - 0.5 * x_lx_next - g_dx)
     a_tilde = a + 0.5 * s * w
-    b_tilde = prev.g_sq + nxt.g_sq
+    b_tilde = g_sq + g_sq_next
     r = _r_quantity(nxt, opt, oracle_mode)
-    # (k+1) h to the -beta is nxt's gradient weight
-    cap = _cap(nxt.weight, lam_max, obj.smoothness)
-    case, chosen, mono = _select(a, b, a_tilde, b_tilde, w, r, cap, s,
-                                 prev.a_k, prev.theta_next, prev.k)
+    cap = _cap(nxt.weight, lam_max, obj.smoothness)  # weight ((k+1) h)^-beta
+    a_k = a_coeff(k)
+    case, chosen, mono = _select(a, b, a_tilde, b_tilde, w, r, cap, s, a_k,
+                                 theta(k + 1), k)
     v = np.nan
     if s > 0.0:  # gap, consensus, penalty and distance terms; 2 A_k is exact
-        a2, z_err = 2.0 * prev.a_k, nxt.Z - opt.x_star_stacked
-        v = (a2 * prev.weight * prev.gap + a2 * prev.quad
-             + -a2 * 0.25 * s * prev.g_sq + float(z_err.dot(z_err)) / s)
+        a2 = 2.0 * a_k
+        v = (a2 * prev.weight * prev.gap + a2 * quad
+             + -a2 * 0.25 * s * g_sq + z_sq / s)
     return a, b, a_tilde, b_tilde, w, r, cap, case, chosen, mono, v
 
 
@@ -359,12 +377,10 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
                           graph: AgentGraph, opt: ConsensusOptimum,
                           lam_max: float, oracle_mode: str) -> StepDiagnostics:
     """k=0 specialization: both endpoints use the theta_1 gradient scale.
-
-    With the trivial bootstrap X_1 = X_0, the a-quantity vanishes and the
-    b-quantity is twice the squared field norm; only the sign of r matters
-    for the choice of s_1.
-    """
-    g_sq = _quadratics(state1, obj, graph, opt).g_sq
+    With the trivial bootstrap X_1 = X_0, a vanishes and b is twice the
+    squared field norm; only the sign of r matters for the choice of s_1."""
+    _ready(state1, None, obj, graph, opt, opt.x_star_stacked)
+    g_sq = state1.gram[0]
     return StepDiagnostics(
         0.0, 2.0 * g_sq, 0.0, 2.0 * g_sq, g_sq,
         _r_quantity(state1, opt, oracle_mode),
@@ -400,25 +416,19 @@ def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,
 
 def select_stepsize(diag: StepDiagnostics, s_k: float, A_k: float,
                     theta_next: float, k: int) -> StepChoice:
-    """Four-case step-size rule plus smoothness cap and monotonicity check.
-
-    Returns the active case, the chosen step and the monotonicity flag.
-    The chosen value is the largest admitted by the active case bound and
-    the cap; if that falls below s_k (monotonicity infeasible for k+1 >= 3)
-    the bound value is still returned, flagged via monotonicity_ok=False.
-    A non-positive case bound signals controller infeasibility via
-    chosen=nan; callers fall back to min(s_k, cap) and flag the iteration.
-    """
+    """Four-case step-size rule plus smoothness cap and monotonicity check:
+    the active case, the largest step the case bound and the cap admit, and
+    whether it is at least s_k (needed for k+1 >= 3; the step is returned
+    either way). A non-positive case bound returns chosen=nan; callers fall
+    back to min(s_k, cap) and flag the iteration."""
     return StepChoice(*_select(*diag, s_k, A_k, theta_next, k))
 
 
 def lyapunov(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
              graph: AgentGraph, opt: ConsensusOptimum) -> float:
-    """Lyapunov certificate V_k for k = prev.k >= 1.
-
-    Uses X_k, s_k from ``prev`` and Z_{k+1} from ``nxt``. Undefined when
-    s_k = 0 (the distance term divides by s_k); returns NaN in that case.
-    """
+    """Lyapunov certificate V_k for k = prev.k >= 1, from X_k and s_k of
+    ``prev`` and Z_{k+1} of ``nxt``; NaN when s_k = 0, which the distance
+    term divides by."""
     if prev.k < 1:
         raise ValueError("V_k is defined for k >= 1; use lyapunov_v0_prime")
     # the certificate reads no controller input: any lam_max and mode do
@@ -446,11 +456,11 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
     rec = TraceRecorder({"algorithm": "dist_agm_fixed", **asdict(params),
                          "iters": iters}, f_star)
     with rec:
-        rec(0, state.gap, state.grad, state.lx, 0.0)  # X_plus is X_0 at k = 0
+        rec(0, state.gap, state.rows[_DF], state.rows[_LX], 0.0)  # X+ = X_0
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt, s)
-            rec(prev.k, prev.gap, prev.grad, prev.lx, s,
+            rec(prev.k, prev.gap, prev.rows[_DF], prev.rows[_LX], s,
                 obj.value(state.X_plus) - f_star)
     return rec.trace
 
@@ -458,16 +468,13 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
 def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
                  graph: AgentGraph, X0: np.ndarray, iters: int,
                  opt: ConsensusOptimum) -> RunTrace:
-    """Adaptive-step run with the four-case controller.
-
-    Per iteration: apply the stored step, evaluate the controller
-    quantities, select the next step, and record the Lyapunov certificate.
-    The theory admits any s_1 > 0 when r_1 >= 0 but the later decrement
-    argument needs s_1 <= s_2, so s_1 starts at a small fraction of the
-    smoothness cap and the controller grows it. ``s_ref`` is the first
-    accepted positive step (or the k=1 cap when s_1 = 0) and is used only
-    in the k=0 certificate and the rate bound, never in the dynamics.
-    """
+    """Adaptive-step run with the four-case controller: per iteration, apply
+    the stored step, select the next and record the certificate V_k. The
+    theory admits any s_1 > 0 when r_1 >= 0 but the later decrement needs
+    s_1 <= s_2, so s_1 is a small fraction of the smoothness cap, which
+    the controller grows. ``s_ref``, the first accepted positive step (or
+    the k=1 cap when s_1 = 0), is read only by the k=0 certificate and the
+    rate bound, never by the dynamics."""
     lam_max = spectral_extremes(graph).lambda_max
     mode, f_star = params.oracle_mode, opt.f_star
     state = init(X0, params.h, params.beta)
@@ -479,18 +486,21 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
     rec = TraceRecorder({"algorithm": "dist_agm_adaptive", **asdict(params),
                          "iters": iters, "s_ref": s_ref,
                          "V0_prime": v0_prime}, f_star)
+    ref, sqrt = np.stack((opt.x_star_stacked, opt.x_star_stacked)), math.sqrt
     with rec:
-        rec(0, state.gap, state.grad, state.lx, 0.0, None, v0_prime,
-            "bootstrap", np.nan, boot.r)  # X_plus is X_0 at k = 0
+        _, grad_sq, lx_sq, *_ = state.gram
+        rec.record(0, state.gap, sqrt(grad_sq), sqrt(lx_sq), 0.0, None,
+                   v0_prime, "bootstrap", np.nan, boot.r)  # X_plus is X_0
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt)
             _a, _b, _at, _bt, w, r, cap, case, chosen, mono, v = _transition(
-                prev, state, obj, graph, opt, lam_max, mode)
+                prev, state, obj, graph, opt, lam_max, mode, ref)
             s = prev.s
             fallback = not math.isfinite(chosen)
             state.s = min(s, cap) if fallback else chosen
-            rec(prev.k, prev.gap, prev.grad, prev.lx, s,
-                obj.value(state.X_plus) - f_star, v, case, w, r, mono,
-                fallback)
+            _, grad_sq, lx_sq, *_ = prev.gram
+            rec.record(prev.k, prev.gap, sqrt(grad_sq), sqrt(lx_sq), s,
+                       obj.value(state.X_plus) - f_star, v, case, w, r, mono,
+                       fallback)
     return rec.trace

@@ -21,16 +21,16 @@ relative and 1e-3 rtol absolute in the RMS norm.
 
 The dynamics are written once, as the coefficient row (-3/t, -t^{-beta},
 -k_gain) that multiplies (V, gradF(X), Llift X) to give dV; ``flow_rhs`` and
-the integrator both read it. Each ``integrate`` call allocates its stage
-buffers once: the stage slopes K (one row of dY per stage) and the stage
-point W (X_s, V_s, gradF(X_s) and Llift X_s). A stage's X_s and V_s are
-Y's plus one dot of the tableau's row with K; the oracles write their field
-into W in place (their ``out`` argument), and dV is one dot of the
-coefficient row with W[1:]. The step to the new point is the last such row,
-and that point's evaluation, the only one it gets, feeds the trace row and
-the next step's first stage. A stage makes 1 fused cost-and-gradient call
-(``value_grad``), whose cost the ledger's rates need, and 1 lifted-Laplacian
-apply: 4 of each per RK4 step and 6 per Dormand-Prince attempt.
+the integrator both read it. In ``integrate`` a stage point (X_s, V_s) is
+one product of (1, the tableau's row) with (Y, the stage slopes K); the
+oracles write gradF(X_s) and Llift X_s into the stage buffer, which one
+product of the rows (1, 0, 0) and the dynamics' row turns into the stage's
+(dX, dV), and one product with X_s - x* into both of the ledger's inner
+products. A stage takes one power of t (t^{1-beta} = t t^{-beta}), 1 fused
+cost-and-gradient call (``value_grad``), whose cost the ledger's rates
+need, and 1 lifted-Laplacian apply: 4 of each per RK4 step and 6 per
+Dormand-Prince attempt. The new point's evaluation, the only one it gets,
+feeds the trace row and the next step's first stage.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
 the six ledger terms among them. One private row builder fills a row from
@@ -151,15 +151,11 @@ _SAFETY, _SHRINK_MIN, _GROW_MAX, _ERR_EXPONENT = 0.9, 0.2, 10.0, -0.2
 _ATOL_PER_RTOL = 1e-3
 
 
-def _field_row(t, params: FlowParams, out=None) -> np.ndarray:
-    """Coefficients of V, gradF(X) and Llift X in dV at time t: the dynamics
-    are dV = -(3/t) V - t^{-beta} gradF(X) - k_gain Llift X. Written into
-    ``out`` when given, else into a new array."""
-    if out is None:
-        out = np.empty(3)
-    out[0] = -3.0 / t
-    out[1] = -t ** (-params.beta)
-    out[2] = -params.k_gain
+def _field_row(t, t_beta, params: FlowParams, out) -> np.ndarray:
+    """Coefficients of V, gradF(X) and Llift X in dV at time t, written into
+    ``out``: the dynamics are dV = -(3/t) V - t^{-beta} gradF(X) - k_gain
+    Llift X, and ``t_beta`` is t^{-beta}."""
+    out[0], out[1], out[2] = -3.0 / t, -t_beta, -params.k_gain
     return out
 
 
@@ -171,14 +167,14 @@ def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
     n = Y.size // 2
     X, V = Y[:n], Y[n:]
     field = (V, obj.grad(X), apply_lifted_laplacian(graph, obj.d, X))
-    return np.concatenate((V, _field_row(t, params).dot(field)))
+    row = _field_row(t, t ** (-params.beta), params, np.empty(3))
+    return np.concatenate((V, row.dot(field)))
 
 
 class _Point(NamedTuple):
     """One evaluation of the flow at a point X. In ``integrate`` grad, lx
-    and xbar are views of the stage buffers: they hold the point's values
-    until the next stage overwrites them, and ``_row`` reads an accepted
-    point's before that."""
+    and xbar are stage buffers, which ``_row`` reads before the next stage
+    overwrites them."""
 
     grad: np.ndarray  # gradF(X)
     lx: np.ndarray  # Llift X
@@ -188,30 +184,33 @@ class _Point(NamedTuple):
     bregman: float  # F* - F(X) - gradF(X) . (x* - X)
 
 
-def _evaluate(X, obj, graph, opt, grad=None, lx=None, xbar=None) -> _Point:
-    """The point's oracles and ledger inputs; ``grad``, ``lx`` and ``xbar``,
-    when given, are the buffers they are written into."""
-    xbar = np.subtract(X, opt.x_star_stacked, xbar)
-    lx = apply_lifted_laplacian(graph, obj.d, X, lx)
-    x_lx = float(xbar.dot(lx))
-    value, grad = obj.value_grad(X, grad)
+def _evaluate(X, obj, graph, opt, bufs=None) -> _Point:
+    """The point's oracles and ledger inputs, written into ``bufs``: a
+    2 x n array, its rows that take gradF(X) and Llift X, and an n-vector
+    that takes X - x*."""
+    if bufs is None:
+        field = np.empty((2, X.size))
+        bufs = (field, field[0], field[1], np.empty(X.size))
+    field, grad, lx, xbar = bufs
+    np.subtract(X, opt.x_star_stacked, xbar)
+    apply_lifted_laplacian(graph, obj.d, X, lx)
+    value, _ = obj.value_grad(X, grad)
+    grad_x, x_lx = field.dot(xbar).tolist()
     # grad . (x* - X) is exactly -(grad . xbar): negation commutes with
-    # every rounding of the subtraction and the dot product
-    bregman = opt.f_star - value + float(grad.dot(xbar))
+    # every rounding of the subtraction and the product
+    bregman = opt.f_star - value + grad_x
     return _Point(grad, lx, value - opt.f_star, xbar, x_lx, bregman)
 
 
-def _ledger_rates(t, point: _Point, params: FlowParams, out=None):
+def _ledger_rates(t, point: _Point, params: FlowParams, t_beta=None):
     """The rates of the Laplacian, Bregman and beta integrals at time t:
-    the ledger's three integrands at the point. Written into ``out`` when
-    given, else into a new array."""
-    if out is None:
-        out = np.empty(3)
-    weight = t ** (1.0 - params.beta)
-    out[0] = params.k_gain * t * point.x_lx
-    out[1] = 2.0 * weight * point.bregman
-    out[2] = params.beta * weight * point.gap
-    return out
+    the ledger's three integrands at the point. ``t_beta`` is t^{-beta}
+    when the caller has it; t^{1-beta} is t t^{-beta}."""
+    if t_beta is None:
+        t_beta = t ** (-params.beta)
+    weight = t * t_beta
+    return (params.k_gain * t * point.x_lx, 2.0 * weight * point.bregman,
+            params.beta * weight * point.gap)
 
 
 def _row(t, V, point: _Point, params: FlowParams, integrals) -> tuple:
@@ -233,27 +232,22 @@ def _row(t, V, point: _Point, params: FlowParams, integrals) -> tuple:
 
 def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
               opt: ConsensusOptimum, params: FlowParams) -> dict:
-    """The trace row, ledger included, at one sample given the three running
-    integrals.
-
-    ``integrals`` is the (laplacian, bregman, beta) triple accumulated since
-    t0. For a start at small t0 with zero velocity ``E_total`` approaches
-    twice the squared initial distance to the optimum.
-    """
+    """The trace row, ledger included, at one sample given ``integrals``,
+    the (laplacian, bregman, beta) triple accumulated since t0. For a start
+    at small t0 with zero velocity ``E_total`` approaches twice the squared
+    initial distance to the optimum."""
     return dict(zip(COLUMNS, _row(t, V, _evaluate(X, obj, graph, opt),
                                   params, integrals), strict=True))
 
 
 def _step_weights(tab: _Tableau):
     """The loop's view of ``tab``: (num, den, c_num, c_den, e). Row i of
-    num / den (i = 1..S) holds the coefficients of the stage-i point; row S
-    is the step, b, whose point is the new one. The new point's slope is
-    K[S], which an FSAL pair's last stage already is and which RK4 adds.
-    c_num / c_den are the S + 1 stage times; e, when ``tab`` has b_hat,
-    the error weights b - b_hat over K[0..S]. Each coefficient is kept as a
-    numerator and a denominator, and its weight is h * num / den, so RK4's
-    weights are dt/6 and dt/3 and its stage offsets dt/2 and dt, bit for
-    bit."""
+    num / den (i = 1..S) holds the stage-i point's coefficients; row S is
+    the step, b, to the new point, whose slope K[S] an FSAL pair's last
+    stage already is and RK4 adds. c_num / c_den are the S + 1 stage
+    times; e, when ``tab`` has b_hat, the error weights b - b_hat over
+    K[0..S]. A weight is h * num / den, so RK4's are dt/6 and dt/3 and its
+    stage offsets dt/2 and dt, bit for bit."""
     fsal = tab.a[-1] == tab.b[:-1]
     S = len(tab.a) - fsal
     rows = (*tab.a[1:S], tab.b[:S])
@@ -281,20 +275,13 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     a tiny t0, where the 3/t damping would destabilize an explicit step:
     there the step is capped at ``startup_dt_fraction * t`` and ramps
     geometrically up to dt. With ``params.rtol`` set the step is
-    Dormand-Prince 5(4), starting from a trial step of ``params.dt`` and
-    resized after every attempt from its error estimate, which also keeps
-    it stable near a tiny t0; ``startup_dt_fraction`` is not read. A
-    rejected attempt is redone at a smaller step. Records the start, every
+    Dormand-Prince 5(4) from a trial step of ``params.dt``, resized after
+    every attempt from its error estimate (which also keeps it stable near
+    a tiny t0) and redone smaller when rejected. Records the start, every
     ``params.record_every``-th accepted step and the last one; the trace's
-    metadata adds ``steps``, the accepted steps, and ``rejected``.
-
-    Each accepted point is evaluated once; that evaluation feeds the trace
-    row and the next step's first stage. The stage oracles write into
-    stage buffers allocated once per call, so a step allocates no stage
-    array. A stage makes 1 ``value_grad`` call and 1 lifted-Laplacian
-    apply. A fixed step that leaves the finite range, or a controlled step
-    that shrinks below the resolution of t, raises BlowUpError carrying
-    the time of the last accepted point.
+    metadata adds ``steps`` (accepted) and ``rejected``. A fixed step that
+    leaves the finite range, or a controlled step below the resolution of
+    t, raises BlowUpError carrying the time of the last accepted point.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(
@@ -308,22 +295,27 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     num, den, c_num, c_den, e = _step_weights(
         _RK4 if rtol is None else _DOPRI5)
     S = len(num) - 1  # stages 1..S-1 lie inside the step; S is the new point
-    # Stage buffers, filled in place each step: K[i] is stage i's dY, with
-    # K[0] the accepted point's, and W holds the stage's X_s, V_s,
-    # gradF(X_s) and Llift X_s, so W[:2] read flat is its phase-space
-    # point. The views are taken once, and ``out`` goes by position, which
-    # numpy parses faster than a keyword.
-    K = np.empty((S + 1, 2 * n + 3))
+    # Buffers, filled in place each step and viewed once (``out`` goes by
+    # position, which numpy parses faster than a keyword): KY holds the
+    # accepted point Y = [X; V; I], then K, the stage slopes dY (K[0] the
+    # accepted point's); W holds a stage's X_s, V_s, gradF(X_s) and
+    # Llift X_s, so W[:2] read flat is its phase-space point.
+    KY = np.empty((S + 2, 2 * n + 3))
+    Y, K, stage_xv = KY[0], KY[1:], KY[:, :2 * n]
     W = np.empty((4, n))
-    stage_y, x_s, v_s, field = W[:2].reshape(-1), W[0], W[1], W[1:]
-    grad_s, lx_s, xbar = W[2], W[3], np.empty(n)
-    stage_xv = K[:, :2 * n]
-    stage_dx, stage_dv, stage_di = (list(K[:, :n]), list(K[:, n:2 * n]),
-                                    list(K[:, 2 * n:]))
-    coef = np.empty(3)
-    weights = np.empty_like(num)
-    rows = [weights[i, :i] for i in range(S + 1)]
-    Y = np.concatenate((X0, V0, np.zeros(3)))  # [X; V; I]
+    stage_y, x_s, field = W[:2].reshape(-1), W[0], W[1:]
+    bufs = (W[2:], W[2], W[3], np.empty(n))
+    stage_slope = [row.reshape(2, n) for row in stage_xv[1:]]  # (dX, dV)
+    stage_di = list(K[:, 2 * n:])
+    coef = np.zeros((2, 3))  # dX = V, and dV by the dynamics' row
+    coef[0, 0] = 1.0
+    dv_row, beta = coef[1], params.beta
+    # row i weighs Y by 1 and K[:i] by the step times the tableau's row i
+    weights = np.ones((S + 1, S + 1))
+    step_weights = weights[:, 1:]
+    rows = [weights[i, :i + 1] for i in range(S + 1)]
+    stage_sources = [stage_xv[:i + 1] for i in range(S)]
+    Y[:n], Y[n:2 * n], Y[2 * n:] = X0, V0, 0.0
     y_new, incr, zeros = np.empty_like(Y), np.empty_like(Y), np.zeros_like(Y)
     if rtol is not None:
         err, scale = np.empty_like(Y), np.empty_like(Y)
@@ -331,10 +323,12 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
 
     def slope(t_s, i) -> _Point:
         """Evaluate the stage point in W at time t_s into K[i]."""
-        point = _evaluate(x_s, obj, graph, opt, grad_s, lx_s, xbar)
-        stage_dx[i][:] = v_s
-        _field_row(t_s, params, coef).dot(field, stage_dv[i])
-        _ledger_rates(t_s, point, params, stage_di[i])
+        point = _evaluate(x_s, obj, graph, opt, bufs)
+        t_beta = t_s ** -beta
+        _field_row(t_s, t_beta, params, dv_row)
+        coef.dot(field, stage_slope[i])
+        di = stage_di[i]
+        di[0], di[1], di[2] = _ledger_rates(t_s, point, params, t_beta)
         return point
 
     t = params.t0
@@ -351,17 +345,14 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         else:
             dt = min(h, params.horizon - t)
         if dt != h_weights:  # built once for a fixed-dt stretch
-            np.multiply(num, dt, weights)
-            weights /= den
+            np.multiply(num, dt, step_weights)
+            step_weights /= den
             offsets = (c_num * dt / c_den).tolist()
             h_weights = dt
-        y_xv = Y[:2 * n]
         for i in range(1, S):
-            rows[i].dot(stage_xv[:i], stage_y)
-            stage_y += y_xv
+            rows[i].dot(stage_sources[i], stage_y)
             slope(t + offsets[i], i)
-        rows[S].dot(K[:S], incr)
-        np.add(Y, incr, y_new)
+        rows[S].dot(KY[:S + 1], y_new)
         # 0 . Y is 0 when every entry of Y is finite and NaN otherwise
         # (0 * inf is NaN): the isfinite test in one dot, with no temporary
         finite = math.isfinite(zeros.dot(y_new))
@@ -395,7 +386,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
                       if size > 0.0 else grow_max)
             grow_max = _GROW_MAX
         t = t + dt  # the same sum as the new point's time
-        Y, y_new = y_new, Y
+        Y[:] = y_new
         K[0] = K[S]
         steps += 1
         steps_since_record += 1

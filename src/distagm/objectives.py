@@ -4,21 +4,17 @@ A separable objective holds ``m`` local convex functions over R^d. The
 cumulative cost evaluates them on a stacked md-vector, one block per agent.
 The consensus optimum (common minimizer of the sum) is computed offline and
 feeds the energy/Lyapunov diagnostics. The baselines, the flow's dynamics
-and the fixed-step dist_agm update never read it. The adaptive dist_agm
-controller does: its a-quantity holds the gaps F(X_k) - F*, so its step
-choice reads F* in either oracle mode, and g* in the exact one.
+and the fixed-step dist_agm update never read it; the adaptive dist_agm
+controller reads F* (its a-quantity holds the gaps F(X_k) - F*) in either
+oracle mode, and g* in the exact one.
 
 Every caller that needs the cost and the gradient at one point asks for
-both with one ``value_grad`` call, on the quadratic family one product M r.
-The logistic family computes the margins Z_i x_i, one exp(-|m|) shared by
+both with one ``value_grad`` call: on the quadratic family one product
+M r; on the logistic family the margins Z_i x_i, one exp(-|m|) shared by
 the softplus max(m, 0) + log1p(exp(-|m|)) and the sigmoid, and one
-back-projection Z_i^T (sigma - y_i). Its label term sum_r y_r m_r is
-x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term and the ridge are
-one d-length dot per agent. Per iteration, an adaptive or
-fixed-step dist_agm run makes 1 ``value_grad`` call and 1 ``value`` call
-(the cost at the plus-iterate), DGD, DIGing and PI consensus 1
-``value_grad`` call, and a flow step 1 ``value_grad`` call per stage: 4
-for RK4, 6 per Dormand-Prince attempt.
+back-projection Z_i^T (sigma - y_i). The logistic label term sum_r y_r m_r
+is x_i . Z_i^T y_i, with Z_i^T y_i built once, so that term and the ridge
+are one d-length dot per agent.
 """
 
 from __future__ import annotations

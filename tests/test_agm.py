@@ -513,7 +513,8 @@ def test_deterministic_runs(ring5, controller_quadratic, x0_ring5, tmp_path):
        m=st.integers(3, 7), d=st.integers(1, 3),
        scale=st.floats(1e-2, 10.0), cond=st.floats(1.0, 100.0),
        h=st.floats(0.3, 10.0), beta=st.floats(0.05, 1.5),
-       problem_seed=st.integers(0, 2 ** 16), start_seed=st.integers(0, 2 ** 16))
+       problem_seed=st.integers(0, 2 ** 16),
+       start_seed=st.integers(0, 2 ** 16))
 def test_certificate_holds_across_common_minimizer_quadratics(
         kind, m, d, scale, cond, h, beta, problem_seed, start_seed):
     """Criteria 4 and 5 as properties of a problem family: random
