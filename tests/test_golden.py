@@ -25,35 +25,35 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     ("run", "discrete_rate.yaml"): {
         "dist_agm_trace.csv":
-            "a32434bb18e0a7807436d83b43286764c4094fd27c074175b55dbc34e456beef",
+            "d61834471115e1f29cc98b3b09d0810406fde27df5dcb225b4ae4afae6ff1451",
     },
     ("run", "beta_sweep/beta_0.01.yaml"): {
         "dist_agm_trace.csv":
-            "3b052488c7e1488e43dab6d9ce3fdd3ab80eba7578cb59e7b161ca4b553b3109",
+            "721c8893a6da6bcaa8b4ee6743dff2c393e4d0d993d17b49c8be734d2c6c97f0",
     },
     ("run", "beta_sweep/beta_0.1.yaml"): {
         "dist_agm_trace.csv":
-            "72a3d1b373f71c5a08751a6774bff024de9f694c7e1a51de3709b24c2214d5da",
+            "f7b4e460d3d34d7d36ea68578c3510e1142dcf44aad62a743838caf4bca96f82",
     },
     ("run", "beta_sweep/beta_0.5.yaml"): {
         "dist_agm_trace.csv":
-            "9cba22af476aad49cc6985a7769ae8577a76c5bff0452307d9612eb5f8a5e767",
+            "1f968f6197fff973b4c1855c9ba8303bac7925de2a69142cebd83939d42d8cda",
     },
     ("run", "beta_sweep/beta_1.0.yaml"): {
         "dist_agm_trace.csv":
-            "c176b1c916ccc0afac83719748defad58801d74442a2de9c49ff8a0fc8bd0555",
+            "807bbf1f62d4075d5a5308000c22835d38bf3210c0bd3496244d65395cb33460",
     },
     # dist_agm's columns read the reference x*, not only F*, so its trace
     # and comparison.csv move whenever the reference solver's last bits do.
     ("compare", "logistic_compare.yaml"): {
         "comparison.csv":
-            "35f1968ed3e298b12ce1d5e94f4cd400ef8456fa1142ee62ba7507f2c0187392",
+            "9bd982e0ecd3f5497eb949b4f6c2e7a0b0127c09678aa8fb2158be417b5ea199",
         "dgd_trace.csv":
             "2b91c9fc4a66851d2434501150a30d80176339f1e058ef866e621f476eaee708",
         "diging_trace.csv":
             "f4a1a387a0fbd402a78e0243f140cea6d3142d0ecdb84eb29a3a21751b8ad88f",
         "dist_agm_trace.csv":
-            "1a9b3532926863fc1a2091808055326bd324cb4b194706d79ec07f4865a22489",
+            "ba6ed08a0f0c08e40040758f16ced7ab4952535fc36577cc3c087b8878fc4a65",
         "threshold.csv":
             "f193d0e26d3b0f304aaca089b1b1946a284c832c30319c2910d94cf7bf98aea9",
     },
