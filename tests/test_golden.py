@@ -59,7 +59,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "8c2943377d9f592c432dfc943aec819d6329eb8c382444726088672547a69eaa",
+            "ff8e2d8f774482bd4da4923e749851b1939017ee8869dadb3d0583324cb8d1f5",
     },
 }
 
@@ -80,7 +80,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "da4311756dcf99441087a61ae970cbecf31b3811df653c6b0c4f0f2a3e9b6761")
+    "c1933967b3891e097593d936c8de379066237bedea30eaca37f684567b2fc6bf")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
