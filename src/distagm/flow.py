@@ -277,10 +277,11 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     geometrically up to dt. With ``params.rtol`` set the step is
     Dormand-Prince 5(4) from a trial step of ``params.dt``, resized after
     every attempt from its error estimate (which also keeps it stable near
-    a tiny t0) and redone smaller when rejected. Records the start, every
+    a tiny t0, so ``startup_dt_fraction`` is not read) and redone smaller
+    when rejected. Records the start, every
     ``params.record_every``-th accepted step and the last one; the trace's
-    metadata adds ``steps`` (accepted) and ``rejected``. A fixed step that
-    leaves the finite range, or a controlled step below the resolution of
+    metadata adds ``steps`` (accepted) and ``rejected``. A fixed step
+    leaving the finite range, or a controlled step below the resolution of
     t, raises BlowUpError carrying the time of the last accepted point.
     """
     if not startup_dt_fraction > 0.0:
@@ -316,7 +317,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     rows = [weights[i, :i + 1] for i in range(S + 1)]
     stage_sources = [stage_xv[:i + 1] for i in range(S)]
     Y[:n], Y[n:2 * n], Y[2 * n:] = X0, V0, 0.0
-    y_new, incr, zeros = np.empty_like(Y), np.empty_like(Y), np.zeros_like(Y)
+    y_new, zeros = np.empty_like(Y), np.zeros_like(Y)
     if rtol is not None:
         err, scale = np.empty_like(Y), np.empty_like(Y)
         atol = _ATOL_PER_RTOL * rtol
@@ -365,9 +366,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         if rtol is not None:
             size = math.inf
             if finite:  # the RMS of the error over atol + rtol |Y|
+                np.maximum(np.abs(Y, scale), np.abs(y_new, err), out=scale)
                 e.dot(K, err)
-                np.maximum(np.abs(Y, scale), np.abs(y_new, incr),
-                           out=scale)
                 scale *= rtol
                 scale += atol
                 err /= scale
