@@ -207,8 +207,8 @@ class AgmState:
     """Discrete iterate. ``X_plus`` is X_{k-1}^+, made by the step that made
     this state; ``s`` is the step the next step applies. X, X_plus and Z
     are rows of ``rows`` (see ``_XP``), None in a hand-built state. The
-    later fields are filled in once, by ``_evaluate`` (``probe`` = 0 . G_k,
-    NaN unless G_k is finite) and ``_ready``."""
+    later fields are filled in by ``_evaluate`` (``probe`` = 0 . G_k, NaN
+    unless G_k is finite) and ``_ready``."""
 
     k: int
     X: np.ndarray
@@ -245,13 +245,14 @@ def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
 
 def _ready(state: AgmState, prev: AgmState | None, obj: SeparableObjective,
            graph: AgentGraph, opt: ConsensusOptimum, ref: np.ndarray):
-    """Evaluates the state if it is not. If it lacks ``gram``, fills in its
-    difference rows against ``ref`` (x*, or x* stacked twice) and ``prev``
-    (zero when None) and takes ``gram``: |G|^2, |gradF|^2, |Llift X|^2,
-    |Z - x*|^2, (X - x*) . Llift X, G . dX, |dG|^2 and G_k . G."""
+    """Evaluates the state if it is not. Given ``prev``, or lacking ``gram``,
+    fills in its difference rows against ``ref`` (x*, or x* stacked twice)
+    and ``prev`` (zero when None) and takes ``gram``: |G|^2, |gradF|^2,
+    |Llift X|^2, |Z - x*|^2, (X - x*) . Llift X, G . dX, |dG|^2, G_k . G.
+    The first five read no difference row, so any ``gram`` serves them."""
     if state.rows is None:
         _evaluate(state, obj, graph, opt)
-    if state.gram is None:
+    if state.gram is None or prev is not None:
         rows = state.rows
         np.subtract(rows[_Z:_X + 1], ref, rows[_ZBAR:_XBAR + 1])
         if prev is None:

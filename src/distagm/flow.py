@@ -172,9 +172,8 @@ def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
 
 
 class _Point(NamedTuple):
-    """One evaluation of the flow at a point X. In ``integrate`` grad, lx
-    and xbar are stage buffers, which ``_row`` reads before the next stage
-    overwrites them."""
+    """One evaluation of the flow at a point X. In ``integrate`` grad, lx and
+    xbar are stage buffers, read by ``_row`` before the next stage writes."""
 
     grad: np.ndarray  # gradF(X)
     lx: np.ndarray  # Llift X

@@ -339,6 +339,30 @@ def test_cached_scalars_match_fresh_evaluation_in_exact_mode(
     assert fallback.any() == (problem == "logistic")
 
 
+def test_transition_quantities_do_not_depend_on_call_order(
+        ring5, controller_quadratic, x0_ring5):
+    """A transition's quantities read the pair it is given, whatever was
+    asked of either state before: the certificate of (X_2, X_3) taken
+    first leaves the diagnostics of (X_1, X_2) as fresh states give them."""
+    obj, opt = controller_quadratic
+    lam = spectral_extremes(ring5).lambda_max
+    states = [init(x0_ring5, 1.0, 0.1)]
+    states[0].s = 0.01
+    for _ in range(2):
+        states.append(step(states[-1], obj, ring5, opt, s_next=0.01))
+
+    def bare(st):
+        return AgmState(k=st.k, X=st.X.copy(), X_plus=st.X_plus.copy(),
+                        Z=st.Z.copy(), s=st.s, h=st.h, beta=st.beta)
+
+    want = compute_step_diagnostics(bare(states[0]), bare(states[1]), obj,
+                                    ring5, opt, lam, "practical")
+    lyapunov(states[1], states[2], obj, ring5, opt)
+    got = compute_step_diagnostics(states[0], states[1], obj, ring5, opt,
+                                   lam, "practical")
+    assert bits(*got) == bits(*want)
+
+
 @pytest.mark.parametrize("problem", ["quadratic", "logistic"])
 def test_fixed_run_rows_replay_through_step(problem, request, ring5,
                                             x0_ring5):
