@@ -4,6 +4,10 @@ Each is written from its definition and shares no private helper with the
 code it checks, so a wrong helper there cannot agree with itself here.
 """
 
+import csv
+import io
+import math
+
 import numpy as np
 
 
@@ -61,3 +65,30 @@ def single_line_update(k, X, Z, s, g):
     kk = float(k)
     return (kk ** 2 * X + (2.0 * kk + 1.0) * Z
             - 0.5 * s * kk * (3.0 * kk + 1.0) * g) / (kk + 1.0) ** 2
+
+
+def trace_csv_bytes(columns, rows, metadata):
+    """The bytes ``RunTrace.write_csv`` writes for a trace of ``rows`` under
+    ``columns`` with ``metadata``, cell by cell: the sorted
+    ``# key=value`` metadata lines, then the header and each row through one
+    stdlib ``csv.writer``. A bool cell is 1 or 0, an int cell its digits, a
+    str cell itself, and any other cell, as a float, "nan" or its 17
+    significant digits."""
+    def cell(v):
+        if isinstance(v, (bool, np.bool_)):
+            return "1" if v else "0"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        if isinstance(v, str):
+            return v
+        v = float(v)
+        return "nan" if math.isnan(v) else format(v, ".17g")
+
+    out = io.StringIO(newline="")
+    for key in sorted(metadata):
+        out.write(f"# {key}={metadata[key]}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return out.getvalue().encode()

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distagm import agm
 from distagm.trace import RunTrace
+from oracles import trace_csv_bytes
 
 
 def make_trace():
@@ -100,3 +103,66 @@ def test_ragged_row_rejected(tmp_path):
     path.write_text("# seed=1\nk,gap\n0,1.0\n1,0.5,extra\n")
     with pytest.raises(ValueError, match="3 fields"):
         RunTrace.read_csv(path)
+
+
+_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                                  2.2250738585072009e-308]))
+_CELLS = {
+    "float": st.one_of(_FLOATS, _FLOATS.map(np.float64)),
+    "int": st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                     st.booleans().map(np.bool_),
+                     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)),
+    # the delimiter, the quote and both line breaks, and empty strings
+    "str": st.text(st.sampled_from(["a", ",", '"', "\n", "\r", " ", "é"]),
+                   max_size=4),
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _traces(draw):
+    """(columns, rows): up to four columns, each of one kind of cell or
+    mixed, and a few rows or more than ``write_csv``'s 256-row block. A
+    column cycles through up to eight drawn cells."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=4))
+    n_rows = draw(st.one_of(st.integers(0, 8), st.integers(250, 600)))
+    columns = []
+    for kind in kinds:
+        cells = draw(st.lists(_CELLS[kind], min_size=1, max_size=8))
+        columns.append([cells[i % len(cells)] for i in range(n_rows)])
+    rows = list(zip(*columns)) if columns else [()] * n_rows
+    return [f"c{j}" for j in range(len(kinds))], rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=_traces(), metadata=st.dictionaries(
+    st.sampled_from(["seed", "h", "label"]),
+    st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=2))
+def test_write_csv_matches_a_cell_by_cell_writer(trace, metadata,
+                                                 tmp_path_factory):
+    """The column-wise writer writes the bytes of a stdlib csv writer fed
+    one formatted cell at a time, for float, int, bool and str columns,
+    numpy scalars, non-finite and subnormal floats, strings that need
+    quoting, and columns of mixed types."""
+    columns, rows = trace
+    tr = RunTrace(columns, metadata)
+    for row in rows:
+        tr.append(*row)
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    tr.write_csv(path)
+    assert path.read_bytes() == trace_csv_bytes(columns, rows, metadata)
+
+
+def test_one_column_empty_string_is_quoted(tmp_path):
+    """A row whose one field is empty is written as "" (an empty line would
+    read back as no row), in a str column and in a mixed one."""
+    rows = [("",), ("a,b",), ("",), (1.5,)]
+    for kept in (rows[:3], rows):
+        tr = RunTrace(["label"])
+        for row in kept:
+            tr.append(*row)
+        tr.write_csv(tmp_path / "one.csv")
+        assert (tmp_path / "one.csv").read_bytes() == trace_csv_bytes(
+            ["label"], kept, {})
+    assert (tmp_path / "one.csv").read_text().splitlines()[1] == '""'
