@@ -13,11 +13,12 @@ integrands at the point, so the integrals are integrated at the order of
 the stepper.
 
 One explicit Runge-Kutta loop, driven by a Butcher tableau, advances Y.
-The default is classical RK4 at the fixed step ``dt``. ``rtol`` selects the
-Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer, Norsett & Wanner,
-Solving ODEs I, II.4-5): its last stage is the new point (FSAL), and the
-step is chosen so that the embedded error estimate stays within rtol
-relative and 1e-3 rtol absolute in the RMS norm.
+The default is classical RK4 at the fixed step ``dt``. ``rtol`` selects
+Dormand and Prince's eighth-order pair DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I, II.10): its last stage is the new point (FSAL), and the step
+is chosen so that its error estimate, two embedded error rows of orders 5
+and 3 combined as in dop853.f, stays within rtol relative and 1e-3 rtol
+absolute.
 
 The dynamics are written once, as the coefficient row (-3/t, -t^{-beta},
 -k_gain) that multiplies (V, gradF(X), Llift X) to give dV; ``flow_rhs`` and
@@ -28,8 +29,8 @@ product of the rows (1, 0, 0) and the dynamics' row turns into the stage's
 (dX, dV), and one product with X_s - x* into both of the ledger's inner
 products. A stage takes one power of t (t^{1-beta} = t t^{-beta}), 1 fused
 cost-and-gradient call (``value_grad``), whose cost the ledger's rates
-need, and 1 lifted-Laplacian apply: 4 of each per RK4 step and 6 per
-Dormand-Prince attempt. The new point's evaluation, the only one it gets,
+need, and 1 lifted-Laplacian apply: 4 of each per RK4 step and 12 per
+DOP853 attempt. The new point's evaluation, the only one it gets,
 feeds the trace row and the next step's first stage.
 
 The trace is defined here once: ``COLUMNS`` names its columns and ``LEDGER``
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -74,8 +76,8 @@ class BlowUpError(RuntimeError):
 class FlowParams:
     """The flow's knobs, checked at construction; ``integrate`` writes them
     as its trace's metadata. ``rtol`` None steps RK4 at ``dt``; a finite
-    positive ``rtol`` selects the error-controlled Dormand-Prince step,
-    with ``dt`` its first trial step."""
+    positive ``rtol`` selects the error-controlled DOP853 step, with ``dt``
+    its first trial step."""
 
     beta: float = 0.1
     k_gain: float = 1.0
@@ -112,41 +114,107 @@ COLUMNS = ("t", "F_gap", "grad_norm", "laplacian_norm", "E_total", *LEDGER)
 
 
 class _Tableau(NamedTuple):
-    """An explicit Runge-Kutta method, each coefficient an exact fraction
-    held as its (numerator, denominator) integer pair. Stage i sits at
-    t + c[i] h and Y + h (a[i] . K[:i]); the step is Y + h (b . K). When
-    ``b_hat`` is given, h ((b - b_hat) . K) estimates the step's local
-    error. An FSAL pair's last a-row equals b (whose last entry is 0), so
-    its last stage is the new point."""
+    """An explicit Runge-Kutta method. Stage i sits at t + c[i] h and
+    Y + h (a[i] . K[:i]); the step is Y + h (b . K). For each row e_r of
+    ``e``, h (e_r . K) estimates the step's local error. An FSAL pair's
+    last a-row equals b (whose last entry is 0), so its last stage is the
+    new point. A coefficient is an exact Fraction (RK4's) or a float, the
+    nearest to its published decimal (DOP853's)."""
 
     c: tuple
     a: tuple  # a[i] holds the i coefficients of stage i; a[0] is empty
     b: tuple
-    b_hat: tuple = ()
+    e: tuple = ()
 
 
 def _q(*values) -> tuple:
-    """Each "p/q" or "p" as the pair (p, q) or (p, 1)."""
-    return tuple((int(num), int(den or 1))
-                 for num, _, den in (v.partition("/") for v in values))
+    """Each "p/q" or "p" as an exact Fraction."""
+    return tuple(map(Fraction, values))
 
 
 _RK4 = _Tableau(c=_q("0", "1/2", "1/2", "1"),
                 a=((), _q("1/2"), _q("0", "1/2"), _q("0", "0", "1")),
                 b=_q("1/6", "1/3", "1/3", "1/6"))
-_DOPRI5 = _Tableau(
-    c=_q("0", "1/5", "3/10", "4/5", "8/9", "1", "1"),
-    a=((), _q("1/5"), _q("3/40", "9/40"), _q("44/45", "-56/15", "32/9"),
-       _q("19372/6561", "-25360/2187", "64448/6561", "-212/729"),
-       _q("9017/3168", "-355/33", "46732/5247", "49/176", "-5103/18656"),
-       _q("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84")),
-    b=_q("35/384", "0", "500/1113", "125/192", "-2187/6784", "11/84", "0"),
-    b_hat=_q("5179/57600", "0", "7571/16695", "393/640", "-92097/339200",
-             "187/2100", "1/40"))
-# Step-size control of the embedded pair: the factor 0.9 err^(-1/5) (the
-# exponent is one over the lower order plus one), kept within [0.2, 10],
-# and no growth on the step after a rejection.
-_SAFETY, _SHRINK_MIN, _GROW_MAX, _ERR_EXPONENT = 0.9, 0.2, 10.0, -0.2
+# Dormand and Prince's 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.10; the coefficients of their dop853.f, to 28-30 digits).
+_B853 = (5.42937341165687622380535766363e-2, 0, 0, 0, 0,
+         4.45031289275240888144113950566, 1.89151789931450038304281599044,
+         -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+         -1.52160949662516078556178806805e-1,
+         2.01365400804030348374776537501e-1,
+         4.47106157277725905176885569043e-2, 0)
+# The order-3 weights that differ from b's, which E3 = b - them compares.
+_BHH853 = {0: 0.244094488188976377952755905512,
+           8: 0.733846688281611857341361741547,
+           11: 0.220588235294117647058823529412e-1}
+_DOP853 = _Tableau(
+    c=(0, 0.526001519587677318785587544488e-1,
+       0.789002279381515978178381316732e-1, 0.118350341907227396726757197510,
+       0.281649658092772603273242802490, 0.333333333333333333333333333333,
+       0.25, 0.307692307692307692307692307692,
+       0.651282051282051282051282051282, 0.6,
+       0.857142857142857142857142857142, 1, 1),
+    a=((),
+       (5.26001519587677318785587544488e-2,),
+       (1.97250569845378994544595329183e-2,
+        5.91751709536136983633785987549e-2),
+       (2.95875854768068491816892993775e-2, 0,
+        8.87627564304205475450678981324e-2),
+       (2.41365134159266685502369798665e-1, 0,
+        -8.84549479328286085344864962717e-1,
+        9.24834003261792003115737966543e-1),
+       (3.7037037037037037037037037037e-2, 0, 0,
+        1.70828608729473871279604482173e-1,
+        1.25467687566822425016691814123e-1),
+       (3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+        6.02165389804559606850219397283e-2, -1.7578125e-2),
+       (3.70920001185047927108779319836e-2, 0, 0,
+        1.70383925712239993810214054705e-1,
+        1.07262030446373284651809199168e-1,
+        -1.53194377486244017527936158236e-2,
+        8.27378916381402288758473766002e-3),
+       (6.24110958716075717114429577812e-1, 0, 0,
+        -3.36089262944694129406857109825,
+        -8.68219346841726006818189891453e-1,
+        2.75920996994467083049415600797e1,
+        2.01540675504778934086186788979e1,
+        -4.34898841810699588477366255144e1),
+       (4.77662536438264365890433908527e-1, 0, 0,
+        -2.48811461997166764192642586468,
+        -5.90290826836842996371446475743e-1,
+        2.12300514481811942347288949897e1,
+        1.52792336328824235832596922938e1,
+        -3.32882109689848629194453265587e1,
+        -2.03312017085086261358222928593e-2),
+       (-9.3714243008598732571704021658e-1, 0, 0,
+        5.18637242884406370830023853209, 1.09143734899672957818500254654,
+        -8.14978701074692612513997267357,
+        -1.85200656599969598641566180701e1,
+        2.27394870993505042818970056734e1, 2.49360555267965238987089396762,
+        -3.0467644718982195003823669022),
+       (2.27331014751653820792359768449, 0, 0,
+        -1.05344954667372501984066689879e1,
+        -2.00087205822486249909675718444,
+        -1.79589318631187989172765950534e1,
+        2.79488845294199600508499808837e1,
+        -2.85899827713502369474065508674,
+        -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+        6.43392746015763530355970484046e-1),
+       _B853[:-1]),
+    b=_B853,
+    # E5, then E3; neither weighs the new point's slope K[12]
+    e=((0.1312004499419488073250102996e-1, 0, 0, 0, 0,
+        -0.1225156446376204440720569753e1, -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e1, -0.3503288487499736816886487290,
+        0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1, 0),
+       tuple(b - _BHH853.get(j, 0) for j, b in enumerate(_B853))))
+# Step-size control of the embedded pair: the factor 0.9 err^(-1/8) (the
+# exponent is one over the order of the error estimate, 7, plus one), kept
+# within [0.2, 10], and no growth on the step after a rejection.
+_SAFETY, _SHRINK_MIN, _GROW_MAX, _ERR_EXPONENT = 0.9, 0.2, 10.0, -0.125
+# The weight of E3's squared norm in the error's size, as in dop853.f.
+_E3_WEIGHT = 0.01
 # The absolute tolerance, as a fraction of rtol.
 _ATOL_PER_RTOL = 1e-3
 
@@ -244,23 +312,20 @@ def _step_weights(tab: _Tableau):
     num / den (i = 1..S) holds the stage-i point's coefficients; row S is
     the step, b, to the new point, whose slope K[S] an FSAL pair's last
     stage already is and RK4 adds. c_num / c_den are the S + 1 stage
-    times; e, when ``tab`` has b_hat, the error weights b - b_hat over
-    K[0..S]. A weight is h * num / den, so RK4's are dt/6 and dt/3 and its
-    stage offsets dt/2 and dt, bit for bit."""
+    times; e, when ``tab`` has error rows, their weights over K[0..S]. A
+    coefficient is split exactly into an integer ratio and a weight is
+    h * num / den, so RK4's are dt/6 and dt/3 and its stage offsets dt/2
+    and dt, bit for bit, and a float coefficient's weight is h times it."""
     fsal = tab.a[-1] == tab.b[:-1]
     S = len(tab.a) - fsal
     rows = (*tab.a[1:S], tab.b[:S])
     num, den = np.zeros((S + 1, S)), np.ones((S + 1, S))
     for i, row in enumerate(rows, start=1):
-        for j, (p, q) in enumerate(row):
-            num[i, j], den[i, j] = p, q
-    c_num, c_den = np.array((*tab.c[:S], (1, 1)), dtype=float).T
-    e = None
-    if tab.b_hat:
-        # b - b_hat in integers, rounded once
-        e = np.array([(p * q_hat - p_hat * q) / (q * q_hat)
-                      for (p, q), (p_hat, q_hat)
-                      in zip(tab.b, tab.b_hat, strict=True)])
+        for j, coef in enumerate(row):
+            num[i, j], den[i, j] = coef.as_integer_ratio()
+    c_num, c_den = np.array([coef.as_integer_ratio()
+                             for coef in (*tab.c[:S], 1)], dtype=float).T
+    e = np.array(tab.e, dtype=float) if tab.e else None
     return num, den, c_num, c_den, e
 
 
@@ -273,11 +338,11 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     With ``params.rtol`` None the step is RK4 at ``params.dt``, except near
     a tiny t0, where the 3/t damping would destabilize an explicit step:
     there the step is capped at ``startup_dt_fraction * t`` and ramps
-    geometrically up to dt. With ``params.rtol`` set the step is
-    Dormand-Prince 5(4) from a trial step of ``params.dt``, resized after
-    every attempt from its error estimate (which also keeps it stable near
-    a tiny t0, so ``startup_dt_fraction`` is not read) and redone smaller
-    when rejected. Records the start, every
+    geometrically up to dt. With ``params.rtol`` set the step is DOP853
+    from a trial step of ``params.dt``, resized after every attempt from
+    its error estimate (which also keeps it stable near a tiny t0, so
+    ``startup_dt_fraction`` is not read) and redone smaller when rejected.
+    Records the start, every
     ``params.record_every``-th accepted step and the last one; the trace's
     metadata adds ``steps`` (accepted) and ``rejected``. A fixed step
     leaving the finite range, or a controlled step below the resolution of
@@ -293,7 +358,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         raise ValueError("X0/V0 must be stacked md-vectors")
     rtol = params.rtol
     num, den, c_num, c_den, e = _step_weights(
-        _RK4 if rtol is None else _DOPRI5)
+        _RK4 if rtol is None else _DOP853)
     S = len(num) - 1  # stages 1..S-1 lie inside the step; S is the new point
     # Buffers, filled in place each step and viewed once (``out`` goes by
     # position, which numpy parses faster than a keyword): KY holds the
@@ -318,7 +383,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     Y[:n], Y[n:2 * n], Y[2 * n:] = X0, V0, 0.0
     y_new, zeros = np.empty_like(Y), np.zeros_like(Y)
     if rtol is not None:
-        err, scale = np.empty_like(Y), np.empty_like(Y)
+        err, scale = np.empty((len(e), Y.size)), np.empty_like(Y)
         atol = _ATOL_PER_RTOL * rtol
 
     def slope(t_s, i) -> _Point:
@@ -364,13 +429,17 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
                               last_t=t)
         if rtol is not None:
             size = math.inf
-            if finite:  # the RMS of the error over atol + rtol |Y|
-                np.maximum(np.abs(Y, scale), np.abs(y_new, err), out=scale)
+            if finite:  # E5 and E3 over atol + rtol |Y|, combined as DOP853's
+                np.maximum(np.abs(Y, scale), np.abs(y_new, err[0]), out=scale)
+                # the rows weigh K[S] by 0, and 0 * NaN is NaN: a new point
+                # that is not finite rejects the step
                 e.dot(K, err)
                 scale *= rtol
                 scale += atol
                 err /= scale
-                size = dt * math.sqrt(err.dot(err) / err.size)
+                e5, e3 = err[0].dot(err[0]), err[1].dot(err[1])
+                size = (dt * e5 / math.sqrt((e5 + _E3_WEIGHT * e3) * Y.size)
+                        if e5 else 0.0)
             if not size <= 1.0:  # NaN too: a stage overflowed
                 rejected += 1
                 h = dt * (max(_SHRINK_MIN, _SAFETY * size ** _ERR_EXPONENT)

@@ -1,14 +1,15 @@
 """Continuous flow: dynamics, energy ledger, integrator order, slope fits."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractions import Fraction
-
 from distagm import flow
-from distagm.flow import (_DOPRI5, _RK4, LEDGER, BlowUpError, FlowParams,
+from distagm.flow import (_DOP853, _RK4, LEDGER, BlowUpError, FlowParams,
                           _evaluate, _ledger_rates, energy_at, flow_rhs,
                           integrate, rate_slope)
 from distagm.graphs import apply_lifted_laplacian, build_topology
@@ -33,24 +34,59 @@ def test_params_validation():
     assert FlowParams(rtol="1e-8").rtol == 1e-8  # YAML reads 1e-8 as a str
 
 
-@pytest.mark.parametrize("tableau", [_RK4, _DOPRI5], ids=["rk4", "dopri5"])
+@pytest.mark.parametrize("tableau", [_RK4, _DOP853], ids=["rk4", "dop853"])
 def test_tableau_is_consistent(tableau):
-    """Each stage time is its row sum, the weights of the step (and of the
-    embedded solution) sum to 1, and Dormand-Prince's last stage is the
-    step itself (FSAL), so its weight there is 0."""
+    """Each stage time is its row sum, the step's weights sum to 1 and each
+    error row's to 0, and DOP853's last stage is the step itself (FSAL), so
+    its weight there is 0. RK4's coefficients are exact fractions and hold
+    exactly. DOP853's are floats, each within an ulp of its exact value, so
+    a sum holds within 2^-52 times the magnitudes it adds."""
     def exact(row):
-        return [Fraction(*pair) for pair in row]
+        return [Fraction(x) for x in row]
 
-    c, b, b_hat = exact(tableau.c), exact(tableau.b), exact(tableau.b_hat)
+    ulp = 0 if tableau is _RK4 else Fraction(1, 2 ** 52)
+
+    def sums_to(total, row):
+        return abs(total - sum(row, Fraction(0))) <= ulp * sum(map(abs, row))
+
+    c, b, e = exact(tableau.c), exact(tableau.b), [exact(r) for r in tableau.e]
     a = [exact(row) for row in tableau.a]
     assert len(c) == len(a) and [len(row) for row in a] == list(range(len(a)))
-    assert all(c_i == sum(row, Fraction(0)) for c_i, row in zip(c, a))
-    assert sum(b) == 1
-    if tableau is _DOPRI5:
-        assert sum(b_hat) == 1 and len(b) == len(b_hat) == len(a) == 7
-        assert a[-1] == b[:-1] and b[-1] == 0
+    assert all(sums_to(c_i, row) for c_i, row in zip(c, a))
+    assert sums_to(1, b)
+    if tableau is _RK4:
+        assert all(isinstance(x, Fraction) for row in (*tableau.a, tableau.b,
+                                                       tableau.c) for x in row)
+        assert e == [] and len(b) == 4
     else:
-        assert b_hat == [] and len(b) == 4
+        assert len(b) == len(a) == 13 and len(e) == 2
+        assert all(len(row) == 13 and sums_to(0, row) for row in e)
+        assert a[-1] == b[:-1] and b[-1] == 0
+
+
+def test_dop853_is_eighth_order():
+    """DOP853's step, taken at a fixed step from its tableau alone, on
+    y' = y cos t from y(0) = 1 to t = 2 (exactly exp(sin t)): halving 2/3
+    twice cuts the error by 2^7.5 or more each time. The errors, about
+    1.2e-7, 4.2e-10 and 1.6e-12, stay far above the rounding floor."""
+    a = [[float(x) for x in row] for row in _DOP853.a]
+    b = [float(x) for x in _DOP853.b]
+    c = [float(x) for x in _DOP853.c]
+
+    def error(steps):
+        h, y = 2.0 / steps, 1.0
+        for n in range(steps):
+            t, K = n * h, []
+            for c_i, row in zip(c[:-1], a[:-1]):
+                K.append(math.cos(t + c_i * h)
+                         * (y + h * sum(w * k for w, k in zip(row, K))))
+            y += h * sum(w * k for w, k in zip(b, K))
+        return abs(y - math.exp(math.sin(2.0)))
+
+    errors = [error(steps) for steps in (3, 6, 12)]
+    assert errors[-1] > 1e-14
+    for coarse, fine in zip(errors, errors[1:]):
+        assert math.log2(coarse / fine) >= 7.5
 
 
 def test_rhs_singularity():
@@ -299,26 +335,26 @@ def test_ledger_derivative_balances_integrands(ring5, family, seed, beta,
 
 
 def test_controlled_step_conserves_energy(ring5, flow_quadratic, x0_ring5):
-    """energy_conservation.yaml's problem under the Dormand-Prince step at
-    rtol 1e-8, every accepted point recorded: 1112 steps and 33 rejections
-    measured, with a drift of 1.29e-8 against 1.94e-7 for the fixed RK4 step
+    """energy_conservation.yaml's problem under the DOP853 step at rtol
+    1e-8, every accepted point recorded: 172 steps and 2 rejections
+    measured, with a drift of 4.31e-9 against 1.94e-7 for the fixed RK4 step
     at dt = 1e-3. No ledger term is negative at any accepted point."""
     obj, opt = flow_quadratic
     params = FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=50.0,
                         record_every=1, rtol=1e-8)
     trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
     totals = trace.column("E_total")
-    assert np.max(np.abs(totals - totals[0])) / totals[0] <= 2e-8
+    assert np.max(np.abs(totals - totals[0])) / totals[0] <= 1e-8
     for col in LEDGER:
         assert trace.column(col).min() >= 0.0, col
     assert trace.metadata["steps"] == len(trace) - 1
-    assert 0 < trace.metadata["rejected"] < trace.metadata["steps"] < 2000
+    assert 0 < trace.metadata["rejected"] < trace.metadata["steps"] < 400
     assert trace.column("t")[-1] == params.horizon
 
 
 def test_controlled_step_tightens_with_rtol(ring5, flow_quadratic, x0_ring5):
     """The drift is the integrator's error: rtol 10x tighter cuts it about
-    10x (1.54e-7 and 1.29e-8 measured at 1e-7 and 1e-8) at more steps."""
+    10x (4.27e-8 and 4.31e-9 measured at 1e-7 and 1e-8) at more steps."""
     obj, opt = flow_quadratic
 
     def run(rtol):
@@ -380,6 +416,31 @@ def test_controlled_step_underflow_raises(ring5, flow_quadratic, x0_ring5,
         integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
     assert len(recorded) > 1
     assert err.value.last_t == recorded[-1]
+
+
+def test_controlled_step_rejects_a_non_finite_new_point(
+        ring5, flow_quadratic, x0_ring5, monkeypatch):
+    """DOP853's error rows give the new point's slope the weight 0, and
+    0 * NaN is NaN: a step whose new point alone evaluates to NaN is
+    rejected and retried smaller, and no NaN reaches the trace."""
+    obj, opt = flow_quadratic
+    calls = []
+    apply = flow.apply_lifted_laplacian
+
+    def failing(graph, d, X, out=None):
+        out = apply(graph, d, X, out)
+        calls.append(None)
+        if len(calls) == 1 + 2 * 12:  # the second attempt's new point
+            out[0] = np.nan
+        return out
+
+    monkeypatch.setattr(flow, "apply_lifted_laplacian", failing)
+    params = FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=2.0,
+                        record_every=1, rtol=1e-8)
+    trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
+    assert len(calls) > 25 and trace.metadata["rejected"] >= 1
+    assert all(np.isfinite(trace.column(name)).all()
+               for name in trace.columns)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

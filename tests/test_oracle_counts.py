@@ -166,16 +166,15 @@ def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
 
 def test_controlled_flow_takes_few_evaluations(counts, ring5, flow_quadratic,
                                                x0_ring5):
-    """energy_conservation.yaml's run at rtol 1e-8: about 1.1k accepted and
-    few rejected Dormand-Prince steps, 6 evaluations per attempt and 1 at
-    the start, 6.9k in all against 196k for the fixed RK4 step at dt =
-    1e-3."""
+    """energy_conservation.yaml's run at rtol 1e-8: 172 accepted and 2
+    rejected DOP853 steps, 12 evaluations per attempt and 1 at the start,
+    2089 in all against 196k for the fixed RK4 step at dt = 1e-3."""
     obj, opt = flow_quadratic
     params = flow.FlowParams(beta=0.1, t0=1.0, dt=1e-3, horizon=50.0,
                              record_every=1, rtol=1e-8)
     trace = flow.integrate(params, obj, ring5, x0_ring5, x0_ring5 * 0.0, opt)
     attempts = trace.metadata["steps"] + trace.metadata["rejected"]
     assert counts["value_grad"] == counts["laplacian"]
-    assert counts["value_grad"] == 6 * attempts + 1
-    assert counts["value_grad"] < 10_000
+    assert counts["value_grad"] == 12 * attempts + 1
+    assert counts["value_grad"] < 2200
     assert counts["grad"] == counts["value"] == 0
