@@ -59,7 +59,7 @@ GOLDEN = {
     },
     ("energy-check", "energy_conservation.yaml"): {
         "flow_trace.csv":
-            "ff8e2d8f774482bd4da4923e749851b1939017ee8869dadb3d0583324cb8d1f5",
+            "b73355370189b4d93f63407274a587d760cc73ad219b3f2f705fd673c028d10b",
     },
 }
 
