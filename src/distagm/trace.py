@@ -41,7 +41,7 @@ def _format_column(cells) -> list:
         return cells
     else:
         return list(map(_fmt, cells))
-    return (",".join([spec] * len(cells)) % tuple(cells)).split(",")
+    return (",".join([spec] * len(cells)) % cells).split(",")
 
 
 def _parse_meta(text: str):
