@@ -6,8 +6,9 @@ The hashes were produced with numpy 2.4; a different numpy or BLAS may round
 differently and move them. The dist_agm traces quote the controller case
 labels, which contain a comma.
 
-The shipped energy-check config takes the error-controlled Dormand-Prince
-step, so its pin covers that path and its step-size controller. The ramp pin
+The shipped energy-check config takes the error-controlled DOP853 step (172
+steps and 2 rejections, 173 rows), so its pin covers that path and its
+step-size controller. The ramp pin
 runs ``continuous_rate.yaml`` on the fixed RK4 path (its ``rtol`` removed),
 cut to a short horizon with every point recorded, so the
 ``startup_dt_fraction * t`` steps near t0 = 1e-3 are pinned too.
