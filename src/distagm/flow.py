@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -118,8 +117,9 @@ class _Tableau(NamedTuple):
     Y + h (a[i] . K[:i]); the step is Y + h (b . K). For each row e_r of
     ``e``, h (e_r . K) estimates the step's local error. An FSAL pair's
     last a-row equals b (whose last entry is 0), so its last stage is the
-    new point. A coefficient is an exact Fraction (RK4's) or a float, the
-    nearest to its published decimal (DOP853's)."""
+    new point. A coefficient is an exact fraction held as its (numerator,
+    denominator) integer pair (RK4's) or a float, the nearest to its
+    published decimal (DOP853's)."""
 
     c: tuple
     a: tuple  # a[i] holds the i coefficients of stage i; a[0] is empty
@@ -128,8 +128,14 @@ class _Tableau(NamedTuple):
 
 
 def _q(*values) -> tuple:
-    """Each "p/q" or "p" as an exact Fraction."""
-    return tuple(map(Fraction, values))
+    """Each "p/q" or "p" as the pair (p, q) or (p, 1)."""
+    return tuple((int(num), int(den or 1))
+                 for num, _, den in (v.partition("/") for v in values))
+
+
+def _ratio(coef) -> tuple:
+    """A tableau coefficient as its exact (numerator, denominator) pair."""
+    return coef if isinstance(coef, tuple) else coef.as_integer_ratio()
 
 
 _RK4 = _Tableau(c=_q("0", "1/2", "1/2", "1"),
@@ -322,9 +328,9 @@ def _step_weights(tab: _Tableau):
     num, den = np.zeros((S + 1, S)), np.ones((S + 1, S))
     for i, row in enumerate(rows, start=1):
         for j, coef in enumerate(row):
-            num[i, j], den[i, j] = coef.as_integer_ratio()
-    c_num, c_den = np.array([coef.as_integer_ratio()
-                             for coef in (*tab.c[:S], 1)], dtype=float).T
+            num[i, j], den[i, j] = _ratio(coef)
+    c_num, c_den = np.array([_ratio(coef) for coef in (*tab.c[:S], 1)],
+                            dtype=float).T
     e = np.array(tab.e, dtype=float) if tab.e else None
     return num, den, c_num, c_den, e
 

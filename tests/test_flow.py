@@ -38,11 +38,12 @@ def test_params_validation():
 def test_tableau_is_consistent(tableau):
     """Each stage time is its row sum, the step's weights sum to 1 and each
     error row's to 0, and DOP853's last stage is the step itself (FSAL), so
-    its weight there is 0. RK4's coefficients are exact fractions and hold
-    exactly. DOP853's are floats, each within an ulp of its exact value, so
+    its weight there is 0. RK4's coefficients are exact fractions, held as
+    integer pairs, and hold exactly. DOP853's are floats, each within an ulp of its exact value, so
     a sum holds within 2^-52 times the magnitudes it adds."""
     def exact(row):
-        return [Fraction(x) for x in row]
+        return [Fraction(*x) if isinstance(x, tuple) else Fraction(x)
+                for x in row]
 
     ulp = 0 if tableau is _RK4 else Fraction(1, 2 ** 52)
 
@@ -55,8 +56,8 @@ def test_tableau_is_consistent(tableau):
     assert all(sums_to(c_i, row) for c_i, row in zip(c, a))
     assert sums_to(1, b)
     if tableau is _RK4:
-        assert all(isinstance(x, Fraction) for row in (*tableau.a, tableau.b,
-                                                       tableau.c) for x in row)
+        assert all(isinstance(x, tuple) for row in (*tableau.a, tableau.b,
+                                                    tableau.c) for x in row)
         assert e == [] and len(b) == 4
     else:
         assert len(b) == len(a) == 13 and len(e) == 2
