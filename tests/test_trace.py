@@ -123,7 +123,7 @@ _CELLS["mixed"] = st.one_of(*_CELLS.values())
 @st.composite
 def _traces(draw):
     """(columns, rows): up to four columns, each of one kind of cell or
-    mixed, and a few rows or more than ``write_csv``'s 256-row block. A
+    mixed, and a few rows or several of ``write_csv``'s 64-row blocks. A
     column cycles through up to eight drawn cells."""
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=4))
     n_rows = draw(st.one_of(st.integers(0, 8), st.integers(250, 600)))
