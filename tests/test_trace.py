@@ -135,7 +135,7 @@ def _traces(draw):
     return [f"c{j}" for j in range(len(kinds))], rows
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=50, deadline=None)
 @given(trace=_traces(), metadata=st.dictionaries(
     st.sampled_from(["seed", "h", "label"]),
     st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=2))
