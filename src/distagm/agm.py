@@ -5,6 +5,12 @@ with the four-case step-size controller, the per-iteration controller
 quantities (a, b, a~, b~, w, r), and the Lyapunov certificates V_k / V0'
 whose monotone decrease certifies the O(1/k^{2-beta}) rate.
 
+At s = h^2 iterate k sits at time t = k h of the flow (``flow``, with
+k_gain 1), and X_k converges to X(k h) at order 1 in h. In the paper's
+dilated coordinate W = X + (t/2) V the flow's E_kinetic is 2 |W - x*|^2
+exactly, and the Z update Z - s theta_k G_k is one Euler step of
+dW/dt = -(t/2) (t^{-beta} gradF(X) + Llift X) at step h.
+
 Each iterate's vectors are the rows of one array it owns (see ``_XP``).
 ``step`` forms X+_k, Z_{k+1} and X_{k+1} with one product of a 3x3
 coefficient block with the rows (Z_k, X_k, G_k) and evaluates X_{k+1} into

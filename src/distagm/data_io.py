@@ -98,6 +98,8 @@ def build_binary_dataset(images: np.ndarray, labels: np.ndarray,
     labels mapped to {0, 1}, deterministic shuffle, row cap (None: all)."""
     if positive_digit == negative_digit:
         raise ValueError("digits must be distinct")
+    if cap is not None and not cap >= 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     labels = np.asarray(labels).reshape(-1)
     images = np.asarray(images)
     keep = np.isin(labels, (positive_digit, negative_digit))

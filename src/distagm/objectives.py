@@ -1,12 +1,14 @@
 """Per-agent convex objectives, the cumulative cost, and reference solvers.
 
-A separable objective holds ``m`` local convex functions over R^d. The
-cumulative cost evaluates them on a stacked md-vector, one block per agent.
-The consensus optimum (common minimizer of the sum) is computed offline and
-feeds the energy/Lyapunov diagnostics. The baselines, the flow's dynamics
-and the fixed-step dist_agm update never read it; the adaptive dist_agm
-controller reads F* (its a-quantity holds the gaps F(X_k) - F*) in either
-oracle mode, and g* in the exact one.
+A separable objective holds ``m`` local convex functions over R^d. Each
+family writes them once, as the cumulative cost F(X) = sum_i f_i(x_i) on
+a stacked md-vector, one block per agent, and its gradient; the reference
+solver reads the centralized cost and gradient as F and the block sum of
+gradF at X = 1 (x) x. The consensus optimum (common minimizer of the sum)
+is computed offline and feeds the energy/Lyapunov diagnostics. The
+baselines, the flow's dynamics and the fixed-step dist_agm update never
+read it; the adaptive dist_agm controller reads F* (its a-quantity holds
+the gaps F(X_k) - F*) in either oracle mode, and g* in the exact one.
 
 Every caller that needs the cost and the gradient at one point asks for
 both with one ``value_grad`` call: on the quadratic family one product
@@ -54,17 +56,13 @@ class ConsensusOptimum:
 
 
 class SeparableObjective:
-    """Base class: m local functions f_i over R^d with gradient oracles."""
+    """Base class: m local functions f_i over R^d, evaluated on the stacked
+    state. A family implements ``value``, ``value_grad`` and
+    ``central_hess``."""
 
     m: int
     d: int
     smoothness: float  # Lipschitz constant (upper bound) of the stacked gradient
-
-    def local_value(self, i: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def local_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -77,28 +75,21 @@ class SeparableObjective:
         """Cumulative cost: sum of f_i over the agent blocks of X."""
         raise NotImplementedError
 
-    def grad(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Stacked gradient: block i is the gradient of f_i at block i of X.
+    def value_grad(self, X: np.ndarray,
+                   out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+        """``(value(X), gradF(X))``: block i of the stacked gradient is the
+        gradient of f_i at block i of X, and the cost has ``value``'s bits.
 
         With ``out``, a C-contiguous float64 array of X's shape, the
         gradient is written into it and ``out`` is returned, with the bits
         of the allocating call. ``flow.integrate`` writes each stage's
-        gradient into its stage buffer this way, through ``value_grad``.
-        """
+        gradient into its stage buffer this way."""
         raise NotImplementedError
 
-    def value_grad(self, X: np.ndarray,
-                   out: np.ndarray | None = None) -> tuple[float, np.ndarray]:
-        """``(value(X), grad(X, out))``, with those calls' bits. A family
-        whose two oracles share work overrides this to do it once."""
-        return self.value(X), self.grad(X, out)
-
-    def central_value(self, x: np.ndarray) -> float:
-        """Sum of all f_i at a single point (the centralized objective)."""
-        return float(sum(self.local_value(i, x) for i in range(self.m)))
-
-    def central_grad(self, x: np.ndarray) -> np.ndarray:
-        return np.sum([self.local_grad(i, x) for i in range(self.m)], axis=0)
+    def grad(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The stacked gradient of ``value_grad``, for ``flow.flow_rhs`` and
+        the reference solver; the runs ask for it with the cost."""
+        return self.value_grad(X, out)[1]
 
     def central_hess(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the centralized objective at a single point."""
@@ -142,23 +133,13 @@ class QuadraticObjective(SeparableObjective):
         self.Qs, self.bs, self.M = Qs, bs, M
         self.b = bs.reshape(-1)
 
-    def local_value(self, i, x):
-        r = x - self.bs[i]
-        return 0.5 * float(r @ self.Qs[i] @ r)
-
-    def local_grad(self, i, x):
-        return self.Qs[i] @ (x - self.bs[i])
-
     def value(self, X):
         r = self._check(X) - self.b
         return 0.5 * float(r.dot(self.M.dot(r)))
 
-    def grad(self, X, out=None):
-        # ``out`` goes by position, which numpy parses faster than a keyword
-        return self.M.dot(self._check(X) - self.b, out)
-
     def value_grad(self, X, out=None):
         r = self._check(X) - self.b
+        # ``out`` goes by position, which numpy parses faster than a keyword
         g = self.M.dot(r, out)
         return 0.5 * float(r.dot(g)), g
 
@@ -182,11 +163,13 @@ class LogisticObjective(SeparableObjective):
 
     The shards are held once, read-only, zero-padded to the longest:
     features Z (m, rows, d), labels Y and a 0/1 row mask (m, rows); ``Zs``
-    and ``ys`` are views into them. ``ZtY`` (m, d), row i Z_i^T y_i, is
-    built once and read-only too. The stacked oracles are one batched
-    product each way, block i reading only shard i and x_i; the per-agent
-    and centralized oracles read the same private formulas. Padding costs
-    (m * rows - n)(d + 2) * 8 bytes, none for equal shards.
+    are views into Z, which the centralized Hessian reads. ``ZtY`` (m, d),
+    row i Z_i^T y_i, is built once and read-only too. The stacked oracles
+    are one batched product each way, block i reading only shard i and
+    x_i; on equal shards block i has the bits of the same formulas on
+    agent i alone. The reference solver reads them at 1 (x) x, and
+    tests/oracles.py writes the per-agent forms from the definition.
+    Padding costs (m * rows - n)(d + 2) * 8 bytes, none for equal shards.
     """
 
     def __init__(self, shards_z, shards_y, l2: float = 1e-4):
@@ -219,27 +202,11 @@ class LogisticObjective(SeparableObjective):
         for arr in (self.Z, self.Y, self.mask, self.ZtY):
             arr.setflags(write=False)
         self.Zs = [self.Z[i, :n] for i, n in enumerate(sizes)]
-        self.ys = [self.Y[i, :n] for i, n in enumerate(sizes)]
         self._half_ridge = 0.5 * self.l2 / self.m
         # 1/4 bound on the logistic Hessian plus the per-agent ridge share.
         self.smoothness = float(max(
             0.25 * np.linalg.eigvalsh(z.T @ z)[-1] + self.l2 / self.m
             for z in self.Zs))
-
-    def _linear(self, i, x):
-        """The label term and the ridge of f_i: x . ((l2/2m) x - Z_i^T y_i)."""
-        return x.dot(self._half_ridge * x - self.ZtY[i])
-
-    def local_value(self, i, x):
-        margins = self.Zs[i] @ x
-        loss = _softplus(margins, _exp_neg_abs(margins))
-        return float(np.add.reduce(loss) + self._linear(i, x))
-
-    def local_grad(self, i, x):
-        margins = self.Zs[i] @ x
-        resid = _sigmoid(margins, _exp_neg_abs(margins))
-        resid -= self.ys[i]
-        return self.Zs[i].T @ resid + self.l2 / self.m * x
 
     def _margins(self, X):
         """X checked, its agent blocks and the margins Z_i x_i (m, rows)."""
@@ -250,8 +217,8 @@ class LogisticObjective(SeparableObjective):
     def _cost(self, xb, margins, e):
         loss = _softplus(margins, e)
         loss *= self.mask
-        # _linear of every agent, a dot each; Python's sum over agents
-        # keeps the per-agent sweep's bits
+        # the label term and the ridge of f_i, x_i . ((l2/2m) x_i - Z_i^T y_i),
+        # a dot per agent; Python's sum adds the agents' costs in order
         lin = xb[:, None, :] @ (self._half_ridge * xb - self.ZtY)[:, :, None]
         return float(sum((np.add.reduce(loss, 1) + lin.ravel()).tolist()))
 
@@ -269,10 +236,6 @@ class LogisticObjective(SeparableObjective):
     def value(self, X):
         _, xb, margins = self._margins(X)
         return self._cost(xb, margins, _exp_neg_abs(margins))
-
-    def grad(self, X, out=None):
-        X, _, margins = self._margins(X)
-        return self._grad(X, margins, _exp_neg_abs(margins), out)
 
     def value_grad(self, X, out=None):
         X, xb, margins = self._margins(X)
@@ -355,7 +318,8 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
                             max_iter: int = 500_000) -> ConsensusOptimum:
     """Damped Newton on the centralized cost sum_i f_i, with Armijo
     backtracking on its value (Boyd & Vandenberghe, Convex Optimization,
-    Alg. 9.5), from x = 0.
+    Alg. 9.5), from x = 0. The centralized cost and gradient at x are the
+    stacked oracles at 1 (x) x, the gradient summed over the agent blocks.
 
     Runs until the centralized gradient norm falls below ``tol``. Raises
     SolverError carrying the best iterate if ``max_iter`` Newton steps do
@@ -366,10 +330,10 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x = np.zeros(obj.d)
-    f = obj.central_value(x)
+    f = obj.value(obj.stack(x))
     best_x, best_norm = x.copy(), np.inf
     for it in range(max_iter + 1):
-        g = obj.central_grad(x)
+        g = obj.grad(obj.stack(x)).reshape(obj.m, obj.d).sum(axis=0)
         gnorm = float(np.linalg.norm(g))
         if gnorm < best_norm:
             best_norm, best_x = gnorm, x.copy()
@@ -388,12 +352,12 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
         decrement = -float(g @ dx)  # squared Newton decrement
         t = 1.0
         x_new = x + dx
-        f_new = obj.central_value(x_new)
+        f_new = obj.value(obj.stack(x_new))
         while (f_new > f - _ARMIJO * t * decrement
                and decrement > _F_RESOLUTION * (1.0 + abs(f))):
             t *= _BACKTRACK
             x_new = x + t * dx
-            f_new = obj.central_value(x_new)
+            f_new = obj.value(obj.stack(x_new))
         x, f = x_new, f_new
     x_stacked = obj.stack(best_x)
     f_star, grad_at_opt = obj.value_grad(x_stacked)

@@ -10,6 +10,41 @@ import math
 
 import numpy as np
 
+from distagm.objectives import QuadraticObjective
+
+
+def local_value(obj, i, x):
+    """f_i(x): 0.5 (x - b_i)^T Q_i (x - b_i) for a quadratic; for a logistic,
+    the sum over shard i of log(1 + exp(z.x)) - y z.x, plus (l2/2m)|x|^2."""
+    if isinstance(obj, QuadraticObjective):
+        r = x - obj.bs[i]
+        return 0.5 * float(r @ obj.Qs[i] @ r)
+    z = obj.Zs[i]
+    margins = z @ x
+    loss = np.logaddexp(0.0, margins) - obj.Y[i, :len(z)] * margins
+    return float(loss.sum() + 0.5 * obj.l2 / obj.m * (x @ x))
+
+
+def local_grad(obj, i, x):
+    """The gradient of f_i at x: Q_i (x - b_i) for a quadratic; for a
+    logistic, Z_i^T (sigmoid(Z_i x) - y_i) + (l2/m) x, the sigmoid written
+    as (1 + tanh(m/2)) / 2."""
+    if isinstance(obj, QuadraticObjective):
+        return obj.Qs[i] @ (x - obj.bs[i])
+    z = obj.Zs[i]
+    sigmoid = 0.5 * (1.0 + np.tanh(0.5 * (z @ x)))
+    return z.T @ (sigmoid - obj.Y[i, :len(z)]) + obj.l2 / obj.m * x
+
+
+def central_value(obj, x):
+    """The centralized cost sum_i f_i(x) at a single d-vector."""
+    return sum(local_value(obj, i, x) for i in range(obj.m))
+
+
+def central_grad(obj, x):
+    """The centralized gradient sum_i grad f_i(x) at a single d-vector."""
+    return sum(local_grad(obj, i, x) for i in range(obj.m))
+
 
 def flow_rhs_per_agent(t, Y, params, obj, graph):
     """Per-agent assembly of the flow's dynamics: agent i reads only its own
@@ -24,7 +59,7 @@ def flow_rhs_per_agent(t, Y, params, obj, graph):
                      if j != i and graph.laplacian[i, j] != 0.0]
         consensus = sum((xb[i] - xb[j] for j in neighbors), np.zeros(obj.d))
         dv[i] = (-(3.0 / t) * vb[i]
-                 - t ** (-params.beta) * obj.local_grad(i, xb[i])
+                 - t ** (-params.beta) * local_grad(obj, i, xb[i])
                  - params.k_gain * consensus)
     return np.concatenate((Y[n:], dv.reshape(-1)))
 

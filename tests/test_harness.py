@@ -577,6 +577,26 @@ def test_mnist_fallback_reads_n_and_p(tmp_path):
     assert label.startswith("synthetic-gaussian")
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_mnist_cap_below_one_exit_code(cap, tmp_path, capsys):
+    """A row cap below 1 is refused by name, with exit 2 and no output
+    directory, not read as a slice that drops the last |cap| rows."""
+    rng = np.random.default_rng(5)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(serialize_idx(
+        rng.integers(0, 256, size=(120, 2, 2)).astype(np.uint8)))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(serialize_idx(
+        rng.choice([1, 5], size=120).astype(np.uint8)))
+    cfg = {"problem": {"type": "logistic-mnist",
+                       "dataset_root": str(tmp_path), "cap": cap},
+           "iters": 5, "algorithms": ["dgd"]}
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, cfg), "--out",
+                 str(out)]) == harness.EXIT_CONFIG == 2
+    assert capsys.readouterr().err == (
+        f"config error: problem: cap must be >= 1, got {cap}\n")
+    assert not out.exists()
+
+
 def effective_args(fn, *args, **kwargs):
     """The arguments ``fn`` runs with: those passed plus its defaults."""
     call = inspect.signature(fn).bind(*args, **kwargs)
@@ -667,7 +687,7 @@ def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):
             del cfg["problem"]["dataset_root"]
         obj, _, _ = harness.build_problem(checked(cfg), graph)
         np.testing.assert_array_equal(np.vstack(obj.Zs), ds.features)
-        np.testing.assert_array_equal(np.concatenate(obj.ys), ds.labels)
+        np.testing.assert_array_equal(obj.Y[obj.mask == 1.0], ds.labels)
         assert obj.l2 == 1e-4
     assert [(args["tol"], args["max_iter"]) for args in solver_args] == [
         (1e-9, 500_000)] * 2

@@ -5,7 +5,7 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
-from distagm import agm, baselines, flow, harness
+from distagm import agm, baselines, flow, harness, objectives
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distagm"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -172,3 +172,20 @@ def test_every_public_name_is_read():
               if not any(n == name and m != module for m, n in reads)
               and not re.search(rf"\b{name}\b", bench)]
     assert unread == ["flow.flow_rhs"]
+
+
+def test_objectives_have_one_evaluation_path():
+    """Each objective family's public methods are the ones the package
+    reads: the cost and the fused cost and gradient on the stacked state,
+    the gradient alone, the centralized Hessian, ``stack`` and the
+    quadratic's closed form. The reference solver reads the centralized
+    cost and gradient through the stacked oracles, so a per-agent or
+    centralized form of either belongs in tests/oracles.py."""
+    common = {"value", "value_grad", "grad", "central_hess", "stack"}
+    expected = {objectives.SeparableObjective: common,
+                objectives.QuadraticObjective: common | {"closed_form_optimum"},
+                objectives.LogisticObjective: common}
+    for cls, names in expected.items():
+        public = {name for name in dir(cls) if not name.startswith("_")
+                  and callable(getattr(cls, name))}
+        assert public == names, cls.__name__

@@ -4,9 +4,9 @@ flow integrator.
 Each adaptive or fixed-step iteration evaluates the new iterate once
 (stacked gradient, lifted Laplacian, cumulative cost) plus the cost at the
 plus-iterate. DGD and DIGing take the gradient of their update from 1
-stacked gradient call and make no per-agent call. Each stage of the
-flow's Runge-Kutta step makes one fused evaluation and one Laplacian apply,
-the accepted point's once; that evaluation is the next step's first stage.
+stacked gradient call. Each stage of the flow's Runge-Kutta step makes one
+fused evaluation and one Laplacian apply, the accepted point's once; that
+evaluation is the next step's first stage.
 
 The runs ask for the cost and the gradient at one point with one
 ``value_grad`` call. Both families answer it in one evaluation (on the
@@ -39,7 +39,7 @@ def counts(monkeypatch, controller_quadratic):
     obj, _ = controller_quadratic
     calls = Counter()
     cls = type(obj)
-    for name in ("value_grad", "grad", "value", "local_grad"):
+    for name in ("value_grad", "grad", "value"):
         monkeypatch.setattr(cls, name, counted(calls, name,
                                                getattr(cls, name)))
     for module in (agm, baselines, flow):
@@ -60,7 +60,7 @@ def logistic_counts(monkeypatch):
 
 
 def per_iteration(calls, run, names=("value_grad", "grad", "value",
-                                    "laplacian", "local_grad")):
+                                    "laplacian")):
     """Calls per iteration, from the difference of an ITERS and a 2*ITERS
     run so that set-up calls cancel."""
     calls.clear()
@@ -101,7 +101,6 @@ def test_gradient_baselines_reuse_the_update_sweep(run_fn, counts, ring5,
                                      ring5, x0_ring5, iters=iters, opt=opt))
     assert got["value_grad"] == 1
     assert got["grad"] == got["value"] == 0
-    assert got["local_grad"] == 0
     assert got["laplacian"] == 1
 
 
