@@ -330,10 +330,10 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
     if max_iter < 0:
         raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     x = np.zeros(obj.d)
-    f = obj.value(obj.stack(x))
+    f, g = obj.value_grad(obj.stack(x))
     best_x, best_norm = x.copy(), np.inf
     for it in range(max_iter + 1):
-        g = obj.grad(obj.stack(x)).reshape(obj.m, obj.d).sum(axis=0)
+        g = g.reshape(obj.m, obj.d).sum(axis=0)
         gnorm = float(np.linalg.norm(g))
         if gnorm < best_norm:
             best_norm, best_x = gnorm, x.copy()
@@ -352,13 +352,13 @@ def solve_consensus_optimum(obj: SeparableObjective, tol: float = 1e-9,
         decrement = -float(g @ dx)  # squared Newton decrement
         t = 1.0
         x_new = x + dx
-        f_new = obj.value(obj.stack(x_new))
+        f_new, g_new = obj.value_grad(obj.stack(x_new))
         while (f_new > f - _ARMIJO * t * decrement
                and decrement > _F_RESOLUTION * (1.0 + abs(f))):
             t *= _BACKTRACK
             x_new = x + t * dx
-            f_new = obj.value(obj.stack(x_new))
-        x, f = x_new, f_new
+            f_new, g_new = obj.value_grad(obj.stack(x_new))
+        x, f, g = x_new, f_new, g_new
     x_stacked = obj.stack(best_x)
     f_star, grad_at_opt = obj.value_grad(x_stacked)
     return ConsensusOptimum(x_star=best_x, f_star=f_star,

@@ -15,14 +15,16 @@ quadratic family one matrix-vector product), so the counts show
 """
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from distagm import agm, baselines, flow
+from distagm import agm, baselines, flow, harness
 from distagm.graphs import apply_lifted_laplacian
 from distagm.objectives import LogisticObjective
 
 ITERS = 20
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def counted(calls, name, fn):
@@ -115,6 +117,17 @@ def test_logistic_adaptive_iteration_fuses_its_evaluation(
             obj, ring5, x0_ring5, iters=iters, opt=opt),
         names=("value_grad", "value", "grad"))
     assert got == {"value_grad": 1, "value": 1, "grad": 0}
+
+
+def test_solver_evaluates_each_newton_point_once(logistic_counts):
+    """The reference solve of logistic_compare.yaml's problem takes 7 full
+    Newton steps: one fused evaluation at the start and at each trial
+    point, whose gradient the next step reuses, and one at the returned
+    optimum, with no ``value`` or ``grad`` call."""
+    settings = harness.check_config(
+        harness.load_config(CONFIGS / "logistic_compare.yaml"), None)
+    harness.build_problem(settings, harness.build_graph(settings))
+    assert dict(logistic_counts) == {"value_grad": 9}
 
 
 @pytest.mark.parametrize("run_fn", [baselines.dgd_run, baselines.diging_run])
