@@ -93,38 +93,41 @@ def _zeros(n: int) -> np.ndarray:
 class TraceRecorder(AbstractContextManager):
     """Trace schema, row builder and divergence guard of every discrete run.
 
-    Each call appends one row from oracle values the caller holds. A gap not
-    within ``DIVERGENCE_FACTOR`` times the first row's gap (floored at the
-    objective's rounding noise, capped at the largest float; NaN and inf
-    included, on the first row too) raises DivergenceError, which leaving
-    the context carries the partial trace, as ``step``'s does."""
+    Each row holds the columns the run computes: dist_agm's ``COLUMNS``, or
+    a baseline's ``BASELINE_COLUMNS``, whose step is in the metadata. An
+    ``F_gap`` not within ``DIVERGENCE_FACTOR`` times the first row's
+    (floored at the objective's rounding noise, capped at the largest float;
+    NaN and inf included, on the first row too) raises DivergenceError,
+    which leaving the context carries the partial trace, as ``step``'s
+    does."""
 
     COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
                "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
                "fallback_flag")
+    BASELINE_COLUMNS = ("k", "F_gap", "grad_norm", "laplacian_norm")
     DIVERGENCE_FACTOR = 1e6
 
-    def __init__(self, metadata: dict, f_star: float):
-        self.trace = RunTrace(self.COLUMNS, metadata)
+    def __init__(self, columns, metadata: dict, f_star: float):
+        self.trace = RunTrace(columns, metadata)
+        self._gap = self.trace.columns.index("F_gap")
         self._floor = 1e-12 * (1.0 + abs(f_star))
         self._limit = None
 
-    def __call__(self, k, gap, grad, lx, *rest):
-        self.record(k, gap, _norm(grad), _norm(lx), *rest)
+    def __call__(self, k, gap, grad, lx):
+        """A ``BASELINE_COLUMNS`` row from the gradient and L X."""
+        self.record(k, gap, _norm(grad), _norm(lx))
 
-    def record(self, k, gap, grad_norm, lx_norm, s_k, gap_plus=None,
-               v=np.nan, case="", w=np.nan, r=np.nan, mono=True,
-               fallback=False):
-        """The row, given the norms of the gradient and of L X."""
-        self.trace.append(k, gap if gap_plus is None else gap_plus, gap,
-                          grad_norm, lx_norm, s_k, v, case, w, r, mono,
-                          fallback)
+    def record(self, *row):
+        """One row, in the trace's column order."""
+        self.trace.append(*row)
+        gap = row[self._gap]
         if self._limit is None:
             # capped at the largest float, so that a first gap of inf (a
             # start whose cost overflows) is out of bounds too
             self._limit = min(self.DIVERGENCE_FACTOR * max(gap, self._floor),
                               _FLOAT_MAX)
         if not gap <= self._limit:
+            k = row[0]
             raise DivergenceError(f"gap {gap:.3g} out of bounds at iteration "
                                   f"{k}", iteration=k, trace=self.trace)
 
@@ -460,15 +463,18 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
     s, f_star = params.s, opt.f_star
     state = _evaluate(init(X0, params.h, params.beta), obj, graph, opt)
     state.s = s
-    rec = TraceRecorder({"algorithm": "dist_agm_fixed", **asdict(params),
-                         "iters": iters}, f_star)
+    rec = TraceRecorder(TraceRecorder.COLUMNS, {
+        "algorithm": "dist_agm_fixed", **asdict(params), "iters": iters},
+        f_star)
+    idle = (np.nan, "", np.nan, np.nan, True, False)  # V_k to fallback_flag
     with rec:
-        rec(0, state.gap, state.rows[_DF], state.rows[_LX], 0.0)  # X+ = X_0
+        rec.record(0, state.gap, state.gap, _norm(state.rows[_DF]),
+                   _norm(state.rows[_LX]), 0.0, *idle)  # X+ = X_0
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt, s)
-            rec(prev.k, prev.gap, prev.rows[_DF], prev.rows[_LX], s,
-                obj.value(state.X_plus) - f_star)
+            rec.record(prev.k, obj.value(state.X_plus) - f_star, prev.gap,
+                       _norm(prev.rows[_DF]), _norm(prev.rows[_LX]), s, *idle)
     return rec.trace
 
 
@@ -490,14 +496,15 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
     s_ref = s1 if s1 > 0.0 else boot.cap_smooth
     state.s = s1
     v0_prime = lyapunov_v0_prime(X0, opt, s_ref)
-    rec = TraceRecorder({"algorithm": "dist_agm_adaptive", **asdict(params),
-                         "iters": iters, "s_ref": s_ref,
-                         "V0_prime": v0_prime}, f_star)
+    rec = TraceRecorder(TraceRecorder.COLUMNS, {
+        "algorithm": "dist_agm_adaptive", **asdict(params), "iters": iters,
+        "s_ref": s_ref, "V0_prime": v0_prime}, f_star)
     ref, sqrt = np.stack((opt.x_star_stacked, opt.x_star_stacked)), math.sqrt
     with rec:
         _, grad_sq, lx_sq, *_ = state.gram
-        rec.record(0, state.gap, sqrt(grad_sq), sqrt(lx_sq), 0.0, None,
-                   v0_prime, "bootstrap", np.nan, boot.r)  # X_plus is X_0
+        rec.record(0, state.gap, state.gap, sqrt(grad_sq), sqrt(lx_sq), 0.0,
+                   v0_prime, "bootstrap", np.nan, boot.r, True,
+                   False)  # X_plus is X_0
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt)
@@ -507,7 +514,7 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
             fallback = not math.isfinite(chosen)
             state.s = min(s, cap) if fallback else chosen
             _, grad_sq, lx_sq, *_ = prev.gram
-            rec.record(prev.k, prev.gap, sqrt(grad_sq), sqrt(lx_sq), s,
-                       obj.value(state.X_plus) - f_star, v, case, w, r, mono,
+            rec.record(prev.k, obj.value(state.X_plus) - f_star, prev.gap,
+                       sqrt(grad_sq), sqrt(lx_sq), s, v, case, w, r, mono,
                        fallback)
     return rec.trace

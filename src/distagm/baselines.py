@@ -62,8 +62,8 @@ def dgd_run(params: StepParams, obj: SeparableObjective, graph: AgentGraph,
     w = metropolis_weights(graph)
     xb = np.asarray(X0, dtype=float).reshape(graph.m, obj.d).copy()
     value, grads = _value_grad_blocks(obj, xb)
-    rec = TraceRecorder({"algorithm": "dgd", **asdict(params),
-                         "iters": iters}, opt.f_star)
+    rec = TraceRecorder(TraceRecorder.BASELINE_COLUMNS, {
+        "algorithm": "dgd", **asdict(params), "iters": iters}, opt.f_star)
     for k in range(iters + 1):
         if k:
             # ndarray.dot makes the same BLAS call as @ with less dispatch
@@ -71,7 +71,7 @@ def dgd_run(params: StepParams, obj: SeparableObjective, graph: AgentGraph,
             value, grads = _value_grad_blocks(obj, xb)
         X = xb.reshape(-1)
         rec(k, value - opt.f_star, grads,
-            apply_lifted_laplacian(graph, obj.d, X), params.alpha)
+            apply_lifted_laplacian(graph, obj.d, X))
     return rec.trace
 
 
@@ -86,8 +86,8 @@ def diging_run(params: StepParams, obj: SeparableObjective,
     xb = np.asarray(X0, dtype=float).reshape(graph.m, obj.d).copy()
     value, grads = _value_grad_blocks(obj, xb)
     yb = grads
-    rec = TraceRecorder({"algorithm": "diging", **asdict(params),
-                         "iters": iters}, opt.f_star)
+    rec = TraceRecorder(TraceRecorder.BASELINE_COLUMNS, {
+        "algorithm": "diging", **asdict(params), "iters": iters}, opt.f_star)
     residual = 0.0
     for k in range(iters + 1):
         if k:
@@ -101,7 +101,7 @@ def diging_run(params: StepParams, obj: SeparableObjective,
             residual = max(residual, math.sqrt(float(gap.dot(gap))))
         X = xb.reshape(-1)
         rec(k, value - opt.f_star, grads,
-            apply_lifted_laplacian(graph, obj.d, X), params.alpha)
+            apply_lifted_laplacian(graph, obj.d, X))
     rec.trace.metadata["max_tracking_residual"] = residual
     return rec.trace
 
@@ -121,9 +121,10 @@ def pi_consensus_run(params: PIParams, obj: SeparableObjective,
     v = np.zeros_like(x)
     value, g = obj.value_grad(x)
     lx = apply_lifted_laplacian(graph, obj.d, x)
-    rec = TraceRecorder({"algorithm": "pi_consensus", **asdict(params),
-                         "iters": iters}, opt.f_star)
-    rec(0, value - opt.f_star, g, lx, h_step)
+    rec = TraceRecorder(TraceRecorder.BASELINE_COLUMNS, {
+        "algorithm": "pi_consensus", **asdict(params), "iters": iters},
+        opt.f_star)
+    rec(0, value - opt.f_star, g, lx)
     v_sum = 0.0
     for k in range(1, iters + 1):
         x_new = x + h_step * (-alpha * g - lx - beta_gain * v)
@@ -133,6 +134,6 @@ def pi_consensus_run(params: PIParams, obj: SeparableObjective,
         v_sum = max(v_sum, math.sqrt(float(total.dot(total))))
         value, g = obj.value_grad(x)
         lx = apply_lifted_laplacian(graph, obj.d, x)
-        rec(k, value - opt.f_star, g, lx, h_step)
+        rec(k, value - opt.f_star, g, lx)
     rec.trace.metadata["max_integral_sum"] = v_sum
     return rec.trace

@@ -22,15 +22,17 @@ from distagm.objectives import QuadraticObjective, make_quadratic
 from oracles import combined_field, single_line_update
 
 PRACTICAL = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
+NORMS = TraceRecorder.BASELINE_COLUMNS  # the recorder's vector-form rows
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def shipped_problem(name):
+def shipped_problem(name, edit=lambda cfg: None):
     """The graph, objective, optimum, start, dist_agm parameters and
-    iteration budget of a shipped config, built as the harness builds
-    them."""
-    settings_ = harness.check_config(harness.load_config(CONFIGS / name),
-                                     None)
+    iteration budget of a shipped config, after ``edit`` has changed the
+    loaded config in place, built as the harness builds them."""
+    cfg = harness.load_config(CONFIGS / name)
+    edit(cfg)
+    settings_ = harness.check_config(cfg, None)
     graph = harness.build_graph(settings_)
     obj, opt, _ = harness.build_problem(settings_, graph)
     x0 = harness.initial_state(settings_, graph, obj)
@@ -460,16 +462,16 @@ def test_trace_recorder_guard():
     """The first gap, floored at 1e-12 (1 + |F*|), is the reference; a gap
     above 1e6 times it, or a NaN gap, stops the run with the rows so far."""
     grad = lx = np.zeros(2)
-    rec = TraceRecorder({"algorithm": "probe"}, f_star=-999.0)
-    rec(0, 0.0, grad, lx, 0.1)  # exact-optimum start: the floor is 1e-9
-    rec(1, 5e-4, grad, lx, 0.1)
+    rec = TraceRecorder(NORMS, {"algorithm": "probe"}, f_star=-999.0)
+    rec(0, 0.0, grad, lx)  # exact-optimum start: the floor is 1e-9
+    rec(1, 5e-4, grad, lx)
     with pytest.raises(DivergenceError) as err:
-        rec(2, 2e-3, grad, lx, 0.1)
+        rec(2, 2e-3, grad, lx)
     assert err.value.iteration == 2 and len(err.value.trace) == 3
-    rec = TraceRecorder({}, f_star=0.0)
-    rec(0, 1.0, grad, lx, 0.1)
+    rec = TraceRecorder(NORMS, {}, f_star=0.0)
+    rec(0, 1.0, grad, lx)
     with pytest.raises(DivergenceError) as err:
-        rec(1, np.nan, grad, lx, 0.1)
+        rec(1, np.nan, grad, lx)
     assert err.value.trace is rec.trace
 
 
@@ -477,15 +479,15 @@ def test_trace_recorder_refuses_an_infinite_first_gap():
     """A start whose cost overflows (gap inf) stops the run at k = 0: as the
     reference it would put every later gap, inf included, in bounds."""
     grad = lx = np.zeros(2)
-    rec = TraceRecorder({}, f_star=0.0)
+    rec = TraceRecorder(NORMS, {}, f_star=0.0)
     with pytest.raises(DivergenceError) as err:
-        rec(0, np.inf, grad, lx, 0.1)
+        rec(0, np.inf, grad, lx)
     assert err.value.iteration == 0 and len(err.value.trace) == 1
     # a finite first gap whose limit overflows still stops a later inf
-    rec = TraceRecorder({}, f_star=0.0)
-    rec(0, 1e303, grad, lx, 0.1)
+    rec = TraceRecorder(NORMS, {}, f_star=0.0)
+    rec(0, 1e303, grad, lx)
     with pytest.raises(DivergenceError):
-        rec(1, np.inf, grad, lx, 0.1)
+        rec(1, np.inf, grad, lx)
 
 
 def test_trace_recorder_norms_match_linalg_norm():
@@ -498,8 +500,8 @@ def test_trace_recorder_norms_match_linalg_norm():
         for grad, lx in ((blocks.reshape(-1), blocks[::-1].reshape(-1)),
                          (blocks[:, 0], blocks[::-1, 1]),
                          (blocks, np.asfortranarray(blocks))):
-            rec = TraceRecorder({}, f_star=0.0)
-            rec(0, 1.0, grad, lx, 0.1)
+            rec = TraceRecorder(NORMS, {}, f_star=0.0)
+            rec(0, 1.0, grad, lx)
             assert rec.trace.column("grad_norm")[0] == np.linalg.norm(grad)
             assert rec.trace.column("laplacian_norm")[0] == np.linalg.norm(lx)
 
@@ -507,9 +509,9 @@ def test_trace_recorder_norms_match_linalg_norm():
 def test_trace_recorder_hands_over_trace():
     """A DivergenceError raised inside the block, as by step's non-finite
     check, leaves carrying the recorder's partial trace."""
-    rec = TraceRecorder({}, f_star=0.0)
+    rec = TraceRecorder(NORMS, {}, f_star=0.0)
     with pytest.raises(DivergenceError) as err, rec:
-        rec(0, 1.0, np.zeros(2), np.zeros(2), 0.1)
+        rec(0, 1.0, np.zeros(2), np.zeros(2))
         raise DivergenceError("non-finite update field", iteration=1)
     assert err.value.trace is rec.trace and len(rec.trace) == 1
 
@@ -618,6 +620,30 @@ def test_logistic_compare_fallbacks_come_from_a_negative_gap():
     assert int(fallback.sum()) == 1895
     assert int(trace.column("k")[fallback][0]) == 106
     assert np.all(trace.column("F_gap")[fallback] < 0.0)
+
+
+def test_discrete_rate_without_a_common_minimizer_falls_back():
+    """discrete_rate.yaml's problem without ``common_offset`` (|g*| =
+    0.0316), run for 2000 iterations: the signed gap turns negative on 1805
+    rows, every fallback row among them. The controller falls back 1581
+    times, first at k = 297, misses monotonicity 1606 times, and V_k is
+    negative on 1316 rows with k >= 1."""
+    def edit(cfg):
+        del cfg["problem"]["common_offset"]
+        cfg["iters"] = 2000
+
+    graph, obj, opt, x0, params, iters = shipped_problem(
+        "discrete_rate.yaml", edit)
+    assert np.linalg.norm(opt.grad_at_opt) == pytest.approx(0.0316, rel=1e-3)
+    trace = adaptive_run(params, obj, graph, x0, iters, opt)
+    k, gap, v = (trace.column(c) for c in ("k", "F_gap", "V_k"))
+    fallback = trace.column("fallback_flag").astype(bool)
+    assert int(fallback.sum()) == 1581
+    assert int(k[fallback][0]) == 297
+    assert int((trace.column("monotonicity_ok") == 0).sum()) == 1606
+    assert int((gap < 0.0).sum()) == 1805
+    assert np.all(gap[fallback] < 0.0)
+    assert int((v[k >= 1] < 0.0).sum()) == 1316
 
 
 def test_step_choice_reads_f_star():

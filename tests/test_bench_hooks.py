@@ -128,6 +128,22 @@ def test_full_trace_counts_the_discrete_loop(child, tmp_path):
     assert metrics["objectives.value_calls_per_iter"] == 1
 
 
+def test_full_trace_of_a_fixed_step_run(child, tmp_path):
+    """The full child reads the controller columns (``fallback_flag``,
+    ``monotonicity_ok``, ``V_k``, ``case``) of every dist_agm trace, the
+    fixed-step run's included, whose controller cells are constant."""
+    cfg = {"problem": {"common_offset": [0.3, -0.2]}, "iters": 7,
+           "algorithms": [{"name": "dist_agm", "mode": "fixed", "h": 0.3}]}
+    path = tmp_path / "tiny.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    result = tmp_path / "result.json"
+    assert child.main([str(result), "full", "--", "run", str(path),
+                       "--out", str(tmp_path / "r")]) == 0
+    metrics = json.loads(result.read_text())["metrics"]
+    assert metrics["agm.iters"] == 7
+    assert metrics["agm.fallbacks"] == 0
+
+
 def test_full_trace_of_a_controlled_flow(child, tmp_path):
     """A full traced energy-check under the error-controlled step, as the
     traced ``quadratic`` workload runs it, exits 0 with a finite drift.
