@@ -50,9 +50,9 @@ GOLDEN = {
         "comparison.csv":
             "9bd982e0ecd3f5497eb949b4f6c2e7a0b0127c09678aa8fb2158be417b5ea199",
         "dgd_trace.csv":
-            "2b91c9fc4a66851d2434501150a30d80176339f1e058ef866e621f476eaee708",
+            "691aaa71911114741e72a469801595df0c94f56ef31bd20ec753ededd55ccd09",
         "diging_trace.csv":
-            "f4a1a387a0fbd402a78e0243f140cea6d3142d0ecdb84eb29a3a21751b8ad88f",
+            "845e2f2b58cc185dde0840ec5e09bd2a4eb8b3c2aecca432469713469343f9be",
         "dist_agm_trace.csv":
             "ba6ed08a0f0c08e40040758f16ced7ab4952535fc36577cc3c087b8878fc4a65",
         "threshold.csv":
