@@ -502,9 +502,9 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
     ref, sqrt = np.stack((opt.x_star_stacked, opt.x_star_stacked)), math.sqrt
     with rec:
         _, grad_sq, lx_sq, *_ = state.gram
+        # X_plus is X_0, so F_gap_plus is F_gap
         rec.record(0, state.gap, state.gap, sqrt(grad_sq), sqrt(lx_sq), 0.0,
-                   v0_prime, "bootstrap", np.nan, boot.r, True,
-                   False)  # X_plus is X_0
+                   v0_prime, "bootstrap", np.nan, boot.r, True, False)
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt)
