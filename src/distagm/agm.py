@@ -11,13 +11,16 @@ dilated coordinate W = X + (t/2) V the flow's E_kinetic is 2 |W - x*|^2
 exactly, and the Z update Z - s theta_k G_k is one Euler step of
 dW/dt = -(t/2) (t^{-beta} gradF(X) + Llift X) at step h.
 
-Each iterate's vectors are the rows of one array it owns (see ``_XP``).
-``step`` forms X+_k, Z_{k+1} and X_{k+1} with one product of a 3x3
-coefficient block with the rows (Z_k, X_k, G_k) and evaluates X_{k+1} into
-its rows. One Gram product of the rows gives every inner product the
-transition and the trace row read; a difference that can cancel is a row
-of its own, never a bilinear expansion. One private call per transition
-returns the controller quantities, the step and V_k.
+Each iterate's vectors are the rows of one array it owns (see ``_XP``),
+with every view of them the iteration reads and a 3x3 coefficient block,
+all built once. A run owns two iterate states and alternates between
+them: ``step`` writes the five k- and s-dependent entries of the spare's
+block, forms X+_k, Z_{k+1} and X_{k+1} in the spare's rows with one product
+of that block with the rows (Z_k, X_k, G_k), and evaluates X_{k+1} there.
+One Gram product of the rows gives every inner product the transition and
+the trace row read; a difference that can cancel is a row of its own,
+never a bilinear expansion. One private call per transition returns the
+controller quantities, the step and V_k.
 
 The controller reads two centralized quantities: the stacked gradient at
 the consensus optimum in r, which the "practical" oracle mode replaces with
@@ -27,7 +30,6 @@ it), and the cost gaps F(X_k) - F* in a, in both modes.
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
@@ -48,9 +50,6 @@ __all__ = [
     "StepChoice",
     "DivergenceError",
     "TraceRecorder",
-    "theta",
-    "c_coeff",
-    "a_coeff",
     "init",
     "step",
     "compute_step_diagnostics",
@@ -78,16 +77,6 @@ def _norm(v: np.ndarray) -> float:
     if v.ndim != 1 or not v.flags.c_contiguous:
         v = v.ravel("K")
     return math.sqrt(float(v.dot(v)))
-
-
-@functools.cache
-def _zeros(n: int) -> np.ndarray:
-    """A read-only zero n-vector. ``_zeros(n).dot(v)`` is 0 when every
-    entry of v is finite and NaN otherwise (0 * inf is NaN): the finiteness
-    test in one dot, with no temporary."""
-    zeros = np.zeros(n)
-    zeros.setflags(write=False)
-    return zeros
 
 
 class TraceRecorder(AbstractContextManager):
@@ -182,26 +171,6 @@ class FixedParams(AgmParams):
         object.__setattr__(self, "s", float(s))
 
 
-def theta(k: int) -> float:
-    return 0.5 * k
-
-
-def _grad_weight(k: int, h: float, beta: float) -> float:
-    """Gradient weight (2 theta_k h)^{-beta}; 2 theta_k = k exactly."""
-    return (k * h) ** (-beta)
-
-
-def c_coeff(k: int) -> float:
-    """theta_{k+1} / (theta_{k+1}^2 - theta_k^2) = 2(k+1)/(2k+1)."""
-    th, th_next = theta(k), theta(k + 1)
-    return th_next / (th_next ** 2 - th ** 2)
-
-
-def a_coeff(k: int) -> float:
-    """A_k = c_k theta_k^2, the Lyapunov weight."""
-    return c_coeff(k) * theta(k) ** 2
-
-
 # An iterate's rows: X+, Z, X, G, gradF(X), Llift X, Z - x*, X - x*,
 # X_k - X_{k+1}, G_k - G_{k+1} and G_k. ``_GRAM`` indexes the entries
 # ``_ready`` lists in the flat Gram product of the rows from _G on.
@@ -215,9 +184,11 @@ _GRAM = np.array([(i - _G) * (_GK + 1 - _G) + j - _G for i, j in (
 class AgmState:
     """Discrete iterate. ``X_plus`` is X_{k-1}^+, made by the step that made
     this state; ``s`` is the step the next step applies. X, X_plus and Z
-    are rows of ``rows`` (see ``_XP``), None in a hand-built state. The
-    later fields are filled in by ``_evaluate`` (``probe`` = 0 . G_k, NaN
-    unless G_k is finite) and ``_ready``."""
+    are rows of ``rows`` (see ``_XP``), None in a hand-built state until it
+    is evaluated, which copies them in. The later fields are filled in by
+    ``_evaluate`` (``probe`` = 0 . G_k, NaN unless G_k is finite, and
+    ``views``, built once) and ``_ready``; ``gap`` is None until the state
+    is evaluated."""
 
     k: int
     X: np.ndarray
@@ -231,24 +202,57 @@ class AgmState:
     gap: float | None = None
     probe: float | None = None
     weight: float | None = None
+    views: _Views | None = None
+
+
+class _Views:
+    """Every view of an iterate's rows the iteration reads, among them the
+    (m, d) block views of X and Llift X that the Laplacian apply reads and
+    writes; the Gram product's output; the 3x3 coefficient block that
+    ``step`` fills in to write an iterate into these rows, with its
+    constant entries set; and a zero vector, whose dot with v is 0 when
+    every entry of v is finite and NaN otherwise (0 * inf is NaN)."""
+
+    __slots__ = ("X", "G", "grad", "lx", "X_blocks", "lx_blocks", "zxg",
+                 "new", "zx", "bars", "xg", "diffs", "gk", "block",
+                 "block_t", "gram", "coef", "coef_flat", "zeros")
+
+    def __init__(self, rows: np.ndarray, m: int, d: int):
+        self.X, self.G, self.grad = rows[_X], rows[_G], rows[_DF]
+        self.lx, self.gk = rows[_LX], rows[_GK]
+        self.X_blocks = self.X.reshape(m, d)
+        self.lx_blocks = self.lx.reshape(m, d)
+        self.zxg, self.new = rows[_Z:_G + 1], rows[:_G]  # step's in and out
+        self.zx, self.bars = rows[_Z:_X + 1], rows[_ZBAR:_XBAR + 1]
+        self.xg, self.diffs = rows[_X:_G + 1], rows[_DX:_GK]
+        self.block = rows[_G:]
+        self.block_t = self.block.T
+        self.gram = np.empty((len(self.block),) * 2)
+        self.coef = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]])
+        self.coef_flat = self.coef.reshape(-1)
+        self.zeros = np.zeros(rows.shape[1])
 
 
 def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
               opt: ConsensusOptimum) -> AgmState:
     """Fills in the oracle values at X_k and the gradient weight
     (k h)^{-beta}; G_k = weight gradF(X_k) + Llift X_k."""
-    rows = state.rows
-    if rows is None:
-        rows = state.rows = np.zeros((_GK + 1, state.X.size))
-        rows[_XP], rows[_Z], rows[_X] = state.X_plus, state.Z, state.X
-    X, G, grad, lx = state.X, rows[_G], rows[_DF], rows[_LX]
-    value, _ = obj.value_grad(X, grad)
-    apply_lifted_laplacian(graph, obj.d, X, lx)
-    state.weight = weight = _grad_weight(state.k, state.h, state.beta)
+    views = state.views
+    if views is None:
+        rows = state.rows
+        if rows is None:
+            rows = state.rows = np.zeros((_GK + 1, state.X.size))
+            rows[_XP], rows[_Z], rows[_X] = state.X_plus, state.Z, state.X
+        views = state.views = _Views(rows, graph.m, obj.d)
+    G, grad, lx = views.G, views.grad, views.lx
+    value, _ = obj.value_grad(views.X, grad)
+    apply_lifted_laplacian(graph, obj.d, views.X_blocks, views.lx_blocks)
+    state.weight = weight = (state.k * state.h) ** (-state.beta)
     np.multiply(grad, weight, G)
     G += lx
     state.gap = value - opt.f_star
-    state.probe = float(_zeros(G.size).dot(G))
+    state.probe = float(views.zeros.dot(G))
     return state
 
 
@@ -259,18 +263,18 @@ def _ready(state: AgmState, prev: AgmState | None, obj: SeparableObjective,
     and ``prev`` (zero when None) and takes ``gram``: |G|^2, |gradF|^2,
     |Llift X|^2, |Z - x*|^2, (X - x*) . Llift X, G . dX, |dG|^2, G_k . G.
     The first five read no difference row, so any ``gram`` serves them."""
-    if state.rows is None:
+    if state.gap is None:
         _evaluate(state, obj, graph, opt)
     if state.gram is None or prev is not None:
-        rows = state.rows
-        np.subtract(rows[_Z:_X + 1], ref, rows[_ZBAR:_XBAR + 1])
+        views = state.views
+        np.subtract(views.zx, ref, views.bars)
         if prev is None:
-            rows[_DX:] = 0.0
+            state.rows[_DX:] = 0.0
         else:  # over rows _X to _LX it would add gradF's and Llift X's
-            np.subtract(prev.rows[_X:_G + 1], rows[_X:_G + 1], rows[_DX:_GK])
-            rows[_GK] = prev.rows[_G]
-        block = rows[_G:]
-        state.gram = block.dot(block.T).take(_GRAM).tolist()
+            np.subtract(prev.views.xg, views.xg, views.diffs)
+            np.copyto(views.gk, prev.views.G)
+        views.block.dot(views.block_t, views.gram)
+        state.gram = views.gram.take(_GRAM).tolist()
 
 
 class StepDiagnostics(NamedTuple):
@@ -296,35 +300,51 @@ class StepChoice(NamedTuple):
 def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
     """State after the k=0 bootstrap: X_1 = X_0, Z_1 = Z_0 = X_0, s_0 = 0,
     so the (2 theta_k h)^{-beta} factor is never evaluated at k=0. The
-    caller installs s_1; AgmParams checks ``h`` and ``beta``."""
-    X0 = np.asarray(X0, dtype=float).copy()
-    return AgmState(k=1, X=X0, X_plus=X0.copy(), Z=X0.copy(), s=0.0,
-                    h=h, beta=beta)
+    caller installs s_1; AgmParams checks ``h`` and ``beta``. X, X_plus
+    and Z are rows of the state's own array, so that a run can reuse it
+    as ``step``'s spare."""
+    X0 = np.asarray(X0, dtype=float)
+    rows = np.empty((_GK + 1, X0.size))
+    rows[_XP] = rows[_Z] = rows[_X] = X0
+    return AgmState(k=1, X=rows[_X], X_plus=rows[_XP], Z=rows[_Z], s=0.0,
+                    h=h, beta=beta, rows=rows)
 
 
 def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
-         opt: ConsensusOptimum, s_next: float = np.nan) -> AgmState:
+         opt: ConsensusOptimum, s_next: float = np.nan,
+         spare: AgmState | None = None) -> AgmState:
     """One iteration k -> k+1 using the stored step-size s_k.
 
-    Installs ``s_next`` as the step-size the new state will apply. The new
-    state owns a fresh array and is evaluated.
+    Installs ``s_next`` as the step-size the new state will apply, and
+    evaluates the new state. Given ``spare``, an evaluated state of the
+    same run other than ``state``, the new state is ``spare``, its rows
+    and cached values overwritten; otherwise it owns a fresh array.
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
-    if state.rows is None:
+    if state.gap is None:
         _evaluate(state, obj, graph, opt)
     if not math.isfinite(state.probe):
         raise DivergenceError("non-finite update field", iteration=state.k)
-    k, s, rows, th_k = state.k, state.s, state.rows, theta(state.k)
-    ratio = th_k ** 2 / theta(k + 1) ** 2
+    k, s = state.k, state.s
+    th_k = 0.5 * k
+    ratio = th_k ** 2 / (0.5 * (k + 1)) ** 2
+    if spare is None:
+        rows = np.empty(state.rows.shape)
+        spare = AgmState(k + 1, rows[_X], rows[_XP], rows[_Z], s_next,
+                         state.h, state.beta, rows,
+                         views=_Views(rows, graph.m, obj.d))
+    else:
+        spare.k, spare.s = k + 1, s_next
+        spare.gram = spare.gap = spare.probe = spare.weight = None
+    views = spare.views
     # X+ = X - s/2 G, Z' = Z - s theta_k G, X' = ratio X+ + (1 - ratio) Z'
-    coef = np.array([[0.0, 1.0, -0.5 * s], [1.0, 0.0, -s * th_k],
-                     [1.0 - ratio, ratio,
-                      -s * (0.5 * ratio + (1.0 - ratio) * th_k)]])
-    new = np.empty(rows.shape)
-    coef.dot(rows[_Z:_G + 1], new[:_G])
-    return _evaluate(AgmState(k + 1, new[_X], new[_XP], new[_Z], s_next,
-                              state.h, state.beta, new), obj, graph, opt)
+    coef = views.coef_flat
+    coef[2], coef[5] = -0.5 * s, -s * th_k
+    coef[6], coef[7], coef[8] = (1.0 - ratio, ratio,
+                                 -s * (0.5 * ratio + (1.0 - ratio) * th_k))
+    views.coef.dot(state.views.zxg, views.new)
+    return _evaluate(spare, obj, graph, opt)
 
 
 def _r_quantity(state: AgmState, opt: ConsensusOptimum,
@@ -335,7 +355,7 @@ def _r_quantity(state: AgmState, opt: ConsensusOptimum,
     if oracle_mode != "exact":
         return state.probe
     gs = state.weight * opt.grad_at_opt
-    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.rows[_G]))
+    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.views.G))
 
 
 def _cap(weight: float, lam_max: float, l_f: float) -> float:
@@ -350,7 +370,8 @@ def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     ``prev`` by ``step`` or by hand: the StepDiagnostics fields, the
     StepChoice fields, then V_k. ``ref`` is x* stacked twice, or None."""
     ref = opt.x_star_stacked if ref is None else ref
-    _ready(prev, None, obj, graph, opt, ref)
+    if prev.gram is None:  # in a run, taken when prev was the last nxt
+        _ready(prev, None, obj, graph, opt, ref)
     _ready(nxt, prev, obj, graph, opt, ref)
     g_sq, _, _, _, x_lx, _, _, _ = prev.gram
     g_sq_next, _, _, z_sq, x_lx_next, g_dx, b, w = nxt.gram
@@ -362,9 +383,12 @@ def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     b_tilde = g_sq + g_sq_next
     r = _r_quantity(nxt, opt, oracle_mode)
     cap = _cap(nxt.weight, lam_max, obj.smoothness)  # weight ((k+1) h)^-beta
-    a_k = a_coeff(k)
+    # the Lyapunov weight A_k = c_k theta_k^2 with theta_k = k/2 and
+    # c_k = theta_{k+1} / (theta_{k+1}^2 - theta_k^2) = 2(k+1)/(2k+1)
+    th, th_next = 0.5 * k, 0.5 * (k + 1)
+    a_k = th_next / (th_next ** 2 - th ** 2) * th ** 2
     case, chosen, mono = _select(a, b, a_tilde, b_tilde, w, r, cap, s, a_k,
-                                 theta(k + 1), k)
+                                 th_next, k)
     v = np.nan
     if s > 0.0:  # gap, consensus, penalty and distance terms; 2 A_k is exact
         a2 = 2.0 * a_k
@@ -400,7 +424,7 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
 def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
                    l_f: float) -> float:
     """Step cap 1 / max{lambda_max, (k h)^{-beta} L_f}."""
-    return _cap(_grad_weight(k, h, beta), lam_max, l_f)
+    return _cap((k * h) ** (-beta), lam_max, l_f)
 
 
 def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,
@@ -468,13 +492,16 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
         f_star)
     idle = (np.nan, "", np.nan, np.nan, True, False)  # V_k to fallback_flag
     with rec:
-        rec.record(0, state.gap, state.gap, _norm(state.rows[_DF]),
-                   _norm(state.rows[_LX]), 0.0, *idle)  # X+ = X_0
+        rec.record(0, state.gap, state.gap, _norm(state.views.grad),
+                   _norm(state.views.lx), 0.0, *idle)  # X+ = X_0
+        spare = None  # the second iterate state, made by the first step
         for _ in range(iters):
             prev = state
-            state = step(prev, obj, graph, opt, s)
+            state = step(prev, obj, graph, opt, s, spare)
             rec.record(prev.k, obj.value(state.X_plus) - f_star, prev.gap,
-                       _norm(prev.rows[_DF]), _norm(prev.rows[_LX]), s, *idle)
+                       _norm(prev.views.grad), _norm(prev.views.lx), s,
+                       *idle)
+            spare = prev
     return rec.trace
 
 
@@ -505,9 +532,10 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
         # X_plus is X_0, so F_gap_plus is F_gap
         rec.record(0, state.gap, state.gap, sqrt(grad_sq), sqrt(lx_sq), 0.0,
                    v0_prime, "bootstrap", np.nan, boot.r, True, False)
+        spare = None  # the second iterate state, made by the first step
         for _ in range(iters):
             prev = state
-            state = step(prev, obj, graph, opt)
+            state = step(prev, obj, graph, opt, np.nan, spare)
             _a, _b, _at, _bt, w, r, cap, case, chosen, mono, v = _transition(
                 prev, state, obj, graph, opt, lam_max, mode, ref)
             s = prev.s
@@ -517,4 +545,5 @@ def adaptive_run(params: AdaptiveParams, obj: SeparableObjective,
             rec.record(prev.k, obj.value(state.X_plus) - f_star, prev.gap,
                        sqrt(grad_sq), sqrt(lx_sq), s, v, case, w, r, mono,
                        fallback)
+            spare = prev
     return rec.trace

@@ -125,20 +125,24 @@ def apply_lifted_laplacian(g: AgentGraph, d: int, X: np.ndarray,
 
     Block ``i`` of the result is ``sum_{j in N_i} (x_i - x_j)``; equivalent to
     the Kronecker-lifted Laplacian times ``X`` without forming the md x md
-    matrix. With ``out``, a C-contiguous float64 array of X's shape, the
-    result is written into it and ``out`` is returned, with the bits of the
-    allocating call.
+    matrix. ``X`` is the stacked m*d vector or its (m, d) block view, and
+    the result has X's shape. With ``out``, a C-contiguous float64 array of
+    X's shape, the result is written into it and ``out`` is returned, with
+    the bits of the allocating call.
     """
     X = np.asarray(X, dtype=float)
-    if X.shape != (g.m * d,):
-        raise ValueError(
-            f"stacked state has length {X.shape}, expected ({g.m * d},)")
-    blocks = X.reshape(g.m, d)
+    if X.shape == (g.m * d,):
+        blocks = X.reshape(g.m, d)
+    elif X.shape == (g.m, d):  # a loop that owns its buffers skips reshapes
+        blocks = X
+    else:
+        raise ValueError(f"stacked state has shape {X.shape}, expected "
+                         f"({g.m * d},) or ({g.m}, {d})")
     # ndarray.dot makes the same BLAS call as @ with less dispatch
     if out is None:
-        return g.laplacian.dot(blocks).reshape(-1)
+        return g.laplacian.dot(blocks).reshape(X.shape)
     # a 1-D out reshapes to a view; dot refuses a strided one
-    g.laplacian.dot(blocks, out.reshape(g.m, d))
+    g.laplacian.dot(blocks, out if out.ndim == 2 else out.reshape(g.m, d))
     return out
 
 

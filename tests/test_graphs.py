@@ -133,6 +133,23 @@ def test_lifted_apply_into_out_matches_allocating_call(kind):
         apply_lifted_laplacian(g, 2, x, np.empty(20)[::2])
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_lifted_apply_to_the_block_view(kind):
+    """The (m, d) block view of a stacked state gives the result's block
+    view, with the bits of the stacked call, allocating or into an (m, d)
+    out; a block view of the wrong shape is refused."""
+    g = build_topology(kind, 5)
+    x = np.random.default_rng(5).standard_normal(10)
+    want = apply_lifted_laplacian(g, 2, x)
+    got = apply_lifted_laplacian(g, 2, x.reshape(5, 2))
+    assert got.shape == (5, 2) and got.tobytes() == want.tobytes()
+    out = np.full((5, 2), np.nan)
+    assert apply_lifted_laplacian(g, 2, x.reshape(5, 2), out) is out
+    assert out.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        apply_lifted_laplacian(g, 2, x.reshape(2, 5))
+
+
 def test_lifted_apply_dimension_error():
     g = build_topology("ring", 5)
     with pytest.raises(ValueError):
