@@ -77,36 +77,6 @@ def test_dimension_mismatch():
         obj.grad(np.zeros(7))
 
 
-@pytest.mark.parametrize("family", ["quadratic", "logistic"])
-def test_stacked_state_forms_give_the_same_bits(family):
-    """A float64 array of the stacked shape is read as it is, a list or an
-    int array is converted first, and a strided float view is accepted:
-    each gives the bits of the contiguous float copy. A wrong shape, the
-    (m, d) block form included, is refused."""
-    obj = make_quadratic(5, 2, seed=4) if family == "quadratic" else \
-        LogisticObjective(*_shards(5, 2), l2=1e-3)
-    ints = np.arange(-4, 6)
-    strided = np.repeat(ints, 2).astype(float)[::2]
-    assert not strided.flags.c_contiguous
-    want = obj.value_grad(ints.astype(float))
-    for X in (ints, ints.tolist(), strided):
-        got = obj.value_grad(X)
-        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
-        assert bits(obj.value(X)) == bits(want[0])
-    for X in (np.zeros(9), np.zeros((5, 2)), [0.0] * 11):
-        with pytest.raises(ValueError):
-            obj.value(X)
-        with pytest.raises(ValueError):
-            obj.value_grad(X)
-
-
-def _shards(m, d):
-    """m logistic shards of 3 rows in d features, with both labels."""
-    rng = np.random.default_rng(5)
-    return (np.array_split(rng.standard_normal((3 * m, d)), m),
-            np.array_split(np.arange(3 * m) % 2.0, m))
-
-
 def small_logistic(l2=1e-3):
     rng = np.random.default_rng(21)
     feats = rng.standard_normal((30, 3))
@@ -129,6 +99,29 @@ def test_grad_into_out_matches_allocating_call(obj):
         obj.grad(X[:-1], out)
     with pytest.raises(ValueError):
         obj.grad(X, np.empty(X.size + 1))
+
+
+@pytest.mark.parametrize("obj", [make_quadratic(5, 3, seed=4),
+                                 small_logistic()],
+                         ids=["quadratic", "logistic"])
+def test_stacked_state_forms_give_the_same_bits(obj):
+    """A float64 array of the stacked shape is read as it is, a list or an
+    int array is converted first, and a strided float view is accepted:
+    each gives the bits of the contiguous float copy. A wrong shape, the
+    (m, d) block form included, is refused."""
+    ints = np.arange(-7, 8)
+    strided = np.repeat(ints, 2).astype(float)[::2]
+    assert not strided.flags.c_contiguous
+    want = obj.value_grad(ints.astype(float))
+    for X in (ints, ints.tolist(), strided):
+        got = obj.value_grad(X)
+        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+        assert bits(obj.value(X)) == bits(want[0])
+    for X in (np.zeros(14), np.zeros((5, 3)), [0.0] * 16):
+        with pytest.raises(ValueError):
+            obj.value(X)
+        with pytest.raises(ValueError):
+            obj.value_grad(X)
 
 
 @pytest.mark.parametrize("l2", [np.nan, np.inf, -1.0])
