@@ -39,7 +39,7 @@ import numpy as np
 
 from .graphs import AgentGraph, apply_lifted_laplacian, spectral_extremes
 from .objectives import ConsensusOptimum, SeparableObjective
-from .trace import RunTrace
+from .trace import DivergenceError, RunTrace
 
 __all__ = [
     "AgmParams",
@@ -48,24 +48,15 @@ __all__ = [
     "AgmState",
     "StepDiagnostics",
     "StepChoice",
-    "DivergenceError",
     "TraceRecorder",
     "init",
     "step",
     "compute_step_diagnostics",
-    "smoothness_cap",
     "select_stepsize",
     "lyapunov",
     "fixed_step_run",
     "adaptive_run",
 ]
-
-
-class DivergenceError(RuntimeError):
-    def __init__(self, msg, iteration=None, trace=None):
-        super().__init__(msg)
-        self.iteration = iteration
-        self.trace = trace
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -118,7 +109,7 @@ class TraceRecorder(AbstractContextManager):
         if not gap <= self._limit:
             k = row[0]
             raise DivergenceError(f"gap {gap:.3g} out of bounds at iteration "
-                                  f"{k}", iteration=k, trace=self.trace)
+                                  f"{k}", at=k, trace=self.trace)
 
     def __exit__(self, kind, err, tb):
         if isinstance(err, DivergenceError):
@@ -325,7 +316,7 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     if state.gap is None:
         _evaluate(state, obj, graph, opt)
     if not math.isfinite(state.probe):
-        raise DivergenceError("non-finite update field", iteration=state.k)
+        raise DivergenceError("non-finite update field", at=state.k)
     k, s = state.k, state.s
     th_k = 0.5 * k
     ratio = th_k ** 2 / (0.5 * (k + 1)) ** 2
@@ -418,13 +409,7 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
     return StepDiagnostics(
         0.0, 2.0 * g_sq, 0.0, 2.0 * g_sq, g_sq,
         _r_quantity(state1, opt, oracle_mode),
-        smoothness_cap(1, state1.h, state1.beta, lam_max, obj.smoothness))
-
-
-def smoothness_cap(k: int, h: float, beta: float, lam_max: float,
-                   l_f: float) -> float:
-    """Step cap 1 / max{lambda_max, (k h)^{-beta} L_f}."""
-    return _cap((k * h) ** (-beta), lam_max, l_f)
+        _cap(state1.weight, lam_max, obj.smoothness))  # weight (1 h)^-beta
 
 
 def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,

@@ -51,24 +51,17 @@ import numpy as np
 
 from .graphs import AgentGraph, apply_lifted_laplacian
 from .objectives import ConsensusOptimum, SeparableObjective
-from .trace import RunTrace
+from .trace import DivergenceError, RunTrace
 
 __all__ = [
     "FlowParams",
     "LEDGER",
     "COLUMNS",
-    "BlowUpError",
     "flow_rhs",
     "energy_at",
     "integrate",
     "rate_slope",
 ]
-
-
-class BlowUpError(RuntimeError):
-    def __init__(self, msg, last_t=None):
-        super().__init__(msg)
-        self.last_t = last_t
 
 
 @dataclass(frozen=True)
@@ -275,12 +268,10 @@ def _evaluate(X, obj, graph, opt, bufs=None) -> _Point:
     return _Point(grad, lx, value - opt.f_star, xbar, x_lx, bregman)
 
 
-def _ledger_rates(t, point: _Point, params: FlowParams, t_beta=None):
+def _ledger_rates(t, point: _Point, params: FlowParams, t_beta):
     """The rates of the Laplacian, Bregman and beta integrals at time t:
-    the ledger's three integrands at the point. ``t_beta`` is t^{-beta}
-    when the caller has it; t^{1-beta} is t t^{-beta}."""
-    if t_beta is None:
-        t_beta = t ** (-params.beta)
+    the ledger's three integrands at the point. ``t_beta`` is t^{-beta};
+    t^{1-beta} is t t^{-beta}."""
     weight = t * t_beta
     return (params.k_gain * t * point.x_lx, 2.0 * weight * point.bregman,
             params.beta * weight * point.gap)
@@ -352,7 +343,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     ``params.record_every``-th accepted step and the last one; the trace's
     metadata adds ``steps`` (accepted) and ``rejected``. A fixed step
     leaving the finite range, or a controlled step below the resolution of
-    t, raises BlowUpError carrying the time of the last accepted point.
+    t, raises DivergenceError carrying the last accepted t and the trace.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(
@@ -431,8 +422,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
             stage_y[:] = y_new[:2 * n]
             point = slope(t + offsets[S], S)
         elif rtol is None:
-            raise BlowUpError(f"trajectory diverged before t={t + dt:.6g}",
-                              last_t=t)
+            raise DivergenceError(f"trajectory diverged before t={t + dt:.6g}",
+                                  at=t, trace=trace)
         if rtol is not None:
             size = math.inf
             if finite:  # E5 and E3 over atol + rtol |Y|, combined as DOP853's
@@ -452,9 +443,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
                           if size < math.inf else _SHRINK_MIN)
                 grow_max = 1.0
                 if t + h == t:
-                    raise BlowUpError(
-                        f"step size underflow before t={t + dt:.6g}",
-                        last_t=t)
+                    raise DivergenceError(
+                        f"step size underflow before t={t + dt:.6g}", at=t,
+                        trace=trace)
                 continue
             h = dt * (min(grow_max, _SAFETY * size ** _ERR_EXPONENT)
                       if size > 0.0 else grow_max)

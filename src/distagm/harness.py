@@ -23,7 +23,7 @@ from . import agm, baselines, data_io, flow
 from .graphs import build_topology
 from .objectives import (LogisticObjective, QuadraticObjective,
                          make_quadratic, solve_consensus_optimum)
-from .trace import RunTrace
+from .trace import DivergenceError, RunTrace
 
 __all__ = [
     "ConfigError",
@@ -300,9 +300,9 @@ def _run_all(settings: dict, out_dir: str):
         try:
             trace = run_algorithm(name, params, obj, graph, x0, opt,
                                   settings["iters"])
-        except agm.DivergenceError as err:
+        except DivergenceError as err:
             code, trace = EXIT_DIVERGENCE, err.trace
-            trace.metadata["diverged_at"] = err.iteration
+            trace.metadata["diverged_at"] = err.at
         wall_s = time.perf_counter() - start
         ks, gaps = trace.column("k"), trace.column("F_gap")
         try:  # blank when the fit flags a non-positive gap or too few points
@@ -396,15 +396,18 @@ def cmd_rate_check(trace_path: str, beta: float, tolerance: float = 0.3,
 
 
 def cmd_energy_check(cfg: dict, out_dir: str, seed) -> int:
-    """Integrate the continuous flow and report conservation quality.
-    ``seed``, unless None, reseeds the run."""
+    """Integrate the continuous flow and report conservation quality. A
+    blow-up keeps its partial trace, stamped with ``diverged_at``, the last
+    accepted t. ``seed``, unless None, reseeds the run."""
     settings = check_config(cfg, seed)
     stamp, graph, obj, opt, x0 = _set_up(settings, out_dir)
     try:
         trace = flow.integrate(settings["flow"], obj, graph, x0,
                                np.zeros_like(x0), opt)
-    except flow.BlowUpError as err:
-        print(f"FAIL blow-up at t={err.last_t}")
+    except DivergenceError as err:
+        err.trace.metadata["diverged_at"] = err.at
+        _write(err.trace, stamp, out_dir, "flow_trace.csv")
+        print(f"FAIL blow-up at t={err.at}")
         return EXIT_DIVERGENCE
     _write(trace, stamp, out_dir, "flow_trace.csv")
     totals = trace.column("E_total")

@@ -1,25 +1,24 @@
-"""Per-iteration run traces and deterministic CSV emission."""
+"""Per-iteration run traces, deterministic CSV emission, and the error that
+stops a run which leaves the finite range, carrying its partial trace."""
 
 from __future__ import annotations
 
 import csv
-import math
 
 import numpy as np
 
-__all__ = ["RunTrace"]
+__all__ = ["RunTrace", "DivergenceError"]
 
 
-def _fmt(v) -> str:
-    if type(v) is not float:  # most cells are floats and skip the chain
-        if isinstance(v, (bool, np.bool_)):
-            return "1" if v else "0"
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, str):
-            return v
-        v = float(v)
-    return "nan" if math.isnan(v) else format(v, ".17g")
+class DivergenceError(RuntimeError):
+    """A run that left the finite range. ``at`` is where it stopped: the
+    iteration k of a discrete run, or the last accepted t of the flow;
+    ``trace`` is the run's trace up to its last recorded row."""
+
+    def __init__(self, msg, at=None, trace=None):
+        super().__init__(msg)
+        self.at = at
+        self.trace = trace
 
 
 # Rows formatted at once by ``write_csv``. A 10k-row trace formatted whole
@@ -30,10 +29,10 @@ _BLOCK_ROWS = 64
 
 
 def _format_column(cells) -> list:
-    """The cells of one column as ``_fmt`` writes them: a float column with
-    one "%.17g" format, an int or bool column with one "%d", a str column
-    as it is (the csv writer quotes it), and a column of mixed types cell by
-    cell."""
+    """The cells of one column as written: a float column with one "%.17g"
+    format ("nan" for NaN), an int or bool column with one "%d" (a bool is 1
+    or 0), a str column as it is (the csv writer quotes it), a column of
+    mixed types cell by cell, and any other number as a float."""
     kinds = set(map(type, cells))
     if all(issubclass(kind, float) for kind in kinds):
         spec = "%.17g"
@@ -41,8 +40,10 @@ def _format_column(cells) -> list:
         spec = "%d"
     elif all(issubclass(kind, str) for kind in kinds):
         return cells
+    elif len(kinds) > 1:
+        return [_format_column((cell,))[0] for cell in cells]
     else:
-        return list(map(_fmt, cells))
+        return _format_column(tuple(map(float, cells)))
     return (",".join([spec] * len(cells)) % cells).split(",")
 
 
@@ -96,9 +97,6 @@ class RunTrace:
         if vals and isinstance(vals[0], str):
             return np.asarray(vals, dtype=object)
         return np.asarray(vals, dtype=float)
-
-    def last(self, name):
-        return self._rows[-1][self.columns.index(name)]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:

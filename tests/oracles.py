@@ -106,6 +106,20 @@ def a_coeff(k):
     return c_coeff(k) * theta(k) ** 2
 
 
+def smoothness_cap(k, h, beta, lam_max, l_f):
+    """The step cap at iterate k: 1 / max{lambda_max, (k h)^{-beta} L_f}."""
+    return 1.0 / max(lam_max, (k * h) ** (-beta) * l_f)
+
+
+def exact_r(k, h, beta, g_star, G):
+    """The exact-mode controller quantity r on trace row k, the transition
+    into iterate k+1: -|g_s|^2 + 2 g_s . (g_s - G), with g_s =
+    ((k+1) h)^{-beta} g* and G = G_{k+1}. Row 0, the bootstrap, reads
+    iterate 1."""
+    g_s = ((k + 1) * h) ** (-beta) * g_star
+    return -float(g_s @ g_s) + 2.0 * float(g_s @ (g_s - G))
+
+
 def single_line_update(k, X, Z, s, g):
     """Collapsed one-line form of the three-line update, written directly in
     (X_k, Z_k, G_k):

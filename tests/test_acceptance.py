@@ -226,7 +226,7 @@ def test_criterion_9_beta_sweep(ring5, controller_quadratic, x0_ring5):
                                     oracle_mode="practical")
         trace = agm.adaptive_run(params, obj, ring5, x0_ring5, iters=2000,
                                  opt=opt)
-        finals.append(float(trace.last("F_gap_plus")))
+        finals.append(float(trace.column("F_gap_plus")[-1]))
     ok = all(finals[i + 1] <= finals[i] * (1.0 + 1e-9)
              for i in range(len(finals) - 1))
     pairs = ", ".join(f"beta={b}: {g:.3e}"

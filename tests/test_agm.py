@@ -13,13 +13,13 @@ from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
                          FixedParams, TraceRecorder, adaptive_run,
                          bootstrap_diagnostics, compute_step_diagnostics,
                          fixed_step_run, init, lyapunov, lyapunov_v0_prime,
-                         select_stepsize, smoothness_cap, step)
+                         select_stepsize, step)
 from distagm.flow import LEDGER, FlowParams, flow_rhs, integrate
 from distagm.graphs import (apply_lifted_laplacian, build_topology,
                             spectral_extremes)
 from distagm.objectives import QuadraticObjective, make_quadratic
-from oracles import (a_coeff, c_coeff, combined_field, single_line_update,
-                     theta)
+from oracles import (a_coeff, c_coeff, combined_field, exact_r,
+                     single_line_update, smoothness_cap, theta)
 
 PRACTICAL = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
 NORMS = TraceRecorder.BASELINE_COLUMNS  # the recorder's vector-form rows
@@ -204,6 +204,18 @@ def test_select_cap_and_monotonicity():
     assert np.isnan(diag.chosen)  # negative bound signals infeasibility
 
 
+def test_select_checks_monotonicity_from_k_2():
+    """The chosen step must be at least s_k for k+1 >= 3: a step below s_k
+    misses monotonicity at k = 2, the first checked transition, and passes
+    at k = 1."""
+    diag = make_diag(a=0.01, b=2.0, w=-1.0, r=1.0)  # chosen 0.02 < s_k
+    for k, ok in ((1, True), (2, False)):
+        choice = select_stepsize(diag, s_k=0.1, A_k=a_coeff(k),
+                                 theta_next=theta(k + 1), k=k)
+        assert choice.chosen == pytest.approx(0.02)
+        assert choice.monotonicity_ok is ok
+
+
 def test_select_leaves_diagnostics_untouched():
     diag = make_diag(a=1.0, b=2.0, w=-1.0, r=1.0)
     select_stepsize(diag, s_k=0.1, A_k=1.0, theta_next=1.0, k=5)
@@ -349,6 +361,31 @@ def test_cached_scalars_match_fresh_evaluation_in_exact_mode(
     fallback = replay_against_fresh_evaluation(obj, opt, "exact", ring5,
                                                x0_ring5, monkeypatch)
     assert fallback.any() == (problem == "logistic")
+
+
+def test_exact_mode_r_matches_its_formula(ring5, ring5_logistic, x0_ring5,
+                                          monkeypatch):
+    """Every row of an exact-mode run on a problem whose optimum gradient g*
+    is not 0 reads the r that ``oracles.exact_r`` writes from the formula,
+    with G_{k+1} evaluated afresh from the iterate ``step`` made."""
+    obj, opt = ring5_logistic
+    params = AdaptiveParams(h=1.0, beta=0.1, oracle_mode="exact")
+    iterates = [x0_ring5.copy()]  # X_1 = X_0, then X_2, X_3, ...
+    real_step = agm.step
+
+    def spy(*args, **kwargs):
+        nxt = real_step(*args, **kwargs)
+        iterates.append(nxt.X.copy())
+        return nxt
+
+    monkeypatch.setattr(agm, "step", spy)
+    r = adaptive_run(params, obj, ring5, x0_ring5, iters=40,
+                     opt=opt).column("r")
+    assert len(r) == len(iterates) == 41
+    for k, X in enumerate(iterates):  # r reads 2 to 13 on these rows
+        G = combined_field(k + 1, X, params.h, params.beta, obj, ring5)
+        assert r[k] == pytest.approx(
+            exact_r(k, params.h, params.beta, opt.grad_at_opt, G), rel=1e-12)
 
 
 def test_transition_quantities_do_not_depend_on_call_order(
@@ -526,7 +563,7 @@ def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):
         fixed_step_run(FixedParams(h=1.0, beta=0.1, s=50.0), obj, ring5,
                        x0_ring5, iters=500, opt=opt)
     assert err.value.trace is not None
-    assert err.value.iteration >= 1
+    assert err.value.at >= 1
 
 
 def test_trace_recorder_guard():
@@ -538,7 +575,7 @@ def test_trace_recorder_guard():
     rec(1, 5e-4, grad, lx)
     with pytest.raises(DivergenceError) as err:
         rec(2, 2e-3, grad, lx)
-    assert err.value.iteration == 2 and len(err.value.trace) == 3
+    assert err.value.at == 2 and len(err.value.trace) == 3
     rec = TraceRecorder(NORMS, {}, f_star=0.0)
     rec(0, 1.0, grad, lx)
     with pytest.raises(DivergenceError) as err:
@@ -553,7 +590,7 @@ def test_trace_recorder_refuses_an_infinite_first_gap():
     rec = TraceRecorder(NORMS, {}, f_star=0.0)
     with pytest.raises(DivergenceError) as err:
         rec(0, np.inf, grad, lx)
-    assert err.value.iteration == 0 and len(err.value.trace) == 1
+    assert err.value.at == 0 and len(err.value.trace) == 1
     # a finite first gap whose limit overflows still stops a later inf
     rec = TraceRecorder(NORMS, {}, f_star=0.0)
     rec(0, 1e303, grad, lx)
@@ -583,7 +620,7 @@ def test_trace_recorder_hands_over_trace():
     rec = TraceRecorder(NORMS, {}, f_star=0.0)
     with pytest.raises(DivergenceError) as err, rec:
         rec(0, 1.0, np.zeros(2), np.zeros(2))
-        raise DivergenceError("non-finite update field", iteration=1)
+        raise DivergenceError("non-finite update field", at=1)
     assert err.value.trace is rec.trace and len(rec.trace) == 1
 
 

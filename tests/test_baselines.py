@@ -120,7 +120,7 @@ def test_huge_step_diverges_at_first_iteration(ring5, hetero_quadratic, run,
     x0 = np.random.default_rng(1).standard_normal(10)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
         run(params, obj, ring5, x0, iters=50, opt=opt)
-    assert err.value.iteration == 1
+    assert err.value.at == 1
     trace = err.value.trace
     np.testing.assert_array_equal(trace.column("k"), [0, 1])
     assert np.isfinite(trace.column("F_gap")[0])

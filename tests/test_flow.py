@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distagm import flow
-from distagm.flow import (_DOP853, _RK4, LEDGER, BlowUpError, FlowParams,
-                          _evaluate, _ledger_rates, energy_at, flow_rhs,
-                          integrate, rate_slope)
+from distagm.flow import (_DOP853, _RK4, LEDGER, FlowParams, _evaluate,
+                          _ledger_rates, energy_at, flow_rhs, integrate,
+                          rate_slope)
 from distagm.graphs import apply_lifted_laplacian, build_topology
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
                                 make_quadratic, solve_consensus_optimum)
-from distagm.trace import RunTrace
+from distagm.trace import DivergenceError, RunTrace
 from oracles import flow_rhs_per_agent
 
 
@@ -331,7 +331,8 @@ def test_ledger_derivative_balances_integrands(ring5, family, seed, beta,
     d_potential = ((2.0 - beta) * t ** (1.0 - beta) * gap
                    + t ** (2.0 - beta) * grad.dot(V))
     terms = (d_kinetic, d_laplacian, d_potential,
-             *_ledger_rates(t, _evaluate(X, obj, ring5, opt), params))
+             *_ledger_rates(t, _evaluate(X, obj, ring5, opt), params,
+                            t ** -params.beta))
     assert abs(sum(terms)) <= 1e-13 * sum(abs(term) for term in terms)
 
 
@@ -389,7 +390,7 @@ def test_controlled_step_from_tiny_t0(ring5, flow_quadratic, x0_ring5):
 def test_controlled_step_underflow_raises(ring5, flow_quadratic, x0_ring5,
                                           monkeypatch):
     """A controlled step whose stages stop being finite is retried smaller
-    until it no longer moves t, then raises BlowUpError at the last
+    until it no longer moves t, then raises DivergenceError at the last
     accepted point."""
     obj, opt = flow_quadratic
     calls = []
@@ -413,10 +414,10 @@ def test_controlled_step_underflow_raises(ring5, flow_quadratic, x0_ring5,
         append(self, *row)
 
     monkeypatch.setattr(RunTrace, "append", spy)
-    with pytest.raises(BlowUpError, match="underflow") as err:
+    with pytest.raises(DivergenceError, match="underflow") as err:
         integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
     assert len(recorded) > 1
-    assert err.value.last_t == recorded[-1]
+    assert err.value.at == recorded[-1]
 
 
 def test_controlled_step_rejects_a_non_finite_new_point(
@@ -458,12 +459,12 @@ def test_blowup_detected(ring5, flow_quadratic, x0_ring5, monkeypatch):
         append(self, *row)
 
     monkeypatch.setattr(RunTrace, "append", spy)
-    with pytest.raises(BlowUpError) as err:
+    with pytest.raises(DivergenceError) as err:
         integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt,
                   startup_dt_fraction=100.0)
     # every accepted point is recorded, so the last row is the last finite one
     assert len(recorded) > 1
-    assert err.value.last_t == recorded[-1]
+    assert err.value.at == recorded[-1]
 
 
 def test_rate_slope_exact_power_laws():

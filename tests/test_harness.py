@@ -11,7 +11,7 @@ from distagm import agm, data_io, flow, harness
 from distagm.cli import main
 from distagm.graphs import build_topology
 from distagm.objectives import make_quadratic
-from distagm.trace import RunTrace
+from distagm.trace import DivergenceError, RunTrace
 from oracles import serialize_idx
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -261,6 +261,9 @@ def test_cmd_energy_check(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_energy_check_blowup_exit_code(tmp_path, capsys):
+    """A blow-up prints one line with the last accepted t and, as a diverged
+    discrete run does, keeps its partial trace stamped with ``diverged_at``,
+    that t."""
     cfg = {"seed": 2, "problem": QUAD_PROBLEM,
            "init": {"seed": 2, "scale": 1.5},
            "flow": {"beta": 0.1, "t0": 1.0, "dt": 5.0, "horizon": 5000.0}}
@@ -269,7 +272,11 @@ def test_energy_check_blowup_exit_code(tmp_path, capsys):
     assert code == harness.EXIT_DIVERGENCE == 3
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("FAIL blow-up at t=")
-    assert 1.0 < float(lines[0].rpartition("=")[2]) < 5000.0
+    last_t = lines[0].rpartition("=")[2]
+    assert 1.0 < float(last_t) < 5000.0
+    trace = RunTrace.read_csv(tmp_path / "blow" / "flow_trace.csv")
+    assert str(trace.metadata["diverged_at"]) == last_t
+    assert 1 <= len(trace) and trace.column("t")[-1] <= float(last_t)
 
 
 def test_every_output_carries_one_stamp(tmp_path):
@@ -309,8 +316,8 @@ def test_diverged_run_summary_reads_last_k(tmp_path):
         "diverged_at"] == 1
     summary = RunTrace.read_csv(out / "summary.csv")
     assert len(summary) == 1
-    assert summary.last("iterations") == 1
-    assert summary.last("slope") == ""
+    assert summary.column("iterations")[-1] == 1
+    assert summary.column("slope")[-1] == ""
 
 
 def test_seed_override(tmp_path):
@@ -551,7 +558,7 @@ def test_shipped_algorithm_keys_accepted(ring5, flow_quadratic, x0_ring5,
     energy check reads every section, algorithm entries included, and stops
     here at the flow's first step; each entry's run takes its settings."""
     def integrate(*args, **kwargs):
-        raise flow.BlowUpError("stop", last_t=0.0)
+        raise DivergenceError("stop", at=0.0, trace=RunTrace(flow.COLUMNS))
 
     monkeypatch.setattr(flow, "integrate", integrate)
     obj, opt = flow_quadratic
@@ -646,7 +653,7 @@ def test_omitted_keys_build_library_defaults(cfg, tmp_path, monkeypatch):
 
     def integrate(*args, **kwargs):
         seen.update(effective_args(real_integrate, *args, **kwargs))
-        raise flow.BlowUpError("stop", last_t=0.0)
+        raise DivergenceError("stop", at=0.0, trace=RunTrace(flow.COLUMNS))
 
     monkeypatch.setattr(flow, "integrate", integrate)
     assert harness.cmd_energy_check(cfg, str(tmp_path), None) == 3

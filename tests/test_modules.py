@@ -1,11 +1,13 @@
 """Module boundaries inside the package."""
 
 import ast
+import importlib
 import re
 from dataclasses import fields
 from pathlib import Path
 
 from distagm import agm, baselines, flow, harness, objectives
+from distagm.trace import RunTrace
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distagm"
 PERFBENCH = PACKAGE.parent.parent / "perfbench"
@@ -189,3 +191,35 @@ def test_objectives_have_one_evaluation_path():
         public = {name for name in dir(cls) if not name.startswith("_")
                   and callable(getattr(cls, name))}
         assert public == names, cls.__name__
+
+
+def test_run_trace_methods_are_read():
+    """RunTrace's public methods are the ones the package or perfbench/
+    reads: a reader only tests need is a column read in the test."""
+    public = {name for name in dir(RunTrace) if not name.startswith("_")
+              and callable(getattr(RunTrace, name))}
+    assert public == {"from_columns", "append", "column", "write_csv",
+                      "read_csv"}
+    reads = {node.attr for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "trace.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)}
+    bench = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+    assert [name for name in sorted(public) if name not in reads
+            and not re.search(rf"\b{name}\b", bench)] == []
+
+
+def test_one_exception_class_per_failure():
+    """The package's exception classes: a bad config, graph (one not
+    connected among them) or IDX file, a reference solve that did not
+    converge, and a run that left the finite range, the one stop error of
+    the flow and the discrete runs."""
+    found = set()
+    for path in sorted(PACKAGE.glob("[!_]*.py")):  # the modules, not __init__
+        module = importlib.import_module(f"distagm.{path.stem}")
+        found |= {name for name, value in vars(module).items()
+                  if isinstance(value, type)
+                  and issubclass(value, BaseException)
+                  and value.__module__ == module.__name__}
+    assert found == {"ConfigError", "GraphError", "NotConnectedError",
+                     "IdxParseError", "SolverError", "DivergenceError"}
