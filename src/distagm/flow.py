@@ -343,7 +343,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     ``params.record_every``-th accepted step and the last one; the trace's
     metadata adds ``steps`` (accepted) and ``rejected``. A fixed step
     leaving the finite range, or a controlled step below the resolution of
-    t, raises DivergenceError carrying the last accepted t and the trace.
+    t, raises DivergenceError carrying the last accepted t and the trace,
+    whose metadata holds the counts so far.
     """
     if not startup_dt_fraction > 0.0:
         raise ValueError(
@@ -422,6 +423,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
             stage_y[:] = y_new[:2 * n]
             point = slope(t + offsets[S], S)
         elif rtol is None:
+            trace.metadata.update(steps=steps, rejected=rejected)
             raise DivergenceError(f"trajectory diverged before t={t + dt:.6g}",
                                   at=t, trace=trace)
         if rtol is not None:
@@ -443,6 +445,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
                           if size < math.inf else _SHRINK_MIN)
                 grow_max = 1.0
                 if t + h == t:
+                    trace.metadata.update(steps=steps, rejected=rejected)
                     raise DivergenceError(
                         f"step size underflow before t={t + dt:.6g}", at=t,
                         trace=trace)

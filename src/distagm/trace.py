@@ -4,6 +4,11 @@ stops a run which leaves the finite range, carrying its partial trace."""
 from __future__ import annotations
 
 import csv
+import functools
+import io
+import struct
+from array import array
+from itertools import chain
 
 import numpy as np
 
@@ -21,18 +26,59 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
-# Rows formatted at once by ``write_csv``. A 10k-row trace formatted whole
-# raises peak RSS by about 5 MB, and 256-row blocks still raised
-# logistic_compare's by 0.4 MB; 64-row blocks keep it within 0.1 MB and
-# write as fast.
-_BLOCK_ROWS = 64
+# Storage. Appended rows wait in a short list; each full block of
+# ``_BLOCK_ROWS`` of them is packed column by column. A column whose cells
+# all convert becomes one float64 ``array('d')`` segment (8 bytes a cell, no
+# float object kept); any other column (str labels, mixed cells) stays the
+# tuple of its cells. ``write_csv`` formats a block with one row format
+# string, "%.17g" for a float64 segment and "%s" for a tuple segment, so a
+# 10k-row trace costs one block of Python objects at a time to write.
+_BLOCK_ROWS = 256
+# An int cell of this magnitude or more may not survive float64 ("%d" and
+# "%.17g" agree on every int below it).
+_EXACT_INT = 2.0 ** 53
+
+
+@functools.lru_cache(maxsize=_BLOCK_ROWS)
+def _doubles(n: int) -> struct.Struct:
+    """The struct of ``n`` float64s, for a block of n <= _BLOCK_ROWS rows."""
+    return struct.Struct(f"{n}d")
+
+
+def _has_large(raw: bytes) -> bool:
+    """Whether packed float64s hold a magnitude of ``_EXACT_INT`` or more;
+    NaN compares False, where ``max`` could skip the values after it."""
+    return bool((np.abs(np.frombuffer(raw)) >= _EXACT_INT).any())
+
+
+def _pack_columns(columns) -> tuple:
+    """One segment per column of a block (a tuple of cells each): a float64
+    ``array('d')`` when every cell converts and none is a non-float at or
+    above ``_EXACT_INT``, otherwise the tuple itself."""
+    columns = tuple(columns)
+    if not columns:
+        return ()
+    pack = _doubles(len(columns[0])).pack
+    packed = []
+    for cells in columns:
+        try:
+            packed.append(pack(*cells))
+        except struct.error:  # a str, or an int past the float range
+            packed.append(None)
+    # only a block holding a large value reads the types of its cells
+    if _has_large(b"".join(filter(None, packed))):
+        packed = [None if raw and _has_large(raw) and not all(
+            isinstance(cell, (float, np.floating)) for cell in cells) else raw
+            for cells, raw in zip(columns, packed)]
+    return tuple([cells if raw is None else array("d", raw)
+                  for cells, raw in zip(columns, packed)])
 
 
 def _format_column(cells) -> list:
-    """The cells of one column as written: a float column with one "%.17g"
-    format ("nan" for NaN), an int or bool column with one "%d" (a bool is 1
-    or 0), a str column as it is (the csv writer quotes it), a column of
-    mixed types cell by cell, and any other number as a float."""
+    """The cells of one tuple segment as written: a float column with one
+    "%.17g" format ("nan" for NaN), an int or bool column with one "%d" (a
+    bool is 1 or 0), a str column as it is, a column of mixed types cell by
+    cell, and any other number as a float."""
     kinds = set(map(type, cells))
     if all(issubclass(kind, float) for kind in kinds):
         spec = "%.17g"
@@ -45,6 +91,25 @@ def _format_column(cells) -> list:
     else:
         return _format_column(tuple(map(float, cells)))
     return (",".join([spec] * len(cells)) % cells).split(",")
+
+
+class _Quoter(dict):
+    """Formatted cell -> the field the stdlib csv writer writes for it in a
+    row of ``width`` fields (a lone empty field is quoted), each distinct
+    cell quoted once, by the csv module itself."""
+
+    def __init__(self, width):
+        super().__init__()
+        self._buf = io.StringIO(newline="")
+        self._writer = csv.writer(self._buf, lineterminator="\n")
+        self._pad = ("",) if width > 1 else ()
+
+    def __missing__(self, cell):
+        self._buf.seek(0)
+        self._buf.truncate()
+        self._writer.writerow((cell, *self._pad))
+        field = self[cell] = self._buf.getvalue()[:-1 - len(self._pad)]
+        return field
 
 
 def _parse_meta(text: str):
@@ -66,54 +131,93 @@ class RunTrace:
 
     Rows are appended one iteration at a time, as values in ``columns``
     order; a row of another length is refused, so every trace is rectangular.
-    Metadata is written as leading ``# key=value`` comment lines, keeping the
-    CSV a single plot-ready file. A field with a comma (case labels) is quoted.
+    Rows are kept as packed column segments (see ``_BLOCK_ROWS``), not as
+    row tuples. Metadata is written as leading ``# key=value`` comment lines,
+    keeping the CSV a single plot-ready file. A field with a comma (case
+    labels) is quoted.
     """
 
     def __init__(self, columns, metadata=None):
         self.columns = list(columns)
         self.metadata = dict(metadata or {})
-        self._rows = []
+        # one tuple of column segments per packed block, of _BLOCK_ROWS rows
+        # or fewer (from_columns' last block, a tail packed by write_csv)
+        self._blocks = []
+        self._packed_rows = 0
+        self._pending = []  # rows not yet packed, fewer than _BLOCK_ROWS
 
     @classmethod
     def from_columns(cls, columns: dict, metadata=None) -> "RunTrace":
-        """A trace whose rows zip the equal-length sequences in ``columns``."""
+        """A trace of the equal-length sequences in ``columns``, packed a
+        block at a time."""
         trace = cls(columns, metadata)
-        trace._rows = list(zip(*columns.values(), strict=True))
+        cells = list(columns.values())
+        n = len(cells[0]) if cells else 0
+        if any(len(col) != n for col in cells):
+            raise ValueError("from_columns needs columns of equal length")
+        for start in range(0, n, _BLOCK_ROWS):
+            trace._blocks.append(_pack_columns(
+                tuple(col[start:start + _BLOCK_ROWS]) for col in cells))
+        trace._packed_rows = n
         return trace
 
     def append(self, *row):
         if len(row) != len(self.columns):
             raise ValueError(f"row mismatch: {len(row)} values for the "
                              f"{len(self.columns)} columns {self.columns}")
-        self._rows.append(row)
+        self._pending.append(row)
+        if len(self._pending) == _BLOCK_ROWS:
+            self._pack()
+
+    def _pack(self):
+        """Pack the pending rows into one block."""
+        self._blocks.append(_pack_columns(zip(*self._pending)))
+        self._packed_rows += len(self._pending)
+        self._pending = []
 
     def __len__(self):
-        return len(self._rows)
+        return self._packed_rows + len(self._pending)
 
     def column(self, name) -> np.ndarray:
         i = self.columns.index(name)
-        vals = [r[i] for r in self._rows]
-        if vals and isinstance(vals[0], str):
-            return np.asarray(vals, dtype=object)
-        return np.asarray(vals, dtype=float)
+        segments = [block[i] for block in self._blocks]
+        if self._pending:
+            segments.append(tuple(row[i] for row in self._pending))
+        if not segments:
+            return np.empty(0)
+        if isinstance(segments[0][0], str):
+            return np.asarray(list(chain.from_iterable(segments)),
+                              dtype=object)
+        return np.concatenate([
+            np.frombuffer(seg) if type(seg) is array
+            else np.asarray(seg, dtype=float) for seg in segments])
 
     def write_csv(self, path):
+        if self._pending:  # a written trace is often kept: pack its tail
+            self._pack()
+        quoted = _Quoter(len(self.columns))
         with open(path, "w", newline="") as fh:
             for key in sorted(self.metadata):
                 fh.write(f"# {key}={self.metadata[key]}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            for start in range(0, len(self._rows), _BLOCK_ROWS):
-                block = self._rows[start:start + _BLOCK_ROWS]
-                columns = list(map(_format_column, zip(*block)))
-                # a trace with no columns writes one empty line per row
-                writer.writerows(zip(*columns) if columns else block)
+            csv.writer(fh, lineterminator="\n").writerow(self.columns)
+            if not self.columns:  # one empty line per row
+                fh.write("\n" * len(self))
+                return
+            for block in self._blocks:
+                row_format = ",".join([
+                    "%.17g" if type(seg) is array else "%s"
+                    for seg in block]) + "\n"
+                cells = [seg if type(seg) is array else
+                         list(map(quoted.__getitem__, _format_column(seg)))
+                         for seg in block]
+                fh.write(row_format * len(block[0])
+                         % tuple(chain.from_iterable(zip(*cells))))
 
     @staticmethod
     def read_csv(path) -> "RunTrace":
-        """Inverse of ``write_csv``. Raises ValueError on a row whose field
-        count differs from the header's."""
+        """Inverse of ``write_csv``; the rows are packed as appended ones
+        are. Raises ValueError on a row whose field count differs from the
+        header's."""
         metadata, lines = {}, []
         with open(path, newline="") as fh:
             for line in fh:
@@ -122,8 +226,8 @@ class RunTrace:
                     metadata[key] = _parse_meta(val)
                 else:
                     lines.append(line)
-        rows = [row for row in csv.reader(lines) if row]
-        header = rows.pop(0) if rows else []
+        rows = (row for row in csv.reader(lines) if row)
+        header = next(rows, [])
         trace = RunTrace(header, metadata)
         for n, row in enumerate(rows, start=1):
             if len(row) != len(header):
@@ -135,5 +239,7 @@ class RunTrace:
                     parsed.append(float(v))
                 except ValueError:
                     parsed.append(v)
-            trace._rows.append(parsed)
+            trace._pending.append(parsed)
+            if len(trace._pending) == _BLOCK_ROWS:
+                trace._pack()
         return trace

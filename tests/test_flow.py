@@ -391,7 +391,7 @@ def test_controlled_step_underflow_raises(ring5, flow_quadratic, x0_ring5,
                                           monkeypatch):
     """A controlled step whose stages stop being finite is retried smaller
     until it no longer moves t, then raises DivergenceError at the last
-    accepted point."""
+    accepted point, with the step counts so far in its trace's metadata."""
     obj, opt = flow_quadratic
     calls = []
     apply = flow.apply_lifted_laplacian
@@ -418,6 +418,8 @@ def test_controlled_step_underflow_raises(ring5, flow_quadratic, x0_ring5,
         integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
     assert len(recorded) > 1
     assert err.value.at == recorded[-1]
+    metadata = err.value.trace.metadata
+    assert metadata["steps"] == len(recorded) - 1 and metadata["rejected"] > 0
 
 
 def test_controlled_step_rejects_a_non_finite_new_point(

@@ -263,7 +263,7 @@ def test_cmd_energy_check(tmp_path, capsys):
 def test_energy_check_blowup_exit_code(tmp_path, capsys):
     """A blow-up prints one line with the last accepted t and, as a diverged
     discrete run does, keeps its partial trace stamped with ``diverged_at``,
-    that t."""
+    that t, and with the step counts up to the blow-up."""
     cfg = {"seed": 2, "problem": QUAD_PROBLEM,
            "init": {"seed": 2, "scale": 1.5},
            "flow": {"beta": 0.1, "t0": 1.0, "dt": 5.0, "horizon": 5000.0}}
@@ -277,6 +277,8 @@ def test_energy_check_blowup_exit_code(tmp_path, capsys):
     trace = RunTrace.read_csv(tmp_path / "blow" / "flow_trace.csv")
     assert str(trace.metadata["diverged_at"]) == last_t
     assert 1 <= len(trace) and trace.column("t")[-1] <= float(last_t)
+    assert trace.metadata["steps"] >= len(trace) - 1
+    assert trace.metadata["rejected"] >= 0
 
 
 def test_every_output_carries_one_stamp(tmp_path):

@@ -1,4 +1,7 @@
-"""Trace container: rectangularity, CSV round-trip, deterministic bytes."""
+"""Trace container: rectangularity, CSV round-trip, deterministic bytes,
+packed storage."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distagm import agm
-from distagm.trace import RunTrace
+from distagm.trace import _BLOCK_ROWS, RunTrace
 from oracles import trace_csv_bytes
+
+
+def _nan_bits(values: np.ndarray) -> bytes:
+    """The bits of a float column, every NaN written as one NaN."""
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def assert_same_column(got: np.ndarray, expected: np.ndarray):
+    """Equal cell for cell with the same dtype: a float column bit for bit,
+    and NaN equal to NaN in a float or an object column."""
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    if expected.dtype == object:
+        assert all(a == b or (a != a and b != b)
+                   for a, b in zip(got, expected))
+    else:
+        assert _nan_bits(got) == _nan_bits(expected)
 
 
 def make_trace():
@@ -83,19 +102,20 @@ def test_full_precision_floats(tmp_path):
 
 def test_controller_trace_roundtrip(tmp_path, ring5, controller_quadratic,
                                     x0_ring5):
-    # the controller's case labels (``w>0,r>=0``) contain the delimiter
+    """A read-back trace, a packed block and the rows after it, reads every
+    column as the written trace does, NaN and the quoted case labels
+    (``w>0,r>=0`` contains the delimiter) included."""
     obj, opt = controller_quadratic
     params = agm.AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical")
-    tr = agm.adaptive_run(params, obj, ring5, x0_ring5, iters=30, opt=opt)
+    tr = agm.adaptive_run(params, obj, ring5, x0_ring5,
+                          iters=_BLOCK_ROWS + 30, opt=opt)
     assert any("," in case for case in tr.column("case"))
     path = tmp_path / "dist_agm_trace.csv"
     tr.write_csv(path)
     back = RunTrace.read_csv(path)
-    assert back.columns == tr.columns
-    assert list(back.column("case")) == list(tr.column("case"))
-    np.testing.assert_array_equal(back.column("fallback_flag"),
-                                  tr.column("fallback_flag"))
-    np.testing.assert_array_equal(back.column("V_k"), tr.column("V_k"))
+    assert back.columns == tr.columns and len(back) == len(tr)
+    for name in tr.columns:
+        assert_same_column(back.column(name), tr.column(name))
 
 
 def test_ragged_row_rejected(tmp_path):
@@ -112,7 +132,10 @@ _CELLS = {
     # np.float32 is no float subclass: it is written as the float it holds
     "float": st.one_of(_FLOATS, _FLOATS.map(np.float64),
                        st.floats(width=32).map(np.float32)),
+    # ints at float64's last exact int, where "%.17g" and "%d" part
     "int": st.one_of(st.integers(-2 ** 70, 2 ** 70), st.booleans(),
+                     st.sampled_from([2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1,
+                                      -2 ** 53 - 1, np.int64(2 ** 53 + 1)]),
                      st.booleans().map(np.bool_),
                      st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)),
     # the delimiter, the quote and both line breaks, and empty strings
@@ -125,10 +148,14 @@ _CELLS["mixed"] = st.one_of(*_CELLS.values())
 @st.composite
 def _traces(draw):
     """(columns, rows): up to four columns, each of one kind of cell or
-    mixed, and a few rows or several of ``write_csv``'s 64-row blocks. A
-    column cycles through up to eight drawn cells."""
+    mixed, and a few rows, up to three packed blocks of ``_BLOCK_ROWS`` rows,
+    or a count at a block's edge. A column cycles through up to eight drawn
+    cells."""
     kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=4))
-    n_rows = draw(st.one_of(st.integers(0, 8), st.integers(250, 600)))
+    n_rows = draw(st.one_of(
+        st.integers(0, 8), st.integers(250, 600),
+        st.sampled_from([_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                         2 * _BLOCK_ROWS])))
     columns = []
     for kind in kinds:
         cells = draw(st.lists(_CELLS[kind], min_size=1, max_size=8))
@@ -143,17 +170,36 @@ def _traces(draw):
     st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=2))
 def test_write_csv_matches_a_cell_by_cell_writer(trace, metadata,
                                                  tmp_path_factory):
-    """The column-wise writer writes the bytes of a stdlib csv writer fed
+    """The block-wise writer writes the bytes of a stdlib csv writer fed
     one formatted cell at a time, for float, int, bool and str columns,
     numpy scalars, non-finite and subnormal floats, strings that need
-    quoting, and columns of mixed types."""
+    quoting, and columns of mixed types. The trace is also written halfway,
+    which packs a short block before the rows that follow. Each column
+    reads as its cells did: a float array, an object array when the first
+    cell is a str, and ValueError when a later str does not parse as a
+    float."""
     columns, rows = trace
     tr = RunTrace(columns, metadata)
-    for row in rows:
-        tr.append(*row)
     path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    for row in rows[:len(rows) // 2]:
+        tr.append(*row)
+    tr.write_csv(path)
+    for row in rows[len(rows) // 2:]:
+        tr.append(*row)
     tr.write_csv(path)
     assert path.read_bytes() == trace_csv_bytes(columns, rows, metadata)
+    for j, name in enumerate(columns):
+        cells = [row[j] for row in rows]
+        if cells and isinstance(cells[0], str):
+            expected = np.asarray(cells, dtype=object)
+        else:
+            try:
+                expected = np.asarray(cells, dtype=float)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    tr.column(name)
+                continue
+        assert_same_column(tr.column(name), expected)
 
 
 def test_one_column_empty_string_is_quoted(tmp_path):
@@ -168,3 +214,22 @@ def test_one_column_empty_string_is_quoted(tmp_path):
         assert (tmp_path / "one.csv").read_bytes() == trace_csv_bytes(
             ["label"], kept, {})
     assert (tmp_path / "one.csv").read_text().splitlines()[1] == '""'
+
+
+def test_appended_rows_are_packed():
+    """A 10001-row trace of dist_agm rows, appended one at a time, holds at
+    most 150 bytes a row: the float cells as float64 and the case label as
+    one reference (a row tuple with its float objects takes 368)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr = RunTrace(agm.TraceRecorder.COLUMNS)
+        for k in range(10001):
+            x = 0.5 * k
+            tr.append(k, x + 1.0, x + 2.0, x + 3.0, x + 4.0, x + 5.0, x + 6.0,
+                      "w>0,r>=0", x + 7.0, x + 8.0, True, False)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 10001 and tr.column("V_k")[-1] == 5006.0
+    assert held <= 150 * len(tr), held / len(tr)
