@@ -11,12 +11,13 @@ dilated coordinate W = X + (t/2) V the flow's E_kinetic is 2 |W - x*|^2
 exactly, and the Z update Z - s theta_k G_k is one Euler step of
 dW/dt = -(t/2) (t^{-beta} gradF(X) + Llift X) at step h.
 
-Each iterate's vectors are the rows of one array it owns (see ``_XP``),
-with every view of them the iteration reads and a 3x3 coefficient block,
-all built once. A run owns two iterate states and alternates between
-them: ``step`` writes the five k- and s-dependent entries of the spare's
-block, forms X+_k, Z_{k+1} and X_{k+1} in the spare's rows with one product
-of that block with the rows (Z_k, X_k, G_k), and evaluates X_{k+1} there.
+Each iterate is one ``AgmState``, which copies its vectors into the rows
+of an array it owns (see ``_XP``) and builds, when it is made, every view
+of them the iteration reads and a 3x3 coefficient block. A run owns two
+iterate states and alternates between them: ``step`` writes the five k-
+and s-dependent entries of the spare's block, forms X+_k, Z_{k+1} and
+X_{k+1} in the spare's rows with one product of that block with the rows
+(Z_k, X_k, G_k), and evaluates X_{k+1} there.
 One Gram product of the rows gives every inner product the transition and
 the trace row read; a difference that can cancel is a row of its own,
 never a bilinear expansion. One private call per transition returns the
@@ -171,79 +172,62 @@ _GRAM = np.array([(i - _G) * (_GK + 1 - _G) + j - _G for i, j in (
     (_G, _DX), (_DG, _DG), (_GK, _G))])
 
 
-@dataclass(slots=True)
 class AgmState:
     """Discrete iterate. ``X_plus`` is X_{k-1}^+, made by the step that made
-    this state; ``s`` is the step the next step applies. X, X_plus and Z
-    are rows of ``rows`` (see ``_XP``), None in a hand-built state until it
-    is evaluated, which copies them in. The later fields are filled in by
-    ``_evaluate`` (``probe`` = 0 . G_k, NaN unless G_k is finite, and
-    ``views``, built once) and ``_ready``; ``gap`` is None until the state
-    is evaluated."""
+    this state; ``s`` is the step the next step applies. The constructor
+    copies X, X_plus and Z into ``rows``, an array the state owns (see
+    ``_XP``), and builds every view of it the iteration reads; the Gram
+    product's output ``products``; the 3x3 coefficient block ``coef`` that
+    ``step`` fills in to write an iterate into these rows, with its constant
+    entries set; and a zero vector, whose dot with v is 0 when every entry
+    of v is finite and NaN otherwise (0 * inf is NaN). The first evaluation
+    builds ``blocks``, the (m, d) views of X and Llift X that the Laplacian
+    apply reads and writes. The cached values are filled in by
+    ``_evaluate`` (``probe`` = 0 . G_k, NaN unless G_k is finite) and
+    ``_ready``; ``gap`` is None until the state is evaluated."""
 
-    k: int
-    X: np.ndarray
-    X_plus: np.ndarray
-    Z: np.ndarray
-    s: float
-    h: float
-    beta: float
-    rows: np.ndarray | None = None
-    gram: list | None = None
-    gap: float | None = None
-    probe: float | None = None
-    weight: float | None = None
-    views: _Views | None = None
+    __slots__ = ("k", "s", "h", "beta", "rows", "X", "X_plus", "Z", "G",
+                 "grad", "lx", "gk", "zxg", "new", "zx", "bars", "xg",
+                 "diffs", "block", "block_t", "products", "coef",
+                 "coef_flat", "zeros", "blocks", "gram", "gap", "probe",
+                 "weight")
 
-
-class _Views:
-    """Every view of an iterate's rows the iteration reads, among them the
-    (m, d) block views of X and Llift X that the Laplacian apply reads and
-    writes; the Gram product's output; the 3x3 coefficient block that
-    ``step`` fills in to write an iterate into these rows, with its
-    constant entries set; and a zero vector, whose dot with v is 0 when
-    every entry of v is finite and NaN otherwise (0 * inf is NaN)."""
-
-    __slots__ = ("X", "G", "grad", "lx", "X_blocks", "lx_blocks", "zxg",
-                 "new", "zx", "bars", "xg", "diffs", "gk", "block",
-                 "block_t", "gram", "coef", "coef_flat", "zeros")
-
-    def __init__(self, rows: np.ndarray, m: int, d: int):
-        self.X, self.G, self.grad = rows[_X], rows[_G], rows[_DF]
+    def __init__(self, k: int, X: np.ndarray, X_plus: np.ndarray,
+                 Z: np.ndarray, s: float, h: float, beta: float):
+        self.k, self.s, self.h, self.beta = k, s, h, beta
+        self.rows = rows = np.empty((_GK + 1, np.size(X)))
+        rows[_XP], rows[_Z], rows[_X] = X_plus, Z, X
+        self.X_plus, self.Z, self.X = rows[_XP], rows[_Z], rows[_X]
+        self.G, self.grad = rows[_G], rows[_DF]
         self.lx, self.gk = rows[_LX], rows[_GK]
-        self.X_blocks = self.X.reshape(m, d)
-        self.lx_blocks = self.lx.reshape(m, d)
         self.zxg, self.new = rows[_Z:_G + 1], rows[:_G]  # step's in and out
         self.zx, self.bars = rows[_Z:_X + 1], rows[_ZBAR:_XBAR + 1]
         self.xg, self.diffs = rows[_X:_G + 1], rows[_DX:_GK]
         self.block = rows[_G:]
         self.block_t = self.block.T
-        self.gram = np.empty((len(self.block),) * 2)
+        self.products = np.empty((len(self.block),) * 2)
         self.coef = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
                               [0.0, 0.0, 0.0]])
         self.coef_flat = self.coef.reshape(-1)
         self.zeros = np.zeros(rows.shape[1])
+        self.blocks = self.gram = self.gap = self.probe = self.weight = None
 
 
 def _evaluate(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
               opt: ConsensusOptimum) -> AgmState:
     """Fills in the oracle values at X_k and the gradient weight
     (k h)^{-beta}; G_k = weight gradF(X_k) + Llift X_k."""
-    views = state.views
-    if views is None:
-        rows = state.rows
-        if rows is None:
-            rows = state.rows = np.zeros((_GK + 1, state.X.size))
-            rows[_XP], rows[_Z], rows[_X] = state.X_plus, state.Z, state.X
-        views = state.views = _Views(rows, graph.m, obj.d)
-    G, grad, lx = views.G, views.grad, views.lx
-    value, _ = obj.value_grad(views.X, grad)
-    apply_lifted_laplacian(graph, obj.d, views.X_blocks, views.lx_blocks)
+    G, grad, lx, blocks = state.G, state.grad, state.lx, state.blocks
+    if blocks is None:
+        blocks = state.blocks = (state.X.reshape(graph.m, obj.d),
+                                 lx.reshape(graph.m, obj.d))
+    value, _ = obj.value_grad(state.X, grad)
+    apply_lifted_laplacian(graph, obj.d, blocks[0], blocks[1])
     state.weight = weight = (state.k * state.h) ** (-state.beta)
     np.multiply(grad, weight, G)
     G += lx
     state.gap = value - opt.f_star
-    state.probe = float(views.zeros.dot(G))
+    state.probe = float(state.zeros.dot(G))
     return state
 
 
@@ -257,15 +241,14 @@ def _ready(state: AgmState, prev: AgmState | None, obj: SeparableObjective,
     if state.gap is None:
         _evaluate(state, obj, graph, opt)
     if state.gram is None or prev is not None:
-        views = state.views
-        np.subtract(views.zx, ref, views.bars)
+        np.subtract(state.zx, ref, state.bars)
         if prev is None:
             state.rows[_DX:] = 0.0
         else:  # over rows _X to _LX it would add gradF's and Llift X's
-            np.subtract(prev.views.xg, views.xg, views.diffs)
-            np.copyto(views.gk, prev.views.G)
-        views.block.dot(views.block_t, views.gram)
-        state.gram = views.gram.take(_GRAM).tolist()
+            np.subtract(prev.xg, state.xg, state.diffs)
+            np.copyto(state.gk, prev.G)
+        state.block.dot(state.block_t, state.products)
+        state.gram = state.products.take(_GRAM).tolist()
 
 
 class StepDiagnostics(NamedTuple):
@@ -291,14 +274,8 @@ class StepChoice(NamedTuple):
 def init(X0: np.ndarray, h: float, beta: float) -> AgmState:
     """State after the k=0 bootstrap: X_1 = X_0, Z_1 = Z_0 = X_0, s_0 = 0,
     so the (2 theta_k h)^{-beta} factor is never evaluated at k=0. The
-    caller installs s_1; AgmParams checks ``h`` and ``beta``. X, X_plus
-    and Z are rows of the state's own array, so that a run can reuse it
-    as ``step``'s spare."""
-    X0 = np.asarray(X0, dtype=float)
-    rows = np.empty((_GK + 1, X0.size))
-    rows[_XP] = rows[_Z] = rows[_X] = X0
-    return AgmState(k=1, X=rows[_X], X_plus=rows[_XP], Z=rows[_Z], s=0.0,
-                    h=h, beta=beta, rows=rows)
+    caller installs s_1; AgmParams checks ``h`` and ``beta``."""
+    return AgmState(1, X0, X0, X0, 0.0, h, beta)
 
 
 def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
@@ -309,7 +286,7 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     Installs ``s_next`` as the step-size the new state will apply, and
     evaluates the new state. Given ``spare``, an evaluated state of the
     same run other than ``state``, the new state is ``spare``, its rows
-    and cached values overwritten; otherwise it owns a fresh array.
+    and cached values overwritten; otherwise it is a new state.
     """
     if state.k < 1:
         raise ValueError("step requires k >= 1; use init for the bootstrap")
@@ -321,20 +298,17 @@ def step(state: AgmState, obj: SeparableObjective, graph: AgentGraph,
     th_k = 0.5 * k
     ratio = th_k ** 2 / (0.5 * (k + 1)) ** 2
     if spare is None:
-        rows = np.empty(state.rows.shape)
-        spare = AgmState(k + 1, rows[_X], rows[_XP], rows[_Z], s_next,
-                         state.h, state.beta, rows,
-                         views=_Views(rows, graph.m, obj.d))
+        spare = AgmState(k + 1, state.X, state.X_plus, state.Z, s_next,
+                         state.h, state.beta)
     else:
         spare.k, spare.s = k + 1, s_next
         spare.gram = spare.gap = spare.probe = spare.weight = None
-    views = spare.views
     # X+ = X - s/2 G, Z' = Z - s theta_k G, X' = ratio X+ + (1 - ratio) Z'
-    coef = views.coef_flat
+    coef = spare.coef_flat
     coef[2], coef[5] = -0.5 * s, -s * th_k
     coef[6], coef[7], coef[8] = (1.0 - ratio, ratio,
                                  -s * (0.5 * ratio + (1.0 - ratio) * th_k))
-    views.coef.dot(state.views.zxg, views.new)
+    spare.coef.dot(state.zxg, spare.new)
     return _evaluate(spare, obj, graph, opt)
 
 
@@ -346,7 +320,7 @@ def _r_quantity(state: AgmState, opt: ConsensusOptimum,
     if oracle_mode != "exact":
         return state.probe
     gs = state.weight * opt.grad_at_opt
-    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.views.G))
+    return -float(gs.dot(gs)) + 2.0 * float(gs.dot(gs - state.G))
 
 
 def _cap(weight: float, lam_max: float, l_f: float) -> float:
@@ -477,15 +451,14 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
         f_star)
     idle = (np.nan, "", np.nan, np.nan, True, False)  # V_k to fallback_flag
     with rec:
-        rec.record(0, state.gap, state.gap, _norm(state.views.grad),
-                   _norm(state.views.lx), 0.0, *idle)  # X+ = X_0
+        rec.record(0, state.gap, state.gap, _norm(state.grad),
+                   _norm(state.lx), 0.0, *idle)  # X+ = X_0
         spare = None  # the second iterate state, made by the first step
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt, s, spare)
             rec.record(prev.k, obj.value(state.X_plus) - f_star, prev.gap,
-                       _norm(prev.views.grad), _norm(prev.views.lx), s,
-                       *idle)
+                       _norm(prev.grad), _norm(prev.lx), s, *idle)
             spare = prev
     return rec.trace
 

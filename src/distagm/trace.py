@@ -215,31 +215,33 @@ class RunTrace:
 
     @staticmethod
     def read_csv(path) -> "RunTrace":
-        """Inverse of ``write_csv``; the rows are packed as appended ones
-        are. Raises ValueError on a row whose field count differs from the
-        header's."""
-        metadata, lines = {}, []
-        with open(path, newline="") as fh:
+        """Inverse of ``write_csv``: the file is read a line at a time and
+        its rows are appended. Raises ValueError on a row whose field count
+        differs from the header's."""
+        metadata = {}
+
+        def data_lines(fh):
             for line in fh:
                 if line.startswith("# "):
                     key, _, val = line[2:].rstrip("\n").partition("=")
                     metadata[key] = _parse_meta(val)
                 else:
-                    lines.append(line)
-        rows = (row for row in csv.reader(lines) if row)
-        header = next(rows, [])
-        trace = RunTrace(header, metadata)
-        for n, row in enumerate(rows, start=1):
-            if len(row) != len(header):
-                raise ValueError(f"{path}: data row {n} has {len(row)} "
-                                 f"fields, the header {len(header)}")
-            parsed = []
-            for v in row:
-                try:
-                    parsed.append(float(v))
-                except ValueError:
-                    parsed.append(v)
-            trace._pending.append(parsed)
-            if len(trace._pending) == _BLOCK_ROWS:
-                trace._pack()
+                    yield line
+
+        with open(path, newline="") as fh:
+            rows = (row for row in csv.reader(data_lines(fh)) if row)
+            header = next(rows, [])
+            trace = RunTrace(header)
+            for n, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    raise ValueError(f"{path}: data row {n} has {len(row)} "
+                                     f"fields, the header {len(header)}")
+                parsed = []
+                for v in row:
+                    try:
+                        parsed.append(float(v))
+                    except ValueError:
+                        parsed.append(v)
+                trace.append(*parsed)
+        trace.metadata = metadata  # a comment line may follow the header
         return trace

@@ -66,6 +66,18 @@ def test_init_bootstrap_state():
     np.testing.assert_array_equal(state.X_plus, x0)
 
 
+def test_hand_built_state_owns_its_rows():
+    """A state copies X, X_plus and Z into the rows it owns when it is
+    made, so that a run can write into it as ``step``'s spare and never
+    writes into the caller's arrays."""
+    x, x_plus, z = (np.arange(4.0) + i for i in range(3))
+    state = AgmState(k=2, X=x, X_plus=x_plus, Z=z, s=0.1, h=1.0, beta=0.1)
+    for got, given in ((state.X, x), (state.X_plus, x_plus), (state.Z, z)):
+        np.testing.assert_array_equal(got, given)
+        assert np.shares_memory(got, state.rows)
+        assert not np.shares_memory(got, given)
+
+
 def test_zero_step_is_convex_combination(ring5, flow_quadratic, x0_ring5):
     obj, opt = flow_quadratic
     for k in (1, 3, 10):
@@ -189,6 +201,14 @@ def test_select_case_bounds():
                            s_k=0.1, A_k=1.0, theta_next=1.0, k=5)
     assert diag.case == "w>0,r<0"
     assert diag.chosen == pytest.approx(1.0)
+    # w = 0 takes the w <= 0 cases, which read a and b, not a~ and b~
+    for r, case, chosen in ((1.0, "w<=0,r>=0", 2.0), (0.0, "w<=0,r>=0", 2.0),
+                            (-2.0, "w<=0,r<0", 1.0)):
+        diag = select_stepsize(make_diag(a=1.0, b=2.0, a_tilde=3.0,
+                                         b_tilde=4.0, w=0.0, r=r),
+                               s_k=0.1, A_k=1.0, theta_next=1.0, k=5)
+        assert diag.case == case
+        assert diag.chosen == pytest.approx(chosen)
 
 
 def test_select_cap_and_monotonicity():

@@ -354,6 +354,19 @@ def test_controlled_step_conserves_energy(ring5, flow_quadratic, x0_ring5):
     assert trace.column("t")[-1] == params.horizon
 
 
+@pytest.mark.parametrize("rtol", [None, 1e-8], ids=["rk4", "dop853"])
+def test_last_row_at_a_long_horizon(ring5, flow_quadratic, x0_ring5, rtol):
+    """The last accepted step is recorded when its count is no multiple of
+    record_every, also at a horizon of 16 or more, where horizon - 1e-15
+    rounds to the horizon itself (380 RK4 and 69 DOP853 steps measured)."""
+    obj, opt = flow_quadratic
+    params = FlowParams(beta=0.1, t0=1.0, dt=0.05, horizon=20.0,
+                        record_every=7, rtol=rtol)
+    trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
+    assert trace.metadata["steps"] % params.record_every != 0
+    assert trace.column("t")[-1] == params.horizon
+
+
 def test_controlled_step_tightens_with_rtol(ring5, flow_quadratic, x0_ring5):
     """The drift is the integrator's error: rtol 10x tighter cuts it about
     10x (4.27e-8 and 4.31e-9 measured at 1e-7 and 1e-8) at more steps."""

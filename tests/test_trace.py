@@ -216,20 +216,44 @@ def test_one_column_empty_string_is_quoted(tmp_path):
     assert (tmp_path / "one.csv").read_text().splitlines()[1] == '""'
 
 
+def agm_rows_trace() -> RunTrace:
+    """A 10001-row trace of dist_agm rows, appended one at a time."""
+    tr = RunTrace(agm.TraceRecorder.COLUMNS)
+    for k in range(10001):
+        x = 0.5 * k
+        tr.append(k, x + 1.0, x + 2.0, x + 3.0, x + 4.0, x + 5.0, x + 6.0,
+                  "w>0,r>=0", x + 7.0, x + 8.0, True, False)
+    return tr
+
+
 def test_appended_rows_are_packed():
-    """A 10001-row trace of dist_agm rows, appended one at a time, holds at
-    most 150 bytes a row: the float cells as float64 and the case label as
-    one reference (a row tuple with its float objects takes 368)."""
+    """``agm_rows_trace`` holds at most 150 bytes a row: the float cells as
+    float64 and the case label as one reference (a row tuple with its float
+    objects takes 368)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        tr = RunTrace(agm.TraceRecorder.COLUMNS)
-        for k in range(10001):
-            x = 0.5 * k
-            tr.append(k, x + 1.0, x + 2.0, x + 3.0, x + 4.0, x + 5.0, x + 6.0,
-                      "w>0,r>=0", x + 7.0, x + 8.0, True, False)
+        tr = agm_rows_trace()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert len(tr) == 10001 and tr.column("V_k")[-1] == 5006.0
     assert held <= 150 * len(tr), held / len(tr)
+
+
+def test_read_csv_streams_the_file(tmp_path):
+    """Reading ``agm_rows_trace`` back peaks at no more than 1.5 times what
+    the read trace holds: the file is parsed a line at a time, not held as
+    a list of lines first (which peaked at 1.9 times)."""
+    path = tmp_path / "trace.csv"
+    agm_rows_trace().write_csv(path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = RunTrace.read_csv(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(back) == 10001 and back.column("V_k")[-1] == 5006.0
+    assert peak - before <= 1.5 * (held - before), (peak - before) / (
+        held - before)
