@@ -32,7 +32,6 @@ it), and the cost gaps F(X_k) - F* in a, in both modes.
 from __future__ import annotations
 
 import math
-from contextlib import AbstractContextManager
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from .graphs import AgentGraph, apply_lifted_laplacian, spectral_extremes
 from .objectives import ConsensusOptimum, SeparableObjective
-from .trace import DivergenceError, RunTrace
+from .trace import DivergenceError, RunTrace, TraceRecorder
 
 __all__ = [
     "AgmParams",
@@ -49,7 +48,6 @@ __all__ = [
     "AgmState",
     "StepDiagnostics",
     "StepChoice",
-    "TraceRecorder",
     "init",
     "step",
     "compute_step_diagnostics",
@@ -58,63 +56,6 @@ __all__ = [
     "fixed_step_run",
     "adaptive_run",
 ]
-
-
-_FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a float array, bit for bit, without its
-    dispatch: the square root of v.v over v's entries in memory order."""
-    if v.ndim != 1 or not v.flags.c_contiguous:
-        v = v.ravel("K")
-    return math.sqrt(float(v.dot(v)))
-
-
-class TraceRecorder(AbstractContextManager):
-    """Trace schema, row builder and divergence guard of every discrete run.
-
-    Each row holds the columns the run computes: dist_agm's ``COLUMNS``, or
-    a baseline's ``BASELINE_COLUMNS``, whose step is in the metadata. An
-    ``F_gap`` not within ``DIVERGENCE_FACTOR`` times the first row's
-    (floored at the objective's rounding noise, capped at the largest float;
-    NaN and inf included, on the first row too) raises DivergenceError,
-    which leaving the context carries the partial trace, as ``step``'s
-    does."""
-
-    COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
-               "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
-               "fallback_flag")
-    BASELINE_COLUMNS = ("k", "F_gap", "grad_norm", "laplacian_norm")
-    DIVERGENCE_FACTOR = 1e6
-
-    def __init__(self, columns, metadata: dict, f_star: float):
-        self.trace = RunTrace(columns, metadata)
-        self._gap = self.trace.columns.index("F_gap")
-        self._floor = 1e-12 * (1.0 + abs(f_star))
-        self._limit = None
-
-    def __call__(self, k, gap, grad, lx):
-        """A ``BASELINE_COLUMNS`` row from the gradient and L X."""
-        self.record(k, gap, _norm(grad), _norm(lx))
-
-    def record(self, *row):
-        """One row, in the trace's column order."""
-        self.trace.append(*row)
-        gap = row[self._gap]
-        if self._limit is None:
-            # capped at the largest float, so that a first gap of inf (a
-            # start whose cost overflows) is out of bounds too
-            self._limit = min(self.DIVERGENCE_FACTOR * max(gap, self._floor),
-                              _FLOAT_MAX)
-        if not gap <= self._limit:
-            k = row[0]
-            raise DivergenceError(f"gap {gap:.3g} out of bounds at iteration "
-                                  f"{k}", at=k, trace=self.trace)
-
-    def __exit__(self, kind, err, tb):
-        if isinstance(err, DivergenceError):
-            err.trace = self.trace
 
 
 @dataclass(frozen=True)
@@ -451,14 +392,14 @@ def fixed_step_run(params: FixedParams, obj: SeparableObjective,
         f_star)
     idle = (np.nan, "", np.nan, np.nan, True, False)  # V_k to fallback_flag
     with rec:
-        rec.record(0, state.gap, state.gap, _norm(state.grad),
-                   _norm(state.lx), 0.0, *idle)  # X+ = X_0
+        rec.record(0, state.gap, state.gap, rec.norm(state.grad),
+                   rec.norm(state.lx), 0.0, *idle)  # X+ = X_0
         spare = None  # the second iterate state, made by the first step
         for _ in range(iters):
             prev = state
             state = step(prev, obj, graph, opt, s, spare)
             rec.record(prev.k, obj.value(state.X_plus) - f_star, prev.gap,
-                       _norm(prev.grad), _norm(prev.lx), s, *idle)
+                       rec.norm(prev.grad), rec.norm(prev.lx), s, *idle)
             spare = prev
     return rec.trace
 

@@ -13,10 +13,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .agm import TraceRecorder
 from .graphs import AgentGraph, apply_lifted_laplacian, metropolis_weights
 from .objectives import ConsensusOptimum, SeparableObjective
-from .trace import RunTrace
+from .trace import RunTrace, TraceRecorder
 
 __all__ = ["StepParams", "PIParams", "dgd_run", "diging_run",
            "pi_consensus_run"]

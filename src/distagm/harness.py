@@ -352,20 +352,21 @@ def cmd_compare(cfg: dict, out_dir: str, seed) -> int:
     table = {f"{name}:{metric}": trace.column(metric)[:aligned]
              for name, trace in traces.items()
              for metric in ("laplacian_norm", "grad_norm", "F_gap")}
-    _write(RunTrace.from_columns({"k": ks, **table},
-                                 {"gap_threshold": threshold}),
-           stamp, out_dir, "comparison.csv")
+    comparison = RunTrace(["k", *table], {"gap_threshold": threshold})
+    for row in zip(ks.tolist(), *table.values()):
+        comparison.append(*row)
+    _write(comparison, stamp, out_dir, "comparison.csv")
     short = [name for name, t in traces.items()
              if "diverged_at" in t.metadata]
     if short and aligned < max(len(t) for t in traces.values()):
         print(f"compare: {', '.join(short)} diverged; comparison.csv stops "
               f"at k={ks[-1]}", file=sys.stderr)
-    hits = [iterations_to_threshold(t, threshold) for t in traces.values()]
+    hits = RunTrace(["algorithm", "iterations_to_threshold"])
+    for name, trace in traces.items():
+        hit = iterations_to_threshold(trace, threshold)
+        hits.append(name, "" if hit is None else hit)
     path = os.path.join(out_dir, "threshold.csv")
-    RunTrace.from_columns({
-        "algorithm": list(traces),
-        "iterations_to_threshold": ["" if k is None else k for k in hits],
-    }).write_csv(path)
+    hits.write_csv(path)
     with open(path) as fh:
         sys.stdout.write(fh.read())
     return code

@@ -1,18 +1,21 @@
-"""Per-iteration run traces, deterministic CSV emission, and the error that
-stops a run which leaves the finite range, carrying its partial trace."""
+"""What a run records: per-iteration traces with deterministic CSV emission,
+the discrete runs' recorder with their schemas and divergence guard, and the
+error that stops a run which leaves the finite range, carrying its trace."""
 
 from __future__ import annotations
 
 import csv
 import functools
 import io
+import math
 import struct
 from array import array
+from contextlib import AbstractContextManager
 from itertools import chain
 
 import numpy as np
 
-__all__ = ["RunTrace", "DivergenceError"]
+__all__ = ["RunTrace", "TraceRecorder", "DivergenceError"]
 
 
 class DivergenceError(RuntimeError):
@@ -37,6 +40,7 @@ _BLOCK_ROWS = 256
 # An int cell of this magnitude or more may not survive float64 ("%d" and
 # "%.17g" agree on every int below it).
 _EXACT_INT = 2.0 ** 53
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @functools.lru_cache(maxsize=_BLOCK_ROWS)
@@ -141,25 +145,10 @@ class RunTrace:
         self.columns = list(columns)
         self.metadata = dict(metadata or {})
         # one tuple of column segments per packed block, of _BLOCK_ROWS rows
-        # or fewer (from_columns' last block, a tail packed by write_csv)
+        # or fewer (a tail packed by write_csv)
         self._blocks = []
         self._packed_rows = 0
         self._pending = []  # rows not yet packed, fewer than _BLOCK_ROWS
-
-    @classmethod
-    def from_columns(cls, columns: dict, metadata=None) -> "RunTrace":
-        """A trace of the equal-length sequences in ``columns``, packed a
-        block at a time."""
-        trace = cls(columns, metadata)
-        cells = list(columns.values())
-        n = len(cells[0]) if cells else 0
-        if any(len(col) != n for col in cells):
-            raise ValueError("from_columns needs columns of equal length")
-        for start in range(0, n, _BLOCK_ROWS):
-            trace._blocks.append(_pack_columns(
-                tuple(col[start:start + _BLOCK_ROWS]) for col in cells))
-        trace._packed_rows = n
-        return trace
 
     def append(self, *row):
         if len(row) != len(self.columns):
@@ -216,8 +205,9 @@ class RunTrace:
     @staticmethod
     def read_csv(path) -> "RunTrace":
         """Inverse of ``write_csv``: the file is read a line at a time and
-        its rows are appended. Raises ValueError on a row whose field count
-        differs from the header's."""
+        its rows are appended, each distinct non-float cell as one shared
+        str. Raises ValueError on a row whose field count differs from the
+        header's."""
         metadata = {}
 
         def data_lines(fh):
@@ -228,6 +218,7 @@ class RunTrace:
                 else:
                     yield line
 
+        labels = {}
         with open(path, newline="") as fh:
             rows = (row for row in csv.reader(data_lines(fh)) if row)
             header = next(rows, [])
@@ -241,7 +232,61 @@ class RunTrace:
                     try:
                         parsed.append(float(v))
                     except ValueError:
-                        parsed.append(v)
+                        parsed.append(labels.setdefault(v, v))
                 trace.append(*parsed)
         trace.metadata = metadata  # a comment line may follow the header
         return trace
+
+
+class TraceRecorder(AbstractContextManager):
+    """Trace schema, row builder and divergence guard of every discrete run.
+
+    Each row holds the columns the run computes: dist_agm's ``COLUMNS``, or
+    a baseline's ``BASELINE_COLUMNS``, whose step is in the metadata. An
+    ``F_gap`` not within ``DIVERGENCE_FACTOR`` times the first row's
+    (floored at the objective's rounding noise, capped at the largest float;
+    NaN and inf included, on the first row too) raises DivergenceError,
+    which leaving the context carries the partial trace, as ``agm.step``'s
+    does."""
+
+    COLUMNS = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm",
+               "s_k", "V_k", "case", "w", "r", "monotonicity_ok",
+               "fallback_flag")
+    BASELINE_COLUMNS = ("k", "F_gap", "grad_norm", "laplacian_norm")
+    DIVERGENCE_FACTOR = 1e6
+
+    def __init__(self, columns, metadata: dict, f_star: float):
+        self.trace = RunTrace(columns, metadata)
+        self._gap = self.trace.columns.index("F_gap")
+        self._floor = 1e-12 * (1.0 + abs(f_star))
+        self._limit = None
+
+    @staticmethod
+    def norm(v: np.ndarray) -> float:
+        """``np.linalg.norm(v)`` of a float array, bit for bit, without its
+        dispatch: the square root of v.v over v's entries in memory order."""
+        if v.ndim != 1 or not v.flags.c_contiguous:
+            v = v.ravel("K")
+        return math.sqrt(float(v.dot(v)))
+
+    def __call__(self, k, gap, grad, lx):
+        """A ``BASELINE_COLUMNS`` row from the gradient and L X."""
+        self.record(k, gap, self.norm(grad), self.norm(lx))
+
+    def record(self, *row):
+        """One row, in the trace's column order."""
+        self.trace.append(*row)
+        gap = row[self._gap]
+        if self._limit is None:
+            # capped at the largest float, so that a first gap of inf (a
+            # start whose cost overflows) is out of bounds too
+            self._limit = min(self.DIVERGENCE_FACTOR * max(gap, self._floor),
+                              _FLOAT_MAX)
+        if not gap <= self._limit:
+            k = row[0]
+            raise DivergenceError(f"gap {gap:.3g} out of bounds at iteration "
+                                  f"{k}", at=k, trace=self.trace)
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, DivergenceError):
+            err.trace = self.trace

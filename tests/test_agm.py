@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from distagm import agm, harness
 from distagm.agm import (AdaptiveParams, AgmState, DivergenceError,
-                         FixedParams, TraceRecorder, adaptive_run,
-                         bootstrap_diagnostics, compute_step_diagnostics,
-                         fixed_step_run, init, lyapunov, lyapunov_v0_prime,
-                         select_stepsize, step)
+                         FixedParams, adaptive_run, bootstrap_diagnostics,
+                         compute_step_diagnostics, fixed_step_run, init,
+                         lyapunov, lyapunov_v0_prime, select_stepsize, step)
 from distagm.flow import LEDGER, FlowParams, flow_rhs, integrate
-from distagm.graphs import (apply_lifted_laplacian, build_topology,
-                            spectral_extremes)
+from distagm.graphs import (AgentGraph, apply_lifted_laplacian,
+                            build_topology, spectral_extremes)
 from distagm.objectives import QuadraticObjective, make_quadratic
+from distagm.trace import TraceRecorder
 from oracles import (a_coeff, c_coeff, combined_field, exact_r,
                      single_line_update, smoothness_cap, theta)
 
@@ -575,6 +575,46 @@ def test_fixed_step_converges_to_the_flow(ring5, x0_ring5, common_offset):
                       / np.linalg.norm(x_flow))
     ratios = np.array(errors[:-1]) / errors[1:]
     assert np.all(ratios >= 1.6), (errors, ratios)
+
+
+@pytest.mark.parametrize("common_offset", [True, False],
+                         ids=["common_offset", "no_common_offset"])
+def test_discrete_dilation_symmetry(ring5, x0_ring5, common_offset):
+    """At beta = 1, h -> 2h with F -> F/2 and L -> L/4 leaves the iterates
+    unchanged: the field G = (k h)^-beta gradF + L X scales by 1/4 and the
+    step s by 4, so every update s G, and with it X_k, keeps its bits (each
+    factor is a power of two). So the scaled run's trace is the original's
+    with F_gap, F_gap_plus and grad_norm times 1/2, s_k times 4, V_k and
+    laplacian_norm times 1/4, r and w times 1/16, and the same case labels
+    and flags: the adaptive run at h 1 -> 2 in both oracle modes, and the
+    fixed run at h 0.4 -> 0.8 (at h = 1 it diverges at k = 10). The check
+    pins the powers of k, h and s; a constant factor common to both runs is
+    invisible to it."""
+    obj = make_quadratic(5, 2, cond=10.0, seed=3)
+    bs = np.tile(obj.bs[0], (5, 1)) if common_offset else obj.bs
+    obj = QuadraticObjective(obj.Qs, bs)
+    scaled = QuadraticObjective(obj.Qs / 2, bs)
+    graph = AgentGraph(ring5.m, ring5.edges, ring5.laplacian / 4)
+    runs = [(adaptive_run, AdaptiveParams(h=1.0, beta=1.0, oracle_mode=mode),
+             AdaptiveParams(h=2.0, beta=1.0, oracle_mode=mode))
+            for mode in ("exact", "practical")]
+    runs.append((fixed_step_run, FixedParams(h=0.4, beta=1.0),
+                 FixedParams(h=0.8, beta=1.0)))
+    factors = {"F_gap": 0.5, "F_gap_plus": 0.5, "s_k": 4.0, "V_k": 0.25,
+               "r": 1 / 16, "grad_norm": 0.5, "laplacian_norm": 0.25,
+               "w": 1 / 16}
+    for run, params, dilated_params in runs:
+        base = run(params, obj, ring5, x0_ring5, 500,
+                   obj.closed_form_optimum())
+        dilated = run(dilated_params, scaled, graph, x0_ring5, 500,
+                      scaled.closed_form_optimum())
+        assert len(base) == len(dilated) == 501
+        for name, factor in factors.items():
+            assert np.array_equal(dilated.column(name),
+                                  factor * base.column(name),
+                                  equal_nan=True), (run.__name__, name)
+        for name in ("case", "monotonicity_ok", "fallback_flag"):
+            assert list(dilated.column(name)) == list(base.column(name))
 
 
 def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):

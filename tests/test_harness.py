@@ -1,6 +1,8 @@
 """Config handling, CLI subcommands, exit codes, and output determinism."""
 
 import inspect
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +10,14 @@ import pytest
 import yaml
 
 from distagm import agm, data_io, flow, harness
-from distagm.cli import main
+from distagm.cli import build_parser, main
 from distagm.graphs import build_topology
 from distagm.objectives import make_quadratic
 from distagm.trace import DivergenceError, RunTrace
 from oracles import serialize_idx
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
 
 NAN, INF = float("nan"), float("inf")
 QUAD_PROBLEM = {"type": "quadratic", "d": 2, "seed": 7,
@@ -700,3 +703,24 @@ def test_logistic_problems_build_library_defaults(tmp_path, monkeypatch):
         assert obj.l2 == 1e-4
     assert [(args["tol"], args["max_iter"]) for args in solver_args] == [
         (1e-9, 500_000)] * 2
+
+
+def test_readme_commands_parse():
+    """Every ``distagm ...`` line in the README's sh blocks parses with the
+    CLI's parser, and every configs/ path such a line names exists. The
+    commands are parsed, not run."""
+    blocks = re.findall(r"^ *```sh\n(.*?)^ *```", README.read_text(),
+                        re.M | re.S)
+    commands = [shlex.split(line, comments=True)
+                for block in blocks for line in block.splitlines()
+                if line.split()[:1] == ["distagm"]]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        for arg in argv:
+            if arg.startswith("configs/"):
+                assert (CONFIGS.parent / arg).exists(), arg

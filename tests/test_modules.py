@@ -30,6 +30,27 @@ def test_no_private_imports_between_modules():
     assert found == []
 
 
+def test_run_modules_import_nothing_from_each_other():
+    """agm, baselines and flow are peers above trace.py, which holds the
+    trace schemas, the discrete recorder and the divergence guard: none of
+    them imports from another (baselines from agm, say)."""
+    peers = ("agm", "baselines", "flow")
+    found = []
+    for peer in peers:
+        tree = ast.parse((PACKAGE / f"{peer}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" if node.module
+                         else alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{peer}: {name}" for name in names
+                      if set(name.split(".")) & set(peers) - {peer}]
+    assert found == []
+
+
 def test_every_imported_name_is_used():
     """Each name a module under src/ or tests/ imports is loaded somewhere in
     that module or listed in its ``__all__``; ``from __future__`` imports
@@ -198,8 +219,7 @@ def test_run_trace_methods_are_read():
     reads: a reader only tests need is a column read in the test."""
     public = {name for name in dir(RunTrace) if not name.startswith("_")
               and callable(getattr(RunTrace, name))}
-    assert public == {"from_columns", "append", "column", "write_csv",
-                      "read_csv"}
+    assert public == {"append", "column", "write_csv", "read_csv"}
     reads = {node.attr for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "trace.py"
              for node in ast.walk(ast.parse(path.read_text(), str(path)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distagm import agm
-from distagm.trace import _BLOCK_ROWS, RunTrace
+from distagm.trace import _BLOCK_ROWS, RunTrace, TraceRecorder
 from oracles import trace_csv_bytes
 
 
@@ -218,7 +218,7 @@ def test_one_column_empty_string_is_quoted(tmp_path):
 
 def agm_rows_trace() -> RunTrace:
     """A 10001-row trace of dist_agm rows, appended one at a time."""
-    tr = RunTrace(agm.TraceRecorder.COLUMNS)
+    tr = RunTrace(TraceRecorder.COLUMNS)
     for k in range(10001):
         x = 0.5 * k
         tr.append(k, x + 1.0, x + 2.0, x + 3.0, x + 4.0, x + 5.0, x + 6.0,
@@ -257,3 +257,27 @@ def test_read_csv_streams_the_file(tmp_path):
     assert len(back) == 10001 and back.column("V_k")[-1] == 5006.0
     assert peak - before <= 1.5 * (held - before), (peak - before) / (
         held - before)
+
+
+def held_bytes(make):
+    """What the object ``make()`` returns holds, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return made, held
+
+
+def test_read_csv_shares_repeated_labels(tmp_path):
+    """A trace read back holds at most 1.1 times what the recorded trace
+    holds: each distinct case label is one str, as in the recorded trace,
+    not one str a row (1.5 times)."""
+    path = tmp_path / "trace.csv"
+    recorded, recorded_held = held_bytes(agm_rows_trace)
+    recorded.write_csv(path)
+    back, back_held = held_bytes(lambda: RunTrace.read_csv(path))
+    assert list(back.column("case")) == list(recorded.column("case"))
+    assert back_held <= 1.1 * recorded_held, back_held / recorded_held
