@@ -110,9 +110,8 @@ class _Tableau(NamedTuple):
     Y + h (a[i] . K[:i]); the step is Y + h (b . K). For each row e_r of
     ``e``, h (e_r . K) estimates the step's local error. An FSAL pair's
     last a-row equals b (whose last entry is 0), so its last stage is the
-    new point. A coefficient is an exact fraction held as its (numerator,
-    denominator) integer pair (RK4's) or a float, the nearest to its
-    published decimal (DOP853's)."""
+    new point. Every coefficient is a float, the nearest to its exact
+    fraction (RK4's) or to its published decimal (DOP853's)."""
 
     c: tuple
     a: tuple  # a[i] holds the i coefficients of stage i; a[0] is empty
@@ -120,20 +119,8 @@ class _Tableau(NamedTuple):
     e: tuple = ()
 
 
-def _q(*values) -> tuple:
-    """Each "p/q" or "p" as the pair (p, q) or (p, 1)."""
-    return tuple((int(num), int(den or 1))
-                 for num, _, den in (v.partition("/") for v in values))
-
-
-def _ratio(coef) -> tuple:
-    """A tableau coefficient as its exact (numerator, denominator) pair."""
-    return coef if isinstance(coef, tuple) else coef.as_integer_ratio()
-
-
-_RK4 = _Tableau(c=_q("0", "1/2", "1/2", "1"),
-                a=((), _q("1/2"), _q("0", "1/2"), _q("0", "0", "1")),
-                b=_q("1/6", "1/3", "1/3", "1/6"))
+_RK4 = _Tableau(c=(0, 0.5, 0.5, 1), a=((), (0.5,), (0, 0.5), (0, 0, 1)),
+                b=(1 / 6, 1 / 3, 1 / 3, 1 / 6))
 # Dormand and Prince's 8(5,3) pair, DOP853 (Hairer, Norsett & Wanner, Solving
 # ODEs I, II.10; the coefficients of their dop853.f, to 28-30 digits).
 _B853 = (5.42937341165687622380535766363e-2, 0, 0, 0, 0,
@@ -305,25 +292,20 @@ def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,
 
 
 def _step_weights(tab: _Tableau):
-    """The loop's view of ``tab``: (num, den, c_num, c_den, e). Row i of
-    num / den (i = 1..S) holds the stage-i point's coefficients; row S is
-    the step, b, to the new point, whose slope K[S] an FSAL pair's last
-    stage already is and RK4 adds. c_num / c_den are the S + 1 stage
-    times; e, when ``tab`` has error rows, their weights over K[0..S]. A
-    coefficient is split exactly into an integer ratio and a weight is
-    h * num / den, so RK4's are dt/6 and dt/3 and its stage offsets dt/2
-    and dt, bit for bit, and a float coefficient's weight is h times it."""
+    """The loop's view of ``tab``: (coef, c, e). Row i of coef (i = 1..S)
+    holds the stage-i point's coefficients; row S is the step, b, to the
+    new point, whose slope K[S] an FSAL pair's last stage already is and
+    RK4 adds. c holds the S + 1 stage times; e, when ``tab`` has error
+    rows, their weights over K[0..S]. A step of h weighs K by h times
+    coef and puts its stages at h times c."""
     fsal = tab.a[-1] == tab.b[:-1]
     S = len(tab.a) - fsal
-    rows = (*tab.a[1:S], tab.b[:S])
-    num, den = np.zeros((S + 1, S)), np.ones((S + 1, S))
-    for i, row in enumerate(rows, start=1):
-        for j, coef in enumerate(row):
-            num[i, j], den[i, j] = _ratio(coef)
-    c_num, c_den = np.array([_ratio(coef) for coef in (*tab.c[:S], 1)],
-                            dtype=float).T
+    coef = np.zeros((S + 1, S))
+    for i, row in enumerate((*tab.a[1:S], tab.b[:S]), start=1):
+        coef[i, :len(row)] = row
+    c = np.array((*tab.c[:S], 1), dtype=float)
     e = np.array(tab.e, dtype=float) if tab.e else None
-    return num, den, c_num, c_den, e
+    return coef, c, e
 
 
 def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
@@ -355,9 +337,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     if X0.shape != (n,) or V0.shape != X0.shape:
         raise ValueError("X0/V0 must be stacked md-vectors")
     rtol = params.rtol
-    num, den, c_num, c_den, e = _step_weights(
-        _RK4 if rtol is None else _DOP853)
-    S = len(num) - 1  # stages 1..S-1 lie inside the step; S is the new point
+    coefs, c, e = _step_weights(_RK4 if rtol is None else _DOP853)
+    S = len(coefs) - 1  # stages 1..S-1 lie inside the step; S is the new point
     # Buffers, filled in place each step and viewed once (``out`` goes by
     # position, which numpy parses faster than a keyword): KY holds the
     # accepted point Y = [X; V; I], then K, the stage slopes dY (K[0] the
@@ -408,9 +389,8 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         else:
             dt = min(h, params.horizon - t)
         if dt != h_weights:  # built once for a fixed-dt stretch
-            np.multiply(num, dt, step_weights)
-            step_weights /= den
-            offsets = (c_num * dt / c_den).tolist()
+            np.multiply(coefs, dt, step_weights)
+            offsets = (c * dt).tolist()
             h_weights = dt
         for i in range(1, S):
             rows[i].dot(stage_sources[i], stage_y)

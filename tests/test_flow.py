@@ -38,17 +38,15 @@ def test_params_validation():
 def test_tableau_is_consistent(tableau):
     """Each stage time is its row sum, the step's weights sum to 1 and each
     error row's to 0, and DOP853's last stage is the step itself (FSAL), so
-    its weight there is 0. RK4's coefficients are exact fractions, held as
-    integer pairs, and hold exactly. DOP853's are floats, each within an ulp of its exact value, so
-    a sum holds within 2^-52 times the magnitudes it adds."""
+    its weight there is 0. Every coefficient is a float within an ulp of its
+    exact value, so a sum holds within 2^-52 times the magnitudes it adds.
+    RK4's are the floats nearest its exact fractions."""
     def exact(row):
-        return [Fraction(*x) if isinstance(x, tuple) else Fraction(x)
-                for x in row]
-
-    ulp = 0 if tableau is _RK4 else Fraction(1, 2 ** 52)
+        return [Fraction(x) for x in row]
 
     def sums_to(total, row):
-        return abs(total - sum(row, Fraction(0))) <= ulp * sum(map(abs, row))
+        return (abs(total - sum(row, Fraction(0)))
+                <= Fraction(1, 2 ** 52) * sum(map(abs, row)))
 
     c, b, e = exact(tableau.c), exact(tableau.b), [exact(r) for r in tableau.e]
     a = [exact(row) for row in tableau.a]
@@ -56,8 +54,12 @@ def test_tableau_is_consistent(tableau):
     assert all(sums_to(c_i, row) for c_i, row in zip(c, a))
     assert sums_to(1, b)
     if tableau is _RK4:
-        assert all(isinstance(x, tuple) for row in (*tableau.a, tableau.b,
-                                                    tableau.c) for x in row)
+        want = ("0 1/2 1/2 1", "", "1/2", "0 1/2", "0 0 1", "1/6 1/3 1/3 1/6")
+        for row, fractions in zip((tableau.c, *tableau.a, tableau.b), want,
+                                  strict=True):
+            for x, q in zip(row, map(Fraction, fractions.split()),
+                            strict=True):
+                assert abs(Fraction(x) - q) <= Fraction(math.ulp(x)) / 2
         assert e == [] and len(b) == 4
     else:
         assert len(b) == len(a) == 13 and len(e) == 2
