@@ -81,7 +81,7 @@ def test_shipped_trace_bytes(command, config, tmp_path, capsys):
 
 
 RAMP_FLOW_TRACE = (
-    "c1933967b3891e097593d936c8de379066237bedea30eaca37f684567b2fc6bf")
+    "ec9b19a285b579ca18583c0c64713a44dbc0c8e035883be2dd3ad1b86ee197ca")
 
 
 def test_ramp_flow_trace_bytes(tmp_path, capsys):
