@@ -98,10 +98,16 @@ class FixedParams(AgmParams):
 
     def __post_init__(self):
         super().__post_init__()
-        s = self.h * self.h if self.s is None else self.s
-        if isinstance(s, bool) or not 0.0 < float(s) < math.inf:
-            raise ValueError(f"s must be finite and positive, got {s!r}")
-        object.__setattr__(self, "s", float(s))
+        s = self.step_size
+        if isinstance(self.s, bool) or not 0.0 < s < math.inf:
+            got = f"h^2 = {s!r}" if self.s is None else repr(self.s)
+            raise ValueError(f"step s must be finite and positive, got {got}")
+
+    @property
+    def step_size(self) -> float:
+        """The step the run applies: ``s``, or h^2 when ``s`` is None, so
+        a copy made with a new h steps at its h^2."""
+        return self.h * self.h if self.s is None else float(self.s)
 
 
 # An iterate's rows: X+, Z, X, G, gradF(X), Llift X, Z - x*, X - x*,
@@ -383,13 +389,13 @@ def lyapunov_v0_prime(X0: np.ndarray, opt: ConsensusOptimum,
 def fixed_step_run(params: FixedParams, obj: SeparableObjective,
                    graph: AgentGraph, X0: np.ndarray, iters: int,
                    opt: ConsensusOptimum) -> RunTrace:
-    """Fixed step ``params.s`` for every iteration k >= 1."""
-    s, f_star = params.s, opt.f_star
+    """Fixed step ``params.step_size``, stamped as ``s``, for every k >= 1."""
+    s, f_star = params.step_size, opt.f_star
     state = _evaluate(init(X0, params.h, params.beta), obj, graph, opt)
     state.s = s
     rec = TraceRecorder(TraceRecorder.COLUMNS, {
-        "algorithm": "dist_agm_fixed", **asdict(params), "iters": iters},
-        f_star)
+        "algorithm": "dist_agm_fixed", **asdict(params), "s": s,
+        "iters": iters}, f_star)
     idle = (np.nan, "", np.nan, np.nan, True, False)  # V_k to fallback_flag
     with rec:
         rec.record(0, state.gap, state.gap, rec.norm(state.grad),

@@ -81,11 +81,8 @@ def build_topology(kind: str, m: int, p: float = 0.5,
     """
     if m < 2:
         raise GraphError(f"need at least 2 agents, got m={m}")
-    if kind == "ring":
-        edges = [(i, (i + 1) % m) for i in range(m)]
-        if m == 2:  # (0,1) and (1,0) collapse to a single edge
-            edges = [(0, 1)]
-        return _graph_from_edges(m, edges)
+    if kind == "ring":  # at m = 2, (0, 1) and (1, 0) are one edge
+        return _graph_from_edges(m, [(i, (i + 1) % m) for i in range(m)])
     if kind == "path":
         return _graph_from_edges(m, [(i, i + 1) for i in range(m - 1)])
     if kind == "star":

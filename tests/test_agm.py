@@ -503,7 +503,7 @@ def test_fixed_run_rows_replay_through_step(problem, request, ring5,
     params = FixedParams(h=0.3, beta=0.1)
     trace = fixed_step_run(params, obj, ring5, x0_ring5, iters=25, opt=opt)
     state = init(x0_ring5, params.h, params.beta)
-    state.s = params.s
+    state.s = params.step_size
 
     def row(k, X, gap_plus, s_k):
         gap = obj.value(X) - opt.f_star
@@ -514,9 +514,9 @@ def test_fixed_run_rows_replay_through_step(problem, request, ring5,
 
     want = [row(0, state.X, None, 0.0)]
     for _ in range(25):
-        nxt = step(state, obj, ring5, opt, s_next=params.s)
+        nxt = step(state, obj, ring5, opt, s_next=params.step_size)
         want.append(row(state.k, state.X,
-                        obj.value(nxt.X_plus) - opt.f_star, params.s))
+                        obj.value(nxt.X_plus) - opt.f_star, params.step_size))
         state = nxt
     cols = ("k", "F_gap_plus", "F_gap", "grad_norm", "laplacian_norm", "s_k")
     got = [bits(*vals) for vals in zip(*(trace.column(c) for c in cols))]
@@ -532,6 +532,29 @@ def test_fixed_run_trace_shape(ring5, flow_quadratic, x0_ring5):
                            x0_ring5, iters=25, opt=opt)
     assert len(trace) == 26
     np.testing.assert_array_equal(trace.column("k"), np.arange(26))
+
+
+def test_fixed_params_copied_with_a_new_h_step_at_its_square(
+        ring5, x0_ring5, tmp_path):
+    """A copy of FixedParams with a new h, and s left None, steps at the new
+    h^2 and stamps it as s: its trace is byte for byte that of the same
+    parameters built fresh, on the dilated problem of the symmetry test
+    below. An h whose square overflows is refused."""
+    obj = make_quadratic(5, 2, cond=10.0, seed=3)
+    obj = QuadraticObjective(obj.Qs / 2, obj.bs)
+    opt = obj.closed_form_optimum()
+    graph = AgentGraph(ring5.m, ring5.edges, ring5.laplacian / 4)
+    copied = replace(FixedParams(h=0.4, beta=1.0), h=0.8)
+    assert copied == FixedParams(h=0.8, beta=1.0)
+    written = []
+    for i, params in enumerate((copied, FixedParams(h=0.8, beta=1.0))):
+        trace = fixed_step_run(params, obj, graph, x0_ring5, 50, opt)
+        assert trace.metadata["s"] == 0.8 * 0.8
+        trace.write_csv(tmp_path / f"{i}.csv")
+        written.append((tmp_path / f"{i}.csv").read_bytes())
+    assert written[0] == written[1]
+    with pytest.raises(ValueError, match=r"step s .* h\^2 = inf"):
+        FixedParams(h=1e200)
 
 
 @pytest.mark.parametrize("common_offset", [True, False],
@@ -577,9 +600,12 @@ def test_fixed_step_converges_to_the_flow(ring5, x0_ring5, common_offset):
     assert np.all(ratios >= 1.6), (errors, ratios)
 
 
-@pytest.mark.parametrize("common_offset", [True, False],
-                         ids=["common_offset", "no_common_offset"])
-def test_discrete_dilation_symmetry(ring5, x0_ring5, common_offset):
+@pytest.mark.parametrize("common_offset,curvature",
+                         [(True, 1.0), (False, 1.0), (False, 64.0)],
+                         ids=["common_offset", "no_common_offset",
+                              "curvature_x64"])
+def test_discrete_dilation_symmetry(ring5, x0_ring5, common_offset,
+                                    curvature):
     """At beta = 1, h -> 2h with F -> F/2 and L -> L/4 leaves the iterates
     unchanged: the field G = (k h)^-beta gradF + L X scales by 1/4 and the
     step s by 4, so every update s G, and with it X_k, keeps its bits (each
@@ -589,17 +615,21 @@ def test_discrete_dilation_symmetry(ring5, x0_ring5, common_offset):
     and flags: the adaptive run at h 1 -> 2 in both oracle modes, and the
     fixed run at h 0.4 -> 0.8 (at h = 1 it diverges at k = 10). The check
     pins the powers of k, h and s; a constant factor common to both runs is
-    invisible to it."""
+    invisible to it. With the Hessians times 64 the smoothness term of the
+    step cap, (k h)^-beta L_f, exceeds lambda_max on the first 17 of the
+    500 steps, so the cap's power of the weight is pinned too; the
+    adaptive runs alone are compared there."""
     obj = make_quadratic(5, 2, cond=10.0, seed=3)
     bs = np.tile(obj.bs[0], (5, 1)) if common_offset else obj.bs
-    obj = QuadraticObjective(obj.Qs, bs)
+    obj = QuadraticObjective(obj.Qs * curvature, bs)
     scaled = QuadraticObjective(obj.Qs / 2, bs)
     graph = AgentGraph(ring5.m, ring5.edges, ring5.laplacian / 4)
     runs = [(adaptive_run, AdaptiveParams(h=1.0, beta=1.0, oracle_mode=mode),
              AdaptiveParams(h=2.0, beta=1.0, oracle_mode=mode))
             for mode in ("exact", "practical")]
-    runs.append((fixed_step_run, FixedParams(h=0.4, beta=1.0),
-                 FixedParams(h=0.8, beta=1.0)))
+    if curvature == 1.0:
+        runs.append((fixed_step_run, FixedParams(h=0.4, beta=1.0),
+                     FixedParams(h=0.8, beta=1.0)))
     factors = {"F_gap": 0.5, "F_gap_plus": 0.5, "s_k": 4.0, "V_k": 0.25,
                "r": 1 / 16, "grad_norm": 0.5, "laplacian_norm": 0.25,
                "w": 1 / 16}
@@ -624,6 +654,20 @@ def test_divergence_raises_with_trace(ring5, flow_quadratic, x0_ring5):
                        x0_ring5, iters=500, opt=opt)
     assert err.value.trace is not None
     assert err.value.at >= 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_update_field_raises_with_trace(ring5, x0_ring5):
+    """A step so large that the iterate overflows stops the run in ``step``,
+    before it is applied, and the recorder hands the rows so far to the
+    error: here the field at k = 2 is not finite, and rows k = 0 and 1 are
+    kept."""
+    obj = make_quadratic(5, 2, cond=10.0, seed=3)
+    with pytest.raises(DivergenceError, match="non-finite update") as err:
+        fixed_step_run(FixedParams(h=1.0, beta=0.1, s=1e308), obj, ring5,
+                       x0_ring5, iters=20, opt=obj.closed_form_optimum())
+    assert err.value.at == 2
+    assert list(err.value.trace.column("k")) == [0, 1]
 
 
 def test_trace_recorder_guard():

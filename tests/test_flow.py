@@ -1,6 +1,7 @@
 """Continuous flow: dynamics, energy ledger, integrator order, slope fits."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -367,6 +368,41 @@ def test_last_row_at_a_long_horizon(ring5, flow_quadratic, x0_ring5, rtol):
     trace = integrate(params, obj, ring5, x0_ring5, np.zeros(10), opt)
     assert trace.metadata["steps"] % params.record_every != 0
     assert trace.column("t")[-1] == params.horizon
+
+
+@pytest.mark.parametrize("beta,c", [(1.0, 2.0), (0.5, 4.0)],
+                         ids=["beta1-c2", "beta0.5-c4"])
+def test_flow_dilation_symmetry(ring5, x0_ring5, beta, c):
+    """Time t = c tau maps the flow to the one with cost c^(2-beta) F and
+    gain c^2 k_gain, started at t0 / c with velocity c V0. With c and
+    c^(2-beta) powers of two, RK4 at dt / c keeps every stage point's bits,
+    so the dilated run's t is the original's over c, its F_gap and
+    grad_norm are c^(2-beta) times the original's and its laplacian_norm is
+    the same, bit for bit. The ledger is invariant: each term and E_total
+    agree within 2 ulp, its products being rounded at other scales. The
+    check pins the powers of t in the dynamics and the ledger; a constant
+    factor common to both runs is invisible to it."""
+    obj = make_quadratic(5, 2, cond=10.0, seed=3)  # g* is not 0
+    gain = c ** (2.0 - beta)
+    dilated_obj = QuadraticObjective(obj.Qs * gain, obj.bs)
+    V0 = 0.5 * np.random.default_rng(4).standard_normal(10)
+    params = FlowParams(beta=beta, t0=1.0, dt=1e-2, horizon=20.0)
+    base = integrate(params, obj, ring5, x0_ring5, V0,
+                     obj.closed_form_optimum())
+    dilated = integrate(
+        replace(params, k_gain=c * c, t0=1.0 / c, dt=1e-2 / c,
+                horizon=20.0 / c),
+        dilated_obj, ring5, x0_ring5, c * V0,
+        dilated_obj.closed_form_optimum())
+    assert dilated.metadata["steps"] == base.metadata["steps"] == 1900
+    for name, factor in (("t", 1.0 / c), ("F_gap", gain),
+                         ("grad_norm", gain), ("laplacian_norm", 1.0)):
+        assert np.array_equal(dilated.column(name),
+                              factor * base.column(name)), name
+    for name in ("E_total", *LEDGER):
+        got, want = dilated.column(name), base.column(name)
+        ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+        assert np.all(np.abs(got - want) <= 2 * ulp), name
 
 
 def test_controlled_step_tightens_with_rtol(ring5, flow_quadratic, x0_ring5):

@@ -21,9 +21,12 @@ def test_ring5_shape():
 
 
 def test_complete2_laplacian():
-    g = build_topology("complete", 2)
-    assert len(g.edges) == 1
-    np.testing.assert_array_equal(g.laplacian, [[1.0, -1.0], [-1.0, 1.0]])
+    # the ring of two lists (0, 1) and (1, 0), which are the one edge too
+    for kind in ("complete", "ring"):
+        g = build_topology(kind, 2)
+        assert g.edges == {(0, 1)}
+        np.testing.assert_array_equal(g.laplacian,
+                                      [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_path3_degrees():

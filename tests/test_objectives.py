@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from distagm import data_io
 from distagm.graphs import apply_lifted_laplacian
 from distagm.objectives import (LogisticObjective, QuadraticObjective,
-                                SolverError, make_quadratic,
-                                solve_consensus_optimum)
+                                SeparableObjective, SolverError,
+                                make_quadratic, solve_consensus_optimum)
 from oracles import central_grad, central_value, local_grad, local_value
 
 
@@ -466,6 +466,50 @@ def test_solver_singular_hessian():
     opt = solve_consensus_optimum(obj, tol=1e-10, max_iter=50)
     assert np.linalg.norm(central_grad(obj, opt.x_star)) <= 1e-10
     assert opt.x_star[3] == 0.0
+
+
+class PseudoHuber(SeparableObjective):
+    """f_i(x) = sqrt(1 + |x - b_i|^2): smooth, convex and nearly linear far
+    from b_i, where a full Newton step from x = 0 overshoots."""
+
+    def __init__(self, bs):
+        self.bs = np.asarray(bs, dtype=float)
+        self.m, self.d = self.bs.shape
+        self.smoothness = 1.0
+
+    def value(self, X):
+        return self.value_grad(X)[0]
+
+    def value_grad(self, X):
+        r = self._check(X).reshape(self.m, self.d) - self.bs
+        root = np.sqrt(1.0 + np.einsum("ij,ij->i", r, r))
+        return float(root.sum()), (r / root[:, None]).reshape(-1)
+
+    def central_hess(self, x):
+        r = np.asarray(x, dtype=float) - self.bs
+        root = np.sqrt(1.0 + np.einsum("ij,ij->i", r, r))
+        return (np.eye(self.d) * (1.0 / root).sum()
+                - np.einsum("i,ij,ik->jk", root ** -3, r, r))
+
+
+def test_solver_backtracks_a_newton_step_that_overshoots(monkeypatch):
+    """From x = 0 the pseudo-Huber cost's first Newton steps overshoot, so
+    the Armijo loop halves them (4 Newton steps and 6 halvings here); the
+    solve still ends below tol."""
+    obj = PseudoHuber([(10.0, 0.0), (12.0, 1.0), (8.0, -1.0)])
+    calls = []
+    value_grad, central_hess = obj.value_grad, obj.central_hess
+    monkeypatch.setattr(obj, "value_grad", lambda X: calls.append(
+        "value_grad") or value_grad(X))
+    monkeypatch.setattr(obj, "central_hess", lambda x: calls.append(
+        "central_hess") or central_hess(x))
+    opt = solve_consensus_optimum(obj, tol=1e-9)
+    grad = opt.grad_at_opt.reshape(obj.m, obj.d).sum(axis=0)
+    assert np.linalg.norm(grad) <= 1e-9
+    # value_grad is called at the start, once per Newton step, once per
+    # halving and once at the optimum; central_hess once per Newton step
+    halvings = calls.count("value_grad") - 2 - calls.count("central_hess")
+    assert halvings >= 1
 
 
 def test_solver_nonconvergence_carries_best():
