@@ -447,12 +447,13 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
 
 
 def rate_slope(ts, gaps, tail_fraction: float = 0.5, window=None):
-    """Least-squares slope of log(gap) against log(t) over a tail window.
+    """Closed-form least-squares slope of log(gap) on log(t) in a window.
 
     ``window=(lo, hi)`` restricts to that t-range; otherwise the last
-    ``tail_fraction`` of samples is used. Non-positive gaps (float noise)
-    are dropped and flagged. Returns (slope, r_squared, flagged).
-    ``tail_fraction`` must lie in (0, 1].
+    ``tail_fraction`` of samples is used. Gaps that are not finite and
+    positive (float noise, a diverged run's last row) are dropped and
+    flagged. Returns (slope, r_squared, flagged). ``tail_fraction`` must
+    lie in (0, 1]; under 20 points or no finite spread in t raise ValueError.
     """
     if not 0.0 < tail_fraction <= 1.0:
         raise ValueError(f"tail_fraction must lie in (0, 1], got "
@@ -465,13 +466,17 @@ def rate_slope(ts, gaps, tail_fraction: float = 0.5, window=None):
         start = int(len(ts) * (1.0 - tail_fraction))
         mask = np.zeros(len(ts), dtype=bool)
         mask[start:] = True
-    flagged = bool(np.any(gaps[mask] <= 0.0))
-    mask &= gaps > 0.0
+    kept = (gaps > 0.0) & (gaps < np.inf)  # NaN fails both
+    flagged = bool(np.any(mask & ~kept))
+    mask &= kept
     if mask.sum() < 20:
         raise ValueError(f"rate window too small ({int(mask.sum())} points)")
     lt, lg = np.log(ts[mask]), np.log(gaps[mask])
-    slope, intercept = np.polyfit(lt, lg, 1)
-    resid = lg - (slope * lt + intercept)
-    ss_tot = float(np.sum((lg - lg.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2, flagged
+    if not 0.0 < lt.max() - lt.min() < np.inf:  # NaN fails too
+        raise ValueError("rate window has no finite spread in t")
+    lt -= lt.mean()
+    lg -= lg.mean()
+    sxx, sxy, syy = float(lt @ lt), float(lt @ lg), float(lg @ lg)
+    slope = sxy / sxx
+    r2 = 1.0 - (syy - slope * sxy) / syy if syy > 0.0 else 1.0
+    return slope, r2, flagged

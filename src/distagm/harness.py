@@ -305,7 +305,7 @@ def _run_all(settings: dict, out_dir: str):
             trace.metadata["diverged_at"] = err.at
         wall_s = time.perf_counter() - start
         ks, gaps = trace.column("k"), trace.column("F_gap")
-        try:  # blank when the fit flags a non-positive gap or too few points
+        try:  # blank when the fit flags a gap or has too few points
             slope, _, flagged = flow.rate_slope(ks[ks > 0], gaps[ks > 0])
         except ValueError:
             slope, flagged = "", True

@@ -132,6 +132,17 @@ def single_line_update(k, X, Z, s, g):
             - 0.5 * s * kk * (3.0 * kk + 1.0) * g) / (kk + 1.0) ** 2
 
 
+def polyfit_line(x, y):
+    """The least-squares line of y on x as ``np.polyfit`` solves it, through
+    the Vandermonde matrix and LAPACK's SVD least squares, and its
+    R^2 = 1 - SS_res / SS_tot (1.0 when y is constant): (slope, R^2)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), r2
+
+
 def trace_csv_bytes(columns, rows, metadata):
     """The bytes ``RunTrace.write_csv`` writes for a trace of ``rows`` under
     ``columns`` with ``metadata``, cell by cell: the sorted

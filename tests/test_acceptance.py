@@ -14,6 +14,7 @@ import pytest
 
 from distagm import (agm, baselines, data_io, flow, graphs, harness,
                      objectives)
+from distagm.cli import main
 from oracles import (a_coeff, c_coeff, combined_field, single_line_update,
                      theta)
 
@@ -117,6 +118,19 @@ def test_criterion_4_discrete_rate(adaptive_trace, controller_quadratic,
     report(4, ok, f"slope {slope:.3f} (<= -1.7) over k in [1e2, 1e4], "
                   f"pointwise rate bound holds: {bound_ok}, "
                   f"fallbacks: {fallbacks} (must be 0)")
+
+
+def test_rate_check_line_on_the_discrete_rate_trace(adaptive_trace,
+                                                   tmp_path, capsys):
+    """Criterion 4's run writes the rows of discrete_rate.yaml's run: the
+    line the README's rate-check command prints on that trace."""
+    path = tmp_path / "dist_agm_trace.csv"
+    adaptive_trace.write_csv(path)
+    assert main(["rate-check", str(path), "--beta", "0.1",
+                 "--window", "100", "10000"]) == 0
+    assert capsys.readouterr().out == (
+        "slope=-4.7467 r2=0.9188 target=-1.9000 tolerance=0.3 "
+        "truncated=False PASS\n")
 
 
 def test_criterion_5_lyapunov_decrement(adaptive_trace):

@@ -218,6 +218,38 @@ def test_cmd_rate_check(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("last", [INF, NAN])
+def test_cmd_rate_check_flags_a_last_gap_not_finite(last, tmp_path, capsys):
+    """A diverged run's trace ends on the row whose gap left the finite
+    range. rate-check drops that row and says the fit was truncated, with
+    no warning and the slope of the rows before it."""
+    trace = RunTrace(["k", "F_gap"])
+    for k in range(1, 200):
+        trace.append(k, 1.0 / k ** 2)
+    trace.append(200, last)
+    path = tmp_path / "diverged.csv"
+    trace.write_csv(path)
+    assert main(["rate-check", str(path), "--beta", "0.1"]) == 0
+    assert capsys.readouterr().out == (
+        "slope=-2.0000 r2=1.0000 target=-1.9000 tolerance=0.3 "
+        "truncated=True PASS\n")
+
+
+def test_cmd_rate_check_without_spread_in_k(tmp_path, capsys):
+    """A window whose k values are all equal has no slope: exit 2 and one
+    error line, not a fit."""
+    trace = RunTrace(["k", "F_gap"])
+    for i in range(40):
+        trace.append(7, 1.0 / (i + 1))
+    path = tmp_path / "flat.csv"
+    trace.write_csv(path)
+    assert main(["rate-check", str(path), "--beta", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate window has no finite spread in t\n"
+
+
 def test_cmd_rate_check_bad_trace(tmp_path):
     path = tmp_path / "tiny.csv"
     trace = RunTrace(["k", "F_gap"])
