@@ -288,7 +288,7 @@ def _transition(prev: AgmState, nxt: AgmState, obj: SeparableObjective,
     g_sq, _, _, _, x_lx, _, _, _ = prev.gram
     g_sq_next, _, _, z_sq, x_lx_next, g_dx, b, w = nxt.gram
     k, s = prev.k, prev.s
-    quad = 0.5 * x_lx  # 1/2 (X - x*) . Llift X, as Llift x* = 0
+    quad = 0.5 * x_lx  # 1/2 (X - x*) . Llift X: X . Llift X cancels near x*
     a = (prev.weight * prev.gap + quad - nxt.weight * nxt.gap
          - 0.5 * x_lx_next - g_dx)
     a_tilde = a + 0.5 * s * w
@@ -333,21 +333,21 @@ def bootstrap_diagnostics(state1: AgmState, obj: SeparableObjective,
         _cap(state1.weight, lam_max, obj.smoothness))  # weight (1 h)^-beta
 
 
+_CASES = (("w<=0,r>=0", "w<=0,r<0"), ("w>0,r>=0", "w>0,r<0"))
+
+
 def _select(a, b, a_tilde, b_tilde, w, r, cap, s_k, A_k, theta_next,
             k) -> tuple:
-    """select_stepsize on unpacked quantities, returning a plain tuple."""
-    if w <= 0.0 and r >= 0.0:
-        case, num, den = "w<=0,r>=0", 4.0 * a, b
-    elif w <= 0.0:
-        case, num, den = ("w<=0,r<0", 4.0 * A_k * a,
-                          A_k * b + theta_next * (-r))
-    elif r >= 0.0:
-        case, num, den = "w>0,r>=0", 4.0 * a_tilde, b_tilde
-    else:
-        case, num, den = ("w>0,r<0", 4.0 * A_k * a_tilde,
-                          A_k * b_tilde + theta_next * (-r))
+    """select_stepsize on unpacked quantities, as a plain tuple. The case
+    bound reads (a, b) if w <= 0, else (a~, b~): 4 a / b if r >= 0, else
+    4 A_k a / (A_k b + theta_{k+1} (-r)). ``_CASES`` labels the 4 choices."""
+    tilde, neg = not w <= 0.0, not r >= 0.0
+    num, den = (a_tilde, b_tilde) if tilde else (a, b)
+    num, den = ((4.0 * A_k * num, A_k * den + theta_next * (-r)) if neg
+                else (4.0 * num, den))
     # a non-positive den admits any step if num >= 0 and none if not
     bound = (math.inf if num >= 0.0 else math.nan) if den <= 0.0 else num / den
+    case = _CASES[tilde][neg]
     if math.isnan(bound) or bound < 0.0:
         return case, math.nan, False
     chosen = float(min(bound, cap))

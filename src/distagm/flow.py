@@ -381,7 +381,7 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
     trace = RunTrace(COLUMNS, metadata=asdict(params))
     trace.append(*_row(t, V0, point, params, (0.0, 0.0, 0.0)))
     t_end = params.horizon - 1e-15
-    steps = rejected = steps_since_record = 0
+    steps = rejected = 0
     h, h_weights, grow_max = params.dt, None, _GROW_MAX
     while t < t_end:
         if rtol is None:
@@ -437,11 +437,9 @@ def integrate(params: FlowParams, obj: SeparableObjective, graph: AgentGraph,
         Y[:] = y_new
         K[0] = K[S]
         steps += 1
-        steps_since_record += 1
-        if steps_since_record >= params.record_every or t >= t_end:
+        if steps % params.record_every == 0 or t >= t_end:
             trace.append(*_row(t, Y[n:2 * n], point, params,
                                Y[2 * n:].tolist()))
-            steps_since_record = 0
     trace.metadata.update(steps=steps, rejected=rejected)
     return trace
 
@@ -471,7 +469,9 @@ def rate_slope(ts, gaps, tail_fraction: float = 0.5, window=None):
     mask &= kept
     if mask.sum() < 20:
         raise ValueError(f"rate window too small ({int(mask.sum())} points)")
-    lt, lg = np.log(ts[mask]), np.log(gaps[mask])
+    lt, lg = ts[mask], gaps[mask]  # copies: each log is taken in place
+    np.log(lt, out=lt)
+    np.log(lg, out=lg)
     if not 0.0 < lt.max() - lt.min() < np.inf:  # NaN fails too
         raise ValueError("rate window has no finite spread in t")
     lt -= lt.mean()

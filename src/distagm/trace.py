@@ -5,7 +5,6 @@ error that stops a run which leaves the finite range, carrying its trace."""
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import struct
@@ -33,20 +32,14 @@ class DivergenceError(RuntimeError):
 # ``_BLOCK_ROWS`` of them is packed column by column. A column whose cells
 # all convert becomes one float64 ``array('d')`` segment (8 bytes a cell, no
 # float object kept); any other column (str labels, mixed cells) stays the
-# tuple of its cells. ``write_csv`` formats a block with one row format
-# string, "%.17g" for a float64 segment and "%s" for a tuple segment, so a
-# 10k-row trace costs one block of Python objects at a time to write.
+# tuple of its cells. ``write_csv`` writes a block with one row format:
+# "%.17g" for a float64 segment, "%s" for ``_format_cell`` of each tuple
+# cell, so a 10k-row trace costs one block of Python objects to write.
 _BLOCK_ROWS = 256
 # An int cell of this magnitude or more may not survive float64 ("%d" and
 # "%.17g" agree on every int below it).
 _EXACT_INT = 2.0 ** 53
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-@functools.lru_cache(maxsize=_BLOCK_ROWS)
-def _doubles(n: int) -> struct.Struct:
-    """The struct of ``n`` float64s, for a block of n <= _BLOCK_ROWS rows."""
-    return struct.Struct(f"{n}d")
 
 
 def _has_large(raw: bytes) -> bool:
@@ -62,7 +55,7 @@ def _pack_columns(columns) -> tuple:
     columns = tuple(columns)
     if not columns:
         return ()
-    pack = _doubles(len(columns[0])).pack
+    pack = struct.Struct(f"{len(columns[0])}d").pack
     packed = []
     for cells in columns:
         try:
@@ -78,23 +71,15 @@ def _pack_columns(columns) -> tuple:
                   for cells, raw in zip(columns, packed)])
 
 
-def _format_column(cells) -> list:
-    """The cells of one tuple segment as written: a float column with one
-    "%.17g" format ("nan" for NaN), an int or bool column with one "%d" (a
-    bool is 1 or 0), a str column as it is, a column of mixed types cell by
-    cell, and any other number as a float."""
-    kinds = set(map(type, cells))
-    if all(issubclass(kind, float) for kind in kinds):
-        spec = "%.17g"
-    elif all(issubclass(kind, (int, np.integer, np.bool_)) for kind in kinds):
-        spec = "%d"
-    elif all(issubclass(kind, str) for kind in kinds):
-        return cells
-    elif len(kinds) > 1:
-        return [_format_column((cell,))[0] for cell in cells]
-    else:
-        return _format_column(tuple(map(float, cells)))
-    return (",".join([spec] * len(cells)) % cells).split(",")
+def _format_cell(cell) -> str:
+    """One cell of a tuple segment as written: a str as it is, an int or
+    bool with "%d" (a bool is 1 or 0), any other number with "%.17g" ("nan"
+    for NaN)."""
+    if isinstance(cell, str):
+        return cell
+    if isinstance(cell, (int, np.integer, np.bool_)):
+        return "%d" % cell
+    return "%.17g" % cell
 
 
 class _Quoter(dict):
@@ -197,7 +182,7 @@ class RunTrace:
                     "%.17g" if type(seg) is array else "%s"
                     for seg in block]) + "\n"
                 cells = [seg if type(seg) is array else
-                         list(map(quoted.__getitem__, _format_column(seg)))
+                         list(map(quoted.__getitem__, map(_format_cell, seg)))
                          for seg in block]
                 fh.write(row_format * len(block[0])
                          % tuple(chain.from_iterable(zip(*cells))))

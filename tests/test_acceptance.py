@@ -114,10 +114,13 @@ def test_criterion_4_discrete_rate(adaptive_trace, controller_quadratic,
                                                  ** (2.0 - BETA))
     bound_ok = bool(np.all(gaps[ks >= 1] <= bound * (1.0 + 1e-9)))
     fallbacks = int(adaptive_trace.column("fallback_flag").sum())
-    ok = slope <= -1.7 and bound_ok and fallbacks == 0 and not flagged
+    misses = int((adaptive_trace.column("monotonicity_ok") == 0).sum())
+    ok = (slope <= -1.7 and bound_ok and fallbacks == 0 and misses == 0
+          and not flagged)
     report(4, ok, f"slope {slope:.3f} (<= -1.7) over k in [1e2, 1e4], "
                   f"pointwise rate bound holds: {bound_ok}, "
-                  f"fallbacks: {fallbacks} (must be 0)")
+                  f"fallbacks: {fallbacks}, step-monotonicity misses: "
+                  f"{misses} (both must be 0)")
 
 
 def test_rate_check_line_on_the_discrete_rate_trace(adaptive_trace,
@@ -131,6 +134,16 @@ def test_rate_check_line_on_the_discrete_rate_trace(adaptive_trace,
     assert capsys.readouterr().out == (
         "slope=-4.7467 r2=0.9188 target=-1.9000 tolerance=0.3 "
         "truncated=False PASS\n")
+
+
+def test_case_column_holds_the_five_label_objects(adaptive_trace):
+    """The controller takes each case label from one table, never building
+    a str per row: the 10^4-row case column holds at most five distinct
+    objects, the four labels and "bootstrap"."""
+    cases = adaptive_trace.column("case")
+    assert len({id(case) for case in cases}) <= 5
+    assert set(cases) <= {"bootstrap", "w<=0,r>=0", "w<=0,r<0", "w>0,r>=0",
+                          "w>0,r<0"}
 
 
 def test_criterion_5_lyapunov_decrement(adaptive_trace):

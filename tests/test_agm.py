@@ -57,6 +57,17 @@ def test_init_validation():
             params(h=0.0, beta=0.5)
 
 
+def test_step_and_lyapunov_refuse_a_k0_state(ring5, flow_quadratic,
+                                              x0_ring5):
+    """k = 0 is init's bootstrap: neither a step nor V_k is defined there."""
+    obj, opt = flow_quadratic
+    k0 = AgmState(0, x0_ring5, x0_ring5, x0_ring5, 0.1, 1.0, 0.1)
+    with pytest.raises(ValueError, match="k >= 1"):
+        step(k0, obj, ring5, opt)
+    with pytest.raises(ValueError, match="k >= 1"):
+        lyapunov(k0, init(x0_ring5, 1.0, 0.1), obj, ring5, opt)
+
+
 def test_init_bootstrap_state():
     x0 = np.array([1.0, -2.0, 0.5, 0.0])
     state = init(x0, h=1.0, beta=0.1)
@@ -209,6 +220,13 @@ def test_select_case_bounds():
                                s_k=0.1, A_k=1.0, theta_next=1.0, k=5)
         assert diag.case == case
         assert diag.chosen == pytest.approx(chosen)
+    # when r < 0, A_k weighs a and b beside theta_{k+1} (-r): 8 / (4 + 1)
+    for w, case in ((-1.0, "w<=0,r<0"), (1.0, "w>0,r<0")):
+        diag = select_stepsize(make_diag(a=1.0, b=2.0, a_tilde=1.0,
+                                         b_tilde=2.0, w=w, r=-2.0),
+                               s_k=0.1, A_k=2.0, theta_next=0.5, k=5)
+        assert diag.case == case
+        assert diag.chosen == pytest.approx(1.6)
 
 
 def test_select_cap_and_monotonicity():

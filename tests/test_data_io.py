@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from distagm.data_io import (IdxParseError, LabeledDataset,
-                             build_binary_dataset, parse_idx, shard,
-                             write_summary)
+                             build_binary_dataset, mnist_dataset, parse_idx,
+                             shard, write_summary)
 from oracles import serialize_idx
 
 
@@ -38,6 +38,16 @@ def test_parse_truncated_payload():
     with pytest.raises(IdxParseError) as err:
         parse_idx(blob)
     assert err.value.offset == 8 + 3  # header then the bytes actually present
+
+
+def test_parse_dims_past_the_blob():
+    """Dimensions whose product exceeds the whole blob are refused before
+    any payload is read or allocated."""
+    blob = (0x00000803).to_bytes(4, "big") + (1000).to_bytes(4, "big") \
+        + (28).to_bytes(4, "big") + (28).to_bytes(4, "big") + bytes(4)
+    with pytest.raises(IdxParseError, match="declared 784000") as err:
+        parse_idx(blob)
+    assert err.value.offset == 16 + 4
 
 
 def test_parse_truncated_header():
@@ -93,6 +103,28 @@ def test_build_binary_dataset_cap_and_determinism():
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def test_mnist_dataset_shuffles_by_the_problem_seed(tmp_path):
+    """The MNIST path passes problem.seed to the shuffle: two seeds give
+    two row orders of the same rows, one seed the same bytes twice."""
+    rng = np.random.default_rng(3)
+    (tmp_path / "train-images-idx3-ubyte").write_bytes(serialize_idx(
+        rng.integers(0, 256, size=(40, 2, 2)).astype(np.uint8)))
+    (tmp_path / "train-labels-idx1-ubyte").write_bytes(serialize_idx(
+        rng.choice([1, 5], size=40).astype(np.uint8)))
+
+    def load(seed):
+        spec = {"dataset_root": str(tmp_path), "seed": seed}
+        ds = mnist_dataset(spec)
+        assert spec == {"seed": seed}  # the MNIST keys are taken out
+        return ds
+
+    a, again, b = load(1), load(1), load(2)
+    assert a.features.tobytes() == again.features.tobytes()
+    assert a.labels.tobytes() == again.labels.tobytes()
+    assert a.features.tobytes() != b.features.tobytes()
+    assert sorted(map(tuple, a.features)) == sorted(map(tuple, b.features))
+
+
 def make_dataset(n):
     rng = np.random.default_rng(2)
     return LabeledDataset(features=rng.random((n, 3)),
@@ -123,6 +155,8 @@ def test_labeled_dataset_validation():
     with pytest.raises(ValueError):
         LabeledDataset(features=np.ones((2, 2)),
                        labels=np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="empty dataset"):
+        LabeledDataset(features=np.ones((0, 2)), labels=np.ones(0))
 
 
 def test_write_summary(tmp_path):

@@ -52,6 +52,18 @@ def test_disconnected_edges_rejected():
         _graph_from_edges(4, [(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2), (2, 3), (3, 3)], [(0, 1), (1, 2), (2, 3), (3, 4)],
+    [(-1, 0), (0, 1), (1, 2), (2, 3)]],
+    ids=["self-loop", "past-m", "negative"])
+def test_invalid_edge_rejected(edges):
+    """A self-loop or an agent index outside 0..m-1 is refused by name,
+    not written into the Laplacian (a -1 would wrap to the last row)."""
+    from distagm.graphs import _graph_from_edges
+    with pytest.raises(GraphError, match="invalid edge"):
+        _graph_from_edges(4, edges)
+
+
 def test_erdos_renyi_connected():
     g = build_topology("erdos_renyi", 8, p=0.4, seed=3)
     spectral_extremes(g)  # would raise if disconnected

@@ -564,6 +564,9 @@ def under_seeds(cases):
     pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5,
                          "algorithms": "dgd"},
                  "algorithms", id="run-algorithms-not-a-list"),
+    pytest.param("run", {"problem": QUAD_PROBLEM, "iters": 5,
+                         "algorithms": []},
+                 "at least one algorithm", id="run-no-algorithms"),
 ]))
 def test_invalid_config_value_exit_code(command, cfg, section, seed,
                                         tmp_path, capsys):

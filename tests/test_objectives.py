@@ -228,6 +228,28 @@ def test_logistic_empty_shard_rejected():
         LogisticObjective([np.ones((0, 2))], [np.ones(0)])
 
 
+@pytest.mark.parametrize("shards_z, shards_y", [
+    ([], []), ([np.ones((2, 2))] * 2, [np.ones(2)])],
+    ids=["no-shards", "mismatched-lists"])
+def test_logistic_shard_lists_rejected(shards_z, shards_y):
+    with pytest.raises(ValueError, match="matching, non-empty"):
+        LogisticObjective(shards_z, shards_y)
+
+
+@pytest.mark.parametrize("Qs, bs, match", [
+    (np.ones((2, 2, 3)), np.zeros((2, 2)), "shape"),
+    (np.array([np.eye(2)] * 2), np.zeros((2, 3)), "shape"),
+    (np.eye(2), np.zeros(2), "shape"),
+    (np.zeros((0, 2, 2)), np.zeros((0, 2)), "at least 1 agent"),
+    (np.array([np.eye(2), np.diag([1.0, 0.0])]), np.zeros((2, 2)), "SPD"),
+    (np.array([np.eye(2), -np.eye(2)]), np.zeros((2, 2)), "SPD")],
+    ids=["not-square", "offset-d", "two-d", "no-agents", "singular",
+         "negative"])
+def test_quadratic_refuses_bad_input(Qs, bs, match):
+    with pytest.raises(ValueError, match=match):
+        QuadraticObjective(Qs, bs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(min_value=2, max_value=8),
        d=st.integers(min_value=1, max_value=5),

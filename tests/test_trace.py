@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distagm import agm
@@ -165,6 +165,10 @@ def _traces(draw):
 
 
 @settings(max_examples=50, deadline=None)
+# ints past 2^53 in a column of their own and beside a str: "%d" and
+# "%.17g" part there
+@example(trace=(["c0", "c1"], [(2 ** 53 + 1, "a,b"), (np.int64(-2 ** 63), 1)]),
+         metadata={})
 @given(trace=_traces(), metadata=st.dictionaries(
     st.sampled_from(["seed", "h", "label"]),
     st.one_of(st.integers(), st.floats(), st.text(max_size=3)), max_size=2))

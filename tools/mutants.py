@@ -65,8 +65,33 @@ MUTANTS = (
            "-s * th_k", "-s * s * th_k",
            ("tests/test_agm.py::test_discrete_dilation_symmetry",)),
     Mutant("_select: w <= 0 as w < 0", "src/distagm/agm.py",
-           "if w <= 0.0 and r >= 0.0:", "if w < 0.0 and r >= 0.0:",
+           "not w <= 0.0", "not w < 0.0",
            ("tests/test_agm.py::test_select_case_bounds",)),
+    Mutant("_select: (a, b) and (a~, b~) swapped", "src/distagm/agm.py",
+           "(a_tilde, b_tilde) if tilde else (a, b)",
+           "(a, b) if tilde else (a_tilde, b_tilde)",
+           ("tests/test_agm.py::test_select_case_bounds",)),
+    Mutant("_select: A_k dropped from the r < 0 numerator",
+           "src/distagm/agm.py", "4.0 * A_k * num", "4.0 * num",
+           ("tests/test_agm.py::test_select_case_bounds",)),
+    Mutant("_select: theta_{k+1} (-r) dropped", "src/distagm/agm.py",
+           "A_k * den + theta_next * (-r)", "A_k * den",
+           ("tests/test_agm.py::test_select_case_bounds",)),
+    Mutant("_transition: consensus term as 1/2 X . Llift X, without x*",
+           "src/distagm/agm.py", "quad = 0.5 * x_lx",
+           "quad = 0.5 * float(prev.X.dot(prev.lx))",
+           ("tests/test_acceptance.py::test_criterion_4_discrete_rate",
+            "tests/test_agm.py::"
+            "test_certificate_holds_across_common_minimizer_quadratics")),
+    Mutant("integrate: a row after steps % record_every == 1",
+           "src/distagm/flow.py", "steps % params.record_every == 0",
+           "steps % params.record_every == 1",
+           ("tests/test_golden.py::test_ramp_flow_trace_bytes",
+            "tests/test_flow.py::test_controlled_step_conserves_energy")),
+    Mutant("_format_cell: an int cell with %.17g", "src/distagm/trace.py",
+           '"%d" % cell', '"%.17g" % cell',
+           ("tests/test_trace.py::"
+            "test_write_csv_matches_a_cell_by_cell_writer",)),
     Mutant("_cap: weight L_f as weight^2 L_f", "src/distagm/agm.py",
            "weight * l_f", "weight * weight * l_f",
            ("tests/test_agm.py::test_discrete_dilation_symmetry",)),
