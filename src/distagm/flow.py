@@ -86,9 +86,9 @@ class FlowParams:
             raise ValueError("k_gain and dt must be finite and positive")
         if not (0.0 < self.t0 < self.horizon < np.inf):
             raise ValueError("need 0 < t0 < horizon < inf")
-        if not self.record_every >= 1:
-            raise ValueError(
-                f"record_every must be >= 1, got {self.record_every}")
+        if not self.record_every >= 1 or self.record_every % 1:
+            raise ValueError("record_every must be a whole number >= 1, "
+                             f"got {self.record_every}")
         if self.rtol is not None:
             if isinstance(self.rtol, bool) or not 0.0 < float(
                     self.rtol) < math.inf:

@@ -34,8 +34,10 @@ def test_params_validation():
         FlowParams(beta=0.1, dt=-1.0)
     with pytest.raises(ValueError):
         FlowParams(beta=0.1, t0=60.0, horizon=50.0)
-    with pytest.raises(ValueError, match="record_every"):
-        FlowParams(record_every=0)
+    for record_every in (0, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="record_every"):
+            FlowParams(record_every=record_every)
+    assert FlowParams(record_every=np.int64(3)).record_every == 3
     for rtol in (0.0, -1e-8, float("nan"), float("inf"), True):
         with pytest.raises(ValueError, match="rtol"):
             FlowParams(rtol=rtol)

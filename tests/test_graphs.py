@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distagm.graphs import (AgentGraph, GraphError, NotConnectedError,
-                            apply_lifted_laplacian, build_topology,
-                            metropolis_weights, spectral_extremes)
+                            _graph_from_edges, apply_lifted_laplacian,
+                            build_topology, metropolis_weights,
+                            spectral_extremes)
 from oracles import lifted_laplacian_dense
 
 KINDS = ["ring", "path", "star", "complete"]
@@ -47,7 +48,6 @@ def test_unknown_kind_rejected():
 
 def test_disconnected_edges_rejected():
     # two components: {0,1} and {2,3}
-    from distagm.graphs import _graph_from_edges
     with pytest.raises(NotConnectedError):
         _graph_from_edges(4, [(0, 1), (2, 3)])
 
@@ -59,7 +59,6 @@ def test_disconnected_edges_rejected():
 def test_invalid_edge_rejected(edges):
     """A self-loop or an agent index outside 0..m-1 is refused by name,
     not written into the Laplacian (a -1 would wrap to the last row)."""
-    from distagm.graphs import _graph_from_edges
     with pytest.raises(GraphError, match="invalid edge"):
         _graph_from_edges(4, edges)
 
