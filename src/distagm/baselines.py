@@ -8,7 +8,6 @@ Agent updates read only neighbor states, trackers, or integral states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -94,10 +93,9 @@ def diging_run(params: StepParams, obj: SeparableObjective,
             value, new_grads = _value_grad_blocks(obj, xb)
             yb = w.dot(yb) + new_grads - grads
             grads = new_grads
-            # np.add.reduce is ndarray.sum without its Python wrapper, and
-            # sqrt(v.v) is np.linalg.norm of a 1-D array without its dispatch
+            # np.add.reduce is ndarray.sum without its Python wrapper
             gap = np.add.reduce(yb, 0) - np.add.reduce(grads, 0)
-            residual = max(residual, math.sqrt(float(gap.dot(gap))))
+            residual = max(residual, TraceRecorder.norm(gap))
         X = xb.reshape(-1)
         rec(k, value - opt.f_star, grads,
             apply_lifted_laplacian(graph, obj.d, X))
@@ -130,7 +128,7 @@ def pi_consensus_run(params: PIParams, obj: SeparableObjective,
         v = v + h_step * lx
         x = x_new
         total = np.add.reduce(v.reshape(graph.m, obj.d), 0)
-        v_sum = max(v_sum, math.sqrt(float(total.dot(total))))
+        v_sum = max(v_sum, TraceRecorder.norm(total))
         value, g = obj.value_grad(x)
         lx = apply_lifted_laplacian(graph, obj.d, x)
         rec(k, value - opt.f_star, g, lx)

@@ -51,7 +51,7 @@ import numpy as np
 
 from .graphs import AgentGraph, apply_lifted_laplacian
 from .objectives import ConsensusOptimum, SeparableObjective
-from .trace import DivergenceError, RunTrace
+from .trace import DivergenceError, RunTrace, TraceRecorder
 
 __all__ = [
     "FlowParams",
@@ -220,7 +220,7 @@ def flow_rhs(t, Y, params: FlowParams, obj: SeparableObjective,
         raise ValueError(f"flow is singular at t={t}")
     n = Y.size // 2
     X, V = Y[:n], Y[n:]
-    field = (V, obj.grad(X), apply_lifted_laplacian(graph, obj.d, X))
+    field = (V, obj.value_grad(X)[1], apply_lifted_laplacian(graph, obj.d, X))
     row = _field_row(t, t ** (-params.beta), params, np.empty(3))
     return np.concatenate((V, row.dot(field)))
 
@@ -267,8 +267,7 @@ def _ledger_rates(t, point: _Point, params: FlowParams, t_beta):
 def _row(t, V, point: _Point, params: FlowParams, integrals) -> tuple:
     """The trace row at an accepted point, in ``COLUMNS`` order: the
     ledger's three point terms, then ``integrals``, the running (Laplacian,
-    Bregman, beta) triple, and their sum, taken left to right. A norm is
-    sqrt(v.v), the same bits as ``np.linalg.norm`` of a 1-D float64 array."""
+    Bregman, beta) triple, and their sum, taken left to right."""
     momentum = t * V + 2.0 * point.xbar
     ledger = (0.5 * float(momentum.dot(momentum)),
               0.5 * params.k_gain * t ** 2 * point.x_lx,
@@ -276,9 +275,8 @@ def _row(t, V, point: _Point, params: FlowParams, integrals) -> tuple:
     total = ledger[0]
     for term in ledger[1:]:  # not sum(), which compensates from Python 3.12
         total += term
-    grad, lx = point.grad, point.lx
-    return (t, point.gap, math.sqrt(float(grad.dot(grad))),
-            math.sqrt(float(lx.dot(lx))), total, *ledger)
+    norm = TraceRecorder.norm
+    return (t, point.gap, norm(point.grad), norm(point.lx), total, *ledger)
 
 
 def energy_at(t, X, V, integrals, obj: SeparableObjective, graph: AgentGraph,

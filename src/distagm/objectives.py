@@ -10,8 +10,8 @@ baselines, the flow's dynamics and the fixed-step dist_agm update never
 read it; the adaptive dist_agm controller reads F* (its a-quantity holds
 the gaps F(X_k) - F*) in either oracle mode, and g* in the exact one.
 
-Every caller that needs the cost and the gradient at one point asks for
-both with one ``value_grad`` call: on the quadratic family one product
+Every caller takes the gradient, with the cost at the same point, from
+one ``value_grad`` call: on the quadratic family one product
 M r; on the logistic family the margins Z_i x_i, one exp(-|m|) shared by
 the softplus max(m, 0) + log1p(exp(-|m|)) and the sigmoid, and one
 back-projection Z_i^T (sigma - y_i). The logistic label term sum_r y_r m_r
@@ -91,11 +91,6 @@ class SeparableObjective:
         of the allocating call. ``flow.integrate`` writes each stage's
         gradient into its stage buffer this way."""
         raise NotImplementedError
-
-    def grad(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The stacked gradient of ``value_grad``, for ``flow.flow_rhs`` and
-        the reference solver; the runs ask for it with the cost."""
-        return self.value_grad(X, out)[1]
 
     def central_hess(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the centralized objective at a single point."""

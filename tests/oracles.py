@@ -64,6 +64,18 @@ def flow_rhs_per_agent(t, Y, params, obj, graph):
     return np.concatenate((Y[n:], dv.reshape(-1)))
 
 
+def pi_euler_step(x, v, params, obj, graph):
+    """One explicit Euler step of the proportional-integral consensus flow
+    x' = -alpha gradF(x) - Llift x - beta_gain v, v' = Llift x, with step
+    h_step, from the per-agent gradients and the dense lifted Laplacian."""
+    grad = np.concatenate([local_grad(obj, i, xi) for i, xi in
+                           enumerate(x.reshape(obj.m, obj.d))])
+    lx = lifted_laplacian_dense(graph, obj.d) @ x
+    h = params.h_step
+    return (x + h * (-params.alpha * grad - lx - params.beta_gain * v),
+            v + h * lx)
+
+
 def lifted_laplacian_dense(graph, d):
     """Dense Kronecker form L (x) I_d of the lifted Laplacian."""
     return np.kron(graph.laplacian, np.eye(d))
@@ -86,7 +98,7 @@ def serialize_idx(arr):
 def combined_field(k, X, h, beta, obj, graph):
     """G_k = (k h)^{-beta} gradF(X) + Llift X, evaluated afresh; k h is
     2 theta_k h, since theta_k = k/2."""
-    return ((k * h) ** (-beta) * obj.grad(X)
+    return ((k * h) ** (-beta) * obj.value_grad(X)[1]
             + lifted_laplacian_dense(graph, obj.d).dot(X))
 
 

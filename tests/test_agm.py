@@ -319,6 +319,31 @@ def test_adaptive_run_bootstrap_row(ring5, controller_quadratic, x0_ring5):
     assert trace.metadata.items() >= asdict(PRACTICAL).items()
 
 
+def test_fallback_step_is_capped(ring5, controller_quadratic, x0_ring5,
+                                 monkeypatch):
+    """A fallback keeps min(s_k, cap): with s_1 ten times the k=1 cap and
+    the case bound at k=1 forced to NaN, s_2 is the k=2 cap, not s_1."""
+    obj, opt = controller_quadratic
+    real, calls = agm._select, []
+
+    def select_nan_once(*args):
+        calls.append(args)
+        case, chosen, mono = real(*args)
+        if len(calls) == 1:
+            return case, np.nan, False
+        return case, chosen, mono
+    monkeypatch.setattr(agm, "_select", select_nan_once)
+    trace = adaptive_run(replace(PRACTICAL, s1_fraction=10.0), obj, ring5,
+                         x0_ring5, iters=2, opt=opt)
+    lam = spectral_extremes(ring5).lambda_max
+    cap1, cap2 = (smoothness_cap(k, 1.0, 0.1, lam, obj.smoothness)
+                  for k in (1, 2))
+    s_k, fallback = trace.column("s_k"), trace.column("fallback_flag")
+    assert s_k[1] == pytest.approx(10.0 * cap1) and s_k[1] > cap2
+    assert fallback.tolist() == [False, True, False]
+    assert s_k[2] == pytest.approx(cap2, rel=1e-12)
+
+
 def bits(*values):
     """The bytes of floats, so that NaN equals NaN and 0.0 differs from
     -0.0."""
@@ -526,7 +551,7 @@ def test_fixed_run_rows_replay_through_step(problem, request, ring5,
     def row(k, X, gap_plus, s_k):
         gap = obj.value(X) - opt.f_star
         return bits(k, gap if gap_plus is None else gap_plus, gap,
-                    np.linalg.norm(obj.grad(X)),
+                    np.linalg.norm(obj.value_grad(X)[1]),
                     np.linalg.norm(apply_lifted_laplacian(ring5, obj.d, X)),
                     s_k)
 

@@ -7,6 +7,8 @@ from distagm.agm import DivergenceError
 from distagm.baselines import (PIParams, StepParams, dgd_run, diging_run,
                                pi_consensus_run)
 from distagm.objectives import make_quadratic
+from oracles import (lifted_laplacian_dense, local_grad, local_value,
+                     pi_euler_step)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +78,28 @@ def test_pi_consensus_converges(ring5, hetero_quadratic):
                              obj, ring5, x0, iters=20000, opt=opt)
     assert trace.column("F_gap")[-1] <= 1e-6
     assert trace.metadata["max_integral_sum"] <= 1e-12
+
+
+def test_pi_consensus_rows_replay_the_euler_step(ring5, hetero_quadratic):
+    """Rows k = 1..3 are the gap, gradient norm and Laplacian norm at the
+    iterates of the flow's Euler step, taken from x0 with v0 = 0; the
+    integral state enters from k = 2 on."""
+    obj, opt = hetero_quadratic
+    params = PIParams(alpha=0.5, beta_gain=0.5, h_step=0.1)
+    x = np.random.default_rng(3).standard_normal(10)
+    trace = pi_consensus_run(params, obj, ring5, x, iters=3, opt=opt)
+    v = np.zeros_like(x)
+    lift = lifted_laplacian_dense(ring5, obj.d)
+    for k in (1, 2, 3):
+        x, v = pi_euler_step(x, v, params, obj, ring5)
+        blocks = x.reshape(obj.m, obj.d)
+        grad = np.concatenate([local_grad(obj, i, b)
+                               for i, b in enumerate(blocks)])
+        want = (sum(local_value(obj, i, b) for i, b in enumerate(blocks))
+                - opt.f_star, np.linalg.norm(grad), np.linalg.norm(lift @ x))
+        got = [trace.column(c)[k] for c in ("F_gap", "grad_norm",
+                                             "laplacian_norm")]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_divergence_guard(ring5, hetero_quadratic):

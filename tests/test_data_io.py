@@ -83,6 +83,17 @@ def test_build_binary_dataset_filters():
     assert ds.features[:, :-1].min() >= 0.0
 
 
+def test_build_binary_dataset_scales_pixels_by_1_over_255():
+    """A 255 pixel reads 1.0 and a 51 pixel 0.2: pixels are scaled by
+    1/255, so the features span [0, 1]."""
+    images = np.array([[[0, 51], [255, 255]], [[255, 0], [0, 0]]],
+                      dtype=np.uint8)
+    ds = build_binary_dataset(images, np.array([5, 1], dtype=np.uint8))
+    pixels = ds.features[:, :-1]
+    assert pixels[ds.labels == 1.0].tolist() == [[0.0, 0.2, 1.0, 1.0]]
+    assert pixels[ds.labels == 0.0].tolist() == [[1.0, 0.0, 0.0, 0.0]]
+
+
 def test_build_binary_dataset_errors():
     images = np.zeros((2, 2, 2), dtype=np.uint8)
     with pytest.raises(ValueError):

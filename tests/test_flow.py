@@ -278,7 +278,7 @@ def test_one_step_matches_rk4_from_flow_rhs(problem, params_dt, fraction,
         X, V = Y[:10], Y[10:]
         xbar = X - opt.x_star_stacked
         lx = apply_lifted_laplacian(ring5, obj.d, X)
-        grad = obj.grad(X)
+        grad = obj.value_grad(X)[1]
         gap = obj.value(X) - opt.f_star
         bregman = -gap - grad.dot(opt.x_star_stacked - X)
         w = t ** (1 - params.beta)
@@ -345,7 +345,7 @@ def test_ledger_derivative_balances_integrands(ring5, family, seed, beta,
     X, V = np.random.default_rng(seed + 1).standard_normal((2, 10))
     dV = flow_rhs(t, np.concatenate((X, V)), params, obj, ring5)[10:]
     xbar = X - opt.x_star_stacked
-    grad = obj.grad(X)
+    grad = obj.value_grad(X)[1]
     lx = apply_lifted_laplacian(ring5, obj.d, X)
     gap = obj.value(X) - opt.f_star
     # E_kinetic = |t V + 2 xbar|^2 / 2, E_laplacian = k t^2 xbar.L xbar / 2

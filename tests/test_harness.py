@@ -153,6 +153,17 @@ def test_cmd_compare(tmp_path, capsys):
     assert "iterations_to_threshold" in captured
 
 
+def test_iterations_to_threshold_counts_a_gap_at_the_threshold():
+    """The first k whose gap is at or below the threshold: a gap equal to
+    it counts, and a trace that never reaches it gives None."""
+    trace = RunTrace(["k", "F_gap"])
+    for row in ((0, 1.0), (1, 0.5), (2, 0.25)):
+        trace.append(*row)
+    assert harness.iterations_to_threshold(trace, 0.5) == 1
+    assert harness.iterations_to_threshold(trace, 0.3) == 2
+    assert harness.iterations_to_threshold(trace, 0.1) is None
+
+
 def test_cmd_compare_reports_truncated_table(tmp_path, capsys):
     cfg = {"seed": 2, "problem": QUAD_PROBLEM, "iters": 60,
            "init": {"scale": 1.0},
@@ -292,6 +303,29 @@ def test_cmd_energy_check(tmp_path, capsys):
     metadata = RunTrace.read_csv(out / "flow_trace.csv").metadata
     assert metadata["rtol"] == "None" and metadata["rejected"] == 0
     assert metadata["steps"] >= 2000
+
+
+@pytest.mark.parametrize("component,code", [(-1e-10, 0), (-1e-8, 1)])
+def test_energy_check_nonnegativity_slack(tmp_path, capsys, monkeypatch,
+                                          component, code):
+    """A ledger component below -1e-9 (1 + |E_total|) on its row fails the
+    check: with E_total = 1 the slack is 2e-9, so -1e-8 fails and -1e-10
+    passes. The flow is replaced by a trace with no drift."""
+    ledger = dict.fromkeys(flow.LEDGER, 0.0)
+    ledger.update(E_kinetic=1.0 - component, E_int_beta=component)
+
+    def integrate(*args):
+        trace = RunTrace(flow.COLUMNS)
+        for t in (1.0, 2.0, 3.0):
+            trace.append(t, 0.0, 0.0, 0.0, 1.0, *ledger.values())
+        return trace
+    monkeypatch.setattr(flow, "integrate", integrate)
+    cfg = {"seed": 2, "problem": QUAD_PROBLEM,
+           "flow": {"beta": 0.1, "t0": 1.0, "dt": 1e-3, "horizon": 3.0}}
+    assert main(["energy-check", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "energy")]) == code
+    out = capsys.readouterr().out
+    assert f"nonnegativity_violations={3 * code}" in out
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -200,11 +200,12 @@ def test_every_public_name_is_read():
 def test_objectives_have_one_evaluation_path():
     """Each objective family's public methods are the ones the package
     reads: the cost and the fused cost and gradient on the stacked state,
-    the gradient alone, the centralized Hessian, ``stack`` and the
-    quadratic's closed form. The reference solver reads the centralized
-    cost and gradient through the stacked oracles, so a per-agent or
-    centralized form of either belongs in tests/oracles.py."""
-    common = {"value", "value_grad", "grad", "central_hess", "stack"}
+    the centralized Hessian, ``stack`` and the quadratic's closed form. The
+    gradient comes only with the cost, from ``value_grad``. The reference
+    solver reads the centralized cost and gradient through the stacked
+    oracles, so a per-agent or centralized form of either belongs in
+    tests/oracles.py."""
+    common = {"value", "value_grad", "central_hess", "stack"}
     expected = {objectives.SeparableObjective: common,
                 objectives.QuadraticObjective: common | {"closed_form_optimum"},
                 objectives.LogisticObjective: common}

@@ -41,7 +41,7 @@ def test_quadratic_value_matches_dense_loop(ring5):
     want = sum(0.5 * (blocks[i] - obj.bs[i]) @ obj.Qs[i]
                @ (blocks[i] - obj.bs[i]) for i in range(5))
     assert obj.value(X) == pytest.approx(want, rel=1e-12)
-    got = obj.grad(X)
+    got = obj.value_grad(X)[1]
     want_g = np.concatenate([obj.Qs[i] @ (blocks[i] - obj.bs[i])
                              for i in range(5)])
     np.testing.assert_allclose(got, want_g, rtol=1e-12)
@@ -59,7 +59,7 @@ def test_quadratic_operator_matches_per_agent_sweep(m, d, seed):
     blocks = X.reshape(m, d)
     want_g = np.concatenate([local_grad(obj, i, blocks[i]) for i in range(m)])
     want_f = sum(local_value(obj, i, blocks[i]) for i in range(m))
-    got_g = obj.grad(X)
+    got_g = obj.value_grad(X)[1]
     assert got_g.shape == (m * d,)
     assert np.linalg.norm(got_g - want_g) <= 1e-12 * np.linalg.norm(want_g)
     assert obj.value(X) == pytest.approx(want_f, rel=1e-12)
@@ -74,7 +74,7 @@ def test_dimension_mismatch():
     with pytest.raises(ValueError):
         obj.value(np.zeros(5))
     with pytest.raises(ValueError):
-        obj.grad(np.zeros(7))
+        obj.value_grad(np.zeros(7))
 
 
 def small_logistic(l2=1e-3):
@@ -89,16 +89,17 @@ def small_logistic(l2=1e-3):
                                  small_logistic()],
                          ids=["quadratic", "logistic"])
 def test_grad_into_out_matches_allocating_call(obj):
-    """``grad(X, out)`` writes the allocating call's bits into ``out`` and
-    returns it; a wrongly shaped X or out is still refused."""
+    """``value_grad(X, out)`` writes the allocating call's gradient bits
+    into ``out`` and returns it; a wrongly shaped X or out is still
+    refused."""
     X = np.random.default_rng(8).standard_normal(obj.m * obj.d)
     out = np.full_like(X, np.nan)
-    assert obj.grad(X, out) is out
-    assert out.tobytes() == obj.grad(X).tobytes()
+    assert obj.value_grad(X, out)[1] is out
+    assert out.tobytes() == obj.value_grad(X)[1].tobytes()
     with pytest.raises(ValueError):
-        obj.grad(X[:-1], out)
+        obj.value_grad(X[:-1], out)
     with pytest.raises(ValueError):
-        obj.grad(X, np.empty(X.size + 1))
+        obj.value_grad(X, np.empty(X.size + 1))
 
 
 @pytest.mark.parametrize("obj", [make_quadratic(5, 3, seed=4),
@@ -151,7 +152,7 @@ def test_two_scalar_average():
 def test_gradient_zero_at_stacked_minimizers():
     obj = make_quadratic(4, 2, seed=1)
     X = obj.bs.reshape(-1)
-    np.testing.assert_allclose(obj.grad(X), 0.0, atol=1e-14)
+    np.testing.assert_allclose(obj.value_grad(X)[1], 0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("size", [1e-4, 1e-8, 1e-12])
@@ -167,7 +168,7 @@ def test_quadratic_gradient_accurate_near_the_offsets(size):
     ref = obj.M.astype(np.longdouble).dot(
         X.astype(np.longdouble) - obj.b.astype(np.longdouble))
     ref_norm = np.linalg.norm(ref.astype(float))
-    for g in (obj.grad(X), obj.value_grad(X)[1]):
+    for g in (obj.value_grad(X)[1], obj.value_grad(X, np.empty_like(X))[1]):
         err = np.linalg.norm((g - ref).astype(float)) / ref_norm
         assert err <= 1e-14, err
 
@@ -178,7 +179,7 @@ def test_quadratic_gradient_finite_difference():
     for _ in range(50):
         X = rng.standard_normal(10)
         fd = central_fd(obj, X)
-        np.testing.assert_allclose(obj.grad(X), fd,
+        np.testing.assert_allclose(obj.value_grad(X)[1], fd,
                                    rtol=1e-5, atol=1e-7)
 
 
@@ -191,7 +192,8 @@ def test_logistic_gradient_finite_difference():
     for _ in range(50):
         X = rng.standard_normal(12)
         fd = central_fd(obj, X)
-        np.testing.assert_allclose(obj.grad(X), fd, rtol=1e-5, atol=1e-7)
+        np.testing.assert_allclose(obj.value_grad(X)[1], fd,
+                                   rtol=1e-5, atol=1e-7)
 
 
 def test_logistic_zero_weights_loss():
@@ -205,7 +207,7 @@ def test_logistic_symmetric_zero_gradient():
     feats = np.array([[1.0, -2.0], [-1.0, 2.0]])
     labels = np.array([1.0, 1.0])
     obj = LogisticObjective([feats], [labels], l2=0.0)
-    np.testing.assert_allclose(obj.grad(np.zeros(2)), 0.0, atol=1e-14)
+    np.testing.assert_allclose(obj.value_grad(np.zeros(2))[1], 0.0, atol=1e-14)
 
 
 def test_logistic_gradient_saturates_without_overflow_warning():
@@ -214,7 +216,7 @@ def test_logistic_gradient_saturates_without_overflow_warning():
                             l2=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = obj.grad(np.array([-1000.0, 0.0]))
+        g = obj.value_grad(np.array([-1000.0, 0.0]))[1]
     np.testing.assert_array_equal(g, [-1.0, 0.0])
 
 
@@ -273,7 +275,7 @@ def test_logistic_batched_oracles_match_per_agent_sweep(m, d, extra, big,
         assume(np.abs(margins).max() > 709.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_f, got_g = obj.value(X), obj.grad(X)
+        got_f, got_g = obj.value(X), obj.value_grad(X)[1]
         fused_f, fused_g = obj.value_grad(X)
         want_f = sum(local_value(obj, i, blocks[i]) for i in range(m))
         want_g = np.concatenate([local_grad(obj, i, blocks[i])
@@ -300,9 +302,10 @@ def bits(value):
        scale=st.sampled_from([1e-3, 1.0, 1e4]),
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_value_grad_is_value_and_grad(logistic, m, d, scale, seed):
-    """``value_grad(X)`` returns ``(value(X), grad(X))`` bit for bit, in
-    both families; with ``out`` it writes the gradient there and returns
-    it. Margins past +-709 (scale 1e4) raise no warning."""
+    """``value_grad(X)``'s cost has ``value(X)``'s bits, in both families;
+    with ``out`` it writes the allocating call's gradient there and returns
+    it, with the same cost. Margins past +-709 (scale 1e4) raise no
+    warning."""
     rng = np.random.default_rng(seed)
     if logistic:
         n = 2 * m + int(rng.integers(0, m + 1))
@@ -317,10 +320,10 @@ def test_value_grad_is_value_and_grad(logistic, m, d, scale, seed):
         warnings.simplefilter("error")
         f, g = obj.value_grad(X)
         f_out, g_out = obj.value_grad(X, out)
-        want_f, want_g = obj.value(X), obj.grad(X)
-    assert bits(f) == bits(want_f) and bits(g) == bits(want_g)
+        want_f = obj.value(X)
+    assert bits(f) == bits(want_f)
     assert g_out is out
-    assert bits(f_out) == bits(want_f) and bits(out) == bits(want_g)
+    assert bits(f_out) == bits(want_f) and bits(out) == bits(g)
     with pytest.raises(ValueError):
         obj.value_grad(X[:-1])
     with pytest.raises(ValueError):
@@ -364,7 +367,8 @@ def test_convexity_inequality():
     rng = np.random.default_rng(6)
     for _ in range(100):
         X, Y = rng.standard_normal((2, 12))
-        assert obj.grad(X) @ (Y - X) <= obj.value(Y) - obj.value(X) + 1e-9
+        g = obj.value_grad(X)[1]
+        assert g @ (Y - X) <= obj.value(Y) - obj.value(X) + 1e-9
 
 
 def test_midpoint_convexity():
@@ -415,8 +419,16 @@ def test_smoothness_bound():
         n = obj.m * obj.d
         for _ in range(100):
             X, Y = rng.standard_normal((2, n))
-            lhs = np.linalg.norm(obj.grad(X) - obj.grad(Y))
+            lhs = np.linalg.norm(obj.value_grad(X)[1] - obj.value_grad(Y)[1])
             assert lhs <= obj.smoothness * np.linalg.norm(X - Y) + 1e-12
+
+
+def test_quadratic_smoothness_is_the_largest_agent_eigenvalue():
+    """With agents whose spectra differ, the smoothness constant is the
+    largest eigenvalue of M over all agents, not of one agent."""
+    obj = QuadraticObjective(np.array([np.diag([1.0, 2.0]),
+                                       np.diag([3.0, 5.0])]), np.zeros((2, 2)))
+    assert obj.smoothness == np.linalg.eigvalsh(obj.M)[-1] == 5.0
 
 
 def test_closed_form_matches_solver():
@@ -564,5 +576,5 @@ def test_stack_and_central():
     X = obj.stack(x)
     assert X.shape == (6,)
     assert obj.value(X) == pytest.approx(central_value(obj, x))
-    np.testing.assert_allclose(obj.grad(X).reshape(3, 2).sum(axis=0),
+    np.testing.assert_allclose(obj.value_grad(X)[1].reshape(3, 2).sum(0),
                                central_grad(obj, x), rtol=1e-12)

@@ -8,10 +8,11 @@ stacked gradient call. Each stage of the flow's Runge-Kutta step makes one
 fused evaluation and one Laplacian apply, the accepted point's once; that
 evaluation is the next step's first stage.
 
-The runs ask for the cost and the gradient at one point with one
-``value_grad`` call. Both families answer it in one evaluation (on the
-quadratic family one matrix-vector product), so the counts show
-``value_grad`` itself and no ``value`` or ``grad`` call beside it.
+The runs take the gradient, with the cost at the same point, from one
+``value_grad`` call, the objectives' one gradient oracle. Both families
+answer it in one evaluation (on the quadratic family one matrix-vector
+product), so the counts show ``value_grad`` itself and no ``value`` call
+beside it.
 """
 
 from collections import Counter
@@ -41,7 +42,7 @@ def counts(monkeypatch, controller_quadratic):
     obj, _ = controller_quadratic
     calls = Counter()
     cls = type(obj)
-    for name in ("value_grad", "grad", "value"):
+    for name in ("value_grad", "value"):
         monkeypatch.setattr(cls, name, counted(calls, name,
                                                getattr(cls, name)))
     for module in (agm, baselines, flow):
@@ -55,14 +56,13 @@ def counts(monkeypatch, controller_quadratic):
 def logistic_counts(monkeypatch):
     """Counters of the logistic family's stacked oracle calls."""
     calls = Counter()
-    for name in ("value_grad", "value", "grad"):
+    for name in ("value_grad", "value"):
         monkeypatch.setattr(LogisticObjective, name, counted(
             calls, name, getattr(LogisticObjective, name)))
     return calls
 
 
-def per_iteration(calls, run, names=("value_grad", "grad", "value",
-                                    "laplacian")):
+def per_iteration(calls, run, names=("value_grad", "value", "laplacian")):
     """Calls per iteration, from the difference of an ITERS and a 2*ITERS
     run so that set-up calls cancel."""
     calls.clear()
@@ -88,7 +88,6 @@ def test_agm_evaluates_each_iterate_once(mode, counts, ring5,
                                x0_ring5, iters=iters, opt=opt)
     got = per_iteration(counts, run)
     assert got["value_grad"] == 1
-    assert got["grad"] == 0
     assert got["value"] == 1  # the cost at the plus-iterate
     assert got["laplacian"] == 1
 
@@ -102,7 +101,7 @@ def test_gradient_baselines_reuse_the_update_sweep(run_fn, counts, ring5,
         counts, lambda iters: run_fn(baselines.StepParams(alpha=1e-3), obj,
                                      ring5, x0_ring5, iters=iters, opt=opt))
     assert got["value_grad"] == 1
-    assert got["grad"] == got["value"] == 0
+    assert got["value"] == 0
     assert got["laplacian"] == 1
 
 
@@ -115,15 +114,15 @@ def test_logistic_adaptive_iteration_fuses_its_evaluation(
         logistic_counts, lambda iters: agm.adaptive_run(
             agm.AdaptiveParams(h=1.0, beta=0.1, oracle_mode="practical"),
             obj, ring5, x0_ring5, iters=iters, opt=opt),
-        names=("value_grad", "value", "grad"))
-    assert got == {"value_grad": 1, "value": 1, "grad": 0}
+        names=("value_grad", "value"))
+    assert got == {"value_grad": 1, "value": 1}
 
 
 def test_solver_evaluates_each_newton_point_once(logistic_counts):
     """The reference solve of logistic_compare.yaml's problem takes 7 full
     Newton steps: one fused evaluation at the start and at each trial
     point, whose gradient the next step reuses, and one at the returned
-    optimum, with no ``value`` or ``grad`` call."""
+    optimum, with no ``value`` call."""
     settings = harness.check_config(
         harness.load_config(CONFIGS / "logistic_compare.yaml"), None)
     harness.build_problem(settings, harness.build_graph(settings))
@@ -138,8 +137,8 @@ def test_logistic_gradient_baselines_fuse_their_evaluation(
         logistic_counts, lambda iters: run_fn(
             baselines.StepParams(alpha=1e-3), obj, ring5, x0_ring5,
             iters=iters, opt=opt),
-        names=("value_grad", "value", "grad"))
-    assert got == {"value_grad": 1, "value": 0, "grad": 0}
+        names=("value_grad", "value"))
+    assert got == {"value_grad": 1, "value": 0}
 
 
 def test_pi_consensus_reuses_update_oracles(counts, ring5,
@@ -150,7 +149,7 @@ def test_pi_consensus_reuses_update_oracles(counts, ring5,
             baselines.PIParams(alpha=0.1, beta_gain=0.1), obj, ring5,
             x0_ring5, iters=iters, opt=opt))
     assert got["value_grad"] == 1
-    assert got["grad"] == got["value"] == 0
+    assert got["value"] == 0
     assert got["laplacian"] == 1
 
 
@@ -172,7 +171,7 @@ def test_flow_step_evaluates_each_point_once(record_every, counts, ring5,
     # stage 4's successor and serves the recorded row and the next step's
     # first stage.
     assert got["value_grad"] == 4
-    assert got["grad"] == got["value"] == 0
+    assert got["value"] == 0
     assert got["laplacian"] == 4
 
 
@@ -189,4 +188,4 @@ def test_controlled_flow_takes_few_evaluations(counts, ring5, flow_quadratic,
     assert counts["value_grad"] == counts["laplacian"]
     assert counts["value_grad"] == 12 * attempts + 1
     assert counts["value_grad"] < 2200
-    assert counts["grad"] == counts["value"] == 0
+    assert counts["value"] == 0

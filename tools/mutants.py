@@ -42,6 +42,9 @@ class Mutant:
     reason: str | None = None
 
 
+PI_REPLAY = ("tests/test_baselines.py::"
+             "test_pi_consensus_rows_replay_the_euler_step")
+
 MUTANTS = (
     Mutant("rate fit: log t not centred", "src/distagm/flow.py",
            "lt -= lt.mean()", "lt -= 0.0",
@@ -98,6 +101,40 @@ MUTANTS = (
     Mutant("_field_row: -3/t as -3/t^2", "src/distagm/flow.py",
            "-3.0 / t,", "-3.0 / (t * t),",
            ("tests/test_flow.py::test_flow_dilation_symmetry",)),
+    Mutant("pi_consensus_run: -Llift x dropped from the x step",
+           "src/distagm/baselines.py", "-alpha * g - lx - beta_gain * v",
+           "-alpha * g - beta_gain * v", (PI_REPLAY,)),
+    Mutant("pi_consensus_run: alpha halved in the x step",
+           "src/distagm/baselines.py", "(-alpha * g - lx",
+           "(-0.5 * alpha * g - lx", (PI_REPLAY,)),
+    Mutant("pi_consensus_run: beta_gain halved", "src/distagm/baselines.py",
+           "- beta_gain * v)", "- 0.5 * beta_gain * v)", (PI_REPLAY,)),
+    Mutant("pi_consensus_run: integral step halved",
+           "src/distagm/baselines.py", "v = v + h_step * lx",
+           "v = v + 0.5 * h_step * lx", (PI_REPLAY,)),
+    Mutant("QuadraticObjective: smoothness as the smallest agent's top "
+           "eigenvalue", "src/distagm/objectives.py", "eigs[:, -1].max()",
+           "eigs[:, -1].min()",
+           ("tests/test_objectives.py::"
+            "test_quadratic_smoothness_is_the_largest_agent_eigenvalue",)),
+    Mutant("iterations_to_threshold: at or below as below",
+           "src/distagm/harness.py", "gaps <= threshold", "gaps < threshold",
+           ("tests/test_harness.py::"
+            "test_iterations_to_threshold_counts_a_gap_at_the_threshold",)),
+    Mutant("cmd_energy_check: nonnegativity slack 1e-9 as 1e-6",
+           "src/distagm/harness.py", "comps < -1e-9 *", "comps < -1e-6 *",
+           ("tests/test_harness.py::test_energy_check_nonnegativity_slack",)),
+    Mutant("build_binary_dataset: pixels scaled by 1/256",
+           "src/distagm/data_io.py", "/ 255.0", "/ 256.0",
+           ("tests/test_data_io.py::"
+            "test_build_binary_dataset_scales_pixels_by_1_over_255",)),
+    Mutant("adaptive_run: a fallback keeps s_k, not min(s_k, cap)",
+           "src/distagm/agm.py", "min(s, cap) if fallback", "s if fallback",
+           ("tests/test_agm.py::test_fallback_step_is_capped",)),
+    Mutant("TraceRecorder.norm: v.v without its square root",
+           "src/distagm/trace.py", "return math.sqrt(float(v.dot(v)))",
+           "return float(v.dot(v))",
+           (PI_REPLAY, "tests/test_golden.py::test_ramp_flow_trace_bytes")),
 )
 
 
